@@ -56,7 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--classes", help="comma-separated class ids, e.g. 1,2,3")
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--threads", type=int, help="worker threads (0 = auto)")
+        p.add_argument(
+            "--threads", type=int,
+            help="accepted and echoed in the report; the cost kernel runs on one thread",
+        )
         p.add_argument("--output", default=".", help="output directory (default: .)")
         p.add_argument(
             "--with-timings", action="store_true",
@@ -240,17 +243,19 @@ def _init_report_block(result) -> dict:
     return block
 
 
-def _run_init(pairs, classes, cfg: RunConfig):
+def _evaluator(pairs, classes, cfg: RunConfig) -> CostEvaluator:
+    """The run's one prepared cost kernel, shared by init and refinement."""
+    return CostEvaluator(pairs, classes, epsilon=cfg.epsilon, range_weighting=cfg.range_weighting)
+
+
+def _run_init(evaluator: CostEvaluator, cfg: RunConfig):
     init_cfg = InitConfig(
         ransac_threshold=cfg.ransac_threshold,
         ransac_iterations=cfg.ransac_iterations,
         seed=cfg.seed,
         planarity_ratio=cfg.planarity_ratio,
-        epsilon=cfg.epsilon,
-        range_weighting=cfg.range_weighting,
-        threads=cfg.threads,
     )
-    return initialize(pairs, classes, config=init_cfg)
+    return initialize(evaluator, config=init_cfg)
 
 
 def cmd_init(args) -> int:
@@ -260,7 +265,7 @@ def cmd_init(args) -> int:
         args.data_dir, cloud_remap=cfg.cloud_remap, image_remap=cfg.image_remap
     )
     classes = _resolve_classes(cfg, manifest_classes)
-    result = _run_init(pairs, classes, cfg)
+    result = _run_init(_evaluator(pairs, classes, cfg), cfg)
     out = _out_dir(args)
     write_extrinsics(out / "init_extrinsics.txt", result.extrinsics)
     report = {
@@ -301,13 +306,14 @@ def cmd_calibrate(args) -> int:
     )
     classes = _resolve_classes(cfg, manifest_classes)
     timings: dict[str, float] = {}
+    evaluator = _evaluator(pairs, classes, cfg)
 
     if args.init_file:
         start = read_extrinsics(args.init_file)
         init_block: dict = {"source": "file", "estimate": extrinsics_report_fields(start)}
     else:
         t_init = time.perf_counter()
-        result = _run_init(pairs, classes, cfg)
+        result = _run_init(evaluator, cfg)
         timings["init_s"] = time.perf_counter() - t_init
         start = result.extrinsics
         init_block = {"source": "pipeline", **_init_report_block(result)}
@@ -316,15 +322,7 @@ def cmd_calibrate(args) -> int:
         max_iterations=cfg.max_iterations, ftol=cfg.ftol, line_tol=cfg.line_tol
     )
     t_opt = time.perf_counter()
-    estimate, breakdown, trace = calibrate(
-        pairs,
-        start,
-        classes,
-        config=opt_cfg,
-        epsilon=cfg.epsilon,
-        range_weighting=cfg.range_weighting,
-        threads=cfg.threads,
-    )
+    estimate, breakdown, trace = calibrate(evaluator, start, config=opt_cfg)
     timings["optimize_s"] = time.perf_counter() - t_opt
     timings["total_s"] = time.perf_counter() - t0
 
@@ -387,10 +385,7 @@ def cmd_sweep(args) -> int:
         raise CalibrationError("--interval larger than --range")
     displacements = [k * args.interval for k in range(-n_steps, n_steps + 1)]
 
-    evaluator = CostEvaluator(
-        pairs, classes, epsilon=cfg.epsilon,
-        range_weighting=cfg.range_weighting, threads=cfg.threads,
-    )
+    evaluator = _evaluator(pairs, classes, cfg)
     base = np.asarray(reference.to_vector(), dtype=float)
     rows = []
     best = (np.inf, 0.0)

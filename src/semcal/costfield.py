@@ -36,12 +36,14 @@ class DistanceField:
 
     ``d[row, col]`` is the minimum Manhattan distance from pixel
     ``(col, row)`` to any pixel labeled ``class_id``; zero exactly on such
-    pixels.  When the class is absent, ``empty_class`` is set and every
-    cell holds ``inf``.
+    pixels.  Distances between integer pixels are integers below
+    ``width + height``, stored in the smallest unsigned type that holds
+    that bound.  When the class is absent, ``empty_class`` is set and
+    every cell holds float ``inf``.
     """
 
     class_id: int
-    d: np.ndarray  # (height, width) float64
+    d: np.ndarray  # (height, width)
     empty_class: bool
 
     def __post_init__(self):
@@ -62,7 +64,7 @@ def _sweep_axis(d: np.ndarray, axis: int) -> np.ndarray:
     n = d.shape[axis]
     shape = [1, 1]
     shape[axis] = n
-    idx = np.arange(n, dtype=float).reshape(shape)
+    idx = np.arange(n, dtype=d.dtype).reshape(shape)
     fwd = np.minimum.accumulate(d - idx, axis=axis) + idx
     rev = np.flip(np.minimum.accumulate(np.flip(d + idx, axis=axis), axis=axis), axis=axis) - idx
     return np.minimum(fwd, rev)
@@ -73,15 +75,18 @@ def build_distance_field(image: LabelImage, class_id: int) -> DistanceField:
 
     Two raster sweeps per axis (forward then backward, unit axial weights)
     propagate the distances; for the Manhattan metric this is exact, which
-    the test suite checks against the brute-force definition.
+    the test suite checks against the brute-force definition.  The sweeps
+    run in int32 with ``width + height`` as the not-yet-reached value:
+    every true distance is smaller, so it never survives the minimum.
     """
     mask = image.labels == class_id
     if not mask.any():
         return DistanceField(class_id, np.full(mask.shape, np.inf), True)
-    d = np.where(mask, 0.0, np.inf)
+    far = mask.shape[0] + mask.shape[1]
+    d = np.where(mask, np.int32(0), np.int32(far))
     d = _sweep_axis(d, axis=1)
     d = _sweep_axis(d, axis=0)
-    return DistanceField(class_id, d, False)
+    return DistanceField(class_id, d.astype(np.min_scalar_type(far)), False)
 
 
 def build_distance_fields(image: LabelImage, classes, threads: int = 1) -> dict[int, DistanceField]:
@@ -220,99 +225,6 @@ class CostBreakdown:
     n_empty_field: int = 0
 
 
-class _PairPrep:
-    """Immutable per-pair precomputation: class point blocks and fields."""
-
-    __slots__ = ("frame_id", "k", "labels", "blocks", "denominator", "per_class_den")
-
-    def __init__(self, pair: FramePair, classes, range_weighting: bool, threads: int):
-        self.frame_id = pair.frame_id
-        self.k = pair.intrinsics
-        self.labels = pair.image.labels
-        fields = build_distance_fields(pair.image, classes, threads=threads)
-        self.blocks = []
-        self.per_class_den = {}
-        total = 0
-        for cid in classes:
-            mask = pair.cloud.labels == cid
-            pts = pair.cloud.points[mask]
-            n = pts.shape[0]
-            if range_weighting:
-                sqn = np.einsum("ij,ij->i", pts, pts)
-            else:
-                sqn = np.ones(n)
-            fld = fields[cid]
-            self.blocks.append((cid, pts, sqn, fld))
-            self.per_class_den[cid] = n
-            total += n
-        self.denominator = total
-
-    def evaluate(self, r: np.ndarray, t: np.ndarray, epsilon, counts: bool):
-        """Numerator (and optionally diagnostics) for one extrinsics sample."""
-        out = PairBreakdown(self.frame_id, denominator=self.denominator) if counts else None
-        k = self.k
-        w, h = k.width, k.height
-        penalty_scale = w + h
-        numerator = 0.0
-        per_class = {}
-        for cid, pts, sqn, fld in self.blocks:
-            n = pts.shape[0]
-            if n == 0:
-                per_class[cid] = 0.0
-                continue
-            cam = pts @ r.T + t
-            z = cam[:, 2]
-            front = z > EPS_DEPTH
-            cost = np.empty(n)
-            cost[~front] = penalty_scale * sqn[~front]
-            if fld.empty_class:
-                cost[front] = penalty_scale * sqn[front]
-                if counts:
-                    out.n_behind_camera += int(n - front.sum())
-                    out.n_empty_field += int(front.sum())
-            else:
-                fidx = np.nonzero(front)[0]
-                cf = cam[fidx]
-                u = np.rint(k.fx * cf[:, 0] / cf[:, 2] + k.cx).astype(np.intp)
-                v = np.rint(k.fy * cf[:, 1] / cf[:, 2] + k.cy).astype(np.intp)
-                in_img = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-                oidx = fidx[~in_img]
-                if oidx.size:
-                    uo, vo = u[~in_img], v[~in_img]
-                    uc = np.clip(uo, 0, w - 1)
-                    vc = np.clip(vo, 0, h - 1)
-                    dist = fld.d[vc, uc] + np.abs(uo - uc) + np.abs(vo - vc)
-                    cost[oidx] = dist * sqn[oidx]
-                iidx = fidx[in_img]
-                ui, vi = u[in_img], v[in_img]
-                pix = self.labels[vi, ui]
-                cons = pix == cid
-                cost[iidx[cons]] = 0.0
-                bad = iidx[~cons]
-                if bad.size:
-                    dist = fld.d[vi[~cons], ui[~cons]]
-                    if epsilon is None:
-                        cost[bad] = dist * sqn[bad]
-                    else:
-                        factor = 1.0 - np.exp(-np.abs(cid - pix[~cons]) / epsilon)
-                        cost[bad] = factor * dist * sqn[bad]
-                if counts:
-                    out.n_behind_camera += int(n - front.sum())
-                    out.n_out_of_image += int(oidx.size)
-                    out.n_consistent += int(cons.sum())
-                    out.n_inconsistent += int(bad.size)
-            block_sum = float(cost.sum())
-            per_class[cid] = block_sum
-            numerator += block_sum
-        if counts:
-            out.numerator = numerator
-            out.per_class = {
-                cid: (per_class[cid], self.per_class_den[cid]) for cid in per_class
-            }
-            return out
-        return numerator
-
-
 def _validated_classes(classes) -> tuple[int, ...]:
     ids = tuple(dict.fromkeys(int(c) for c in classes))
     if not ids:
@@ -325,11 +237,22 @@ def _validated_classes(classes) -> tuple[int, ...]:
 class CostEvaluator:
     """Prepared multi-pair cost function, reusable across many extrinsics.
 
-    Distance fields and per-class point blocks are built once at
-    construction; :meth:`evaluate_total` is the cheap path intended for
-    optimizer and sweep loops, :meth:`evaluate` additionally assembles the
-    full breakdown.  Both produce bit-identical totals.  Instances are
-    immutable after construction and safe to call from multiple threads.
+    Construction packs the scene once.  The scored points, grouped into
+    (pair, class) blocks in pair-then-class order, become flat per-point
+    arrays: coordinates, range weight, the frame's intrinsics and penalty,
+    an empty-class flag and an offset into one buffer that holds every
+    distance field.  Exact L1 distances between integer pixels are
+    integers below ``width + height``, so the buffer stores them losslessly
+    in the smallest unsigned type that fits; each field is packed as it is
+    built.
+
+    One projection / round / clip / gather pass then scores every point
+    for both :meth:`evaluate_total`, the hot path of optimizer and sweep
+    loops, and :meth:`evaluate`, which adds the per-class / per-pair
+    breakdown and counts.  The rotation is applied block by block and the
+    block sums are added pair by pair, exactly as a loop over blocks would,
+    so totals are bit-identical to that loop: the optimizer's path depends
+    on their last bits.  Instances are immutable after construction.
     """
 
     def __init__(
@@ -338,72 +261,131 @@ class CostEvaluator:
         classes,
         epsilon: float | None = None,
         range_weighting: bool = True,
-        threads: int = 1,
     ):
-        pairs = list(pairs)
-        if not pairs:
+        self.pairs = tuple(pairs)
+        if not self.pairs:
             raise CalibrationError("at least one frame pair is required")
         self.classes = _validated_classes(classes)
+        if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+            raise CalibrationError(f"epsilon must be positive and finite, got {epsilon}")
         self.epsilon = epsilon
-        self._threads = threads
-        if threads != 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
-                self._preps = list(
-                    pool.map(
-                        lambda p: _PairPrep(p, self.classes, range_weighting, 1), pairs
-                    )
-                )
-        else:
-            self._preps = [
-                _PairPrep(p, self.classes, range_weighting, threads) for p in pairs
-            ]
-        self.denominator = sum(p.denominator for p in self._preps)
+
+        wh = max(p.intrinsics.width + p.intrinsics.height for p in self.pairs)
+        n_cells = sum(p.image.labels.size for p in self.pairs) * len(self.classes)
+        self._fields = np.zeros(n_cells, np.min_scalar_type(wh))
+        points, sqn, counts, meta = [], [], [], []
+        cell = pixel = 0
+        for pair in self.pairs:
+            k = pair.intrinsics
+            for cid in self.classes:
+                fld = build_distance_field(pair.image, cid)
+                if not fld.empty_class:
+                    self._fields[cell:cell + fld.d.size] = fld.d.ravel()
+                pts = pair.cloud.points[pair.cloud.labels == cid]
+                points.append(pts)
+                sqn.append(np.einsum("ij,ij->i", pts, pts) if range_weighting
+                           else np.ones(len(pts)))
+                counts.append(len(pts))
+                meta.append((k.fx, k.fy, k.cx, k.cy, k.width - 1, k.height - 1, k.width,
+                             k.width + k.height, cell, pixel, cid, fld.empty_class))
+                cell += fld.d.size
+            pixel += pair.image.labels.size
+        self.denominator = sum(counts)
         if self.denominator == 0:
             raise ZeroDenominator(
                 "no points carry any of the requested classes "
                 f"{list(self.classes)} in any pair"
             )
 
+        self._points = np.concatenate(points)
+        self._sqn = np.concatenate(sqn)
+        (self._fx, self._fy, self._cx, self._cy, self._umax, self._vmax, self._stride,
+         self._penalty, self._cell, self._pixel, self._cls, empty) = np.repeat(
+            np.array(meta, dtype=float), counts, axis=0).T.copy()
+        self._empty = empty.astype(bool)
+        self._labels = (np.concatenate([p.image.labels.ravel() for p in self.pairs])
+                        if epsilon is not None else None)
+        edges = np.cumsum([0] + counts).tolist()
+        self._blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        m = len(self.classes)
+        self._pair_blocks = [self._blocks[i:i + m] for i in range(0, len(self._blocks), m)]
+
+    def _kernel(self, ext: Extrinsics):
+        """Per-point cost, plus the masks and values :meth:`evaluate` counts with.
+
+        Points off the image score the clamped cell's distance plus the
+        axis offsets, which is exact for L1; on the image the offsets are
+        zero, so one formula serves both.  Same-class pixels hold distance
+        zero, so consistent points cost nothing without a label lookup.
+        """
+        r, t = ext.matrix()
+        r_t = r.T
+        cam = np.empty((self.denominator, 3))
+        for block in self._blocks:
+            np.matmul(self._points[block], r_t, cam[block])
+        x, y, z = (cam[:, i] + t[i] for i in range(3))
+        front = z > EPS_DEPTH
+        z = np.where(front, z, 1.0)
+        u = np.rint(self._fx * x / z + self._cx)
+        v = np.rint(self._fy * y / z + self._cy)
+        uc = np.minimum(np.maximum(u, 0.0), self._umax)
+        vc = np.minimum(np.maximum(v, 0.0), self._vmax)
+        pixel = vc * self._stride + uc
+        d = self._fields[(self._cell + pixel).astype(np.intp)]
+        off = np.abs(u - uc) + np.abs(v - vc)
+        dist = d + off
+        if self.epsilon is not None:
+            labels = self._labels[(self._pixel + pixel).astype(np.intp)]
+            factor = 1.0 - np.exp(-np.abs(self._cls - labels) / self.epsilon)
+            dist = np.where(off == 0.0, factor * dist, dist)
+        scored = front & ~self._empty
+        cost = np.where(scored, dist, self._penalty) * self._sqn
+        return cost, front, scored, off, d
+
     def evaluate_total(self, ext: Extrinsics) -> float:
         """Aggregate cost only; the hot path for optimization loops."""
-        r, t = ext.matrix()
+        cost = self._kernel(ext)[0]
         total = 0.0
-        for prep in self._preps:
-            total += prep.evaluate(r, t, self.epsilon, counts=False)
-        return total / self.denominator
+        for blocks in self._pair_blocks:
+            numerator = 0.0
+            for block in blocks:
+                numerator += cost[block].sum()
+            total += numerator
+        return float(total / self.denominator)
 
     def evaluate(self, ext: Extrinsics) -> CostBreakdown:
         """Aggregate cost with per-class / per-pair subtotals and counts."""
-        r, t = ext.matrix()
-        if self._threads != 1 and len(self._preps) > 1:
-            with ThreadPoolExecutor(max_workers=_worker_count(self._threads)) as pool:
-                pair_results = list(
-                    pool.map(lambda p: p.evaluate(r, t, self.epsilon, True), self._preps)
-                )
-        else:
-            pair_results = [p.evaluate(r, t, self.epsilon, True) for p in self._preps]
-        per_class: dict[int, tuple[float, int]] = {c: (0.0, 0) for c in self.classes}
-        numerator = 0.0
+        cost, front, scored, off, d = self._kernel(ext)
+        inside = scored & (off == 0.0)
+        masks = (inside & (d == 0), inside & (d != 0), ~front, scored & (off != 0.0),
+                 front & ~scored)
         breakdown = CostBreakdown(
             total=0.0,
             numerator=0.0,
             denominator=self.denominator,
-            per_class=per_class,
+            per_class={c: (0.0, 0) for c in self.classes},
             per_pair={},
         )
-        for pb in pair_results:
-            breakdown.per_pair[pb.frame_id] = pb
-            numerator += pb.numerator
+        for pair, blocks in zip(self.pairs, self._pair_blocks):
+            span = slice(blocks[0].start, blocks[-1].stop)
+            pb = PairBreakdown(pair.frame_id, denominator=span.stop - span.start)
+            for cid, block in zip(self.classes, blocks):
+                block_sum = float(cost[block].sum())
+                pb.per_class[cid] = (block_sum, block.stop - block.start)
+                pb.numerator += block_sum
+            (pb.n_consistent, pb.n_inconsistent, pb.n_behind_camera, pb.n_out_of_image,
+             pb.n_empty_field) = (int(np.count_nonzero(m[span])) for m in masks)
+            breakdown.per_pair[pair.frame_id] = pb
+            breakdown.numerator += pb.numerator
             for cid, (num, den) in pb.per_class.items():
-                acc_num, acc_den = per_class[cid]
-                per_class[cid] = (acc_num + num, acc_den + den)
+                acc_num, acc_den = breakdown.per_class[cid]
+                breakdown.per_class[cid] = (acc_num + num, acc_den + den)
             breakdown.n_consistent += pb.n_consistent
             breakdown.n_inconsistent += pb.n_inconsistent
             breakdown.n_behind_camera += pb.n_behind_camera
             breakdown.n_out_of_image += pb.n_out_of_image
             breakdown.n_empty_field += pb.n_empty_field
-        breakdown.numerator = numerator
-        breakdown.total = numerator / self.denominator
+        breakdown.total = breakdown.numerator / self.denominator
         return breakdown
 
 
@@ -419,13 +401,8 @@ def pair_cost(
     Raises :class:`ZeroDenominator` when the pair holds no point of any
     requested class.
     """
-    prep = _PairPrep(pair, _validated_classes(classes), range_weighting, 1)
-    if prep.denominator == 0:
-        raise ZeroDenominator(
-            f"frame {pair.frame_id!r} has no points in classes {list(classes)}"
-        )
-    r, t = ext.matrix()
-    return prep.evaluate(r, t, epsilon, counts=True)
+    evaluator = CostEvaluator([pair], classes, epsilon=epsilon, range_weighting=range_weighting)
+    return evaluator.evaluate(ext).per_pair[pair.frame_id]
 
 
 def total_cost(
@@ -434,14 +411,11 @@ def total_cost(
     classes,
     epsilon: float | None = None,
     range_weighting: bool = True,
-    threads: int = 1,
 ) -> CostBreakdown:
     """One-shot aggregate cost over several pairs.
 
     Builds the distance fields afresh; use :class:`CostEvaluator` directly
     when evaluating many candidate extrinsics against the same pairs.
     """
-    evaluator = CostEvaluator(
-        pairs, classes, epsilon=epsilon, range_weighting=range_weighting, threads=threads
-    )
+    evaluator = CostEvaluator(pairs, classes, epsilon=epsilon, range_weighting=range_weighting)
     return evaluator.evaluate(ext)

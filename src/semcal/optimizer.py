@@ -382,15 +382,11 @@ def _probe_directions(sigma: np.ndarray, rng: np.random.Generator):
 
 
 def calibrate(
-    pairs,
+    evaluator: CostEvaluator,
     init: Extrinsics,
-    classes,
     config: OptimizerConfig | None = None,
-    epsilon: float | None = None,
-    range_weighting: bool = True,
-    threads: int = 1,
 ) -> tuple[Extrinsics, CostBreakdown, OptimizationTrace]:
-    """Minimize the semantic cost over the six extrinsic parameters.
+    """Minimize the semantic cost of ``evaluator`` over the six extrinsic parameters.
 
     Starts from ``init``, which is typically the centroid-based estimate;
     returns the optimized extrinsics, the cost breakdown at the optimum,
@@ -407,13 +403,6 @@ def calibrate(
     always overlaps it.
     """
     cfg = config or OptimizerConfig()
-    evaluator = CostEvaluator(
-        pairs,
-        classes,
-        epsilon=epsilon,
-        range_weighting=range_weighting,
-        threads=threads,
-    )
 
     def objective(x: np.ndarray) -> float:
         return evaluator.evaluate_total(Extrinsics.from_vector(x))

@@ -117,9 +117,6 @@ class InitConfig:
     ransac_iterations: int = 500
     seed: int = 0
     planarity_ratio: float = 0.05  # max plane rms as a fraction of cloud diameter
-    epsilon: float | None = None
-    range_weighting: bool = True
-    threads: int = 1
 
 
 def collect_centroid_pairs(pairs, classes) -> CentroidPairSet:
@@ -342,18 +339,18 @@ def decompose_planar_pose(
     return candidates
 
 
-def initialize(pairs, classes, config: InitConfig | None = None) -> InitResult:
-    """Full initialization pipeline from frame pairs to initial extrinsics.
+def initialize(evaluator: CostEvaluator, config: InitConfig | None = None) -> InitResult:
+    """Full initialization pipeline from a prepared scene to initial extrinsics.
 
     Centroid pairs -> consensus plane -> plane chart -> homography -> two
-    pose candidates, ranked by cheirality count then by semantic cost.
+    pose candidates, ranked by cheirality count then by the semantic cost
+    of ``evaluator``, whose pairs and classes also supply the centroids.
     Raises NonPlanar when the centroids spread too far off any plane for
     the planar decomposition to be trustworthy (more frames usually fix
     this), and propagates InsufficientPairs / Degenerate from the stages.
     """
     cfg = config or InitConfig()
-    pairs = list(pairs)
-    pair_set = collect_centroid_pairs(pairs, classes)
+    pair_set = collect_centroid_pairs(evaluator.pairs, evaluator.classes)
     pts3d = pair_set.points_3d()
     pix2d = pair_set.pixels_2d()
 
@@ -385,13 +382,6 @@ def initialize(pairs, classes, config: InitConfig | None = None) -> InitResult:
     h = estimate_homography(coords, normalized)
     candidates = decompose_planar_pose(h, frame, k, pts3d, pix2d)
 
-    evaluator = CostEvaluator(
-        pairs,
-        classes,
-        epsilon=cfg.epsilon,
-        range_weighting=cfg.range_weighting,
-        threads=cfg.threads,
-    )
     costs = [evaluator.evaluate_total(c.extrinsics) for c in candidates]
     order = sorted(
         range(len(candidates)), key=lambda i: (-candidates[i].cheirality, costs[i])

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
+from semcal.costfield import CostBreakdown, PairBreakdown, build_distance_fields
+from semcal.geometry import (
+    EPS_DEPTH,
+    CameraIntrinsics,
+    Extrinsics,
+    RotationAngles,
+    Translation,
+)
 from semcal.scene import FramePair, LabelImage, LabeledPointCloud
 
 
@@ -75,3 +82,146 @@ def make_planar_pairs(seed, n_frames=4, n_classes=3, k=None, gt=None):
         cloud = LabeledPointCloud(points=np.array(points), labels=np.array(classes))
         pairs.append(FramePair(cloud, LabelImage(labels=image), k, f"frame_{f:04d}"))
     return pairs, gt, classes
+
+
+# ---------------------------------------------------------------------------
+# Per-block reference cost: one loop over (frame, class) blocks with float64
+# fields, the layout the packed kernel of CostEvaluator replaced.  The packed
+# kernel must reproduce its totals bit for bit.
+
+
+class _PairPrep:
+    """Immutable per-pair precomputation: class point blocks and fields."""
+
+    __slots__ = ("frame_id", "k", "labels", "blocks", "denominator", "per_class_den")
+
+    def __init__(self, pair: FramePair, classes, range_weighting: bool, threads: int):
+        self.frame_id = pair.frame_id
+        self.k = pair.intrinsics
+        self.labels = pair.image.labels
+        fields = build_distance_fields(pair.image, classes, threads=threads)
+        self.blocks = []
+        self.per_class_den = {}
+        total = 0
+        for cid in classes:
+            mask = pair.cloud.labels == cid
+            pts = pair.cloud.points[mask]
+            n = pts.shape[0]
+            if range_weighting:
+                sqn = np.einsum("ij,ij->i", pts, pts)
+            else:
+                sqn = np.ones(n)
+            fld = fields[cid]
+            self.blocks.append((cid, pts, sqn, fld))
+            self.per_class_den[cid] = n
+            total += n
+        self.denominator = total
+
+    def evaluate(self, r: np.ndarray, t: np.ndarray, epsilon, counts: bool):
+        """Numerator (and optionally diagnostics) for one extrinsics sample."""
+        out = PairBreakdown(self.frame_id, denominator=self.denominator) if counts else None
+        k = self.k
+        w, h = k.width, k.height
+        penalty_scale = w + h
+        numerator = 0.0
+        per_class = {}
+        for cid, pts, sqn, fld in self.blocks:
+            n = pts.shape[0]
+            if n == 0:
+                per_class[cid] = 0.0
+                continue
+            cam = pts @ r.T + t
+            z = cam[:, 2]
+            front = z > EPS_DEPTH
+            cost = np.empty(n)
+            cost[~front] = penalty_scale * sqn[~front]
+            if fld.empty_class:
+                cost[front] = penalty_scale * sqn[front]
+                if counts:
+                    out.n_behind_camera += int(n - front.sum())
+                    out.n_empty_field += int(front.sum())
+            else:
+                fidx = np.nonzero(front)[0]
+                cf = cam[fidx]
+                u = np.rint(k.fx * cf[:, 0] / cf[:, 2] + k.cx).astype(np.intp)
+                v = np.rint(k.fy * cf[:, 1] / cf[:, 2] + k.cy).astype(np.intp)
+                in_img = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+                oidx = fidx[~in_img]
+                if oidx.size:
+                    uo, vo = u[~in_img], v[~in_img]
+                    uc = np.clip(uo, 0, w - 1)
+                    vc = np.clip(vo, 0, h - 1)
+                    dist = fld.d[vc, uc] + np.abs(uo - uc) + np.abs(vo - vc)
+                    cost[oidx] = dist * sqn[oidx]
+                iidx = fidx[in_img]
+                ui, vi = u[in_img], v[in_img]
+                pix = self.labels[vi, ui]
+                cons = pix == cid
+                cost[iidx[cons]] = 0.0
+                bad = iidx[~cons]
+                if bad.size:
+                    dist = fld.d[vi[~cons], ui[~cons]]
+                    if epsilon is None:
+                        cost[bad] = dist * sqn[bad]
+                    else:
+                        factor = 1.0 - np.exp(-np.abs(cid - pix[~cons]) / epsilon)
+                        cost[bad] = factor * dist * sqn[bad]
+                if counts:
+                    out.n_behind_camera += int(n - front.sum())
+                    out.n_out_of_image += int(oidx.size)
+                    out.n_consistent += int(cons.sum())
+                    out.n_inconsistent += int(bad.size)
+            block_sum = float(cost.sum())
+            per_class[cid] = block_sum
+            numerator += block_sum
+        if counts:
+            out.numerator = numerator
+            out.per_class = {
+                cid: (per_class[cid], self.per_class_den[cid]) for cid in per_class
+            }
+            return out
+        return numerator
+
+
+class ReferenceEvaluator:
+    """The per-block loop over every pair, summed in pair-then-class order."""
+
+    def __init__(self, pairs, classes, epsilon=None, range_weighting=True):
+        self.classes = tuple(dict.fromkeys(int(c) for c in classes))
+        self.epsilon = epsilon
+        self._preps = [_PairPrep(p, self.classes, range_weighting, 1) for p in pairs]
+        self.denominator = sum(p.denominator for p in self._preps)
+
+    def evaluate_total(self, ext):
+        r, t = ext.matrix()
+        total = 0.0
+        for prep in self._preps:
+            total += prep.evaluate(r, t, self.epsilon, counts=False)
+        return total / self.denominator
+
+    def evaluate(self, ext):
+        r, t = ext.matrix()
+        pair_results = [p.evaluate(r, t, self.epsilon, True) for p in self._preps]
+        per_class = {c: (0.0, 0) for c in self.classes}
+        numerator = 0.0
+        breakdown = CostBreakdown(
+            total=0.0,
+            numerator=0.0,
+            denominator=self.denominator,
+            per_class=per_class,
+            per_pair={},
+        )
+        for pb in pair_results:
+            breakdown.per_pair[pb.frame_id] = pb
+            numerator += pb.numerator
+            for cid, (num, den) in pb.per_class.items():
+                acc_num, acc_den = per_class[cid]
+                per_class[cid] = (acc_num + num, acc_den + den)
+            breakdown.n_consistent += pb.n_consistent
+            breakdown.n_inconsistent += pb.n_inconsistent
+            breakdown.n_behind_camera += pb.n_behind_camera
+            breakdown.n_out_of_image += pb.n_out_of_image
+            breakdown.n_empty_field += pb.n_empty_field
+        breakdown.numerator = numerator
+        breakdown.total = numerator / self.denominator
+        return breakdown

@@ -19,7 +19,7 @@ import pytest
 
 from helpers import brute_distance_grid, brute_min_l1, make_planar_pairs
 from semcal.cli import main
-from semcal.costfield import build_distance_field, query_distance, total_cost
+from semcal.costfield import CostEvaluator, build_distance_field, query_distance, total_cost
 from semcal.geometry import (
     CameraIntrinsics,
     Extrinsics,
@@ -152,7 +152,7 @@ def test_criterion_4_planar_initialization(capsys):
     worst = 0.0
     for seed in range(50):
         pairs, gt, classes = make_planar_pairs(seed)
-        result = initialize(pairs, classes)
+        result = initialize(CostEvaluator(pairs, classes))
         err = np.abs(
             np.asarray(result.extrinsics.to_vector()) - np.asarray(gt.to_vector())
         )
@@ -237,10 +237,11 @@ def test_criterion_7_initialization_suffices(capsys):
             dilation=2, size_range=(0.5, 1.0),
         )
         scene = generate(spec)
-        from_init = initialize(scene.pairs, spec.classes).extrinsics
-        _, bd_a, _ = calibrate(scene.pairs, from_init, spec.classes)
+        evaluator = CostEvaluator(scene.pairs, spec.classes)
+        from_init = initialize(evaluator).extrinsics
+        _, bd_a, _ = calibrate(evaluator, from_init)
         near_gt = perturb(gt, np.deg2rad(0.5), 0.05, seed=seed + 100)
-        _, bd_b, _ = calibrate(scene.pairs, near_gt, spec.classes)
+        _, bd_b, _ = calibrate(evaluator, near_gt)
         costs.append((bd_a.total, bd_b.total))
         worst_gap = max(worst_gap, abs(bd_a.total - bd_b.total))
     ok = worst_gap <= 1e-9

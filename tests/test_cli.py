@@ -245,3 +245,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("semcal ")
+
+
+def test_negative_epsilon_config_is_an_error(scene_dir, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("epsilon = -1\n")
+    rc = main(["calibrate", str(scene_dir), "--config", str(config),
+               "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):
+    import semcal.costfield
+
+    calls = []
+    build = semcal.costfield.build_distance_field
+
+    def counting_build(image, class_id):
+        calls.append(class_id)
+        return build(image, class_id)
+
+    monkeypatch.setattr(semcal.costfield, "build_distance_field", counting_build)
+    assert main(["calibrate", str(scene_dir), "--output", str(tmp_path / "cal")]) == 0
+    # 3 frames x 3 classes, shared by initialization and refinement
+    assert len(calls) == 3 * 3

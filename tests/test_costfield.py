@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import ReferenceEvaluator
 from semcal.costfield import (
     CostEvaluator,
     behind_camera_penalty,
@@ -18,6 +19,7 @@ from semcal.costfield import (
 from semcal.errors import CalibrationError, EmptyClass, ZeroDenominator
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.scene import IGNORE_CLASS, FramePair, LabelImage, LabeledPointCloud
+from semcal.synth import SceneSpec, generate
 
 
 def brute_force_distance(labels: np.ndarray, class_id: int) -> np.ndarray:
@@ -58,6 +60,17 @@ def test_distance_field_matches_brute_force():
         for cid in range(1, n_classes + 1):
             field = build_distance_field(img, cid)
             assert np.array_equal(field.d, brute_force_distance(labels, cid))
+
+
+def test_distance_field_integer_storage():
+    # the farthest cell, corner to corner, fits the smallest unsigned type
+    # that holds width + height
+    for h, w, dtype in ((5, 7, np.uint8), (200, 300, np.uint16)):
+        labels = np.zeros((h, w), dtype=int)
+        labels[0, 0] = 1
+        field = build_distance_field(LabelImage(labels=labels), 1)
+        assert field.d.dtype == dtype
+        assert field.d[-1, -1] == (h - 1) + (w - 1)
 
 
 def test_distance_field_empty_class():
@@ -228,9 +241,6 @@ def test_evaluator_deterministic_bits(k):
     a = CostEvaluator([pair], (1, 2, 3)).evaluate_total(ext)
     b = CostEvaluator([pair], (1, 2, 3)).evaluate_total(ext)
     assert a == b
-    # threaded field construction changes nothing
-    c = CostEvaluator([pair], (1, 2, 3), threads=4).evaluate_total(ext)
-    assert a == c
 
 
 def test_evaluator_zero_denominator_at_construction(k):
@@ -251,3 +261,96 @@ def test_evaluator_breakdown_counts(k):
     assert breakdown.n_inconsistent == 1
     assert breakdown.n_behind_camera == 1
     assert breakdown.per_pair["f0"].denominator == 3
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+def test_evaluator_rejects_bad_epsilon(k, bad):
+    with pytest.raises(CalibrationError):
+        CostEvaluator([make_pair(k)], (1,), epsilon=bad)
+
+
+def _kernel_scene():
+    """Pairs that reach every branch of the cost under wide pose errors.
+
+    Two frame sizes; mirrored copies of the points that sit behind the
+    camera; class 2 erased from one image so its points hit an empty field;
+    2% label noise so some points land on wrong-class pixels.  One frame
+    has no class-1 point and another a single class-3 point: a one-row
+    block takes a different matrix-product path than longer blocks.
+    """
+    k_a = CameraIntrinsics(fx=200.0, fy=200.0, cx=80.0, cy=60.0, width=160, height=120)
+    k_b = CameraIntrinsics(fx=90.0, fy=100.0, cx=47.5, cy=31.0, width=96, height=64)
+    pairs = []
+    for k, seed in ((k_a, 5), (k_b, 6)):
+        spec = SceneSpec(n_frames=2, objects_per_frame=3, points_per_object=40,
+                         noise_rate=0.02, seed=seed, intrinsics=k, depth_range=(3.0, 10.0),
+                         lateral_range=(-3.0, 3.0))
+        for pair in generate(spec).pairs:
+            pairs.append(FramePair(pair.cloud, pair.image, k, f"{k.width}_{pair.frame_id}"))
+    first = pairs[0]
+    pairs[0] = FramePair(first.cloud, LabelImage(np.where(first.image.labels == 2, 0,
+                                                          first.image.labels)),
+                         first.intrinsics, first.frame_id)
+    second = pairs[1]
+    mirrored = second.cloud.points[::3] * [1.0, 1.0, -1.0]
+    cloud = LabeledPointCloud(np.vstack([second.cloud.points, mirrored]),
+                              np.concatenate([second.cloud.labels, second.cloud.labels[::3]]))
+    pairs[1] = FramePair(cloud, second.image, second.intrinsics, second.frame_id)
+    for i, cid, keep in ((2, 1, 0), (3, 3, 1)):
+        pair = pairs[i]
+        labels = pair.cloud.labels.copy()
+        labels[np.flatnonzero(labels == cid)[keep:]] = IGNORE_CLASS
+        pairs[i] = FramePair(LabeledPointCloud(pair.cloud.points, labels), pair.image,
+                             pair.intrinsics, pair.frame_id)
+    return pairs
+
+
+def _random_poses(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        Extrinsics(RotationAngles(*rng.normal(scale=0.15, size=3)),
+                   Translation(*rng.normal(scale=0.6, size=3)))
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("range_weighting, epsilon",
+                         [(True, None), (False, None), (True, 0.7)])
+def test_evaluator_bit_identical_to_block_loop(range_weighting, epsilon):
+    pairs = _kernel_scene()
+    classes = (1, 2, 3)
+    packed = CostEvaluator(pairs, classes, epsilon=epsilon, range_weighting=range_weighting)
+    reference = ReferenceEvaluator(pairs, classes, epsilon=epsilon,
+                                   range_weighting=range_weighting)
+    seen = dict.fromkeys(("n_consistent", "n_inconsistent", "n_behind_camera",
+                          "n_out_of_image", "n_empty_field"), 0)
+    for ext in _random_poses(200):
+        assert packed.evaluate_total(ext) == reference.evaluate_total(ext)
+        got, want = packed.evaluate(ext), reference.evaluate(ext)
+        assert got.total == want.total == packed.evaluate_total(ext)
+        assert got.per_class == want.per_class
+        assert got.per_pair == want.per_pair
+        for name in seen:
+            assert getattr(got, name) == getattr(want, name)
+            seen[name] += getattr(got, name)
+    # the poses reach every branch of the cost
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("range_weighting, epsilon",
+                         [(True, None), (False, None), (True, 0.7)])
+def test_evaluator_matches_point_cost(range_weighting, epsilon):
+    pairs = _kernel_scene()
+    classes = (1, 2, 3)
+    evaluator = CostEvaluator(pairs, classes, epsilon=epsilon, range_weighting=range_weighting)
+    fields = [build_distance_fields(pair.image, classes) for pair in pairs]
+    for ext in _random_poses(4, seed=1):
+        numerator = sum(
+            point_cost(p, int(c), ext, pair.intrinsics, fld, image=pair.image,
+                       epsilon=epsilon, range_weighting=range_weighting)
+            for pair, fld in zip(pairs, fields)
+            for p, c in zip(pair.cloud.points, pair.cloud.labels)
+            if c in classes
+        )
+        assert evaluator.evaluate_total(ext) == pytest.approx(
+            numerator / evaluator.denominator, rel=1e-12)

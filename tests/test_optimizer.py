@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semcal.costfield import CostEvaluator
 from semcal.errors import CalibrationError, NonFiniteCost
 from semcal.geometry import Extrinsics, RotationAngles, Translation
 from semcal.optimizer import (
@@ -163,7 +164,7 @@ def test_calibrate_recovers_clean_scene():
     spec = SceneSpec(n_frames=4, objects_per_frame=1, seed=3, dilation=2)
     scene = generate(spec)
     start = perturb(scene.extrinsics, np.deg2rad(0.4), 0.04, seed=11)
-    est, breakdown, trace = calibrate(scene.pairs, start, spec.classes)
+    est, breakdown, trace = calibrate(CostEvaluator(scene.pairs, spec.classes), start)
     assert breakdown.total == 0.0
     err = np.abs(np.asarray(est.to_vector()) - np.asarray(scene.extrinsics.to_vector()))
     assert np.all(err[:3] < np.deg2rad(0.5))

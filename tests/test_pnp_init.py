@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_planar_pairs
+from semcal.costfield import CostEvaluator
 from semcal.errors import Degenerate, InsufficientPairs, NonPlanar
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.pnp_init import (
@@ -149,7 +150,7 @@ def test_decompose_returns_two_candidates():
 def test_initialize_exact_on_planar_fixture():
     for seed in (0, 1, 2):
         pairs, gt, classes = make_planar_pairs(seed=seed)
-        result = initialize(pairs, classes)
+        result = initialize(CostEvaluator(pairs, classes))
         err = np.abs(
             np.asarray(result.extrinsics.to_vector()) - np.asarray(gt.to_vector())
         )
@@ -166,8 +167,9 @@ def test_initialize_exact_on_planar_fixture():
 
 def test_initialize_deterministic():
     pairs, _, classes = make_planar_pairs(seed=4)
-    a = initialize(pairs, classes)
-    b = initialize(pairs, classes)
+    evaluator = CostEvaluator(pairs, classes)
+    a = initialize(evaluator)
+    b = initialize(evaluator)
     assert np.array_equal(a.extrinsics.to_vector(), b.extrinsics.to_vector())
     assert a.candidate_costs == b.candidate_costs
 
@@ -189,10 +191,10 @@ def test_initialize_nonplanar_gate():
             )
         )
     with pytest.raises(NonPlanar):
-        initialize(bent, classes, InitConfig(ransac_threshold=5.0))
+        initialize(CostEvaluator(bent, classes), InitConfig(ransac_threshold=5.0))
 
 
 def test_initialize_insufficient_pairs():
     pairs, _, classes = make_planar_pairs(seed=0, n_frames=1, n_classes=3)
     with pytest.raises(InsufficientPairs):
-        initialize(pairs, classes)
+        initialize(CostEvaluator(pairs, classes))
