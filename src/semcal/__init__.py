@@ -7,194 +7,42 @@ planar pose for a rough start, then derivative-free refinement of a
 semantic consistency cost built on exact per-class distance fields.  A
 synthetic-scene generator with known ground truth closes the loop for
 testing, and the CLI exposes every stage on files.
+
+The package root exports the library entry points and the types they
+return; everything else lives in the submodules.
 """
 
-from .errors import (
-    BehindCamera,
-    CalibrationError,
-    Degenerate,
-    EmptyClass,
-    EmptyScene,
-    FormatError,
-    InsufficientPairs,
-    NonFiniteCost,
-    NonPlanar,
-    ZeroDenominator,
-)
-from .geometry import (
-    CameraIntrinsics,
-    Extrinsics,
-    PixelCoord,
-    RotationAngles,
-    Translation,
-    euler_from_matrix,
-    project,
-    project_points,
-    rotation_matrix,
-    transform_point,
-    transform_points,
-    unproject,
-    wrap_angle,
-)
-from .scene import (
-    IGNORE_CLASS,
-    Centroid2D,
-    Centroid3D,
-    FramePair,
-    LabelImage,
-    LabeledPointCloud,
-    centroid_2d,
-    centroid_3d,
-    class_histogram,
-)
-from .costfield import (
-    CostBreakdown,
-    CostEvaluator,
-    DistanceField,
-    PairBreakdown,
-    build_distance_field,
-    build_distance_fields,
-    consistency,
-    pair_cost,
-    point_cost,
-    query_distance,
-    query_distances,
-    total_cost,
-)
-from .pnp_init import (
-    CentroidPair,
-    CentroidPairSet,
-    InitConfig,
-    InitResult,
-    PlaneFrame,
-    PlaneModel,
-    PoseCandidate,
-    collect_centroid_pairs,
-    decompose_planar_pose,
-    estimate_homography,
-    initialize,
-    plane_coordinates,
-    ransac_plane,
-)
-from .optimizer import (
-    OptimizationTrace,
-    OptimizerConfig,
-    calibrate,
-    line_minimize,
-    powell_minimize,
-)
-from .synth import ObjectRecord, SceneData, SceneSpec, generate, perturb, rasterize
-from .io_formats import (
-    RunConfig,
-    format_report,
-    parse_report,
-    read_config,
-    read_extrinsics,
-    read_intrinsics,
-    read_label_image,
-    read_point_cloud,
-    read_report,
-    read_scene_dir,
-    read_scene_spec,
-    write_csv,
-    write_extrinsics,
-    write_intrinsics,
-    write_label_image,
-    write_point_cloud,
-    write_point_cloud_csv,
-    write_report,
-    write_scene_dir,
-)
+from .errors import CalibrationError
+from .geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
+from .scene import FramePair, LabelImage, LabeledPointCloud
+from .costfield import CostBreakdown, CostEvaluator, PairBreakdown
+from .pnp_init import InitResult, initialize
+from .optimizer import OptimizationTrace, calibrate
+from .synth import SceneData, SceneSpec, generate
+from .io_formats import read_report, read_scene_dir
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BehindCamera",
     "CalibrationError",
     "CameraIntrinsics",
-    "Centroid2D",
-    "Centroid3D",
-    "CentroidPair",
-    "CentroidPairSet",
     "CostBreakdown",
     "CostEvaluator",
-    "Degenerate",
-    "DistanceField",
-    "EmptyClass",
-    "EmptyScene",
     "Extrinsics",
-    "FormatError",
     "FramePair",
-    "IGNORE_CLASS",
-    "InitConfig",
     "InitResult",
-    "InsufficientPairs",
     "LabelImage",
     "LabeledPointCloud",
-    "NonFiniteCost",
-    "NonPlanar",
-    "ObjectRecord",
     "OptimizationTrace",
-    "OptimizerConfig",
     "PairBreakdown",
-    "PixelCoord",
-    "PlaneFrame",
-    "PlaneModel",
-    "PoseCandidate",
     "RotationAngles",
-    "RunConfig",
     "SceneData",
     "SceneSpec",
     "Translation",
-    "ZeroDenominator",
-    "build_distance_field",
-    "build_distance_fields",
     "calibrate",
-    "centroid_2d",
-    "centroid_3d",
-    "class_histogram",
-    "collect_centroid_pairs",
-    "consistency",
-    "decompose_planar_pose",
-    "estimate_homography",
-    "euler_from_matrix",
-    "format_report",
     "generate",
     "initialize",
-    "line_minimize",
-    "pair_cost",
-    "parse_report",
-    "perturb",
-    "plane_coordinates",
-    "point_cost",
-    "powell_minimize",
-    "project",
-    "project_points",
-    "query_distance",
-    "query_distances",
-    "ransac_plane",
-    "rasterize",
-    "read_config",
-    "read_extrinsics",
-    "read_intrinsics",
-    "read_label_image",
-    "read_point_cloud",
     "read_report",
     "read_scene_dir",
-    "read_scene_spec",
-    "rotation_matrix",
-    "total_cost",
-    "transform_point",
-    "transform_points",
-    "unproject",
-    "wrap_angle",
-    "write_csv",
-    "write_extrinsics",
-    "write_intrinsics",
-    "write_label_image",
-    "write_point_cloud",
-    "write_point_cloud_csv",
-    "write_report",
-    "write_scene_dir",
     "__version__",
 ]

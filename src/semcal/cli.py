@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -26,6 +27,7 @@ from .io_formats import (
     RunConfig,
     extrinsics_report_fields,
     fmt6,
+    parse_classes,
     read_config,
     read_extrinsics,
     read_scene_dir,
@@ -58,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random seed override")
         p.add_argument(
             "--threads", type=int,
-            help="accepted and echoed in the report; the cost kernel runs on one thread",
+            help="ignored: accepted for compatibility; the cost kernel runs on one thread",
         )
         p.add_argument("--output", default=".", help="output directory (default: .)")
         p.add_argument(
@@ -111,14 +113,9 @@ def _load_config(args) -> RunConfig:
     """Config file first, then flags override it."""
     cfg = read_config(args.config) if args.config else RunConfig()
     if args.classes is not None:
-        ids = tuple(int(p) for p in args.classes.split(",") if p.strip())
-        if not ids:
-            raise CalibrationError("--classes must list at least one class id")
-        cfg = replace(cfg, classes=ids)
+        cfg = replace(cfg, classes=parse_classes("--classes", args.classes))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 
@@ -128,9 +125,7 @@ def _config_echo(cfg: RunConfig) -> dict:
 
     return {
         "classes": join_ids(cfg.classes) if cfg.classes else "none",
-        "epsilon": "none" if cfg.epsilon is None else sig6(cfg.epsilon),
         "range_weighting": cfg.range_weighting,
-        "threads": cfg.threads,
         "seed": cfg.seed,
         "max_iterations": cfg.max_iterations,
         "ftol": sig6(cfg.ftol),
@@ -180,8 +175,7 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if args.classes is not None:
-        ids = tuple(int(p) for p in args.classes.split(",") if p.strip())
-        spec = replace(spec, classes=ids)
+        spec = replace(spec, classes=parse_classes("--classes", args.classes))
     scene = generate(spec)
     out = _out_dir(args)
     write_scene_dir(out, scene.pairs, spec.intrinsics, spec.classes, gt=scene.extrinsics)
@@ -245,7 +239,7 @@ def _init_report_block(result) -> dict:
 
 def _evaluator(pairs, classes, cfg: RunConfig) -> CostEvaluator:
     """The run's one prepared cost kernel, shared by init and refinement."""
-    return CostEvaluator(pairs, classes, epsilon=cfg.epsilon, range_weighting=cfg.range_weighting)
+    return CostEvaluator(pairs, classes, range_weighting=cfg.range_weighting)
 
 
 def _run_init(evaluator: CostEvaluator, cfg: RunConfig):
@@ -374,8 +368,8 @@ def cmd_sweep(args) -> int:
     )
     classes = _resolve_classes(cfg, manifest_classes)
     reference = read_extrinsics(args.gt)
-    if args.span <= 0 or args.interval <= 0:
-        raise CalibrationError("--range and --interval must be positive")
+    if not (0 < args.span < math.inf and 0 < args.interval < math.inf):
+        raise CalibrationError("--range and --interval must be positive and finite")
 
     axis_idx = _AXES.index(args.axis)
     rotational = axis_idx < 3

@@ -5,14 +5,6 @@ class CalibrationError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class BehindCamera(CalibrationError):
-    """A point has non-positive depth and cannot be projected."""
-
-
-class EmptyClass(CalibrationError):
-    """A distance field was queried for a class with no pixels in the image."""
-
-
 class ZeroDenominator(CalibrationError):
     """No points carry any of the requested class labels."""
 

@@ -1,4 +1,4 @@
-"""Rigid-body transforms, pinhole projection, and the pixel metric.
+"""Euler angles, rigid-body extrinsics, and pinhole intrinsics.
 
 Conventions used throughout the package:
 
@@ -104,13 +104,6 @@ class Extrinsics:
         """Return ``(R, t)`` with R the 3x3 rotation and t the 3-vector."""
         return rotation_matrix(self.rotation), self.translation.as_array()
 
-    def inverse(self) -> "Extrinsics":
-        """The transform mapping camera-frame points back to the sensor frame."""
-        r, t = self.matrix()
-        r_inv = r.T
-        t_inv = -r_inv @ t
-        return Extrinsics(euler_from_matrix(r_inv), Translation(*t_inv))
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -131,22 +124,6 @@ class CameraIntrinsics:
             raise CalibrationError("image dimensions must be positive")
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-
-@dataclass(frozen=True)
-class PixelCoord:
-    """Real-valued pixel coordinates; may lie outside the image bounds."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        _require_finite("pixel coordinate", self.u, self.v)
 
 
 def rotation_matrix(angles: RotationAngles) -> np.ndarray:
@@ -181,61 +158,3 @@ def euler_from_matrix(r: np.ndarray) -> RotationAngles:
         theta_y = math.pi / 2 if -r[2, 0] > 0 else -math.pi / 2
         theta_z = math.atan2(-r[0, 1], r[1, 1])
     return RotationAngles(theta_x, theta_y, theta_z)
-
-
-def transform_point(p, ext: Extrinsics) -> np.ndarray:
-    """Apply ``R @ p + t`` to a single 3D point."""
-    r, t = ext.matrix()
-    return r @ np.asarray(p, dtype=float) + t
-
-
-def transform_points(points: np.ndarray, ext: Extrinsics) -> np.ndarray:
-    """Apply ``R @ p + t`` to an ``(n, 3)`` array of points."""
-    r, t = ext.matrix()
-    return np.asarray(points, dtype=float) @ r.T + t
-
-
-def project(p_cam, k: CameraIntrinsics) -> PixelCoord | None:
-    """Project a camera-frame point to pixel coordinates.
-
-    Returns ``None`` when the point lies behind the image plane
-    (depth ``<= EPS_DEPTH``).  The returned coordinates are not clamped
-    and may fall outside ``[0, width] x [0, height]``.
-    """
-    x, y, z = (float(c) for c in p_cam)
-    if z <= EPS_DEPTH:
-        return None
-    return PixelCoord(k.fx * x / z + k.cx, k.fy * y / z + k.cy)
-
-
-def project_points(points: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of ``(n, 3)`` camera-frame points.
-
-    Returns ``(uv, in_front)`` where ``uv`` is ``(n, 2)`` and ``in_front`` marks
-    points with depth above ``EPS_DEPTH``; rows of ``uv`` for points behind the
-    camera are filled with NaN.
-    """
-    points = np.asarray(points, dtype=float)
-    z = points[:, 2]
-    in_front = z > EPS_DEPTH
-    uv = np.full((points.shape[0], 2), np.nan)
-    zs = z[in_front]
-    uv[in_front, 0] = k.fx * points[in_front, 0] / zs + k.cx
-    uv[in_front, 1] = k.fy * points[in_front, 1] / zs + k.cy
-    return uv, in_front
-
-
-def unproject(pixel: PixelCoord, depth: float, k: CameraIntrinsics) -> np.ndarray:
-    """Back-project a pixel at the given depth into the camera frame."""
-    if depth <= 0:
-        raise CalibrationError("depth must be positive")
-    return np.array(
-        [(pixel.u - k.cx) / k.fx * depth, (pixel.v - k.cy) / k.fy * depth, depth]
-    )
-
-
-def manhattan(a, b) -> float:
-    """L1 distance between two pixel coordinates."""
-    au, av = (a.u, a.v) if isinstance(a, PixelCoord) else (a[0], a[1])
-    bu, bv = (b.u, b.v) if isinstance(b, PixelCoord) else (b[0], b[1])
-    return abs(au - bu) + abs(av - bv)

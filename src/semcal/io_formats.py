@@ -78,6 +78,18 @@ def _want_float(path, mapping: dict[str, str], key: str) -> float:
         raise FormatError(f"{path}: field {key!r} is not a number: {mapping[key]!r}") from None
 
 
+def _want_int(path, mapping: dict[str, str], key: str) -> int:
+    value = _want_float(path, mapping, key)
+    if not value.is_integer():  # also false for nan and inf
+        raise FormatError(f"{path}: field {key!r} is not an integer: {mapping[key]!r}")
+    return int(value)
+
+
+def _want_intrinsic(path, mapping: dict[str, str], key: str):
+    want = _want_int if key in ("width", "height") else _want_float
+    return want(path, mapping, key)
+
+
 # ---------------------------------------------------------------------------
 # point clouds
 
@@ -173,6 +185,8 @@ def read_label_image(path) -> LabelImage:
         raise FormatError(f"{path}: non-numeric PGM header field") from None
     if maxval <= 0 or maxval > 255:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{path}: PGM size {width}x{height} is not positive")
     pos += 1  # single whitespace byte after maxval
     data = blob[pos:]
     if len(data) != width * height:
@@ -204,15 +218,9 @@ def read_intrinsics(path) -> CameraIntrinsics:
     unknown = set(mapping) - set(_INTRINSIC_KEYS)
     if unknown:
         raise FormatError(f"{path}: unknown intrinsics field(s) {sorted(unknown)}")
-    vals = {key: _want_float(path, mapping, key) for key in _INTRINSIC_KEYS}
-    return CameraIntrinsics(
-        fx=vals["fx"],
-        fy=vals["fy"],
-        cx=vals["cx"],
-        cy=vals["cy"],
-        width=int(vals["width"]),
-        height=int(vals["height"]),
-    )
+    return CameraIntrinsics(**{
+        key: _want_intrinsic(path, mapping, key) for key in _INTRINSIC_KEYS
+    })
 
 
 def write_extrinsics(path, ext: Extrinsics) -> None:
@@ -276,9 +284,7 @@ class RunConfig:
     """
 
     classes: tuple[int, ...] | None = None
-    epsilon: float | None = None
     range_weighting: bool = True
-    threads: int = 1
     seed: int = 0
     max_iterations: int = 200
     ftol: float = 1e-8
@@ -290,7 +296,8 @@ class RunConfig:
     image_remap: dict[int, int] | None = None
 
 
-def _parse_classes(path, text: str) -> tuple[int, ...]:
+def parse_classes(path, text: str) -> tuple[int, ...]:
+    """Parse a comma-separated class-id list; ``path`` names its source."""
     try:
         ids = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError:
@@ -336,15 +343,13 @@ def read_config(path) -> RunConfig:
     updates: dict = {}
     for key, text in mapping.items():
         if key == "classes":
-            updates[key] = _parse_classes(path, text)
+            updates[key] = parse_classes(path, text)
         elif key in ("cloud_remap", "image_remap"):
             updates[key] = _parse_remap(path, key, text)
         elif key == "range_weighting":
             updates[key] = _parse_bool(path, key, text)
-        elif key in ("threads", "seed", "max_iterations", "ransac_iterations"):
-            updates[key] = int(_want_float(path, mapping, key))
-        elif key == "epsilon":
-            updates[key] = _want_float(path, mapping, key)
+        elif key in ("seed", "max_iterations", "ransac_iterations"):
+            updates[key] = _want_int(path, mapping, key)
         else:
             updates[key] = _want_float(path, mapping, key)
     return replace(cfg, **updates)
@@ -364,20 +369,14 @@ def read_scene_spec(path) -> SceneSpec:
     mapping = _parse_keyvalues(path, _read_text(path))
     spec = SceneSpec()
     updates: dict = {}
-
-    def pop_float(key):
-        return _want_float(path, mapping, key) if key in mapping else None
-
     for key in ("n_frames", "objects_per_frame", "points_per_object", "seed", "dilation", "densify"):
-        val = pop_float(key)
-        if val is not None:
-            updates[key] = int(val)
+        if key in mapping:
+            updates[key] = _want_int(path, mapping, key)
     for key in ("noise_rate", "ground_y", "ground_jitter"):
-        val = pop_float(key)
-        if val is not None:
-            updates[key] = val
+        if key in mapping:
+            updates[key] = _want_float(path, mapping, key)
     if "classes" in mapping:
-        updates["classes"] = _parse_classes(path, mapping["classes"])
+        updates["classes"] = parse_classes(path, mapping["classes"])
     for key in ("size_range", "depth_range", "lateral_range"):
         if key in mapping:
             parts = mapping[key].split(",")
@@ -389,18 +388,10 @@ def read_scene_spec(path) -> SceneSpec:
                 raise FormatError(f"{path}: non-numeric bound in {key}") from None
     if any(key in mapping for key in _INTRINSIC_KEYS):
         k = spec.intrinsics
-        vals = {
-            key: (_want_float(path, mapping, key) if key in mapping else getattr(k, key))
+        updates["intrinsics"] = CameraIntrinsics(**{
+            key: _want_intrinsic(path, mapping, key) if key in mapping else getattr(k, key)
             for key in _INTRINSIC_KEYS
-        }
-        updates["intrinsics"] = CameraIntrinsics(
-            fx=vals["fx"],
-            fy=vals["fy"],
-            cx=vals["cx"],
-            cy=vals["cy"],
-            width=int(vals["width"]),
-            height=int(vals["height"]),
-        )
+        })
     if any(key in mapping for key in _EXTRINSIC_KEYS):
         base = spec.extrinsics
         defaults = dict(zip(_EXTRINSIC_KEYS, (
@@ -507,7 +498,7 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
     if manifest_path.exists():
         manifest = _parse_keyvalues(manifest_path, _read_text(manifest_path))
         if "classes" in manifest:
-            classes = _parse_classes(manifest_path, manifest["classes"])
+            classes = parse_classes(manifest_path, manifest["classes"])
     return pairs, intrinsics, classes
 
 

@@ -31,37 +31,24 @@ _TINY = 1e-25
 
 @dataclass
 class OptimizerConfig:
-    """Tuning knobs for :func:`powell_minimize`.
-
-    ``initial_steps`` gives the per-parameter scale of the first trial move;
-    ``None`` selects 0.05 rad for the three angles and 0.1 m for the three
-    translations when the vector has 6 entries, unit steps otherwise.
-    ``bounds`` is an optional list of (low, high) per parameter; line
-    searches never leave the box.
-    """
+    """Tuning knobs for :func:`powell_minimize`."""
 
     max_iterations: int = 200
     ftol: float = 1e-8
     line_tol: float = 1e-6
-    initial_steps: tuple[float, ...] | None = None
-    bounds: list[tuple[float, float]] | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise CalibrationError("max_iterations must be at least 1")
-        if self.ftol <= 0 or self.line_tol <= 0:
-            raise CalibrationError("tolerances must be positive")
+        if not (0 < self.ftol < math.inf and 0 < self.line_tol < math.inf):
+            raise CalibrationError("tolerances must be positive and finite")
 
     def steps_for(self, n: int) -> np.ndarray:
-        if self.initial_steps is not None:
-            steps = np.asarray(self.initial_steps, dtype=float)
-            if steps.shape != (n,):
-                raise CalibrationError(
-                    f"initial_steps has {steps.size} entries for a {n}-parameter problem"
-                )
-            if not np.all(steps > 0):
-                raise CalibrationError("initial_steps must be positive")
-            return steps
+        """Per-parameter scale of the first trial move.
+
+        0.05 rad for the three angles and 0.1 m for the three translations
+        of a 6-parameter extrinsics vector, unit steps otherwise.
+        """
         if n == 6:
             return np.array([0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
         return np.ones(n)
@@ -74,10 +61,6 @@ class OptimizationTrace:
     points: list[tuple[int, np.ndarray, float]]
     termination: str  # converged | max_iterations | stalled
     n_evaluations: int = 0
-
-    @property
-    def costs(self) -> list[float]:
-        return [c for _, _, c in self.points]
 
 
 class _Objective:
@@ -151,30 +134,11 @@ def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[floa
     return x, fx
 
 
-def _alpha_bounds(x: np.ndarray, d: np.ndarray, bounds) -> tuple[float, float]:
-    # Feasible step interval along d keeping x + alpha*d inside the box.
-    lo, hi = -math.inf, math.inf
-    if bounds is None:
-        return lo, hi
-    for xi, di, (bl, bh) in zip(x, d, bounds):
-        if di == 0.0:
-            continue
-        enter = (bl - xi) / di
-        leave = (bh - xi) / di
-        if enter > leave:
-            enter, leave = leave, enter
-        lo = max(lo, enter)
-        hi = min(hi, leave)
-    # The current point is expected feasible; guard against float slop.
-    return min(lo, 0.0), max(hi, 0.0)
-
-
 _GRID_POWERS = range(-4, 4)  # probe steps 1/16 .. 8
 
 
-def _line(g, f0: float, tol: float, alo: float, ahi: float,
-          refine: bool = True) -> tuple[float, float]:
-    """Minimize the 1-D restriction g(alpha) on [alo, ahi] with g(0) = f0.
+def _line(g, f0: float, tol: float, refine: bool = True) -> tuple[float, float]:
+    """Minimize the 1-D restriction g(alpha) over the real line, with g(0) = f0.
 
     A geometric probe grid on both sides picks the best coarse step before
     the bracket is refined; purely local bracketing is not enough here
@@ -187,15 +151,11 @@ def _line(g, f0: float, tol: float, alo: float, ahi: float,
     """
     samples: dict[float, float] = {0.0: f0}
     best_a, best_f = 0.0, f0
-    for sign, limit in ((1.0, ahi), (-1.0, alo)):
+    for sign in (1.0, -1.0):
         rising = 0
         prev = f0
         for k in _GRID_POWERS:
             a = sign * 2.0**k
-            if (sign > 0 and a > limit) or (sign < 0 and a < limit):
-                a = limit
-            if a == 0.0 or a in samples:
-                continue
             fa = g(a)
             samples[a] = fa
             if fa < best_f or (fa == best_f and abs(a) < abs(best_a)):
@@ -203,7 +163,7 @@ def _line(g, f0: float, tol: float, alo: float, ahi: float,
             # Give up on a side once it has clearly turned uphill.
             rising = rising + 1 if fa >= prev and fa >= best_f else 0
             prev = fa
-            if rising >= 3 or a == limit:
+            if rising >= 3:
                 break
 
     if best_a == 0.0:
@@ -217,16 +177,11 @@ def _line(g, f0: float, tol: float, alo: float, ahi: float,
             return 0.0, f0  # flat as far as probed
         alpha, f_min = _brent(g, lo, hi, 0.0, f0, tol)
     else:
-        if abs(best_a) >= 2.0 ** max(_GRID_POWERS) and best_a not in (alo, ahi):
+        if abs(best_a) >= 2.0 ** max(_GRID_POWERS):
             # Best point sits on the grid edge: keep expanding outward.
             b, fb = best_a, best_f
-            limit = ahi if best_a > 0 else alo
             for _ in range(_MAX_EXPANSIONS):
                 c = b * 2.0
-                if math.isfinite(limit) and abs(c) > abs(limit):
-                    c = limit
-                if c == b:
-                    break
                 fc = g(c)
                 samples[c] = fc
                 if fc >= fb:
@@ -264,7 +219,7 @@ def line_minimize(f, x, direction, tol: float = 1e-6) -> tuple[float, float]:
     def g(alpha: float) -> float:
         return obj(x + alpha * d)
 
-    return _line(g, g(0.0), tol, -math.inf, math.inf)
+    return _line(g, g(0.0), tol)
 
 
 def powell_minimize(f, x0, config: OptimizerConfig | None = None):
@@ -281,13 +236,6 @@ def powell_minimize(f, x0, config: OptimizerConfig | None = None):
     n = x0.size
     sigma = cfg.steps_for(n)
     obj = _Objective(f)
-
-    if cfg.bounds is not None:
-        if len(cfg.bounds) != n:
-            raise CalibrationError("bounds length must match the parameter count")
-        z_bounds = [(bl / s, bh / s) for (bl, bh), s in zip(cfg.bounds, sigma)]
-    else:
-        z_bounds = None
 
     def fz(z: np.ndarray) -> float:
         return obj(z * sigma)
@@ -306,8 +254,7 @@ def powell_minimize(f, x0, config: OptimizerConfig | None = None):
         biggest_idx = 0
         for i in range(n):
             d = directions[i]
-            alo, ahi = _alpha_bounds(z, d, z_bounds)
-            alpha, f_new = _line(lambda a: fz(z + a * d), current, cfg.line_tol, alo, ahi)
+            alpha, f_new = _line(lambda a: fz(z + a * d), current, cfg.line_tol)
             if current - f_new > biggest_drop:
                 biggest_drop = current - f_new
                 biggest_idx = i
@@ -338,9 +285,8 @@ def powell_minimize(f, x0, config: OptimizerConfig | None = None):
                 t *= (f_start - current - biggest_drop) ** 2
                 t -= biggest_drop * (f_start - f_ext) ** 2
                 if t < 0.0:
-                    alo, ahi = _alpha_bounds(z, displacement, z_bounds)
                     alpha, f_new = _line(
-                        lambda a: fz(z + a * displacement), current, cfg.line_tol, alo, ahi
+                        lambda a: fz(z + a * displacement), current, cfg.line_tol
                     )
                     if alpha != 0.0:
                         z = z + alpha * displacement
@@ -432,10 +378,8 @@ def calibrate(
         for _ in range(_MAX_PASSES):
             before = current
             for d in _probe_directions(sigma, rng):
-                alpha, f_new = _line(
-                    lambda a: obj(x + a * d), current, cfg.line_tol,
-                    -math.inf, math.inf, refine=False,
-                )
+                alpha, f_new = _line(lambda a: obj(x + a * d), current, cfg.line_tol,
+                                     refine=False)
                 if f_new < current:
                     x = x + alpha * d
                     current = f_new

@@ -6,7 +6,7 @@ Class ids share one vocabulary across both modalities; id 0 is reserved for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,20 +129,3 @@ def centroid_2d(image: LabelImage, class_id: int) -> Centroid2D | None:
     if n == 0:
         return None
     return Centroid2D(class_id, np.array([cols.mean(), rows.mean()]), n)
-
-
-def class_histogram(pair: FramePair) -> dict[int, tuple[int, int]]:
-    """Per-class ``(point count, pixel count)`` over both modalities.
-
-    Every class present in either modality gets an entry, the ignore class
-    included; absent modalities count zero.
-    """
-    hist: dict[int, tuple[int, int]] = {}
-    ids, counts = np.unique(pair.cloud.labels, return_counts=True)
-    for cid, cnt in zip(ids.tolist(), counts.tolist()):
-        hist[cid] = (cnt, 0)
-    ids, counts = np.unique(pair.image.labels, return_counts=True)
-    for cid, cnt in zip(ids.tolist(), counts.tolist()):
-        pts, _ = hist.get(cid, (0, 0))
-        hist[cid] = (pts, cnt)
-    return hist

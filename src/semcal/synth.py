@@ -18,7 +18,7 @@ make the ground-truth cost look better.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

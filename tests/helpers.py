@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from semcal.costfield import CostBreakdown, PairBreakdown, build_distance_fields
+from semcal.costfield import CostBreakdown, PairBreakdown, build_distance_field
 from semcal.geometry import (
     EPS_DEPTH,
     CameraIntrinsics,
@@ -85,6 +85,48 @@ def make_planar_pairs(seed, n_frames=4, n_classes=3, k=None, gt=None):
 
 
 # ---------------------------------------------------------------------------
+# Scalar reference cost: one point at a time, straight from the definition.
+
+
+def query_distance(field, pixel) -> float:
+    """Distance-field lookup at a pixel coordinate that may lie off the image.
+
+    Out-of-range coordinates decompose exactly as the clamped-cell value
+    plus the axis offsets, which is valid for L1 because the clamped
+    coordinate lies between the query and every in-image pixel on that
+    axis.  Criterion 2 checks this against :func:`brute_min_l1`.
+    """
+    height, width = field.d.shape
+    u, v = float(pixel[0]), float(pixel[1])
+    u_c = min(max(u, 0.0), width - 1.0)
+    v_c = min(max(v, 0.0), height - 1.0)
+    return float(field.d[round(v_c), round(u_c)] + abs(u - u_c) + abs(v - v_c))
+
+
+def point_cost(p, class_id, ext, k, fields, image=None, range_weighting=True) -> float:
+    """Cost contributed by a single labeled point under the given extrinsics.
+
+    The projected pixel is rounded to the nearest integer cell.  With
+    ``image`` the label comparison reads the pixel's label; without it, the
+    field being zero exactly on same-class pixels stands in for it.
+    """
+    p = np.asarray(p, dtype=float)
+    sq_norm = float(p @ p) if range_weighting else 1.0
+    r, t = ext.matrix()
+    cam = r @ p + t
+    field = fields[class_id]
+    if cam[2] <= EPS_DEPTH or field.empty_class:
+        return float((k.width + k.height) * sq_norm)
+    u = round(k.fx * cam[0] / cam[2] + k.cx)
+    v = round(k.fy * cam[1] / cam[2] + k.cy)
+    if 0 <= u < k.width and 0 <= v < k.height:
+        dist = float(field.d[v, u])
+        same = dist == 0.0 if image is None else image.labels[v, u] == class_id
+        return 0.0 if same else dist * sq_norm
+    return query_distance(field, (u, v)) * sq_norm
+
+
+# ---------------------------------------------------------------------------
 # Per-block reference cost: one loop over (frame, class) blocks with float64
 # fields, the layout the packed kernel of CostEvaluator replaced.  The packed
 # kernel must reproduce its totals bit for bit.
@@ -95,11 +137,11 @@ class _PairPrep:
 
     __slots__ = ("frame_id", "k", "labels", "blocks", "denominator", "per_class_den")
 
-    def __init__(self, pair: FramePair, classes, range_weighting: bool, threads: int):
+    def __init__(self, pair: FramePair, classes, range_weighting: bool):
         self.frame_id = pair.frame_id
         self.k = pair.intrinsics
         self.labels = pair.image.labels
-        fields = build_distance_fields(pair.image, classes, threads=threads)
+        fields = {cid: build_distance_field(pair.image, cid) for cid in classes}
         self.blocks = []
         self.per_class_den = {}
         total = 0
@@ -117,7 +159,7 @@ class _PairPrep:
             total += n
         self.denominator = total
 
-    def evaluate(self, r: np.ndarray, t: np.ndarray, epsilon, counts: bool):
+    def evaluate(self, r: np.ndarray, t: np.ndarray, counts: bool):
         """Numerator (and optionally diagnostics) for one extrinsics sample."""
         out = PairBreakdown(self.frame_id, denominator=self.denominator) if counts else None
         k = self.k
@@ -160,12 +202,7 @@ class _PairPrep:
                 cost[iidx[cons]] = 0.0
                 bad = iidx[~cons]
                 if bad.size:
-                    dist = fld.d[vi[~cons], ui[~cons]]
-                    if epsilon is None:
-                        cost[bad] = dist * sqn[bad]
-                    else:
-                        factor = 1.0 - np.exp(-np.abs(cid - pix[~cons]) / epsilon)
-                        cost[bad] = factor * dist * sqn[bad]
+                    cost[bad] = fld.d[vi[~cons], ui[~cons]] * sqn[bad]
                 if counts:
                     out.n_behind_camera += int(n - front.sum())
                     out.n_out_of_image += int(oidx.size)
@@ -186,22 +223,21 @@ class _PairPrep:
 class ReferenceEvaluator:
     """The per-block loop over every pair, summed in pair-then-class order."""
 
-    def __init__(self, pairs, classes, epsilon=None, range_weighting=True):
+    def __init__(self, pairs, classes, range_weighting=True):
         self.classes = tuple(dict.fromkeys(int(c) for c in classes))
-        self.epsilon = epsilon
-        self._preps = [_PairPrep(p, self.classes, range_weighting, 1) for p in pairs]
+        self._preps = [_PairPrep(p, self.classes, range_weighting) for p in pairs]
         self.denominator = sum(p.denominator for p in self._preps)
 
     def evaluate_total(self, ext):
         r, t = ext.matrix()
         total = 0.0
         for prep in self._preps:
-            total += prep.evaluate(r, t, self.epsilon, counts=False)
+            total += prep.evaluate(r, t, counts=False)
         return total / self.denominator
 
     def evaluate(self, ext):
         r, t = ext.matrix()
-        pair_results = [p.evaluate(r, t, self.epsilon, True) for p in self._preps]
+        pair_results = [p.evaluate(r, t, True) for p in self._preps]
         per_class = {c: (0.0, 0) for c in self.classes}
         numerator = 0.0
         breakdown = CostBreakdown(

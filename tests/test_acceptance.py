@@ -17,9 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_distance_grid, brute_min_l1, make_planar_pairs
+from helpers import brute_distance_grid, brute_min_l1, make_planar_pairs, query_distance
 from semcal.cli import main
-from semcal.costfield import CostEvaluator, build_distance_field, query_distance, total_cost
+from semcal.costfield import CostEvaluator, build_distance_field
 from semcal.geometry import (
     CameraIntrinsics,
     Extrinsics,
@@ -47,7 +47,7 @@ def test_criterion_1_cost_zero_oracle(capsys):
     )
     t0 = time.perf_counter()
     scene = generate(SceneSpec(n_frames=20, objects_per_frame=5, extrinsics=gt, seed=0))
-    breakdown = total_cost(scene.pairs, gt, scene.spec.classes)
+    breakdown = CostEvaluator(scene.pairs, scene.spec.classes).evaluate(gt)
     elapsed = time.perf_counter() - t0
     ok = breakdown.total == 0.0 and elapsed < 5.0
     announce(

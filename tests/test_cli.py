@@ -247,12 +247,62 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("semcal ")
 
 
-def test_negative_epsilon_config_is_an_error(scene_dir, tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("epsilon = -1\n")
-    rc = main(["calibrate", str(scene_dir), "--config", str(config),
-               "--output", str(tmp_path / "out")])
-    assert rc == 1
+def test_removed_config_keys_are_errors(scene_dir, tmp_path, capsys):
+    # the smooth cost mode (epsilon) and the thread count are gone
+    config = tmp_path / "old.cfg"
+    for text in ("epsilon = 0.5", "epsilon = -1", "threads = 2"):
+        config.write_text(text + "\n")
+        rc = main(["calibrate", str(scene_dir), "--config", str(config),
+                   "--output", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(text.split()[0]) in err
+
+
+def test_threads_flag_is_ignored(scene_dir, tmp_path):
+    runs = {}
+    for threads in ("1", "4"):
+        out = tmp_path / f"cal{threads}"
+        assert main(["calibrate", str(scene_dir), "--init", str(scene_dir / "gt_extrinsics.txt"),
+                     "--threads", threads, "--output", str(out)]) == 0
+        runs[threads] = dir_bytes(out)
+    assert runs["1"] == runs["4"]
+    config = read_report(tmp_path / "cal1" / "report.txt")["calibration_report"]["config"]
+    assert "epsilon" not in config and "threads" not in config
+
+
+_SWEEP = ["sweep", "{scene}", "--gt", "{gt}", "--axis", "t_x"]
+_CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["init", "{scene}", "--classes", "a,b"], id="init-classes"),
+    pytest.param(["synth", "--classes", "a,b"], id="synth-classes"),
+    pytest.param(_SWEEP + ["--range", "nan", "--interval", "0.1"], id="range-nan"),
+    pytest.param(_SWEEP + ["--range", "inf", "--interval", "0.1"], id="range-inf"),
+    pytest.param(_SWEEP + ["--range", "1", "--interval", "nan"], id="interval-nan"),
+    pytest.param(_SWEEP + ["--range", "1", "--interval", "inf"], id="interval-inf"),
+    pytest.param(_CALIBRATE + ["--config", "max_iterations = nan"], id="config-max_iterations-nan"),
+    pytest.param(_CALIBRATE + ["--config", "max_iterations = inf"], id="config-max_iterations-inf"),
+    pytest.param(_CALIBRATE + ["--config", "seed = nan"], id="config-seed-nan"),
+    pytest.param(_CALIBRATE + ["--config", "ransac_iterations = 2.5"], id="config-ransac-fraction"),
+    pytest.param(_CALIBRATE + ["--config", "ftol = nan"], id="config-ftol-nan"),
+    pytest.param(_CALIBRATE + ["--config", "line_tol = nan"], id="config-line_tol-nan"),
+    pytest.param(["synth", "--spec", "n_frames = nan"], id="spec-n_frames-nan"),
+    pytest.param(["synth", "--spec", "objects_per_frame = inf"], id="spec-objects-inf"),
+    pytest.param(["synth", "--spec", "seed = nan"], id="spec-seed-nan"),
+    pytest.param(["synth", "--spec", "width = nan"], id="spec-width-nan"),
+])
+def test_bad_input_is_an_error(argv, scene_dir, tmp_path, capsys):
+    """Each bad flag or file value ends in one ``error:`` line, not a traceback."""
+    args = []
+    for prev, arg in zip([None] + argv, argv):
+        if prev in ("--config", "--spec"):
+            path = tmp_path / "settings.txt"
+            path.write_text(arg + "\n")
+            arg = str(path)
+        args.append(arg.format(scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt"))
+    assert main(args + ["--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

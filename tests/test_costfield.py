@@ -3,20 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import ReferenceEvaluator
-from semcal.costfield import (
-    CostEvaluator,
-    behind_camera_penalty,
-    build_distance_field,
-    build_distance_fields,
-    consistency,
-    pair_cost,
-    point_cost,
-    query_distance,
-    query_distances,
-    total_cost,
-)
-from semcal.errors import CalibrationError, EmptyClass, ZeroDenominator
+from helpers import ReferenceEvaluator, point_cost, query_distance
+from semcal.costfield import CostEvaluator, build_distance_field
+from semcal.errors import CalibrationError, ZeroDenominator
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.scene import IGNORE_CLASS, FramePair, LabelImage, LabeledPointCloud
 from semcal.synth import SceneSpec, generate
@@ -77,17 +66,6 @@ def test_distance_field_empty_class():
     field = build_distance_field(LabelImage(labels=np.zeros((4, 4), dtype=int)), 3)
     assert field.empty_class
     assert np.isinf(field.d).all()
-    with pytest.raises(EmptyClass):
-        query_distance(field, (1, 1))
-
-
-def test_build_distance_fields_multithreaded_equal():
-    rng = np.random.default_rng(5)
-    img = LabelImage(labels=rng.integers(0, 4, size=(30, 40)))
-    seq = build_distance_fields(img, (1, 2, 3), threads=1)
-    par = build_distance_fields(img, (1, 2, 3), threads=4)
-    for cid in (1, 2, 3):
-        assert np.array_equal(seq[cid].d, par[cid].d)
 
 
 def test_query_distance_out_of_range_matches_brute_force():
@@ -107,30 +85,6 @@ def test_query_distance_out_of_range_matches_brute_force():
             assert query_distance(field, (u, v)) == ref[v, u]
 
 
-def test_query_distances_vectorized_matches_scalar():
-    rng = np.random.default_rng(9)
-    img = LabelImage(labels=rng.integers(0, 3, size=(8, 8)))
-    field = build_distance_field(img, 2)
-    uv = rng.integers(-10, 18, size=(50, 2))
-    batch = query_distances(field, uv)
-    for (u, v), d in zip(uv, batch):
-        assert query_distance(field, (int(u), int(v))) == d
-
-
-def test_consistency_binary_and_smooth():
-    assert consistency(3, 3) == 0.0
-    assert consistency(3, 5) == 1.0
-    # smooth mode falls off with label distance and stays in [0, 1)
-    assert consistency(3, 3, epsilon=2.0) == 0.0
-    near = consistency(3, 4, epsilon=2.0)
-    far = consistency(3, 9, epsilon=2.0)
-    assert 0.0 < near < far < 1.0
-
-
-def test_behind_camera_penalty(k):
-    assert behind_camera_penalty(k, 4.0) == (16 + 12) * 4.0
-
-
 def make_pair(k):
     # class 1 occupies a 2x2 block around the principal point
     labels = np.zeros((12, 16), dtype=int)
@@ -144,9 +98,24 @@ def make_pair(k):
                      frame_id="f0")
 
 
+def fields_of(image, classes):
+    return {cid: build_distance_field(image, cid) for cid in classes}
+
+
+def test_behind_camera_penalty(k):
+    # a point behind the camera pays (width + height) times its squared range
+    pair = FramePair(
+        cloud=LabeledPointCloud(points=np.array([[0.0, 1.0, -2.0]]), labels=np.array([1])),
+        image=make_pair(k).image, intrinsics=k, frame_id="f0",
+    )
+    breakdown = CostEvaluator([pair], (1,)).evaluate(Extrinsics.identity())
+    assert breakdown.n_behind_camera == 1
+    assert breakdown.numerator == (16 + 12) * 5.0
+
+
 def test_point_cost_branches(k):
     pair = make_pair(k)
-    fields = build_distance_fields(pair.image, (1, 2))
+    fields = fields_of(pair.image, (1, 2))
     ident = Extrinsics.identity()
     # lands on its own class: zero
     assert point_cost([0.0, 0.0, 1.0], 1, ident, k, fields) == 0.0
@@ -156,19 +125,13 @@ def test_point_cost_branches(k):
     # behind camera: fixed penalty scaled by squared range
     assert point_cost([0.0, 0.0, -1.0], 1, ident, k, fields) == (16 + 12) * 1.0
     # class with no pixels anywhere: same penalty
-    fields3 = build_distance_fields(pair.image, (3,))
+    fields3 = fields_of(pair.image, (3,))
     assert point_cost([0.0, 0.0, 1.0], 3, ident, k, fields3) == (16 + 12) * 1.0
-    # ignore class is rejected outright
-    with pytest.raises(CalibrationError):
-        point_cost([0.0, 0.0, 1.0], IGNORE_CLASS, ident, k, fields)
-    # smooth consistency needs the image
-    with pytest.raises(CalibrationError):
-        point_cost([0.0, 0.0, 1.0], 1, ident, k, fields, epsilon=1.0)
 
 
 def test_point_cost_out_of_image(k):
     pair = make_pair(k)
-    fields = build_distance_fields(pair.image, (1,))
+    fields = fields_of(pair.image, (1,))
     # projects far left of the image; cost is clamped distance times |p|^2
     p = [-1.0, 0.0, 1.0]
     cost = point_cost(p, 1, Extrinsics.identity(), k, fields)
@@ -180,7 +143,7 @@ def test_point_cost_out_of_image(k):
 
 def test_point_cost_range_weighting_off(k):
     pair = make_pair(k)
-    fields = build_distance_fields(pair.image, (1,))
+    fields = fields_of(pair.image, (1,))
     cost = point_cost([0.05, 0.0, 1.0], 1, Extrinsics.identity(), k, fields,
                       range_weighting=False)
     assert cost == pytest.approx(5.0)
@@ -189,7 +152,7 @@ def test_point_cost_range_weighting_off(k):
 def test_pair_cost_normalizes_by_class_count(k):
     pair = make_pair(k)
     # two class-1 points in front, one behind; denominator counts all three
-    breakdown = pair_cost(pair, Extrinsics.identity(), (1,))
+    breakdown = CostEvaluator([pair], (1,)).evaluate(Extrinsics.identity()).per_pair["f0"]
     per_point = [0.0, 5 * (0.05**2 + 1.0), (16 + 12) * 1.0]
     assert breakdown.denominator == 3
     assert breakdown.numerator == pytest.approx(sum(per_point))
@@ -203,29 +166,27 @@ def test_pair_cost_zero_denominator(k):
         image=LabelImage(labels=labels), intrinsics=k, frame_id="f0",
     )
     with pytest.raises(ZeroDenominator):
-        pair_cost(pair, Extrinsics.identity(), (2,))
+        CostEvaluator([pair], (2,)).evaluate(Extrinsics.identity())
 
 
 def test_class_list_validation(k):
     pair = make_pair(k)
     with pytest.raises(CalibrationError):
-        total_cost([pair], Extrinsics.identity(), ())
+        CostEvaluator([pair], ())
     with pytest.raises(CalibrationError):
-        total_cost([pair], Extrinsics.identity(), (1, IGNORE_CLASS))
+        CostEvaluator([pair], (1, IGNORE_CLASS))
     # duplicates are tolerated by de-duplication, not an error
-    a = total_cost([pair], Extrinsics.identity(), (1, 1))
-    b = total_cost([pair], Extrinsics.identity(), (1,))
+    a = CostEvaluator([pair], (1, 1)).evaluate(Extrinsics.identity())
+    b = CostEvaluator([pair], (1,)).evaluate(Extrinsics.identity())
     assert a.total == b.total
 
 
 def test_total_cost_matches_evaluator(k):
     pair = make_pair(k)
     ext = Extrinsics(RotationAngles(0.01, -0.02, 0.005), Translation(0.01, 0.0, -0.02))
-    one_shot = total_cost([pair], ext, (1,))
     evaluator = CostEvaluator([pair], (1,))
-    assert evaluator.evaluate_total(ext) == one_shot.total
     breakdown = evaluator.evaluate(ext)
-    assert breakdown.total == one_shot.total
+    assert evaluator.evaluate_total(ext) == breakdown.total
     assert breakdown.denominator == 3
     assert set(breakdown.per_pair) == {"f0"}
 
@@ -261,12 +222,6 @@ def test_evaluator_breakdown_counts(k):
     assert breakdown.n_inconsistent == 1
     assert breakdown.n_behind_camera == 1
     assert breakdown.per_pair["f0"].denominator == 3
-
-
-@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
-def test_evaluator_rejects_bad_epsilon(k, bad):
-    with pytest.raises(CalibrationError):
-        CostEvaluator([make_pair(k)], (1,), epsilon=bad)
 
 
 def _kernel_scene():
@@ -314,14 +269,12 @@ def _random_poses(n, seed=0):
     ]
 
 
-@pytest.mark.parametrize("range_weighting, epsilon",
-                         [(True, None), (False, None), (True, 0.7)])
-def test_evaluator_bit_identical_to_block_loop(range_weighting, epsilon):
+@pytest.mark.parametrize("range_weighting", [True, False])
+def test_evaluator_bit_identical_to_block_loop(range_weighting):
     pairs = _kernel_scene()
     classes = (1, 2, 3)
-    packed = CostEvaluator(pairs, classes, epsilon=epsilon, range_weighting=range_weighting)
-    reference = ReferenceEvaluator(pairs, classes, epsilon=epsilon,
-                                   range_weighting=range_weighting)
+    packed = CostEvaluator(pairs, classes, range_weighting=range_weighting)
+    reference = ReferenceEvaluator(pairs, classes, range_weighting=range_weighting)
     seen = dict.fromkeys(("n_consistent", "n_inconsistent", "n_behind_camera",
                           "n_out_of_image", "n_empty_field"), 0)
     for ext in _random_poses(200):
@@ -337,17 +290,16 @@ def test_evaluator_bit_identical_to_block_loop(range_weighting, epsilon):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("range_weighting, epsilon",
-                         [(True, None), (False, None), (True, 0.7)])
-def test_evaluator_matches_point_cost(range_weighting, epsilon):
+@pytest.mark.parametrize("range_weighting", [True, False])
+def test_evaluator_matches_point_cost(range_weighting):
     pairs = _kernel_scene()
     classes = (1, 2, 3)
-    evaluator = CostEvaluator(pairs, classes, epsilon=epsilon, range_weighting=range_weighting)
-    fields = [build_distance_fields(pair.image, classes) for pair in pairs]
+    evaluator = CostEvaluator(pairs, classes, range_weighting=range_weighting)
+    fields = [fields_of(pair.image, classes) for pair in pairs]
     for ext in _random_poses(4, seed=1):
         numerator = sum(
             point_cost(p, int(c), ext, pair.intrinsics, fld, image=pair.image,
-                       epsilon=epsilon, range_weighting=range_weighting)
+                       range_weighting=range_weighting)
             for pair, fld in zip(pairs, fields)
             for p, c in zip(pair.cloud.points, pair.cloud.labels)
             if c in classes

@@ -106,6 +106,10 @@ def test_pgm_rejects_bad_magic_and_size(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n\x01\x02\x03")
     with pytest.raises(FormatError, match="pixel bytes"):
         read_label_image(path)
+    # -2 x -3 passes a byte-count check of 6 but is no image size
+    path.write_bytes(b"P5\n-2 -3\n255\n" + bytes(6))
+    with pytest.raises(FormatError, match="size"):
+        read_label_image(path)
 
 
 def test_pgm_rejects_labels_over_255(tmp_path):
@@ -168,8 +172,8 @@ def test_config_parsing(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(
         "classes = 1,2,3\n"
-        "threads = 4\n"
-        "epsilon = 0.5\n"
+        "seed = 7\n"
+        "max_iterations = 50.0\n"
         "range_weighting = false\n"
         "cloud_remap = 10:1, 20:2\n"
         "# a comment line\n"
@@ -177,13 +181,14 @@ def test_config_parsing(tmp_path):
     )
     cfg = read_config(path)
     assert cfg.classes == (1, 2, 3)
-    assert cfg.threads == 4
-    assert cfg.epsilon == 0.5
+    assert cfg.seed == 7
+    # an integral value written as a float is still an integer field
+    assert cfg.max_iterations == 50 and isinstance(cfg.max_iterations, int)
     assert cfg.range_weighting is False
     assert cfg.cloud_remap == {10: 1, 20: 2}
     assert cfg.ftol == 1e-9
     # untouched fields keep their defaults
-    assert cfg.max_iterations == RunConfig().max_iterations
+    assert cfg.ransac_iterations == RunConfig().ransac_iterations
 
 
 def test_config_unknown_key(tmp_path):

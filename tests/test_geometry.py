@@ -5,27 +5,14 @@ import pytest
 
 from semcal.errors import CalibrationError
 from semcal.geometry import (
-    EPS_DEPTH,
     CameraIntrinsics,
     Extrinsics,
-    PixelCoord,
     RotationAngles,
     Translation,
     euler_from_matrix,
-    manhattan,
-    project,
-    project_points,
     rotation_matrix,
-    transform_point,
-    transform_points,
-    unproject,
     wrap_angle,
 )
-
-
-@pytest.fixture
-def k():
-    return CameraIntrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
 def test_wrap_angle_basic():
@@ -88,61 +75,9 @@ def test_extrinsics_vector_round_trip():
     assert np.allclose(Extrinsics.from_vector(vec).to_vector(), vec)
 
 
-def test_extrinsics_identity_and_inverse():
-    ident = Extrinsics.identity()
-    r, t = ident.matrix()
-    assert np.allclose(r, np.eye(3)) and np.allclose(t, 0.0)
-    ext = Extrinsics(RotationAngles(0.4, 0.1, -0.9), Translation(0.3, 0.2, -1.0))
-    inv = ext.inverse()
-    p = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(transform_point(transform_point(p, ext), inv), p, atol=1e-12)
-
-
-def test_transform_points_matches_scalar():
-    ext = Extrinsics(RotationAngles(0.2, -0.3, 0.5), Translation(1.0, 0.0, -0.5))
-    pts = np.random.default_rng(1).normal(size=(40, 3))
-    batch = transform_points(pts, ext)
-    for p, q in zip(pts, batch):
-        assert np.allclose(transform_point(p, ext), q, atol=1e-12)
-
-
-def test_project_known_value(k):
-    # point on the optical axis lands on the principal point
-    pix = project(np.array([0.0, 0.0, 5.0]), k)
-    assert (pix.u, pix.v) == pytest.approx((320.0, 240.0))
-    # one meter right at two meters depth: u = fx * 0.5 + cx
-    pix = project(np.array([1.0, 0.0, 2.0]), k)
-    assert pix.u == pytest.approx(520.0)
-    assert pix.v == pytest.approx(240.0)
-
-
-def test_project_behind_camera_returns_none(k):
-    assert project(np.array([0.0, 0.0, -1.0]), k) is None
-    assert project(np.array([0.0, 0.0, EPS_DEPTH / 2]), k) is None
-
-
-def test_project_points_matches_scalar(k):
-    pts = np.array([[0.1, -0.2, 3.0], [1.0, 1.0, 8.0], [-0.5, 0.2, -2.0]])
-    uv, in_front = project_points(pts, k)
-    assert in_front.tolist() == [True, True, False]
-    assert np.isnan(uv[2]).all()
-    for p, q in zip(pts[:2], uv[:2]):
-        pix = project(p, k)
-        assert np.allclose((pix.u, pix.v), q, atol=1e-12)
-
-
-def test_unproject_inverts_project(k):
-    p = np.array([0.7, -0.4, 6.0])
-    pix = project(p, k)
-    assert np.allclose(unproject(pix, 6.0, k), p, atol=1e-12)
-    with pytest.raises(CalibrationError):
-        unproject(PixelCoord(10.0, 10.0), -1.0, k)
-
-
-def test_manhattan():
-    assert manhattan((0, 0), (3, 4)) == 7
-    assert manhattan(PixelCoord(-2, 5), PixelCoord(1, 1)) == 7
-    assert manhattan((2, 2), (2, 2)) == 0
+def test_extrinsics_identity():
+    r, t = Extrinsics.identity().matrix()
+    assert np.array_equal(r, np.eye(3)) and np.array_equal(t, np.zeros(3))
 
 
 def test_intrinsics_validation():

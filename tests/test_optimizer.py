@@ -23,21 +23,17 @@ def test_config_validation():
         OptimizerConfig(ftol=0.0)
     with pytest.raises(CalibrationError):
         OptimizerConfig(line_tol=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(CalibrationError):
+            OptimizerConfig(ftol=bad)
+        with pytest.raises(CalibrationError):
+            OptimizerConfig(line_tol=bad)
 
 
 def test_config_default_steps():
     cfg = OptimizerConfig()
     assert np.array_equal(cfg.steps_for(6), [0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
     assert np.array_equal(cfg.steps_for(2), [1.0, 1.0])
-
-
-def test_config_explicit_steps():
-    cfg = OptimizerConfig(initial_steps=(0.5, 2.0))
-    assert np.array_equal(cfg.steps_for(2), [0.5, 2.0])
-    with pytest.raises(CalibrationError):
-        cfg.steps_for(3)
-    with pytest.raises(CalibrationError):
-        OptimizerConfig(initial_steps=(1.0, 0.0)).steps_for(2)
 
 
 def test_line_minimize_parabola():
@@ -110,7 +106,7 @@ def test_powell_rosenbrock():
 def test_powell_trace_non_increasing():
     f = lambda x: float(np.sum(x ** 2))
     _, _, trace = powell_minimize(f, np.full(4, 3.0))
-    costs = trace.costs
+    costs = [c for _, _, c in trace.points]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     assert trace.points[0][0] == 0
     assert trace.n_evaluations > 0
@@ -127,19 +123,6 @@ def test_powell_stalls_on_constant():
     _, fx, trace = powell_minimize(lambda x: 7.0, np.zeros(2))
     assert fx == 7.0
     assert trace.termination == "stalled"
-
-
-def test_powell_respects_bounds():
-    f = lambda x: float((x[0] - 2.0) ** 2)
-    cfg = OptimizerConfig(bounds=[(-1.0, 1.0)])
-    x, fx, _ = powell_minimize(f, np.zeros(1), cfg)
-    assert x[0] <= 1.0 + 1e-9
-    assert abs(x[0] - 1.0) < 1e-6
-
-
-def test_powell_bounds_length_checked():
-    with pytest.raises(CalibrationError):
-        powell_minimize(lambda x: 0.0, np.zeros(2), OptimizerConfig(bounds=[(0.0, 1.0)]))
 
 
 def test_non_finite_cost_raises():
@@ -169,6 +152,6 @@ def test_calibrate_recovers_clean_scene():
     err = np.abs(np.asarray(est.to_vector()) - np.asarray(scene.extrinsics.to_vector()))
     assert np.all(err[:3] < np.deg2rad(0.5))
     assert np.all(err[3:] < 0.05)
-    costs = trace.costs
+    costs = [c for _, _, c in trace.points]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     assert trace.termination in {"converged", "max_iterations", "stalled"}

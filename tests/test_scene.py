@@ -12,7 +12,6 @@ from semcal.scene import (
     LabeledPointCloud,
     centroid_2d,
     centroid_3d,
-    class_histogram,
 )
 
 
@@ -67,17 +66,3 @@ def test_centroid_2d_mean_and_support():
     assert np.allclose(c.position, [2.0, 1.0])
     assert c.support == 2
     assert centroid_2d(img, 9) is None
-
-
-def test_class_histogram(k):
-    cloud = make_cloud()
-    labels = np.zeros((3, 4), dtype=int)
-    labels[0, :2] = 1
-    labels[1, 0] = 2
-    pair = FramePair(cloud=cloud, image=LabelImage(labels=labels), intrinsics=k,
-                     frame_id="f0")
-    hist = class_histogram(pair)
-    # (point count, pixel count) per class; the ignore class is counted too
-    assert hist[1] == (2, 2)
-    assert hist[2] == (1, 1)
-    assert hist[IGNORE_CLASS] == (1, 9)
