@@ -61,14 +61,17 @@ def build_distance_field(image: LabelImage, class_id: int) -> DistanceField:
     Two raster sweeps per axis (forward then backward, unit axial weights)
     propagate the distances; for the Manhattan metric this is exact, which
     the test suite checks against the brute-force definition.  The sweeps
-    run in int32 with ``width + height`` as the not-yet-reached value:
-    every true distance is smaller, so it never survives the minimum.
+    use ``width + height`` as the not-yet-reached value: every true
+    distance is smaller, so it never survives the minimum.  Their
+    intermediates ``d +- index`` stay below ``2 * (width + height)``, so
+    they run in int16 when that fits and in int32 otherwise.
     """
     mask = image.labels == class_id
     if not mask.any():
         return DistanceField(class_id, np.full(mask.shape, np.inf), True)
     far = mask.shape[0] + mask.shape[1]
-    d = np.where(mask, np.int32(0), np.int32(far))
+    work = np.int16 if 2 * far <= np.iinfo(np.int16).max else np.int32
+    d = np.where(mask, work(0), work(far))
     d = _sweep_axis(d, axis=1)
     d = _sweep_axis(d, axis=0)
     return DistanceField(class_id, d.astype(np.min_scalar_type(far)), False)
@@ -119,20 +122,20 @@ class CostEvaluator:
 
     Construction packs the scene once.  The scored points, grouped into
     (pair, class) blocks in pair-then-class order, become flat per-point
-    arrays: coordinates, range weight, the frame's intrinsics and penalty,
-    an empty-class flag and an offset into one buffer that holds every
-    distance field.  Exact L1 distances between integer pixels are
-    integers below ``width + height``, so the buffer stores them losslessly
-    in the smallest unsigned type that fits; each field is packed as it is
-    built.
+    arrays: coordinates as one ``(3, N)`` array, range weight, the frame's
+    intrinsics and penalty, an empty-class flag, the block index and an
+    offset into one buffer that holds every distance field.  Exact L1
+    distances between integer pixels are integers below ``width + height``,
+    so the buffer stores them losslessly in the smallest unsigned type that
+    fits; each field is packed as it is built.
 
-    One projection / round / clip / gather pass then scores every point
-    for both :meth:`evaluate_total`, the hot path of optimizer and sweep
-    loops, and :meth:`evaluate`, which adds the per-class / per-pair
-    breakdown and counts.  The rotation is applied block by block and the
-    block sums are added pair by pair, exactly as a loop over blocks would,
-    so totals are bit-identical to that loop: the optimizer's path depends
-    on their last bits.  Instances are immutable after construction.
+    Each evaluation is one flat pass: one rotation of all points, round /
+    clip / gather, one sum.  :meth:`evaluate_total`, the hot path of
+    optimizer and sweep loops, returns that sum over the denominator;
+    :meth:`evaluate` returns the same total, bit for bit, plus counts and
+    per-class / per-pair subtotals, which are summed separately and so add
+    up to the total only to rounding.  Instances are immutable after
+    construction.
     """
 
     def __init__(self, pairs, classes, range_weighting: bool = True):
@@ -167,16 +170,15 @@ class CostEvaluator:
                 f"{list(self.classes)} in any pair"
             )
 
-        self._points = np.concatenate(points)
+        self._points = np.ascontiguousarray(np.concatenate(points).T)  # (3, N)
         self._sqn = np.concatenate(sqn)
         (self._fx, self._fy, self._cx, self._cy, self._umax, self._vmax, self._stride,
          self._penalty, self._cell, empty) = np.repeat(
             np.array(meta, dtype=float), counts, axis=0).T.copy()
         self._empty = empty.astype(bool)
-        edges = np.cumsum([0] + counts).tolist()
-        self._blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        m = len(self.classes)
-        self._pair_blocks = [self._blocks[i:i + m] for i in range(0, len(self._blocks), m)]
+        self._counts = np.array(counts).reshape(len(self.pairs), len(self.classes))
+        self._block = np.repeat(np.arange(len(counts)), counts)
+        self._pair = self._block // len(self.classes)
 
     def _kernel(self, ext: Extrinsics):
         """Per-point cost, plus the masks and values :meth:`evaluate` counts with.
@@ -187,11 +189,7 @@ class CostEvaluator:
         zero, so consistent points cost nothing without a label lookup.
         """
         r, t = ext.matrix()
-        r_t = r.T
-        cam = np.empty((self.denominator, 3))
-        for block in self._blocks:
-            np.matmul(self._points[block], r_t, cam[block])
-        x, y, z = (cam[:, i] + t[i] for i in range(3))
+        x, y, z = r @ self._points + t[:, None]
         front = z > EPS_DEPTH
         z = np.where(front, z, 1.0)
         u = np.rint(self._fx * x / z + self._cx)
@@ -206,14 +204,7 @@ class CostEvaluator:
 
     def evaluate_total(self, ext: Extrinsics) -> float:
         """Aggregate cost only; the hot path for optimization loops."""
-        cost = self._kernel(ext)[0]
-        total = 0.0
-        for blocks in self._pair_blocks:
-            numerator = 0.0
-            for block in blocks:
-                numerator += cost[block].sum()
-            total += numerator
-        return float(total / self.denominator)
+        return float(self._kernel(ext)[0].sum() / self.denominator)
 
     def evaluate(self, ext: Extrinsics) -> CostBreakdown:
         """Aggregate cost with per-class / per-pair subtotals and counts."""
@@ -221,31 +212,25 @@ class CostEvaluator:
         inside = scored & (off == 0.0)
         masks = (inside & (d == 0), inside & (d != 0), ~front, scored & (off != 0.0),
                  front & ~scored)
+        sums = np.bincount(self._block, weights=cost, minlength=self._counts.size)
+        sums = sums.reshape(self._counts.shape)
+        tallies = [np.bincount(self._pair[m], minlength=len(self.pairs)) for m in masks]
+        numerator = float(cost.sum())
         breakdown = CostBreakdown(
-            total=0.0,
-            numerator=0.0,
+            total=numerator / self.denominator,
+            numerator=numerator,
             denominator=self.denominator,
-            per_class={c: (0.0, 0) for c in self.classes},
+            per_class={c: (float(sums[:, j].sum()), int(self._counts[:, j].sum()))
+                       for j, c in enumerate(self.classes)},
             per_pair={},
         )
-        for pair, blocks in zip(self.pairs, self._pair_blocks):
-            span = slice(blocks[0].start, blocks[-1].stop)
-            pb = PairBreakdown(pair.frame_id, denominator=span.stop - span.start)
-            for cid, block in zip(self.classes, blocks):
-                block_sum = float(cost[block].sum())
-                pb.per_class[cid] = (block_sum, block.stop - block.start)
-                pb.numerator += block_sum
+        for i, pair in enumerate(self.pairs):
+            pb = PairBreakdown(pair.frame_id, float(sums[i].sum()), int(self._counts[i].sum()))
+            pb.per_class = {c: (float(sums[i, j]), int(self._counts[i, j]))
+                            for j, c in enumerate(self.classes)}
             (pb.n_consistent, pb.n_inconsistent, pb.n_behind_camera, pb.n_out_of_image,
-             pb.n_empty_field) = (int(np.count_nonzero(m[span])) for m in masks)
+             pb.n_empty_field) = (int(n[i]) for n in tallies)
             breakdown.per_pair[pair.frame_id] = pb
-            breakdown.numerator += pb.numerator
-            for cid, (num, den) in pb.per_class.items():
-                acc_num, acc_den = breakdown.per_class[cid]
-                breakdown.per_class[cid] = (acc_num + num, acc_den + den)
-            breakdown.n_consistent += pb.n_consistent
-            breakdown.n_inconsistent += pb.n_inconsistent
-            breakdown.n_behind_camera += pb.n_behind_camera
-            breakdown.n_out_of_image += pb.n_out_of_image
-            breakdown.n_empty_field += pb.n_empty_field
-        breakdown.total = breakdown.numerator / self.denominator
+        (breakdown.n_consistent, breakdown.n_inconsistent, breakdown.n_behind_camera,
+         breakdown.n_out_of_image, breakdown.n_empty_field) = (int(n.sum()) for n in tallies)
         return breakdown

@@ -17,12 +17,13 @@ judged coarsely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costfield import CostEvaluator
-from .errors import Degenerate, InsufficientPairs, NonPlanar
+from .errors import CalibrationError, Degenerate, InsufficientPairs, NonPlanar
 from .geometry import (
     EPS_DEPTH,
     CameraIntrinsics,
@@ -117,6 +118,15 @@ class InitConfig:
     ransac_iterations: int = 500
     seed: int = 0
     planarity_ratio: float = 0.05  # max plane rms as a fraction of cloud diameter
+
+    def __post_init__(self):
+        if not (0 < self.ransac_threshold < math.inf and 0 < self.planarity_ratio < math.inf):
+            raise CalibrationError(
+                "ransac_threshold and planarity_ratio must be positive and finite")
+        if self.ransac_iterations < 1:
+            raise CalibrationError("ransac_iterations must be at least 1")
+        if self.seed < 0:
+            raise CalibrationError("seed must be non-negative")
 
 
 def collect_centroid_pairs(pairs, classes) -> CentroidPairSet:

@@ -69,6 +69,8 @@ class SceneSpec:
             raise CalibrationError("noise rate must lie in [0, 1)")
         if self.dilation < 0 or self.densify < 1:
             raise CalibrationError("dilation must be >= 0 and densify >= 1")
+        if self.seed < 0:
+            raise CalibrationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

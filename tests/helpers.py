@@ -129,7 +129,8 @@ def point_cost(p, class_id, ext, k, fields, image=None, range_weighting=True) ->
 # ---------------------------------------------------------------------------
 # Per-block reference cost: one loop over (frame, class) blocks with float64
 # fields, the layout the packed kernel of CostEvaluator replaced.  The packed
-# kernel must reproduce its totals bit for bit.
+# kernel sums in a different order, so its totals agree to rounding; its
+# counts and denominators agree exactly.
 
 
 class _PairPrep:

@@ -292,6 +292,20 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(["synth", "--spec", "objects_per_frame = inf"], id="spec-objects-inf"),
     pytest.param(["synth", "--spec", "seed = nan"], id="spec-seed-nan"),
     pytest.param(["synth", "--spec", "width = nan"], id="spec-width-nan"),
+    pytest.param(["synth", "--seed", "-1"], id="synth-seed-negative"),
+    pytest.param(["synth", "--spec", "seed = -1"], id="spec-seed-negative"),
+    pytest.param(["init", "{scene}", "--seed", "-1"], id="init-seed-negative"),
+    pytest.param(["init", "{scene}", "--config", "seed = -1"], id="config-seed-negative"),
+    pytest.param(["init", "{scene}", "--config", "planarity_ratio = nan"],
+                 id="config-planarity_ratio-nan"),
+    pytest.param(["init", "{scene}", "--config", "planarity_ratio = 0"],
+                 id="config-planarity_ratio-zero"),
+    pytest.param(["init", "{scene}", "--config", "ransac_threshold = -1"],
+                 id="config-ransac_threshold-negative"),
+    pytest.param(["init", "{scene}", "--config", "ransac_threshold = inf"],
+                 id="config-ransac_threshold-inf"),
+    pytest.param(["init", "{scene}", "--config", "ransac_iterations = 0"],
+                 id="config-ransac_iterations-zero"),
 ])
 def test_bad_input_is_an_error(argv, scene_dir, tmp_path, capsys):
     """Each bad flag or file value ends in one ``error:`` line, not a traceback."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import ReferenceEvaluator, point_cost, query_distance
+from helpers import ReferenceEvaluator, brute_distance_grid, point_cost, query_distance
 from semcal.costfield import CostEvaluator, build_distance_field
 from semcal.errors import CalibrationError, ZeroDenominator
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
@@ -60,6 +60,23 @@ def test_distance_field_integer_storage():
         field = build_distance_field(LabelImage(labels=labels), 1)
         assert field.d.dtype == dtype
         assert field.d[-1, -1] == (h - 1) + (w - 1)
+
+
+@pytest.mark.parametrize("length", [16382, 16400])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_distance_field_long_images(length, axis):
+    # width + height = 16383 is the largest that sweeps in int16 (twice it
+    # fits int16); 16401 falls back to int32.  Seeds at one end and in the
+    # middle put distances near width + height in both sweep directions.
+    shape = (length, 1) if axis == 0 else (1, length)
+    labels = np.zeros(length, dtype=int)
+    labels[[0, length // 2 + 7]] = 1
+    labels[length // 3] = 2
+    labels = labels.reshape(shape)
+    for cid in (1, 2):
+        field = build_distance_field(LabelImage(labels=labels), cid)
+        assert field.d.dtype == np.uint16
+        assert np.array_equal(field.d, brute_distance_grid(labels, cid))
 
 
 def test_distance_field_empty_class():
@@ -230,8 +247,8 @@ def _kernel_scene():
     Two frame sizes; mirrored copies of the points that sit behind the
     camera; class 2 erased from one image so its points hit an empty field;
     2% label noise so some points land on wrong-class pixels.  One frame
-    has no class-1 point and another a single class-3 point: a one-row
-    block takes a different matrix-product path than longer blocks.
+    has no class-1 point and another a single class-3 point, so the
+    per-block subtotals meet an empty and a one-row block.
     """
     k_a = CameraIntrinsics(fx=200.0, fy=200.0, cx=80.0, cy=60.0, width=160, height=120)
     k_b = CameraIntrinsics(fx=90.0, fy=100.0, cx=47.5, cy=31.0, width=96, height=64)
@@ -269,8 +286,12 @@ def _random_poses(n, seed=0):
     ]
 
 
+def _close(got, want):
+    return got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("range_weighting", [True, False])
-def test_evaluator_bit_identical_to_block_loop(range_weighting):
+def test_evaluator_matches_block_loop(range_weighting):
     pairs = _kernel_scene()
     classes = (1, 2, 3)
     packed = CostEvaluator(pairs, classes, range_weighting=range_weighting)
@@ -278,11 +299,26 @@ def test_evaluator_bit_identical_to_block_loop(range_weighting):
     seen = dict.fromkeys(("n_consistent", "n_inconsistent", "n_behind_camera",
                           "n_out_of_image", "n_empty_field"), 0)
     for ext in _random_poses(200):
-        assert packed.evaluate_total(ext) == reference.evaluate_total(ext)
+        total = packed.evaluate_total(ext)
+        assert _close(total, reference.evaluate_total(ext))
         got, want = packed.evaluate(ext), reference.evaluate(ext)
-        assert got.total == want.total == packed.evaluate_total(ext)
-        assert got.per_class == want.per_class
-        assert got.per_pair == want.per_pair
+        assert got.total == total
+        assert _close(got.total, want.total)
+        assert _close(got.numerator, want.numerator)
+        assert got.denominator == want.denominator
+        for cid, (num, den) in want.per_class.items():
+            assert _close(got.per_class[cid][0], num)
+            assert got.per_class[cid][1] == den
+        assert got.per_pair.keys() == want.per_pair.keys()
+        for frame_id, w in want.per_pair.items():
+            g = got.per_pair[frame_id]
+            assert _close(g.numerator, w.numerator)
+            assert g.denominator == w.denominator
+            for cid, (num, den) in w.per_class.items():
+                assert _close(g.per_class[cid][0], num)
+                assert g.per_class[cid][1] == den
+            for name in seen:
+                assert getattr(g, name) == getattr(w, name)
         for name in seen:
             assert getattr(got, name) == getattr(want, name)
             seen[name] += getattr(got, name)

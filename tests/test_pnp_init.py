@@ -5,7 +5,7 @@ import pytest
 
 from helpers import make_planar_pairs
 from semcal.costfield import CostEvaluator
-from semcal.errors import Degenerate, InsufficientPairs, NonPlanar
+from semcal.errors import CalibrationError, Degenerate, InsufficientPairs, NonPlanar
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.pnp_init import (
     InitConfig,
@@ -198,3 +198,15 @@ def test_initialize_insufficient_pairs():
     pairs, _, classes = make_planar_pairs(seed=0, n_frames=1, n_classes=3)
     with pytest.raises(InsufficientPairs):
         initialize(CostEvaluator(pairs, classes))
+
+
+@pytest.mark.parametrize("bad", [
+    {"ransac_threshold": 0.0}, {"ransac_threshold": -1.0},
+    {"ransac_threshold": float("nan")}, {"ransac_threshold": float("inf")},
+    {"planarity_ratio": 0.0}, {"planarity_ratio": -0.05},
+    {"planarity_ratio": float("nan")}, {"planarity_ratio": float("inf")},
+    {"ransac_iterations": 0}, {"seed": -1},
+])
+def test_init_config_validation(bad):
+    with pytest.raises(CalibrationError):
+        InitConfig(**bad)

@@ -38,6 +38,8 @@ def test_spec_validation():
     with pytest.raises(CalibrationError):
         SceneSpec(noise_rate=-0.1)
     with pytest.raises(CalibrationError):
+        SceneSpec(seed=-1)
+    with pytest.raises(CalibrationError):
         SceneSpec(dilation=-1)
     with pytest.raises(CalibrationError):
         SceneSpec(densify=0)
