@@ -1,22 +1,28 @@
-"""Accuracy and kernel speed of a baseline revision against the working tree.
+"""Accuracy and per-layer speed of a baseline revision against the working tree.
 
-    python3 bench/accuracy.py --baseline REV [--out BENCH_flat_kernel.json]
+    python3 bench/accuracy.py --baseline REV [--out BENCH_field_build.json]
 
 Run it from the repository root.  It writes 24 criterion-6-style scenes
 (10 frames, 4 objects of 100 points, 2% label noise, depths 2.5-16 m, the
 criterion-6 ground truth, seeds 0-23) once, then for each side -- REV,
 exported with ``git archive`` into a temporary directory, and the working
-tree's ``src/`` -- runs ``semcal calibrate`` on every scene and times
-``CostEvaluator.evaluate_total`` on two benchmark scenes.  Each side runs in
-its own process with BLAS and OpenMP pinned to one thread.
+tree's ``src/`` -- runs ``semcal calibrate`` on every scene and times three
+layers on benchmark scenes.  Each side runs in its own process with BLAS
+and OpenMP pinned to one thread.
 
 Per scene the JSON records the evaluations, the rotation (degrees) and
 translation (meters) errors, whether both lie in the criterion-6 band
-(1 degree, 0.1 m), the final cost and the wall time.  The kernel timing is
-the best of seven passes of 300 poses near the ground truth on calib-c6
-scene 8 and sweep-clean scene 0 of ``perfbench/workloads.py``, in
-microseconds per evaluation, best again over three rounds that alternate
-between the two sides.
+(1 degree, 0.1 m), the final cost and the wall time.  The layer timings
+use scenes of ``perfbench/workloads.py`` and are each the best over three
+rounds that alternate between the two sides:
+
+- ``kernel``: microseconds per ``CostEvaluator.evaluate_total``, best of
+  seven passes of 300 poses near the ground truth, on calib-c6 scene 8 and
+  sweep-clean scene 0;
+- ``layers``: on calib-c6 scene 8 and init-wide scene 0, best of five
+  passes, the milliseconds spent in ``build_distance_field`` per (frame,
+  class) field, the seconds of the whole ``CostEvaluator`` construction,
+  and the seconds of ``initialize`` given that evaluator.
 """
 
 from __future__ import annotations
@@ -41,7 +47,12 @@ KERNEL_SCENES = {  # name: SceneSpec keywords besides the ground truth and depth
                              noise_rate=0.02, seed=8),
     "sweep-clean scene 0": dict(n_frames=10, seed=0),
 }
-POSES, PASSES, KERNEL_ROUNDS = 300, 7, 3
+LAYER_SCENES = {
+    "calib-c6 scene 8": KERNEL_SCENES["calib-c6 scene 8"],
+    "init-wide scene 0": dict(n_frames=20, objects_per_frame=12, classes=(1, 2, 3, 4, 5, 6),
+                              noise_rate=0.02, seed=0),
+}
+POSES, PASSES, LAYER_PASSES, ROUNDS = 300, 7, 5, 3
 
 
 # semcal is imported inside the functions: which copy is imported depends on
@@ -128,8 +139,47 @@ def time_kernel() -> dict:
     return kernel
 
 
+def time_layers() -> dict:
+    """Best-of-passes field build, evaluator and initialize times on each layer scene."""
+    import semcal.costfield
+    from semcal.costfield import CostEvaluator
+    from semcal.pnp_init import initialize
+    from semcal.synth import SceneSpec, generate
+
+    # the evaluator looks the builder up by this name, whatever its signature
+    build, spent = semcal.costfield.build_distance_field, [0.0]
+
+    def timed_build(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    semcal.costfield.build_distance_field = timed_build
+    layers = {}
+    for name, kwargs in LAYER_SCENES.items():
+        spec = SceneSpec(extrinsics=_gt(), depth_range=DEPTH, **kwargs)
+        pairs = generate(spec).pairs
+        fields = len(pairs) * len(spec.classes)
+        best = dict.fromkeys(("field_build_ms_per_field", "evaluator_s", "initialize_s"),
+                             float("inf"))
+        for _ in range(LAYER_PASSES):
+            spent[0] = 0.0
+            t0 = time.perf_counter()
+            evaluator = CostEvaluator(pairs, spec.classes)
+            t1 = time.perf_counter()
+            initialize(evaluator)
+            t2 = time.perf_counter()
+            for key, value in (("field_build_ms_per_field", spent[0] / fields * 1e3),
+                               ("evaluator_s", t1 - t0), ("initialize_s", t2 - t1)):
+                best[key] = min(best[key], value)
+        layers[name] = {"fields": fields, **best}
+    return layers
+
+
 def _run_side(src: Path, work: Path, *task: str):
-    """Run one ``--calibrate`` or ``--kernel`` task on the sources under ``src``."""
+    """Run one ``--calibrate`` or ``--timing`` task on the sources under ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = work / "side.json"
@@ -145,10 +195,10 @@ def _git(*args: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="git revision to compare against")
-    parser.add_argument("--out", default="BENCH_flat_kernel.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_field_build.json", help="JSON file to write")
     parser.add_argument("--calibrate", nargs=2, metavar=("SCENES", "OUT"),
                         help=argparse.SUPPRESS)
-    parser.add_argument("--kernel", metavar="OUT", help=argparse.SUPPRESS)
+    parser.add_argument("--timing", metavar="OUT", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.calibrate:
         scenes, out = map(Path, args.calibrate)
@@ -156,8 +206,9 @@ def main() -> int:
             result = calibrate_all(sorted(p for p in scenes.iterdir() if p.is_dir()), Path(tmp))
         out.write_text(json.dumps(result))
         return 0
-    if args.kernel:
-        Path(args.kernel).write_text(json.dumps(time_kernel()))
+    if args.timing:
+        Path(args.timing).write_text(json.dumps({"kernel": time_kernel(),
+                                                 "layers": time_layers()}))
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
@@ -175,16 +226,19 @@ def main() -> int:
         srcs = {"baseline": tmp / "baseline" / "src", "change": ROOT / "src"}
         sides = {name: _run_side(src, tmp, "--calibrate", str(scenes))
                  for name, src in srcs.items()}
-        # the host's speed drifts, so kernel timings alternate between the
-        # sides and each keeps its best round
-        for _ in range(KERNEL_ROUNDS):
+        # the host's speed drifts, so timings alternate between the sides
+        # and each keeps its best round
+        for _ in range(ROUNDS):
             for name, src in srcs.items():
-                for scene, timing in _run_side(src, tmp, "--kernel").items():
-                    best = sides[name].setdefault("kernel", {}).setdefault(scene, timing)
-                    best["us_per_eval"] = min(best["us_per_eval"], timing["us_per_eval"])
+                for layer, scenes_timed in _run_side(src, tmp, "--timing").items():
+                    for scene, timing in scenes_timed.items():
+                        best = sides[name].setdefault(layer, {}).setdefault(scene, timing)
+                        for key, value in timing.items():
+                            best[key] = min(best[key], value)
     result = {
         "what": "criterion-6-style calibrate on 10-frame scenes with 2% label noise, "
-                "seeds 0-23, and microseconds per evaluate_total",
+                "seeds 0-23; microseconds per evaluate_total; per-layer field build, "
+                "evaluator construction and initialize times",
         "baseline_rev": baseline,
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
@@ -195,8 +249,11 @@ def main() -> int:
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for name, side in sides.items():
         kernel = ", ".join(f"{k} {v['us_per_eval']:.0f} us" for k, v in side["kernel"].items())
+        layers = ", ".join(f"{k} {v['field_build_ms_per_field']:.2f} ms/field, "
+                           f"init {v['initialize_s'] * 1e3:.0f} ms"
+                           for k, v in side["layers"].items())
         print(f"{name}: {side['in_band']}/{len(side['scenes'])} in band, "
-              f"{side['evaluations']} evaluations, {side['wall_s']:.1f} s; {kernel}")
+              f"{side['evaluations']} evaluations, {side['wall_s']:.1f} s; {kernel}; {layers}")
     return 0
 
 

@@ -109,13 +109,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _init_config(cfg: RunConfig) -> InitConfig:
+    return InitConfig(ransac_threshold=cfg.ransac_threshold,
+                      ransac_iterations=cfg.ransac_iterations, seed=cfg.seed,
+                      planarity_ratio=cfg.planarity_ratio)
+
+
+def _optimizer_config(cfg: RunConfig) -> OptimizerConfig:
+    return OptimizerConfig(max_iterations=cfg.max_iterations, ftol=cfg.ftol,
+                           line_tol=cfg.line_tol)
+
+
 def _load_config(args) -> RunConfig:
-    """Config file first, then flags override it."""
+    """Config file first, then flags override it; every field is checked here."""
     cfg = read_config(args.config) if args.config else RunConfig()
     if args.classes is not None:
         cfg = replace(cfg, classes=parse_classes("--classes", args.classes))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    _init_config(cfg)
+    _optimizer_config(cfg)
     return cfg
 
 
@@ -242,16 +255,6 @@ def _evaluator(pairs, classes, cfg: RunConfig) -> CostEvaluator:
     return CostEvaluator(pairs, classes, range_weighting=cfg.range_weighting)
 
 
-def _run_init(evaluator: CostEvaluator, cfg: RunConfig):
-    init_cfg = InitConfig(
-        ransac_threshold=cfg.ransac_threshold,
-        ransac_iterations=cfg.ransac_iterations,
-        seed=cfg.seed,
-        planarity_ratio=cfg.planarity_ratio,
-    )
-    return initialize(evaluator, config=init_cfg)
-
-
 def cmd_init(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_config(args)
@@ -259,7 +262,7 @@ def cmd_init(args) -> int:
         args.data_dir, cloud_remap=cfg.cloud_remap, image_remap=cfg.image_remap
     )
     classes = _resolve_classes(cfg, manifest_classes)
-    result = _run_init(_evaluator(pairs, classes, cfg), cfg)
+    result = initialize(_evaluator(pairs, classes, cfg), _init_config(cfg))
     out = _out_dir(args)
     write_extrinsics(out / "init_extrinsics.txt", result.extrinsics)
     report = {
@@ -307,16 +310,13 @@ def cmd_calibrate(args) -> int:
         init_block: dict = {"source": "file", "estimate": extrinsics_report_fields(start)}
     else:
         t_init = time.perf_counter()
-        result = _run_init(evaluator, cfg)
+        result = initialize(evaluator, _init_config(cfg))
         timings["init_s"] = time.perf_counter() - t_init
         start = result.extrinsics
         init_block = {"source": "pipeline", **_init_report_block(result)}
 
-    opt_cfg = OptimizerConfig(
-        max_iterations=cfg.max_iterations, ftol=cfg.ftol, line_tol=cfg.line_tol
-    )
     t_opt = time.perf_counter()
-    estimate, breakdown, trace = calibrate(evaluator, start, config=opt_cfg)
+    estimate, breakdown, trace = calibrate(evaluator, start, config=_optimizer_config(cfg))
     timings["optimize_s"] = time.perf_counter() - t_opt
     timings["total_s"] = time.perf_counter() - t0
 

@@ -15,6 +15,7 @@ misprojection can.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,58 +24,51 @@ from .geometry import EPS_DEPTH, Extrinsics
 from .scene import IGNORE_CLASS, LabelImage
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """Exact L1 distance transform of one class of a label image.
+class DistanceField(NamedTuple):
+    """Exact L1 distance transforms of several classes of one label image.
 
-    ``d[row, col]`` is the minimum Manhattan distance from pixel
-    ``(col, row)`` to any pixel labeled ``class_id``; zero exactly on such
-    pixels.  Distances between integer pixels are integers below
-    ``width + height``, stored in the smallest unsigned type that holds
-    that bound.  When the class is absent, ``empty_class`` is set and
-    every cell holds float ``inf``.
+    ``d[col, j, row]`` is the minimum Manhattan distance from pixel
+    ``(col, row)`` to any pixel of the ``j``-th class; zero exactly on such
+    pixels and below ``width + height`` everywhere.  ``empty[j]`` is set
+    when the class is absent; its plane then holds ``width + height``.
     """
 
-    class_id: int
-    d: np.ndarray  # (height, width)
-    empty_class: bool
-
-    def __post_init__(self):
-        self.d.setflags(write=False)
+    d: np.ndarray  # (width, classes, height)
+    empty: np.ndarray  # (classes,) bool
 
 
-def _sweep_axis(d: np.ndarray, axis: int) -> np.ndarray:
-    # Forward then backward raster propagation with unit step cost along one
-    # axis: out[l] = min_k d[k] + |l - k|.
-    n = d.shape[axis]
-    shape = [1, 1]
-    shape[axis] = n
-    idx = np.arange(n, dtype=d.dtype).reshape(shape)
-    fwd = np.minimum.accumulate(d - idx, axis=axis) + idx
-    rev = np.flip(np.minimum.accumulate(np.flip(d + idx, axis=axis), axis=axis), axis=axis) - idx
-    return np.minimum(fwd, rev)
+def _scan(a: np.ndarray) -> None:
+    # In place along axis 0, forward then backward: a[i] = min(a[i], a[i-1] + 1).
+    rows = list(a)
+    step = np.empty_like(rows[0])
+    for order in (rows, rows[::-1]):
+        for prev, cur in zip(order, order[1:]):
+            np.add(prev, 1, out=step)
+            np.minimum(cur, step, out=cur)
 
 
-def build_distance_field(image: LabelImage, class_id: int) -> DistanceField:
-    """Exact L1 distance transform for one class of a label image.
+def build_distance_field(image: LabelImage, classes, out=None) -> DistanceField:
+    """Exact L1 distance transforms of ``classes`` in one label image, built together.
 
-    Two raster sweeps per axis (forward then backward, unit axial weights)
-    propagate the distances; for the Manhattan metric this is exact, which
-    the test suite checks against the brute-force definition.  The sweeps
-    use ``width + height`` as the not-yet-reached value: every true
-    distance is smaller, so it never survives the minimum.  Their
-    intermediates ``d +- index`` stay below ``2 * (width + height)``, so
-    they run in int16 when that fits and in int32 otherwise.
+    One compare marks every class in a ``(height, classes, width)`` array,
+    0 on its pixels and ``far = width + height`` (more than any distance)
+    elsewhere.  A forward and a backward row scan along the height, each
+    numpy call covering a row of every class, then one transpose and the
+    same scan along the width give the exact Manhattan transform (Rosenfeld
+    & Pfaltz, 1966).  ``out``, when given, receives the ``(width, classes,
+    height)`` result; its unsigned type must hold ``far + 1``.
     """
-    mask = image.labels == class_id
-    if not mask.any():
-        return DistanceField(class_id, np.full(mask.shape, np.inf), True)
-    far = mask.shape[0] + mask.shape[1]
-    work = np.int16 if 2 * far <= np.iinfo(np.int16).max else np.int32
-    d = np.where(mask, work(0), work(far))
-    d = _sweep_axis(d, axis=1)
-    d = _sweep_axis(d, axis=0)
-    return DistanceField(class_id, d.astype(np.min_scalar_type(far)), False)
+    labels = image.labels
+    h, w = labels.shape
+    far = h + w
+    if out is None:
+        out = np.empty((w, len(classes), h), np.min_scalar_type(far + 1))
+    ids = np.array(classes, np.promote_types(labels.dtype, np.min_scalar_type(max(classes))))
+    a = (labels[:, None, :] != ids[:, None]) * out.dtype.type(far)
+    _scan(a)
+    out[...] = a.transpose(2, 1, 0)
+    _scan(out)
+    return DistanceField(out, out[0, :, 0] == far)
 
 
 @dataclass
@@ -112,8 +106,8 @@ def _validated_classes(classes) -> tuple[int, ...]:
     ids = tuple(dict.fromkeys(int(c) for c in classes))
     if not ids:
         raise CalibrationError("the class set must not be empty")
-    if IGNORE_CLASS in ids:
-        raise CalibrationError("the ignore class cannot be scored")
+    if min(ids) <= IGNORE_CLASS:
+        raise CalibrationError(f"class ids must be positive: {IGNORE_CLASS} is the ignore class")
     return ids
 
 
@@ -127,7 +121,8 @@ class CostEvaluator:
     offset into one buffer that holds every distance field.  Exact L1
     distances between integer pixels are integers below ``width + height``,
     so the buffer stores them losslessly in the smallest unsigned type that
-    fits; each field is packed as it is built.
+    holds ``width + height + 1``; each image's fields are built straight
+    into it.
 
     Each evaluation is one flat pass: one rotation of all points, round /
     clip / gather, one sum.  :meth:`evaluate_total`, the hot path of
@@ -144,25 +139,27 @@ class CostEvaluator:
             raise CalibrationError("at least one frame pair is required")
         self.classes = _validated_classes(classes)
 
+        n_classes = len(self.classes)
         wh = max(p.intrinsics.width + p.intrinsics.height for p in self.pairs)
-        n_cells = sum(p.image.labels.size for p in self.pairs) * len(self.classes)
-        self._fields = np.zeros(n_cells, np.min_scalar_type(wh))
+        self._fields = np.empty(sum(p.image.labels.size for p in self.pairs) * n_classes,
+                                np.min_scalar_type(wh + 1))
         points, sqn, counts, meta = [], [], [], []
         cell = 0
         for pair in self.pairs:
             k = pair.intrinsics
-            for cid in self.classes:
-                fld = build_distance_field(pair.image, cid)
-                if not fld.empty_class:
-                    self._fields[cell:cell + fld.d.size] = fld.d.ravel()
+            size = k.width * n_classes * k.height
+            fields = self._fields[cell:cell + size].reshape(k.width, n_classes, k.height)
+            empty = build_distance_field(pair.image, self.classes, fields).empty
+            for j, cid in enumerate(self.classes):
                 pts = pair.cloud.points[pair.cloud.labels == cid]
                 points.append(pts)
                 sqn.append(np.einsum("ij,ij->i", pts, pts) if range_weighting
                            else np.ones(len(pts)))
                 counts.append(len(pts))
-                meta.append((k.fx, k.fy, k.cx, k.cy, k.width - 1, k.height - 1, k.width,
-                             k.width + k.height, cell, fld.empty_class))
-                cell += fld.d.size
+                meta.append((k.fx, k.fy, k.cx, k.cy, k.width - 1, k.height - 1,
+                             n_classes * k.height, k.width + k.height, cell + j * k.height,
+                             empty[j]))
+            cell += size
         self.denominator = sum(counts)
         if self.denominator == 0:
             raise ZeroDenominator(
@@ -196,7 +193,7 @@ class CostEvaluator:
         v = np.rint(self._fy * y / z + self._cy)
         uc = np.minimum(np.maximum(u, 0.0), self._umax)
         vc = np.minimum(np.maximum(v, 0.0), self._vmax)
-        d = self._fields[(self._cell + vc * self._stride + uc).astype(np.intp)]
+        d = self._fields[(self._cell + uc * self._stride + vc).astype(np.intp)]
         off = np.abs(u - uc) + np.abs(v - vc)
         scored = front & ~self._empty
         cost = np.where(scored, d + off, self._penalty) * self._sqn

@@ -136,8 +136,7 @@ def read_point_cloud(path) -> LabeledPointCloud:
         if len(blob) % 16 != 0:
             raise FormatError(f"{path}: size {len(blob)} is not a multiple of 16 bytes")
         data = np.frombuffer(blob, dtype="<f4").astype(float).reshape(-1, 4)
-    labels = np.rint(data[:, 3]).astype(int)
-    return LabeledPointCloud(points=data[:, :3].copy(), labels=labels)
+    return LabeledPointCloud(points=data[:, :3].copy(), labels=data[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +192,7 @@ def read_label_image(path) -> LabelImage:
         raise FormatError(
             f"{path}: expected {width * height} pixel bytes, found {len(data)}"
         )
-    labels = np.frombuffer(data, dtype=np.uint8).astype(int).reshape(height, width)
-    return LabelImage(labels=labels)
+    return LabelImage(labels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +446,8 @@ def write_scene_dir(path, pairs, intrinsics: CameraIntrinsics, classes,
         write_extrinsics(root / "gt_extrinsics.txt", gt)
 
 
-def _remap_labels(labels: np.ndarray, table: dict[int, int] | None) -> np.ndarray:
-    if not table:
-        return labels
-    out = labels.copy()
+def _remap_labels(labels: np.ndarray, table: dict[int, int]) -> np.ndarray:
+    out = labels.astype(np.int64)  # a target id may not fit the source's type
     for src, dst in table.items():
         out[labels == src] = dst
     return out
@@ -483,10 +479,10 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
             raise FormatError(f"{cloud_path}: no matching label image {image_path.name}")
         cloud = read_point_cloud(cloud_path)
         image = read_label_image(image_path)
-        cloud = LabeledPointCloud(
-            points=cloud.points, labels=_remap_labels(cloud.labels, cloud_remap)
-        )
-        image = LabelImage(labels=_remap_labels(image.labels, image_remap))
+        if cloud_remap:
+            cloud = LabeledPointCloud(cloud.points, _remap_labels(cloud.labels, cloud_remap))
+        if image_remap:
+            image = LabelImage(_remap_labels(image.labels, image_remap))
         pairs.append(
             FramePair(cloud=cloud, image=image, intrinsics=intrinsics,
                       frame_id=cloud_path.stem)

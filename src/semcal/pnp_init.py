@@ -31,7 +31,7 @@ from .geometry import (
     Translation,
     euler_from_matrix,
 )
-from .scene import Centroid2D, Centroid3D, centroid_2d, centroid_3d
+from .scene import Centroid, centroid_2d, centroid_3d
 
 MIN_PAIRS = 4
 
@@ -40,8 +40,8 @@ MIN_PAIRS = 4
 class CentroidPair:
     frame_id: str
     class_id: int
-    c3d: Centroid3D
-    c2d: Centroid2D
+    c3d: Centroid
+    c2d: Centroid
     intrinsics: CameraIntrinsics
 
 

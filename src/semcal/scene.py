@@ -16,6 +16,18 @@ from .geometry import CameraIntrinsics
 IGNORE_CLASS = 0
 
 
+def _class_ids(labels, what: str) -> np.ndarray:
+    """``labels`` as integers; negative, fractional, NaN or infinite ids are errors."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "bu":
+        with np.errstate(invalid="ignore"):
+            ids = labels.astype(np.int64)
+        if not (np.array_equal(ids, labels) and (ids >= 0).all()):
+            raise CalibrationError(f"{what} must be non-negative integers")
+        labels = ids
+    return labels
+
+
 @dataclass(frozen=True)
 class LabeledPointCloud:
     """3D points in the range-sensor frame with one class label per point."""
@@ -25,15 +37,13 @@ class LabeledPointCloud:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = np.asarray(_class_ids(self.labels, "class labels"), np.int64).reshape(-1)
         if points.shape[0] != labels.shape[0]:
             raise CalibrationError(
                 f"point/label count mismatch: {points.shape[0]} vs {labels.shape[0]}"
             )
         if points.size and not np.isfinite(points).all():
             raise CalibrationError("point coordinates must be finite")
-        if labels.size and labels.min() < 0:
-            raise CalibrationError("class labels must be non-negative")
         points.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -47,15 +57,14 @@ class LabeledPointCloud:
 class LabelImage:
     """Raster of per-pixel class labels, indexed ``labels[row, col]``."""
 
-    labels: np.ndarray  # (height, width) int
+    labels: np.ndarray  # (height, width), the smallest unsigned type that holds them
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
         if labels.ndim != 2 or labels.size == 0:
             raise CalibrationError(f"label image must be 2D and non-empty, got shape {labels.shape}")
-        if labels.min() < 0:
-            raise CalibrationError("pixel labels must be non-negative")
-        labels = labels.astype(np.int64, copy=True)
+        labels = _class_ids(labels, "pixel labels")
+        labels = labels.astype(np.min_scalar_type(int(labels.max())), copy=True)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
@@ -90,9 +99,9 @@ class FramePair:
 
 
 @dataclass(frozen=True)
-class Centroid3D:
+class Centroid:
     class_id: int
-    position: np.ndarray  # (3,)
+    position: np.ndarray  # (3,) in the sensor frame, or (2,) pixel (u, v)
     support: int
 
     def __post_init__(self):
@@ -101,31 +110,21 @@ class Centroid3D:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
 
 
-@dataclass(frozen=True)
-class Centroid2D:
-    class_id: int
-    position: np.ndarray  # (2,) pixel (u, v)
-    support: int
-
-    def __post_init__(self):
-        if self.support < 1:
-            raise CalibrationError("centroid support must be >= 1")
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-
-def centroid_3d(cloud: LabeledPointCloud, class_id: int) -> Centroid3D | None:
+def centroid_3d(cloud: LabeledPointCloud, class_id: int) -> Centroid | None:
     """Arithmetic mean of the points labeled ``class_id``; None if there are none."""
     mask = cloud.labels == class_id
     n = int(mask.sum())
     if n == 0:
         return None
-    return Centroid3D(class_id, cloud.points[mask].mean(axis=0), n)
+    return Centroid(class_id, cloud.points[mask].mean(axis=0), n)
 
 
-def centroid_2d(image: LabelImage, class_id: int) -> Centroid2D | None:
+def centroid_2d(image: LabelImage, class_id: int) -> Centroid | None:
     """Mean pixel coordinate ``(u, v)`` of the pixels labeled ``class_id``."""
-    rows, cols = np.nonzero(image.labels == class_id)
-    n = rows.shape[0]
+    mask = image.labels == class_id
+    per_col, per_row = np.count_nonzero(mask, axis=0), np.count_nonzero(mask, axis=1)
+    n = int(per_col.sum())
     if n == 0:
         return None
-    return Centroid2D(class_id, np.array([cols.mean(), rows.mean()]), n)
+    u, v = per_col @ np.arange(image.width), per_row @ np.arange(image.height)
+    return Centroid(class_id, np.array([u / n, v / n]), n)

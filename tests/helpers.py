@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from semcal.costfield import CostBreakdown, PairBreakdown, build_distance_field
@@ -41,6 +43,13 @@ def brute_distance_grid(labels, class_id):
     for r in range(h):
         out[r] = np.min(np.abs(rows[None, :] - r) + col_d, axis=1)
     return out
+
+
+def class_field(image, class_id):
+    """One class's distance field as a ``(height, width)`` grid ``d`` plus its
+    ``empty_class`` flag: the layout the scalar and per-block references read."""
+    field = build_distance_field(image, (class_id,))
+    return SimpleNamespace(d=field.d[:, 0].T, empty_class=bool(field.empty[0]))
 
 
 def make_planar_pairs(seed, n_frames=4, n_classes=3, k=None, gt=None):
@@ -142,7 +151,7 @@ class _PairPrep:
         self.frame_id = pair.frame_id
         self.k = pair.intrinsics
         self.labels = pair.image.labels
-        fields = {cid: build_distance_field(pair.image, cid) for cid in classes}
+        fields = {cid: class_field(pair.image, cid) for cid in classes}
         self.blocks = []
         self.per_class_den = {}
         total = 0

@@ -17,9 +17,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_distance_grid, brute_min_l1, make_planar_pairs, query_distance
+from helpers import (
+    brute_distance_grid,
+    brute_min_l1,
+    class_field,
+    make_planar_pairs,
+    query_distance,
+)
 from semcal.cli import main
-from semcal.costfield import CostEvaluator, build_distance_field
+from semcal.costfield import CostEvaluator
 from semcal.geometry import (
     CameraIntrinsics,
     Extrinsics,
@@ -69,7 +75,7 @@ def test_criterion_2_distance_field_exactness(capsys):
         n_classes = int(rng.integers(1, 5))
         labels = rng.integers(0, n_classes + 1, size=(h, w))
         class_id = int(rng.integers(1, n_classes + 1))
-        field = build_distance_field(LabelImage(labels=labels), class_id)
+        field = class_field(LabelImage(labels=labels), class_id)
         reference = brute_distance_grid(labels, class_id)
         if field.empty_class:
             if not np.all(np.isinf(reference)):

@@ -306,6 +306,16 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
                  id="config-ransac_threshold-inf"),
     pytest.param(["init", "{scene}", "--config", "ransac_iterations = 0"],
                  id="config-ransac_iterations-zero"),
+    # settings the subcommand does not use are still checked
+    pytest.param(_CALIBRATE + ["--config", "planarity_ratio = nan"],
+                 id="calibrate-init-file-planarity_ratio-nan"),
+    pytest.param(_CALIBRATE + ["--config", "seed = -1"], id="calibrate-init-file-seed-negative"),
+    pytest.param(["init", "{scene}", "--config", "ftol = nan"], id="init-ftol-nan"),
+    pytest.param(["init", "{scene}", "--config", "max_iterations = 0"],
+                 id="init-max_iterations-zero"),
+    pytest.param(_SWEEP + ["--range", "1", "--interval", "0.1", "--config", "line_tol = -1"],
+                 id="sweep-line_tol-negative"),
+    pytest.param(["init", "{scene}", "--classes", "1,-2"], id="init-classes-negative"),
 ])
 def test_bad_input_is_an_error(argv, scene_dir, tmp_path, capsys):
     """Each bad flag or file value ends in one ``error:`` line, not a traceback."""
@@ -326,11 +336,12 @@ def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):
     calls = []
     build = semcal.costfield.build_distance_field
 
-    def counting_build(image, class_id):
-        calls.append(class_id)
-        return build(image, class_id)
+    def counting_build(image, classes, out=None):
+        calls.append(tuple(classes))
+        return build(image, classes, out)
 
     monkeypatch.setattr(semcal.costfield, "build_distance_field", counting_build)
     assert main(["calibrate", str(scene_dir), "--output", str(tmp_path / "cal")]) == 0
-    # 3 frames x 3 classes, shared by initialization and refinement
-    assert len(calls) == 3 * 3
+    # one build per frame covers all 3 classes; initialization and
+    # refinement share it
+    assert calls == [(1, 2, 3)] * 3

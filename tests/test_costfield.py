@@ -1,9 +1,18 @@
 """Tests for distance fields and the semantic consistency cost."""
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import ReferenceEvaluator, brute_distance_grid, point_cost, query_distance
+from helpers import (
+    ReferenceEvaluator,
+    brute_distance_grid,
+    class_field,
+    point_cost,
+    query_distance,
+)
 from semcal.costfield import CostEvaluator, build_distance_field
 from semcal.errors import CalibrationError, ZeroDenominator
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
@@ -29,13 +38,31 @@ def k():
     return CameraIntrinsics(fx=100.0, fy=100.0, cx=8.0, cy=6.0, width=16, height=12)
 
 
+def planes(field):
+    """Each class's distances as a ``(height, width)`` grid, in class order."""
+    return [field.d[:, j].T for j in range(field.d.shape[1])]
+
+
 def test_distance_field_single_seed():
     labels = np.zeros((5, 7), dtype=int)
     labels[2, 3] = 4
-    field = build_distance_field(LabelImage(labels=labels), 4)
+    field = build_distance_field(LabelImage(labels=labels), (4,))
     expected = np.fromfunction(lambda r, c: np.abs(r - 2) + np.abs(c - 3), (5, 7))
-    assert np.array_equal(field.d, expected)
-    assert not field.empty_class
+    assert np.array_equal(planes(field)[0], expected)
+    assert field.d.shape == (7, 1, 5) and not field.empty[0]
+
+
+def check_against_brute_force(labels, classes):
+    field = build_distance_field(LabelImage(labels=labels), classes)
+    h, w = labels.shape
+    assert field.d.shape == (w, len(classes), h)
+    for j, (cid, grid) in enumerate(zip(classes, planes(field))):
+        present = (labels == cid).any()
+        assert field.empty[j] == (not present)
+        if present:
+            assert np.array_equal(grid, brute_distance_grid(labels, cid))
+        else:
+            assert (grid == h + w).all()
 
 
 def test_distance_field_matches_brute_force():
@@ -45,51 +72,81 @@ def test_distance_field_matches_brute_force():
         w = int(rng.integers(1, 25))
         n_classes = int(rng.integers(1, 5))
         labels = rng.integers(0, n_classes + 1, size=(h, w))
-        img = LabelImage(labels=labels)
-        for cid in range(1, n_classes + 1):
-            field = build_distance_field(img, cid)
-            assert np.array_equal(field.d, brute_force_distance(labels, cid))
+        # one class more than the image holds, so at least one is absent
+        classes = tuple(int(c) for c in rng.permutation(np.arange(1, n_classes + 2)))
+        check_against_brute_force(labels, classes)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (7, 5)])
+def test_distance_field_single_pixel_and_thin_images(shape):
+    h, w = shape
+    rng = np.random.default_rng(h * 100 + w)
+    labels = np.zeros(shape, dtype=int)
+    labels[rng.integers(h), rng.integers(w)] = 1  # one pixel of class 1
+    labels.flat[rng.choice(h * w, size=(h * w) // 3)] = 2
+    check_against_brute_force(labels, (1, 2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.integers(0, 3)),
+    classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+)
+def test_distance_field_property(labels, classes):
+    check_against_brute_force(labels, tuple(classes))
 
 
 def test_distance_field_integer_storage():
-    # the farthest cell, corner to corner, fits the smallest unsigned type
-    # that holds width + height
-    for h, w, dtype in ((5, 7, np.uint8), (200, 300, np.uint16)):
+    # the type holds width + height + 1, so the scan's far + 1 cannot wrap;
+    # the farthest cell, corner to corner, is (h - 1) + (w - 1)
+    for h, w, dtype in ((5, 7, np.uint8), (127, 127, np.uint8), (127, 128, np.uint16),
+                        (200, 300, np.uint16)):
         labels = np.zeros((h, w), dtype=int)
         labels[0, 0] = 1
-        field = build_distance_field(LabelImage(labels=labels), 1)
+        field = build_distance_field(LabelImage(labels=labels), (1,))
         assert field.d.dtype == dtype
-        assert field.d[-1, -1] == (h - 1) + (w - 1)
+        assert field.d[-1, 0, -1] == (h - 1) + (w - 1)
 
 
 @pytest.mark.parametrize("length", [16382, 16400])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_distance_field_long_images(length, axis):
-    # width + height = 16383 is the largest that sweeps in int16 (twice it
-    # fits int16); 16401 falls back to int32.  Seeds at one end and in the
-    # middle put distances near width + height in both sweep directions.
+    # 1xN and Nx1 images: seeds at one end and in the middle put distances
+    # near width + height in both scan directions.
     shape = (length, 1) if axis == 0 else (1, length)
     labels = np.zeros(length, dtype=int)
     labels[[0, length // 2 + 7]] = 1
     labels[length // 3] = 2
     labels = labels.reshape(shape)
-    for cid in (1, 2):
-        field = build_distance_field(LabelImage(labels=labels), cid)
-        assert field.d.dtype == np.uint16
-        assert np.array_equal(field.d, brute_distance_grid(labels, cid))
+    field = build_distance_field(LabelImage(labels=labels), (1, 2))
+    assert field.d.dtype == np.uint16
+    for cid, grid in zip((1, 2), planes(field)):
+        assert np.array_equal(grid, brute_distance_grid(labels, cid))
+
+
+@pytest.mark.parametrize("shape", [(1, 65534), (65534, 1)])
+def test_distance_field_far_plus_one_exceeds_uint16(shape):
+    # width + height = 65535 fits uint16, but the scan's far + 1 does not:
+    # in uint16 it would wrap to 0 and reach every cell of an absent class
+    labels = np.zeros(shape, dtype=int)
+    labels.flat[[0, 40000]] = 1
+    labels.flat[-1] = 2
+    check_against_brute_force(labels, (1, 2, 3))
+    assert build_distance_field(LabelImage(labels=labels), (1,)).d.dtype == np.uint32
 
 
 def test_distance_field_empty_class():
-    field = build_distance_field(LabelImage(labels=np.zeros((4, 4), dtype=int)), 3)
-    assert field.empty_class
-    assert np.isinf(field.d).all()
+    field = build_distance_field(LabelImage(labels=np.zeros((4, 4), dtype=int)), (3,))
+    assert field.empty[0]
+    assert (field.d == 4 + 4).all()
 
 
 def test_query_distance_out_of_range_matches_brute_force():
     rng = np.random.default_rng(3)
     labels = rng.integers(0, 3, size=(10, 14))
     img = LabelImage(labels=labels)
-    field = build_distance_field(img, 1)
+    field = class_field(img, 1)
     ref = brute_force_distance(labels, 1)
     rows, cols = np.nonzero(labels == 1)
     for _ in range(200):
@@ -116,7 +173,7 @@ def make_pair(k):
 
 
 def fields_of(image, classes):
-    return {cid: build_distance_field(image, cid) for cid in classes}
+    return {cid: class_field(image, cid) for cid in classes}
 
 
 def test_behind_camera_penalty(k):

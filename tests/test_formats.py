@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semcal.errors import FormatError
+from semcal.errors import CalibrationError, FormatError
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.io_formats import (
     RunConfig,
@@ -248,6 +248,28 @@ def test_scene_dir_remaps_labels(tmp_path):
     assert 7 in pairs[0].cloud.labels or 7 in pairs[1].cloud.labels
     assert not any((p.cloud.labels == 1).any() for p in pairs)
     assert not any((p.image.labels == 1).any() for p in pairs)
+
+
+def test_scene_dir_remaps_image_labels_above_255(tmp_path):
+    scene = generate(SceneSpec(n_frames=2, objects_per_frame=2, seed=1))
+    root = tmp_path / "scene"
+    write_scene_dir(root, scene.pairs, scene.spec.intrinsics, scene.spec.classes)
+    pairs, _, _ = read_scene_dir(root, image_remap={1: 300})
+    assert all(p.image.labels.dtype == np.uint16 for p in pairs)
+    assert any((p.image.labels == 300).any() for p in pairs)
+    assert not any((p.image.labels == 1).any() for p in pairs)
+
+
+def test_cloud_rejects_fractional_and_nan_labels(tmp_path):
+    path = tmp_path / "c.csv"
+    for label in ("1.5", "nan", "inf"):
+        path.write_text(f"0,0,1,2\n0,0,1,{label}\n")
+        with pytest.raises(CalibrationError):
+            read_point_cloud(path)
+    blob = np.array([[0, 0, 1, 2], [0, 0, 1, np.nan]], dtype="<f4").tobytes()
+    (tmp_path / "c.bin").write_bytes(blob)
+    with pytest.raises(CalibrationError):
+        read_point_cloud(tmp_path / "c.bin")
 
 
 def test_scene_dir_missing_image(tmp_path):

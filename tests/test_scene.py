@@ -66,3 +66,39 @@ def test_centroid_2d_mean_and_support():
     assert np.allclose(c.position, [2.0, 1.0])
     assert c.support == 2
     assert centroid_2d(img, 9) is None
+
+
+def test_label_image_stores_smallest_unsigned_type():
+    assert LabelImage(labels=np.full((2, 2), 255)).labels.dtype == np.uint8
+    assert LabelImage(labels=np.full((2, 2), 256)).labels.dtype == np.uint16
+    assert LabelImage(labels=np.array([[1.0, 2.0]])).labels.dtype == np.uint8
+    source = np.ones((2, 3), dtype=np.uint8)
+    img = LabelImage(labels=source)
+    source[0, 0] = 9  # the image keeps its own copy
+    assert img.labels[0, 0] == 1
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf, -1, -1.0, 2.0**63])
+def test_labels_must_be_non_negative_integers(bad):
+    with pytest.raises(CalibrationError):
+        LabelImage(labels=np.array([[1.0, bad]]))
+    with pytest.raises(CalibrationError):
+        LabeledPointCloud(points=np.zeros((2, 3)), labels=np.array([1.0, bad]))
+
+
+def test_centroid_2d_matches_nonzero_means():
+    # the count-and-dot centroid equals the mean of the nonzero coordinates
+    # bit for bit
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        h, w = (int(n) for n in rng.integers(1, 300, size=2))
+        labels = rng.integers(0, 4, size=(h, w))
+        img = LabelImage(labels=labels)
+        for cid in (1, 2, 3):
+            rows, cols = np.nonzero(labels == cid)
+            c = centroid_2d(img, cid)
+            if rows.size == 0:
+                assert c is None
+                continue
+            assert c.support == rows.size
+            assert c.position.tolist() == [cols.mean(), rows.mean()]
