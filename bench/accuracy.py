@@ -1,33 +1,52 @@
 """Accuracy and per-layer speed of a baseline revision against the working tree.
 
-    python3 bench/accuracy.py --baseline REV [--out BENCH_field_build.json]
+    python3 bench/accuracy.py --baseline REV [--out BENCH_eval_loop.json]
 
-Run it from the repository root.  It writes 24 criterion-6-style scenes
-(10 frames, 4 objects of 100 points, 2% label noise, depths 2.5-16 m, the
-criterion-6 ground truth, seeds 0-23) once, then for each side -- REV,
-exported with ``git archive`` into a temporary directory, and the working
-tree's ``src/`` -- runs ``semcal calibrate`` on every scene and times three
-layers on benchmark scenes.  Each side runs in its own process with BLAS
-and OpenMP pinned to one thread.
+Run it from the repository root.  It writes three sets of criterion-6-style
+scenes (4 objects of 100 points, 2% label noise, depths 2.5-16 m, the
+criterion-6 ground truth) once:
 
-Per scene the JSON records the evaluations, the rotation (degrees) and
-translation (meters) errors, whether both lie in the criterion-6 band
-(1 degree, 0.1 m), the final cost and the wall time.  The layer timings
-use scenes of ``perfbench/workloads.py`` and are each the best over three
-rounds that alternate between the two sides:
+- ``dev``: 10 frames, seeds 0-23, the scenes that tuning looks at;
+- ``held_out``: 10 frames, seeds 24-47, kept out of tuning;
+- ``frames20``: 20 frames, seeds 0-11.
 
-- ``kernel``: microseconds per ``CostEvaluator.evaluate_total``, best of
-  seven passes of 300 poses near the ground truth, on calib-c6 scene 8 and
+For each side -- REV, exported with ``git archive`` into a temporary
+directory, and the working tree's ``src/`` -- one process runs ``semcal
+calibrate`` on every scene.  Per scene the JSON records the evaluations, the
+samples served by the optimizer's memo (``n_repeated``, null where the
+side's report has no such line), the rotation (degrees) and translation
+(meters) errors, whether both lie in the criterion-6 band (1 degree, 0.1 m),
+the final cost, the cost at the ground truth, the relative gap between the
+two and the wall time.
+
+The timings run in one more process that loads both sides' packages side by
+side.  Each of ``ROUNDS`` rounds times every task once per side, the sides in
+alternating order, so the host's speed steps hit both alike.  Per task the
+JSON keeps each side's median, every round's ratio change / baseline and the
+median of those ratios:
+
+- ``kernel``: microseconds per ``evaluate_total`` over 300 poses near the
+  ground truth, each with its own rotation, on calib-c6 scene 8 and
   sweep-clean scene 0;
-- ``layers``: on calib-c6 scene 8 and init-wide scene 0, best of five
-  passes, the milliseconds spent in ``build_distance_field`` per (frame,
-  class) field, the seconds of the whole ``CostEvaluator`` construction,
-  and the seconds of ``initialize`` given that evaluator.
+- ``replay``: microseconds per ``evaluate_total`` over the poses the
+  baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats included;
+- ``calibrate``: seconds of ``calibrate`` from the initialization on
+  calib-c6 scene 8;
+- ``layers``: on calib-c6 scene 8 and init-wide scene 0, the milliseconds
+  spent in ``build_distance_field`` per (frame, class) field, the seconds of
+  the whole ``CostEvaluator`` construction, and the seconds of
+  ``initialize`` given that evaluator.
+
+Every process pins BLAS and OpenMP to one thread.  The timing scenes live in
+memory as float64 clouds, so their evaluation counts differ from those of the
+same scenes read back from disk as float32.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -36,23 +55,30 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = range(24)
+SCENE_SETS = {  # name: (frames, seeds)
+    "dev": (10, range(24)),
+    "held_out": (10, range(24, 48)),
+    "frames20": (20, range(12)),
+}
 BAND_DEG, BAND_M = 1.0, 0.1
 GT = ((1.0, -2.0, 3.0), (0.2, -0.1, 0.1))  # degrees, meters
 DEPTH = (2.5, 16.0)
+C6_SCENE_8 = dict(n_frames=10, objects_per_frame=4, points_per_object=100,
+                  noise_rate=0.02, seed=8)
 KERNEL_SCENES = {  # name: SceneSpec keywords besides the ground truth and depths
-    "calib-c6 scene 8": dict(n_frames=10, objects_per_frame=4, points_per_object=100,
-                             noise_rate=0.02, seed=8),
+    "calib-c6 scene 8": C6_SCENE_8,
     "sweep-clean scene 0": dict(n_frames=10, seed=0),
 }
 LAYER_SCENES = {
-    "calib-c6 scene 8": KERNEL_SCENES["calib-c6 scene 8"],
+    "calib-c6 scene 8": C6_SCENE_8,
     "init-wide scene 0": dict(n_frames=20, objects_per_frame=12, classes=(1, 2, 3, 4, 5, 6),
                               noise_rate=0.02, seed=0),
 }
-POSES, PASSES, LAYER_PASSES, ROUNDS = 300, 7, 5, 3
+POSES, ROUNDS = 300, 10
+SIDES = ("baseline", "change")
 
 
 # semcal is imported inside the functions: which copy is imported depends on
@@ -64,24 +90,32 @@ def _gt():
     return Extrinsics(RotationAngles(*np.radians(GT[0])), Translation(*GT[1]))
 
 
+def _spec(**kwargs):
+    from semcal.synth import SceneSpec
+
+    return SceneSpec(extrinsics=_gt(), depth_range=DEPTH, **kwargs)
+
+
 def write_scenes(root: Path) -> None:
-    """Write the 24 accuracy scenes with the working tree's generator."""
+    """Write every scene set with the working tree's generator."""
     from semcal.io_formats import write_scene_dir
-    from semcal.synth import SceneSpec, generate
+    from semcal.synth import generate
 
-    for seed in SEEDS:
-        spec = SceneSpec(n_frames=10, objects_per_frame=4, points_per_object=100,
-                         noise_rate=0.02, extrinsics=_gt(), seed=seed, depth_range=DEPTH)
-        write_scene_dir(root / f"scene_{seed:02d}", generate(spec).pairs, spec.intrinsics,
-                        spec.classes, gt=_gt())
+    for name, (frames, seeds) in SCENE_SETS.items():
+        for seed in seeds:
+            spec = _spec(n_frames=frames, objects_per_frame=4, points_per_object=100,
+                         noise_rate=0.02, seed=seed)
+            write_scene_dir(root / name / f"scene_{seed:02d}", generate(spec).pairs,
+                            spec.intrinsics, spec.classes, gt=_gt())
 
 
-def calibrate_all(scenes: list[Path], out_root: Path) -> dict:
+def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
     """Calibrate every scene with the semcal on sys.path."""
     import numpy as np
     import semcal.cli
+    from semcal.costfield import CostEvaluator
     from semcal.geometry import wrap_angle
-    from semcal.io_formats import read_extrinsics, read_report
+    from semcal.io_formats import read_extrinsics, read_report, read_scene_dir
 
     gt = np.asarray(_gt().to_vector())
     runs = []
@@ -96,13 +130,20 @@ def calibrate_all(scenes: list[Path], out_root: Path) -> dict:
         delta = np.asarray(read_extrinsics(out / "estimated_extrinsics.txt").to_vector()) - gt
         rot = float(max(abs(np.degrees(wrap_angle(d))) for d in delta[:3]))
         trans = float(np.max(np.abs(delta[3:])))
+        pairs, _, classes = read_scene_dir(scene)
+        gt_cost = CostEvaluator(pairs, classes).evaluate_total(
+            read_extrinsics(scene / "gt_extrinsics.txt"))
+        final_cost = report["cost"]["total"]
         runs.append({
             "scene": scene.name,
             "evaluations": report["trace"]["n_evaluations"],
+            "n_repeated": report["trace"].get("n_repeated"),
             "rot_err_deg": rot,
             "trans_err_m": trans,
             "in_band": rot <= BAND_DEG and trans <= BAND_M,
-            "final_cost": report["cost"]["total"],
+            "final_cost": final_cost,
+            "gt_cost": gt_cost,
+            "gap_to_gt": (final_cost - gt_cost) / gt_cost,
             "wall_s": wall,
         })
     return {
@@ -113,76 +154,133 @@ def calibrate_all(scenes: list[Path], out_root: Path) -> dict:
     }
 
 
-def time_kernel() -> dict:
-    """Best-of-passes microseconds per evaluate_total on each kernel scene."""
-    import numpy as np
-    from semcal.costfield import CostEvaluator
-    from semcal.geometry import Extrinsics
-    from semcal.synth import SceneSpec, generate
+def calibrate_all(root: Path, out_root: Path) -> dict:
+    return {name: calibrate_set(sorted(p for p in (root / name).iterdir() if p.is_dir()),
+                                out_root / name)
+            for name in SCENE_SETS}
 
+
+def _load(src: Path, name: str):
+    """The ``semcal`` package under ``src``, imported as ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "semcal" / "__init__.py", submodule_search_locations=[str(src / "semcal")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {m: importlib.import_module(f"{name}.{m}") for m in ("costfield", "optimizer",
+                                                                   "pnp_init")}
+
+
+def _interleave(tasks: dict) -> dict:
+    """Time ``tasks[side]()`` for both sides over ROUNDS alternating rounds.
+
+    Each call returns a dict of timings; the result keeps each side's
+    medians, the change / baseline ratio of every round and their median.
+    """
+    rounds = []
+    for i in range(ROUNDS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        rounds.append({side: tasks[side]() for side in order})
+    keys = rounds[0]["baseline"]
+    ratios = {k: [r["change"][k] / r["baseline"][k] for r in rounds] for k in keys}
+    return {
+        **{side: {k: median(r[side][k] for r in rounds) for k in keys} for side in SIDES},
+        "ratio": {k: median(v) for k, v in ratios.items()},
+        "round_ratios": ratios,
+    }
+
+
+def time_sides(srcs: dict) -> dict:
+    """Interleaved kernel, replay, calibrate and layer timings of both sides."""
+    import numpy as np
+    from semcal.geometry import Extrinsics
+    from semcal.synth import generate
+
+    mods = {side: _load(src, f"semcal_{side}") for side, src in srcs.items()}
     gt = np.asarray(_gt().to_vector())
     rng = np.random.default_rng(0)
     poses = [Extrinsics.from_vector(gt + np.concatenate([rng.normal(scale=0.03, size=3),
                                                          rng.normal(scale=0.2, size=3)]))
              for _ in range(POSES)]
-    kernel = {}
-    for name, kwargs in KERNEL_SCENES.items():
-        spec = SceneSpec(extrinsics=_gt(), depth_range=DEPTH, **kwargs)
-        evaluator = CostEvaluator(generate(spec).pairs, spec.classes)
-        passes = []
-        for _ in range(PASSES):
+
+    def per_eval(evaluator, seq):
+        def run():
             t0 = time.perf_counter()
-            for pose in poses:
+            for pose in seq:
                 evaluator.evaluate_total(pose)
-            passes.append((time.perf_counter() - t0) / POSES * 1e6)
-        kernel[name] = {"points": evaluator.denominator, "us_per_eval": min(passes)}
-    return kernel
+            return {"us_per_eval": (time.perf_counter() - t0) / len(seq) * 1e6}
+        return run
 
-
-def time_layers() -> dict:
-    """Best-of-passes field build, evaluator and initialize times on each layer scene."""
-    import semcal.costfield
-    from semcal.costfield import CostEvaluator
-    from semcal.pnp_init import initialize
-    from semcal.synth import SceneSpec, generate
-
-    # the evaluator looks the builder up by this name, whatever its signature
-    build, spent = semcal.costfield.build_distance_field, [0.0]
-
-    def timed_build(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            spent[0] += time.perf_counter() - t0
-
-    semcal.costfield.build_distance_field = timed_build
-    layers = {}
-    for name, kwargs in LAYER_SCENES.items():
-        spec = SceneSpec(extrinsics=_gt(), depth_range=DEPTH, **kwargs)
+    result = {"kernel": {}, "layers": {}}
+    for name, kwargs in KERNEL_SCENES.items():
+        spec = _spec(**kwargs)
         pairs = generate(spec).pairs
-        fields = len(pairs) * len(spec.classes)
-        best = dict.fromkeys(("field_build_ms_per_field", "evaluator_s", "initialize_s"),
-                             float("inf"))
-        for _ in range(LAYER_PASSES):
-            spent[0] = 0.0
+        evaluators = {s: m["costfield"].CostEvaluator(pairs, spec.classes)
+                      for s, m in mods.items()}
+        result["kernel"][name] = {"points": evaluators["change"].denominator,
+                                  **_interleave({s: per_eval(e, poses)
+                                                 for s, e in evaluators.items()})}
+
+    spec = _spec(**C6_SCENE_8)
+    pairs = generate(spec).pairs
+    evaluators = {s: m["costfield"].CostEvaluator(pairs, spec.classes) for s, m in mods.items()}
+    start = mods["change"]["pnp_init"].initialize(evaluators["change"]).extrinsics
+    sent, evaluate_total = [], evaluators["baseline"].evaluate_total
+    evaluators["baseline"].evaluate_total = lambda ext: sent.append(ext) or evaluate_total(ext)
+    mods["baseline"]["optimizer"].calibrate(evaluators["baseline"], start)
+    del evaluators["baseline"].evaluate_total
+    result["replay"] = {"poses": len(sent), **_interleave(
+        {s: per_eval(e, sent) for s, e in evaluators.items()})}
+
+    def calibrate(side):
+        def run():
             t0 = time.perf_counter()
-            evaluator = CostEvaluator(pairs, spec.classes)
-            t1 = time.perf_counter()
-            initialize(evaluator)
+            _, _, trace = mods[side]["optimizer"].calibrate(evaluators[side], start)
+            return {"s": time.perf_counter() - t0, "evaluations": trace.n_evaluations}
+        return run
+
+    result["calibrate"] = _interleave({s: calibrate(s) for s in SIDES})
+    del evaluators
+
+    def layers(side, pairs, classes):
+        costfield = mods[side]["costfield"]
+        build, spent = costfield.build_distance_field, [0.0]
+
+        # the evaluator looks the builder up by this name, whatever its signature
+        def timed_build(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return build(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - t0
+
+        def run():
+            spent[0] = 0.0
+            costfield.build_distance_field = timed_build
+            try:
+                t0 = time.perf_counter()
+                evaluator = costfield.CostEvaluator(pairs, classes)
+                t1 = time.perf_counter()
+            finally:
+                costfield.build_distance_field = build
+            mods[side]["pnp_init"].initialize(evaluator)
             t2 = time.perf_counter()
-            for key, value in (("field_build_ms_per_field", spent[0] / fields * 1e3),
-                               ("evaluator_s", t1 - t0), ("initialize_s", t2 - t1)):
-                best[key] = min(best[key], value)
-        layers[name] = {"fields": fields, **best}
-    return layers
+            return {"field_build_ms_per_field": spent[0] / (len(pairs) * len(classes)) * 1e3,
+                    "evaluator_s": t1 - t0, "initialize_s": t2 - t1}
+        return run
+
+    for name, kwargs in LAYER_SCENES.items():
+        spec = _spec(**kwargs)
+        pairs = generate(spec).pairs
+        result["layers"][name] = {"fields": len(pairs) * len(spec.classes), **_interleave(
+            {s: layers(s, pairs, spec.classes) for s in SIDES})}
+    return result
 
 
-def _run_side(src: Path, work: Path, *task: str):
-    """Run one ``--calibrate`` or ``--timing`` task on the sources under ``src``."""
+def _run(*task: str, out: Path, src: Path):
+    """Run one hidden task of this script in a process with one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = work / "side.json"
     subprocess.run([sys.executable, __file__, *task, str(out)], env=env, check=True)
     return json.loads(out.read_text())
 
@@ -195,20 +293,20 @@ def _git(*args: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="git revision to compare against")
-    parser.add_argument("--out", default="BENCH_field_build.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_eval_loop.json", help="JSON file to write")
     parser.add_argument("--calibrate", nargs=2, metavar=("SCENES", "OUT"),
                         help=argparse.SUPPRESS)
-    parser.add_argument("--timing", metavar="OUT", help=argparse.SUPPRESS)
+    parser.add_argument("--timing", nargs=3, metavar=("BASELINE_SRC", "CHANGE_SRC", "OUT"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.calibrate:
         scenes, out = map(Path, args.calibrate)
         with tempfile.TemporaryDirectory() as tmp:
-            result = calibrate_all(sorted(p for p in scenes.iterdir() if p.is_dir()), Path(tmp))
-        out.write_text(json.dumps(result))
+            out.write_text(json.dumps(calibrate_all(scenes, Path(tmp))))
         return 0
     if args.timing:
-        Path(args.timing).write_text(json.dumps({"kernel": time_kernel(),
-                                                 "layers": time_layers()}))
+        *srcs, out = map(Path, args.timing)
+        out.write_text(json.dumps(time_sides(dict(zip(SIDES, srcs)))))
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
@@ -223,37 +321,34 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", str(tmp / "baseline")], input=archive, check=True)
         scenes = tmp / "scenes"
         write_scenes(scenes)
-        srcs = {"baseline": tmp / "baseline" / "src", "change": ROOT / "src"}
-        sides = {name: _run_side(src, tmp, "--calibrate", str(scenes))
-                 for name, src in srcs.items()}
-        # the host's speed drifts, so timings alternate between the sides
-        # and each keeps its best round
-        for _ in range(ROUNDS):
-            for name, src in srcs.items():
-                for layer, scenes_timed in _run_side(src, tmp, "--timing").items():
-                    for scene, timing in scenes_timed.items():
-                        best = sides[name].setdefault(layer, {}).setdefault(scene, timing)
-                        for key, value in timing.items():
-                            best[key] = min(best[key], value)
+        srcs = dict(zip(SIDES, (tmp / "baseline" / "src", ROOT / "src")))
+        accuracy = {side: _run("--calibrate", str(scenes), out=tmp / "side.json", src=src)
+                    for side, src in srcs.items()}
+        timing = _run("--timing", *map(str, srcs.values()), out=tmp / "timing.json",
+                      src=ROOT / "src")
     result = {
-        "what": "criterion-6-style calibrate on 10-frame scenes with 2% label noise, "
-                "seeds 0-23; microseconds per evaluate_total; per-layer field build, "
-                "evaluator construction and initialize times",
+        "what": "criterion-6-style calibrate on 10-frame scenes (seeds 0-23 dev, 24-47 "
+                "held out) and 20-frame scenes (seeds 0-11), with 2% label noise; "
+                "interleaved timings of evaluate_total, calibrate, field build, evaluator "
+                "construction and initialize",
         "baseline_rev": baseline,
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        **sides,
+        "accuracy": accuracy,
+        "timing": timing,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    for name, side in sides.items():
-        kernel = ", ".join(f"{k} {v['us_per_eval']:.0f} us" for k, v in side["kernel"].items())
-        layers = ", ".join(f"{k} {v['field_build_ms_per_field']:.2f} ms/field, "
-                           f"init {v['initialize_s'] * 1e3:.0f} ms"
-                           for k, v in side["layers"].items())
-        print(f"{name}: {side['in_band']}/{len(side['scenes'])} in band, "
-              f"{side['evaluations']} evaluations, {side['wall_s']:.1f} s; {kernel}; {layers}")
+    for side, sets in accuracy.items():
+        print(f"{side}: " + "; ".join(
+            f"{name} {s['in_band']}/{len(s['scenes'])} in band, {s['evaluations']} "
+            f"evaluations, {s['wall_s']:.1f} s" for name, s in sets.items()))
+    ratios = [(f"kernel {name}", t) for name, t in timing["kernel"].items()]
+    ratios += [("replay", timing["replay"]), ("calibrate", timing["calibrate"])]
+    ratios += [(f"layers {name}", t) for name, t in timing["layers"].items()]
+    for label, t in ratios:
+        print(f"{label}: " + ", ".join(f"{k} x{v:.3f}" for k, v in t["ratio"].items()))
     return 0
 
 

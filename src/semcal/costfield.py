@@ -129,8 +129,10 @@ class CostEvaluator:
     optimizer and sweep loops, returns that sum over the denominator;
     :meth:`evaluate` returns the same total, bit for bit, plus counts and
     per-class / per-pair subtotals, which are summed separately and so add
-    up to the total only to rounding.  Instances are immutable after
-    construction.
+    up to the total only to rounding.  The instance keeps the rotated
+    points of the last rotation it saw, so a pose that changes only the
+    translation skips the matmul; that cache makes it unsafe to share
+    between threads.
     """
 
     def __init__(self, pairs, classes, range_weighting: bool = True):
@@ -172,7 +174,8 @@ class CostEvaluator:
         (self._fx, self._fy, self._cx, self._cy, self._umax, self._vmax, self._stride,
          self._penalty, self._cell, empty) = np.repeat(
             np.array(meta, dtype=float), counts, axis=0).T.copy()
-        self._empty = empty.astype(bool)
+        self._filled = empty == 0.0
+        self._rotation = self._rotated = None
         self._counts = np.array(counts).reshape(len(self.pairs), len(self.classes))
         self._block = np.repeat(np.arange(len(counts)), counts)
         self._pair = self._block // len(self.classes)
@@ -186,17 +189,33 @@ class CostEvaluator:
         zero, so consistent points cost nothing without a label lookup.
         """
         r, t = ext.matrix()
-        x, y, z = r @ self._points + t[:, None]
+        key = r.tobytes()
+        if key != self._rotation:
+            self._rotation, self._rotated = key, r @ self._points
+        rx, ry, rz = self._rotated
+        z = rz + t[2]
         front = z > EPS_DEPTH
-        z = np.where(front, z, 1.0)
-        u = np.rint(self._fx * x / z + self._cx)
-        v = np.rint(self._fy * y / z + self._cy)
+        z[~front] = 1.0
+        u, v = rx + t[0], ry + t[1]
+        for w, f, c in ((u, self._fx, self._cx), (v, self._fy, self._cy)):
+            w *= f  # in place, in the IEEE order of f * x / z + c
+            w /= z
+            w += c
+            np.rint(w, out=w)
         uc = np.minimum(np.maximum(u, 0.0), self._umax)
         vc = np.minimum(np.maximum(v, 0.0), self._vmax)
-        d = self._fields[(self._cell + uc * self._stride + vc).astype(np.intp)]
-        off = np.abs(u - uc) + np.abs(v - vc)
-        scored = front & ~self._empty
-        cost = np.where(scored, d + off, self._penalty) * self._sqn
+        cell = uc * self._stride
+        cell += self._cell
+        cell += vc
+        d = self._fields[cell.astype(np.intp)]
+        u -= uc
+        v -= vc
+        off = np.abs(u, out=u)
+        off += np.abs(v, out=v)
+        scored = front & self._filled
+        cost = off + d
+        np.copyto(cost, self._penalty, where=~scored)
+        cost *= self._sqn
         return cost, front, scored, off, d
 
     def evaluate_total(self, ext: Extrinsics) -> float:

@@ -60,7 +60,8 @@ class OptimizationTrace:
 
     points: list[tuple[int, np.ndarray, float]]
     termination: str  # converged | max_iterations | stalled
-    n_evaluations: int = 0
+    n_evaluations: int = 0  # objective samples
+    n_repeated: int = 0  # samples calibrate's memo served without evaluating
 
 
 class _Objective:
@@ -201,27 +202,6 @@ def _line(g, f0: float, tol: float, refine: bool = True) -> tuple[float, float]:
     return float(alpha), float(f_min)
 
 
-def line_minimize(f, x, direction, tol: float = 1e-6) -> tuple[float, float]:
-    """Scalar minimization of ``f`` along ``x + step * direction``.
-
-    Brackets a minimum by doubling the step outward from 1, refines the
-    bracket to ``tol``, and returns ``(step, cost)`` with cost never above
-    ``f(x)``; a flat or uphill probe in both directions yields step 0.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    if x.shape != d.shape:
-        raise CalibrationError("x and direction must have matching shapes")
-    if not np.any(d != 0.0):
-        raise CalibrationError("direction must be nonzero")
-    obj = f if isinstance(f, _Objective) else _Objective(f)
-
-    def g(alpha: float) -> float:
-        return obj(x + alpha * d)
-
-    return _line(g, g(0.0), tol)
-
-
 def powell_minimize(f, x0, config: OptimizerConfig | None = None):
     """Powell's conjugate-direction minimization.
 
@@ -349,9 +329,15 @@ def calibrate(
     always overlaps it.
     """
     cfg = config or OptimizerConfig()
+    # Basis resets, extrapolation and grid points back on the start resend poses.
+    memo: dict[bytes, float] = {}
 
     def objective(x: np.ndarray) -> float:
-        return evaluator.evaluate_total(Extrinsics.from_vector(x))
+        key = x.tobytes()
+        cost = memo.get(key)
+        if cost is None:
+            cost = memo[key] = evaluator.evaluate_total(Extrinsics.from_vector(x))
+        return cost
 
     x = np.asarray(init.to_vector(), dtype=float)
     sigma = cfg.steps_for(6)
@@ -395,6 +381,6 @@ def calibrate(
         if current == 0.0:
             break
 
-    trace = OptimizationTrace(points, termination, n_evaluations)
+    trace = OptimizationTrace(points, termination, n_evaluations, n_evaluations - len(memo))
     estimate = Extrinsics.from_vector(x)
     return estimate, evaluator.evaluate(estimate), trace

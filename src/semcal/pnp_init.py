@@ -167,7 +167,8 @@ def ransac_plane(
     for _ in range(iterations):
         idx = rng.choice(n, size=3, replace=False) if n > 3 else np.arange(3)
         p0, p1, p2 = points[idx]
-        normal = np.cross(p1 - p0, p2 - p0)
+        (ax, ay, az), (bx, by, bz) = (p1 - p0).tolist(), (p2 - p0).tolist()  # np.cross, unrolled
+        normal = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
         norm = np.linalg.norm(normal)
         if norm <= cross_tol:
             continue  # collinear sample

@@ -36,7 +36,7 @@ class LabeledPointCloud:
     labels: np.ndarray  # (n,) int
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        points = np.array(self.points, dtype=float).reshape(-1, 3)  # a copy: the caller keeps its own
         labels = np.asarray(_class_ids(self.labels, "class labels"), np.int64).reshape(-1)
         if points.shape[0] != labels.shape[0]:
             raise CalibrationError(

@@ -136,6 +136,31 @@ def point_cost(p, class_id, ext, k, fields, image=None, range_weighting=True) ->
 
 
 # ---------------------------------------------------------------------------
+# Flat reference kernel: CostEvaluator's kernel as it was before it cached
+# the rotated points and worked in place.  It reads the evaluator's packed
+# arrays and allocates every intermediate, so the lean kernel must match it
+# bit for bit.
+
+
+def flat_kernel(evaluator, ext):
+    """``(cost, front, scored, off, d)`` of one pose, freshly computed."""
+    e = evaluator
+    r, t = ext.matrix()
+    x, y, z = r @ e._points + t[:, None]
+    front = z > EPS_DEPTH
+    z = np.where(front, z, 1.0)
+    u = np.rint(e._fx * x / z + e._cx)
+    v = np.rint(e._fy * y / z + e._cy)
+    uc = np.minimum(np.maximum(u, 0.0), e._umax)
+    vc = np.minimum(np.maximum(v, 0.0), e._vmax)
+    d = e._fields[(e._cell + uc * e._stride + vc).astype(np.intp)]
+    off = np.abs(u - uc) + np.abs(v - vc)
+    scored = front & e._filled
+    cost = np.where(scored, d + off, e._penalty) * e._sqn
+    return cost, front, scored, off, d
+
+
+# ---------------------------------------------------------------------------
 # Per-block reference cost: one loop over (frame, class) blocks with float64
 # fields, the layout the packed kernel of CostEvaluator replaced.  The packed
 # kernel sums in a different order, so its totals agree to rounding; its

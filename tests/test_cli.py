@@ -124,6 +124,7 @@ def test_calibrate_pipeline_init(scene_dir, tmp_path):
     err = np.abs(np.asarray(est.to_vector()) - np.asarray(gt.to_vector()))
     assert np.all(err[:3] < np.deg2rad(2.0)) and np.all(err[3:] < 0.2)
     assert report["trace"]["final_cost"] <= report["trace"]["initial_cost"]
+    assert 0 <= report["trace"]["n_repeated"] < report["trace"]["n_evaluations"]
     per_pair = report["pairs"]
     assert set(per_pair) == {"frame_0000", "frame_0001", "frame_0002"}
 

@@ -10,6 +10,7 @@ from helpers import (
     ReferenceEvaluator,
     brute_distance_grid,
     class_field,
+    flat_kernel,
     point_cost,
     query_distance,
 )
@@ -400,3 +401,61 @@ def test_evaluator_matches_point_cost(range_weighting):
         )
         assert evaluator.evaluate_total(ext) == pytest.approx(
             numerator / evaluator.denominator, rel=1e-12)
+
+
+def _lean_loop_poses():
+    """Poses in the orders an optimizer sends them: translation-only
+    stretches, two rotations in alternation, then fresh rotations."""
+    base = _random_poses(6, seed=3)
+    rng = np.random.default_rng(4)
+
+    def moved(ext):
+        return Extrinsics(ext.rotation, Translation(*rng.normal(scale=0.6, size=3)))
+
+    stretches = [moved(ext) for ext in base[:2] for _ in range(5)]
+    alternating = [moved(base[2 + i % 2]) for i in range(8)]
+    return stretches + alternating + base[4:]
+
+
+@pytest.mark.parametrize("range_weighting", [True, False])
+def test_lean_kernel_matches_flat_kernel_bit_for_bit(range_weighting):
+    pairs = _kernel_scene()
+    classes = (1, 2, 3)
+    lean = CostEvaluator(pairs, classes, range_weighting=range_weighting)
+    reference = CostEvaluator(pairs, classes, range_weighting=range_weighting)
+    reference._kernel = lambda ext: flat_kernel(reference, ext)
+    seen = dict.fromkeys(("n_behind_camera", "n_out_of_image", "n_empty_field"), 0)
+    for ext in _lean_loop_poses():
+        want = reference.evaluate(ext)
+        assert lean.evaluate_total(ext) == want.total
+        # evaluate right after evaluate_total reuses the cached rotation
+        assert lean.evaluate(ext) == want
+        for got_part, want_part in zip(lean._kernel(ext), flat_kernel(lean, ext)):
+            assert got_part.dtype == want_part.dtype
+            assert np.array_equal(got_part, want_part)
+        for name in seen:
+            seen[name] += getattr(want, name)
+    # the poses reach behind-camera, off-image and empty-class points
+    assert all(seen.values()), seen
+
+
+def test_lean_kernel_rounds_half_pixel_ties_like_the_flat_kernel():
+    """Points whose projections sit on or one ulp beside half-pixel ties
+    round the same way only if the projection repeats the flat kernel's
+    IEEE operations in its order."""
+    k = CameraIntrinsics(fx=200.0, fy=200.0, cx=80.0, cy=60.0, width=160, height=120)
+    z = 3.0
+    tie = z * (np.arange(-40, 40) + 0.5) / k.fx
+    ulps = np.arange(-4, 5)
+    x = (tie[:, None] + ulps * np.spacing(tie)[:, None]).ravel()
+    points = np.column_stack([x, x[::-1], np.full(x.size, z)])  # ties in u and in v
+    assert np.any((k.fx * x / z + k.cx) % 1.0 == 0.5)  # exact ties are present
+    rng = np.random.default_rng(7)
+    pair = FramePair(LabeledPointCloud(points, np.ones(x.size, int)),
+                     LabelImage(rng.integers(0, 3, size=(k.height, k.width))), k, "ties")
+    lean = CostEvaluator([pair], (1, 2))
+    # the identity and a pure z shift keep x, y and z exact
+    for ext in (Extrinsics.identity(),
+                Extrinsics(RotationAngles(0.0, 0.0, 0.0), Translation(0.0, 0.0, 1.0))):
+        for got, want in zip(lean._kernel(ext), flat_kernel(lean, ext)):
+            assert np.array_equal(got, want)

@@ -6,11 +6,12 @@ import pytest
 from semcal.costfield import CostEvaluator
 from semcal.errors import CalibrationError, NonFiniteCost
 from semcal.geometry import Extrinsics, RotationAngles, Translation
+import semcal.optimizer
 from semcal.optimizer import (
     OptimizerConfig,
+    _line,
     _probe_directions,
     calibrate,
-    line_minimize,
     powell_minimize,
 )
 from semcal.synth import SceneSpec, generate, perturb
@@ -34,6 +35,11 @@ def test_config_default_steps():
     cfg = OptimizerConfig()
     assert np.array_equal(cfg.steps_for(6), [0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
     assert np.array_equal(cfg.steps_for(2), [1.0, 1.0])
+
+
+def line_minimize(f, x, direction, tol=1e-6):
+    """``(step, cost)`` of :func:`_line` along ``x + step * direction``."""
+    return _line(lambda a: f(x + a * direction), f(x), tol)
 
 
 def test_line_minimize_parabola():
@@ -66,13 +72,6 @@ def test_line_minimize_uphill_both_ways():
     f = lambda x: abs(x[0])
     step, cost = line_minimize(f, np.zeros(1), np.ones(1))
     assert step == 0.0 and cost == 0.0
-
-
-def test_line_minimize_validation():
-    with pytest.raises(CalibrationError):
-        line_minimize(lambda x: 0.0, np.zeros(2), np.zeros(2))
-    with pytest.raises(CalibrationError):
-        line_minimize(lambda x: 0.0, np.zeros(2), np.ones(3))
 
 
 def test_powell_quadratic_identity():
@@ -155,3 +154,35 @@ def test_calibrate_recovers_clean_scene():
     costs = [c for _, _, c in trace.points]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     assert trace.termination in {"converged", "max_iterations", "stalled"}
+
+
+def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
+    """The memo serves exactly the repeated samples, and every sample gets
+    the value a memo-free objective would compute, so the path is unchanged."""
+    spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=4)
+    scene = generate(spec)
+    start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=2)
+    evaluator = CostEvaluator(scene.pairs, spec.classes)
+    kernel_calls = []
+    evaluate_total = evaluator.evaluate_total
+    monkeypatch.setattr(evaluator, "evaluate_total",
+                        lambda ext: kernel_calls.append(ext) or evaluate_total(ext))
+    samples = []
+
+    class Recording(semcal.optimizer._Objective):
+        __slots__ = ()
+
+        def __call__(self, x):
+            value = super().__call__(x)
+            samples.append((x.copy(), value))
+            return value
+
+    monkeypatch.setattr(semcal.optimizer, "_Objective", Recording)
+    _, _, trace = calibrate(evaluator, start)
+    assert len(samples) == trace.n_evaluations
+    assert 0 < trace.n_repeated < trace.n_evaluations
+    assert len(kernel_calls) == trace.n_evaluations - trace.n_repeated
+    assert len({x.tobytes() for x, _ in samples}) == len(kernel_calls)
+    memo_free = CostEvaluator(scene.pairs, spec.classes)
+    assert all(value == memo_free.evaluate_total(Extrinsics.from_vector(x))
+               for x, value in samples)

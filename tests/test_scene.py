@@ -33,6 +33,15 @@ def test_cloud_shape_validation():
         LabeledPointCloud(points=np.zeros((3, 3)), labels=np.zeros(4, dtype=int))
 
 
+def test_cloud_owns_its_points():
+    points = np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
+    cloud = LabeledPointCloud(points=points, labels=np.array([1, 2]))
+    points[0, 2] = 5.0
+    assert cloud.points[0, 2] == 1.0
+    assert not np.shares_memory(cloud.points, points)
+    assert not cloud.points.flags.writeable
+
+
 def test_label_image_dimensions():
     img = LabelImage(labels=np.zeros((3, 4), dtype=int))
     assert img.width == 4
