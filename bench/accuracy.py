@@ -35,7 +35,10 @@ median of those ratios:
 - ``layers``: on calib-c6 scene 8 and init-wide scene 0, the milliseconds
   spent in ``build_distance_field`` per (frame, class) field, the seconds of
   the whole ``CostEvaluator`` construction, and the seconds of
-  ``initialize`` given that evaluator.
+  ``initialize`` given that evaluator.  A round builds ``BUILDS``
+  evaluators per side, alternating sides, and keeps each side's medians:
+  with one build per round, the ratios of unchanged code ran from 0.71
+  to 1.12.
 
 Every process pins BLAS and OpenMP to one thread.  The timing scenes live in
 memory as float64 clouds, so their evaluation counts differ from those of the
@@ -77,7 +80,7 @@ LAYER_SCENES = {
     "init-wide scene 0": dict(n_frames=20, objects_per_frame=12, classes=(1, 2, 3, 4, 5, 6),
                               noise_rate=0.02, seed=0),
 }
-POSES, ROUNDS = 300, 10
+POSES, ROUNDS, BUILDS = 300, 10, 5
 SIDES = ("baseline", "change")
 
 
@@ -171,16 +174,22 @@ def _load(src: Path, name: str):
                                                                    "pnp_init")}
 
 
-def _interleave(tasks: dict) -> dict:
-    """Time ``tasks[side]()`` for both sides over ROUNDS alternating rounds.
+def _interleave(tasks: dict, repeats: int = 1) -> dict:
+    """Time ``tasks[side]()`` for both sides over ROUNDS rounds.
 
-    Each call returns a dict of timings; the result keeps each side's
-    medians, the change / baseline ratio of every round and their median.
+    Each call returns a dict of timings.  A round calls each side
+    ``repeats`` times, the sides in alternating order, and keeps each
+    side's medians; the result keeps each side's medians over the rounds,
+    the change / baseline ratio of every round and their median.
     """
     rounds = []
     for i in range(ROUNDS):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        rounds.append({side: tasks[side]() for side in order})
+        calls = {side: [] for side in SIDES}
+        for j in range(repeats):
+            for side in SIDES if (i + j) % 2 == 0 else SIDES[::-1]:
+                calls[side].append(tasks[side]())
+        rounds.append({side: {k: median(c[k] for c in cs) for k in cs[0]}
+                       for side, cs in calls.items()})
     keys = rounds[0]["baseline"]
     ratios = {k: [r["change"][k] / r["baseline"][k] for r in rounds] for k in keys}
     return {
@@ -273,7 +282,7 @@ def time_sides(srcs: dict) -> dict:
         spec = _spec(**kwargs)
         pairs = generate(spec).pairs
         result["layers"][name] = {"fields": len(pairs) * len(spec.classes), **_interleave(
-            {s: layers(s, pairs, spec.classes) for s in SIDES})}
+            {s: layers(s, pairs, spec.classes) for s in SIDES}, repeats=BUILDS)}
     return result
 
 

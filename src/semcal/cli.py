@@ -25,14 +25,17 @@ from .errors import CalibrationError
 from .geometry import Extrinsics, wrap_angle
 from .io_formats import (
     RunConfig,
+    config_report_fields,
     extrinsics_report_fields,
     fmt6,
+    from_file_units,
     parse_classes,
     read_config,
     read_extrinsics,
     read_scene_dir,
     read_scene_spec,
     sig6,
+    to_file_units,
     write_csv,
     write_extrinsics,
     write_report,
@@ -130,27 +133,6 @@ def _load_config(args) -> RunConfig:
     _init_config(cfg)
     _optimizer_config(cfg)
     return cfg
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    def join_ids(ids):
-        return ",".join(str(i) for i in ids)
-
-    return {
-        "classes": join_ids(cfg.classes) if cfg.classes else "none",
-        "range_weighting": cfg.range_weighting,
-        "seed": cfg.seed,
-        "max_iterations": cfg.max_iterations,
-        "ftol": sig6(cfg.ftol),
-        "line_tol": sig6(cfg.line_tol),
-        "ransac_threshold": sig6(cfg.ransac_threshold),
-        "ransac_iterations": cfg.ransac_iterations,
-        "planarity_ratio": sig6(cfg.planarity_ratio),
-        "cloud_remap": ",".join(f"{s}:{d}" for s, d in cfg.cloud_remap.items())
-        if cfg.cloud_remap else "none",
-        "image_remap": ",".join(f"{s}:{d}" for s, d in cfg.image_remap.items())
-        if cfg.image_remap else "none",
-    }
 
 
 def _resolve_classes(cfg: RunConfig, manifest_classes) -> tuple[int, ...]:
@@ -268,7 +250,7 @@ def cmd_init(args) -> int:
     report = {
         "init_report": {
             "version": __version__,
-            "config": _config_echo(replace(cfg, classes=classes)),
+            "config": config_report_fields(replace(cfg, classes=classes)),
             "n_pairs": len(pairs),
             **_init_report_block(result),
         }
@@ -326,16 +308,12 @@ def cmd_calibrate(args) -> int:
         out / "trace.csv",
         ("iteration", "theta_x_deg", "theta_y_deg", "theta_z_deg",
          "t_x_m", "t_y_m", "t_z_m", "cost"),
-        [
-            (str(it), np.degrees(x[0]), np.degrees(x[1]), np.degrees(x[2]),
-             x[3], x[4], x[5], cost)
-            for it, x, cost in trace.points
-        ],
+        [(str(it), *to_file_units(x), cost) for it, x, cost in trace.points],
     )
     report = {
         "calibration_report": {
             "version": __version__,
-            "config": _config_echo(replace(cfg, classes=classes)),
+            "config": config_report_fields(replace(cfg, classes=classes)),
             "n_pairs": len(pairs),
             "initialization": init_block,
             "estimate": extrinsics_report_fields(estimate),
@@ -373,21 +351,19 @@ def cmd_sweep(args) -> int:
         raise CalibrationError("--range and --interval must be positive and finite")
 
     axis_idx = _AXES.index(args.axis)
-    rotational = axis_idx < 3
-    unit = "deg" if rotational else "m"
+    unit = "deg" if axis_idx < 3 else "m"
     n_steps = int(round(args.span / args.interval))
     if n_steps < 1:
         raise CalibrationError("--interval larger than --range")
     displacements = [k * args.interval for k in range(-n_steps, n_steps + 1)]
 
     evaluator = _evaluator(pairs, classes, cfg)
-    base = np.asarray(reference.to_vector(), dtype=float)
+    base, axis = reference.to_vector(), np.eye(6)[axis_idx]
     rows = []
     best = (np.inf, 0.0)
     for disp in displacements:
-        vec = base.copy()
-        vec[axis_idx] += np.radians(disp) if rotational else disp
-        cost = evaluator.evaluate_total(Extrinsics.from_vector(vec))
+        pose = Extrinsics.from_vector(base + from_file_units(axis * disp))
+        cost = evaluator.evaluate_total(pose)
         rows.append((disp, cost))
         if cost < best[0]:
             best = (cost, disp)
@@ -398,7 +374,7 @@ def cmd_sweep(args) -> int:
     report = {
         "sweep_report": {
             "version": __version__,
-            "config": _config_echo(replace(cfg, classes=classes)),
+            "config": config_report_fields(replace(cfg, classes=classes)),
             "axis": args.axis,
             "unit": unit,
             "range": sig6(args.span),
@@ -426,7 +402,7 @@ def cmd_eval(args) -> int:
         ("d_theta_x", "deg"), ("d_theta_y", "deg"), ("d_theta_z", "deg"),
         ("d_t_x", "m"), ("d_t_y", "m"), ("d_t_z", "m"),
     )
-    values = [np.degrees(e) if unit == "deg" else e for e, (_, unit) in zip(errors, labels)]
+    values = to_file_units(errors)
 
     print(f"{'parameter':<14}{'error':>14}")
     for (name, unit), val in zip(labels, values):

@@ -6,14 +6,17 @@ written by hand and outputs diffed byte-for-byte:
 * point clouds: packed little-endian float32 records ``x, y, z, label``
   (``.bin``), or one ``x,y,z,label`` line per point (``.csv``)
 * label images: binary 8-bit single-channel PGM (``P5``)
-* intrinsics, extrinsics, configs, scene specs: ``key = value`` text
+* intrinsics, extrinsics, configs, scene specs: UTF-8 ``key = value`` text,
+  each read against a schema of its keys by one reader
 * reports: an indentation-structured key/value document that parses back
   to the dictionary it was written from
 
-Angles are degrees in every file and radians in memory.  Report fields are
-rounded to 6 significant digits before writing so a parsed report compares
-equal to the in-memory one; machine-oriented extrinsics files keep full
-precision because downstream commands re-read them.
+Angles are degrees in every file and radians in memory; the conversion
+happens only in :func:`to_file_units` and :func:`from_file_units`.
+Report fields are rounded to 6 significant digits before writing so a
+parsed report compares equal to the in-memory one; machine-oriented
+extrinsics files keep full precision because downstream commands re-read
+them.
 """
 
 from __future__ import annotations
@@ -24,12 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
+from .geometry import CameraIntrinsics, Extrinsics
 from .scene import FramePair, LabelImage, LabeledPointCloud
 from .synth import SceneSpec
-
-_EXTRINSIC_KEYS = ("theta_x_deg", "theta_y_deg", "theta_z_deg", "t_x_m", "t_y_m", "t_z_m")
-_INTRINSIC_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
 
 
 def sig6(value: float) -> float:
@@ -45,9 +45,11 @@ def fmt6(value: float) -> str:
 def _read_text(path) -> str:
     path = Path(path)
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _parse_keyvalues(path, text: str) -> dict[str, str]:
@@ -69,25 +71,94 @@ def _parse_keyvalues(path, text: str) -> dict[str, str]:
     return out
 
 
-def _want_float(path, mapping: dict[str, str], key: str) -> float:
-    if key not in mapping:
-        raise FormatError(f"{path}: missing required field {key!r}")
+def _read_fields(path, kind: str, schema: dict, required: bool) -> dict:
+    """Read a ``key = value`` file whose keys all appear in ``schema``.
+
+    ``schema`` maps each key to a converter ``(path, key, text) -> value``.
+    Returns the converted values of the keys present, in schema order; with
+    ``required`` every schema key must be present.
+    """
+    mapping = _parse_keyvalues(path, _read_text(path))
+    unknown = set(mapping) - set(schema)
+    if unknown:
+        raise FormatError(f"{path}: unknown {kind} field(s) {sorted(unknown)}")
+    values = {}
+    for key, convert in schema.items():
+        if key in mapping:
+            values[key] = convert(path, key, mapping[key])
+        elif required:
+            raise FormatError(f"{path}: missing required field {key!r}")
+    return values
+
+
+def _float(path, key: str, text: str) -> float:
     try:
-        return float(mapping[key])
+        return float(text)
     except ValueError:
-        raise FormatError(f"{path}: field {key!r} is not a number: {mapping[key]!r}") from None
+        raise FormatError(f"{path}: field {key!r} is not a number: {text!r}") from None
 
 
-def _want_int(path, mapping: dict[str, str], key: str) -> int:
-    value = _want_float(path, mapping, key)
+def _int(path, key: str, text: str) -> int:
+    value = _float(path, key, text)
     if not value.is_integer():  # also false for nan and inf
-        raise FormatError(f"{path}: field {key!r} is not an integer: {mapping[key]!r}")
+        raise FormatError(f"{path}: field {key!r} is not an integer: {text!r}")
     return int(value)
 
 
-def _want_intrinsic(path, mapping: dict[str, str], key: str):
-    want = _want_int if key in ("width", "height") else _want_float
-    return want(path, mapping, key)
+def _bool(path, key: str, text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise FormatError(f"{path}: field {key!r} is not a boolean: {text!r}")
+
+
+def parse_classes(path, text: str) -> tuple[int, ...]:
+    """Parse a comma-separated class-id list; ``path`` names its source."""
+    try:
+        ids = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise FormatError(f"{path}: bad class list {text!r}") from None
+    if not ids:
+        raise FormatError(f"{path}: empty class list")
+    return ids
+
+
+def _classes(path, key: str, text: str) -> tuple[int, ...]:
+    return parse_classes(path, text)
+
+
+def _remap(path, key: str, text: str) -> dict[int, int]:
+    table: dict[int, int] = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if ":" not in part:
+            raise FormatError(f"{path}: {key} entries must look like src:dst, got {part!r}")
+        src, dst = part.split(":", 1)
+        try:
+            table[int(src)] = int(dst)
+        except ValueError:
+            raise FormatError(f"{path}: non-integer id in {key} entry {part!r}") from None
+    return table
+
+
+def _range(path, key: str, text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise FormatError(f"{path}: {key} must be 'low,high'")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise FormatError(f"{path}: non-numeric bound in {key}") from None
+
+
+_INTRINSICS = {"fx": _float, "fy": _float, "cx": _float, "cy": _float,
+               "width": _int, "height": _int}
+_EXTRINSICS = dict.fromkeys(
+    ("theta_x_deg", "theta_y_deg", "theta_z_deg", "t_x_m", "t_y_m", "t_z_m"), _float)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +167,8 @@ def _want_intrinsic(path, mapping: dict[str, str], key: str):
 
 def write_point_cloud(path, cloud: LabeledPointCloud) -> None:
     """Write packed float32 ``x y z label`` records, little-endian."""
+    if (np.abs(cloud.points) > np.finfo(np.float32).max).any():
+        raise FormatError(f"{path}: point coordinates must fit in float32 for .bin output")
     rec = np.empty((cloud.points.shape[0], 4), dtype="<f4")
     rec[:, :3] = cloud.points
     rec[:, 3] = cloud.labels
@@ -135,7 +208,8 @@ def read_point_cloud(path) -> LabeledPointCloud:
             raise FormatError(f"{path}: {exc.strerror or exc}") from exc
         if len(blob) % 16 != 0:
             raise FormatError(f"{path}: size {len(blob)} is not a multiple of 16 bytes")
-        data = np.frombuffer(blob, dtype="<f4").astype(float).reshape(-1, 4)
+        with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below
+            data = np.frombuffer(blob, dtype="<f4").astype(float).reshape(-1, 4)
     return LabeledPointCloud(points=data[:, :3].copy(), labels=data[:, 3])
 
 
@@ -200,72 +274,41 @@ def read_label_image(path) -> LabelImage:
 
 
 def write_intrinsics(path, k: CameraIntrinsics) -> None:
-    lines = [
-        f"fx = {k.fx:.17g}",
-        f"fy = {k.fy:.17g}",
-        f"cx = {k.cx:.17g}",
-        f"cy = {k.cy:.17g}",
-        f"width = {k.width}",
-        f"height = {k.height}",
-    ]
+    lines = [f"{key} = {getattr(k, key):.17g}" for key in _INTRINSICS]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
-    mapping = _parse_keyvalues(path, _read_text(path))
-    unknown = set(mapping) - set(_INTRINSIC_KEYS)
-    if unknown:
-        raise FormatError(f"{path}: unknown intrinsics field(s) {sorted(unknown)}")
-    return CameraIntrinsics(**{
-        key: _want_intrinsic(path, mapping, key) for key in _INTRINSIC_KEYS
-    })
+    return CameraIntrinsics(**_read_fields(path, "intrinsics", _INTRINSICS, required=True))
+
+
+def to_file_units(vector) -> list[float]:
+    """A pose vector ``(theta_x, theta_y, theta_z, t_x, t_y, t_z)`` in radians
+    and meters as file values: degrees, then meters."""
+    vector = np.asarray(vector, dtype=float)
+    return [*np.degrees(vector[:3]).tolist(), *vector[3:].tolist()]
+
+
+def from_file_units(values) -> np.ndarray:
+    """Inverse of :func:`to_file_units`."""
+    return np.concatenate([np.radians(values[:3]), values[3:]])
 
 
 def write_extrinsics(path, ext: Extrinsics) -> None:
     """Write six named values, angles in degrees, full precision."""
-    rot = ext.rotation
-    t = ext.translation
-    values = (
-        np.degrees(rot.theta_x),
-        np.degrees(rot.theta_y),
-        np.degrees(rot.theta_z),
-        t.t_x,
-        t.t_y,
-        t.t_z,
-    )
-    lines = [f"{key} = {val:.17g}" for key, val in zip(_EXTRINSIC_KEYS, values)]
+    values = to_file_units(ext.to_vector())
+    lines = [f"{key} = {val:.17g}" for key, val in zip(_EXTRINSICS, values)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_extrinsics(path) -> Extrinsics:
-    mapping = _parse_keyvalues(path, _read_text(path))
-    unknown = set(mapping) - set(_EXTRINSIC_KEYS)
-    if unknown:
-        raise FormatError(f"{path}: unknown extrinsics field(s) {sorted(unknown)}")
-    vals = [_want_float(path, mapping, key) for key in _EXTRINSIC_KEYS]
-    return Extrinsics(
-        rotation=RotationAngles(
-            theta_x=float(np.radians(vals[0])),
-            theta_y=float(np.radians(vals[1])),
-            theta_z=float(np.radians(vals[2])),
-        ),
-        translation=Translation(t_x=vals[3], t_y=vals[4], t_z=vals[5]),
-    )
+    values = _read_fields(path, "extrinsics", _EXTRINSICS, required=True)
+    return Extrinsics.from_vector(from_file_units(list(values.values())))
 
 
 def extrinsics_report_fields(ext: Extrinsics) -> dict[str, float]:
     """The six parameters as report fields (degrees, 6 significant digits)."""
-    rot = ext.rotation
-    t = ext.translation
-    values = (
-        np.degrees(rot.theta_x),
-        np.degrees(rot.theta_y),
-        np.degrees(rot.theta_z),
-        t.t_x,
-        t.t_y,
-        t.t_z,
-    )
-    return {key: sig6(val) for key, val in zip(_EXTRINSIC_KEYS, values)}
+    return {key: sig6(val) for key, val in zip(_EXTRINSICS, to_file_units(ext.to_vector()))}
 
 
 # ---------------------------------------------------------------------------
@@ -294,67 +337,46 @@ class RunConfig:
     image_remap: dict[int, int] | None = None
 
 
-def parse_classes(path, text: str) -> tuple[int, ...]:
-    """Parse a comma-separated class-id list; ``path`` names its source."""
-    try:
-        ids = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise FormatError(f"{path}: bad class list {text!r}") from None
-    if not ids:
-        raise FormatError(f"{path}: empty class list")
-    return ids
-
-
-def _parse_remap(path, key: str, text: str) -> dict[int, int]:
-    table: dict[int, int] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise FormatError(f"{path}: {key} entries must look like src:dst, got {part!r}")
-        src, dst = part.split(":", 1)
-        try:
-            table[int(src)] = int(dst)
-        except ValueError:
-            raise FormatError(f"{path}: non-integer id in {key} entry {part!r}") from None
-    return table
-
-
-def _parse_bool(path, key: str, text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise FormatError(f"{path}: field {key!r} is not a boolean: {text!r}")
+# one converter per RunConfig field
+_CONFIG = {
+    "classes": _classes, "range_weighting": _bool, "seed": _int, "max_iterations": _int,
+    "ftol": _float, "line_tol": _float, "ransac_threshold": _float,
+    "ransac_iterations": _int, "planarity_ratio": _float,
+    "cloud_remap": _remap, "image_remap": _remap,
+}
 
 
 def read_config(path) -> RunConfig:
     """Read a ``key = value`` config file into a :class:`RunConfig`."""
-    mapping = _parse_keyvalues(path, _read_text(path))
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise FormatError(f"{path}: unknown config field(s) {sorted(unknown)}")
-    updates: dict = {}
-    for key, text in mapping.items():
-        if key == "classes":
-            updates[key] = parse_classes(path, text)
-        elif key in ("cloud_remap", "image_remap"):
-            updates[key] = _parse_remap(path, key, text)
-        elif key == "range_weighting":
-            updates[key] = _parse_bool(path, key, text)
-        elif key in ("seed", "max_iterations", "ransac_iterations"):
-            updates[key] = _want_int(path, mapping, key)
-        else:
-            updates[key] = _want_float(path, mapping, key)
-    return replace(cfg, **updates)
+    return RunConfig(**_read_fields(path, "config", _CONFIG, required=False))
+
+
+def config_report_fields(cfg: RunConfig) -> dict:
+    """Every setting as a report field, in field order; unset and empty ones read ``none``."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value in (None, {}):
+            value = "none"
+        elif isinstance(value, tuple):
+            value = ",".join(str(i) for i in value)
+        elif isinstance(value, dict):
+            value = ",".join(f"{s}:{d}" for s, d in value.items())
+        elif isinstance(value, float):
+            value = sig6(value)
+        out[f.name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
 # synthetic scene specs
+
+_SCENE_SPEC = {
+    "n_frames": _int, "objects_per_frame": _int, "points_per_object": _int, "seed": _int,
+    "dilation": _int, "densify": _int, "noise_rate": _float, "ground_y": _float,
+    "ground_jitter": _float, "classes": _classes, "size_range": _range,
+    "depth_range": _range, "lateral_range": _range, **_INTRINSICS, **_EXTRINSICS,
+}
 
 
 def read_scene_spec(path) -> SceneSpec:
@@ -364,64 +386,16 @@ def read_scene_spec(path) -> SceneSpec:
     extrinsics use the same six degree/meter keys as extrinsics files, and
     camera fields mirror the intrinsics file.
     """
-    mapping = _parse_keyvalues(path, _read_text(path))
+    values = _read_fields(path, "scene-spec", _SCENE_SPEC, required=False)
     spec = SceneSpec()
-    updates: dict = {}
-    for key in ("n_frames", "objects_per_frame", "points_per_object", "seed", "dilation", "densify"):
-        if key in mapping:
-            updates[key] = _want_int(path, mapping, key)
-    for key in ("noise_rate", "ground_y", "ground_jitter"):
-        if key in mapping:
-            updates[key] = _want_float(path, mapping, key)
-    if "classes" in mapping:
-        updates["classes"] = parse_classes(path, mapping["classes"])
-    for key in ("size_range", "depth_range", "lateral_range"):
-        if key in mapping:
-            parts = mapping[key].split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}: {key} must be 'low,high'")
-            try:
-                updates[key] = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise FormatError(f"{path}: non-numeric bound in {key}") from None
-    if any(key in mapping for key in _INTRINSIC_KEYS):
-        k = spec.intrinsics
-        updates["intrinsics"] = CameraIntrinsics(**{
-            key: _want_intrinsic(path, mapping, key) if key in mapping else getattr(k, key)
-            for key in _INTRINSIC_KEYS
-        })
-    if any(key in mapping for key in _EXTRINSIC_KEYS):
-        base = spec.extrinsics
-        defaults = dict(zip(_EXTRINSIC_KEYS, (
-            np.degrees(base.rotation.theta_x),
-            np.degrees(base.rotation.theta_y),
-            np.degrees(base.rotation.theta_z),
-            base.translation.t_x,
-            base.translation.t_y,
-            base.translation.t_z,
-        )))
-        vals = [
-            _want_float(path, mapping, key) if key in mapping else defaults[key]
-            for key in _EXTRINSIC_KEYS
-        ]
-        updates["extrinsics"] = Extrinsics(
-            rotation=RotationAngles(
-                theta_x=float(np.radians(vals[0])),
-                theta_y=float(np.radians(vals[1])),
-                theta_z=float(np.radians(vals[2])),
-            ),
-            translation=Translation(t_x=vals[3], t_y=vals[4], t_z=vals[5]),
-        )
-    handled = {
-        "n_frames", "objects_per_frame", "points_per_object", "seed", "dilation",
-        "densify", "noise_rate", "ground_y", "ground_jitter", "classes",
-        "size_range", "depth_range", "lateral_range",
-        *_INTRINSIC_KEYS, *_EXTRINSIC_KEYS,
-    }
-    unknown = set(mapping) - handled
-    if unknown:
-        raise FormatError(f"{path}: unknown scene-spec field(s) {sorted(unknown)}")
-    return replace(spec, **updates)
+    camera = {key: values.pop(key) for key in _INTRINSICS if key in values}
+    if camera:
+        values["intrinsics"] = replace(spec.intrinsics, **camera)
+    pose = {key: values.pop(key) for key in _EXTRINSICS if key in values}
+    if pose:
+        pose = {**dict(zip(_EXTRINSICS, to_file_units(spec.extrinsics.to_vector()))), **pose}
+        values["extrinsics"] = Extrinsics.from_vector(from_file_units(list(pose.values())))
+    return replace(spec, **values)
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ class PlaneModel:
     inliers: np.ndarray  # indices into the fitted point list
     rms: float  # rms point-plane distance over the inliers
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        return np.abs(points @ self.normal - self.offset)
-
 
 @dataclass(frozen=True)
 class PlaneFrame:

@@ -18,6 +18,7 @@ make the ground-truth cost look better.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,17 @@ class SceneSpec:
             raise CalibrationError("frame, object, and point counts must be positive")
         if not self.classes or IGNORE_CLASS in self.classes:
             raise CalibrationError("classes must be non-empty and exclude the ignore id")
-        if self.depth_range[0] <= 0 or self.depth_range[1] < self.depth_range[0]:
-            raise CalibrationError("depth range must be positive and ordered")
-        if self.size_range[0] <= 0 or self.size_range[1] < self.size_range[0]:
-            raise CalibrationError("size range must be positive and ordered")
+        # The generator draws uniformly from each range, which needs a finite span.
+        for name in ("size_range", "depth_range", "lateral_range"):
+            low, high = getattr(self, name)
+            if not (low <= high and math.isfinite(high - low)):  # also false for nan
+                raise CalibrationError(f"{name} must be finite and ordered, got {low}, {high}")
+        if self.depth_range[0] <= 0 or self.size_range[0] <= 0:
+            raise CalibrationError("depth and size ranges must be positive")
+        if not (self.ground_jitter >= 0 and math.isfinite(2 * self.ground_jitter)):
+            raise CalibrationError("ground jitter must be finite and non-negative")
+        if not math.isfinite(self.ground_y):
+            raise CalibrationError("ground_y must be finite")
         if not 0.0 <= self.noise_rate < 1.0:
             raise CalibrationError("noise rate must lie in [0, 1)")
         if self.dilation < 0 or self.densify < 1:
@@ -73,25 +81,13 @@ class SceneSpec:
             raise CalibrationError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class ObjectRecord:
-    """Bookkeeping for one sampled object."""
-
-    class_id: int
-    center: tuple[float, float, float]
-    size: float
-    n_sampled: int
-    n_visible: int
-
-
 @dataclass
 class SceneData:
-    """Generated pairs plus the ground truth and sampling bookkeeping."""
+    """Generated pairs plus the ground truth and the label flips per frame."""
 
     pairs: list[FramePair]
     extrinsics: Extrinsics
     spec: SceneSpec
-    objects: list[list[ObjectRecord]]
     noise_flips: list[int]
 
 
@@ -155,7 +151,6 @@ def generate(spec: SceneSpec) -> SceneData:
     r_gt, t_gt = spec.extrinsics.matrix()
     k = spec.intrinsics
     pairs = []
-    all_objects = []
     noise_flips = []
     class_arr = np.array(spec.classes)
     for i in range(spec.n_frames):
@@ -223,15 +218,6 @@ def generate(spec: SceneSpec) -> SceneData:
         sensor = sensor[keep]
         lab = cam_lab[keep].copy()
 
-        # Visibility bookkeeping per object (points are grouped by object).
-        vis_by_obj = keep.reshape(spec.objects_per_frame, spec.points_per_object).sum(axis=1)
-        all_objects.append(
-            [
-                ObjectRecord(rec[0], rec[1], rec[2], spec.points_per_object, int(nv))
-                for rec, nv in zip(records, vis_by_obj)
-            ]
-        )
-
         # Label noise last: relabel a fraction of the cloud points to a
         # different class or to the ignore id.  Same-seed runs at higher
         # rates flip supersets of the lower-rate flips.
@@ -256,7 +242,7 @@ def generate(spec: SceneSpec) -> SceneData:
                 f"frame_{i:04d}",
             )
         )
-    return SceneData(pairs, spec.extrinsics, spec, all_objects, noise_flips)
+    return SceneData(pairs, spec.extrinsics, spec, noise_flips)
 
 
 def perturb(ext: Extrinsics, dtheta, dt, seed: int = 0) -> Extrinsics:

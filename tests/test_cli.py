@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ def scene_dir(tmp_path_factory):
     rc = main(["synth", "--spec", str(spec), "--output", str(scene)])
     assert rc == 0
     return scene
+
+
+@pytest.fixture(scope="module")
+def garbled_scene_dir(scene_dir, tmp_path_factory):
+    """A copy of the scene whose intrinsics file is not UTF-8 text."""
+    root = tmp_path_factory.mktemp("garbled") / "scene"
+    shutil.copytree(scene_dir, root)
+    (root / "intrinsics.txt").write_bytes(b"\xff\xfe")
+    return root
 
 
 def dir_bytes(path):
@@ -317,16 +328,25 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(_SWEEP + ["--range", "1", "--interval", "0.1", "--config", "line_tol = -1"],
                  id="sweep-line_tol-negative"),
     pytest.param(["init", "{scene}", "--classes", "1,-2"], id="init-classes-negative"),
+    pytest.param(["init", "{scene}", "--config", b"\xff\xfe"], id="config-not-utf8"),
+    pytest.param(["init", "{garbled}"], id="intrinsics-not-utf8"),
+    pytest.param(["synth", "--spec", "size_range = 1,inf"], id="spec-size_range-inf"),
+    pytest.param(["synth", "--spec", "lateral_range = nan,1"], id="spec-lateral_range-nan"),
+    pytest.param(["synth", "--spec", "lateral_range = 2,1"], id="spec-lateral_range-unordered"),
+    pytest.param(["synth", "--spec", "ground_jitter = inf"], id="spec-ground_jitter-inf"),
+    # drawn depths up to 1e308 do not fit the float32 cloud file
+    pytest.param(["synth", "--spec", "depth_range = 1,1e308"], id="spec-depth_range-huge"),
 ])
-def test_bad_input_is_an_error(argv, scene_dir, tmp_path, capsys):
+def test_bad_input_is_an_error(argv, scene_dir, garbled_scene_dir, tmp_path, capsys):
     """Each bad flag or file value ends in one ``error:`` line, not a traceback."""
     args = []
     for prev, arg in zip([None] + argv, argv):
         if prev in ("--config", "--spec"):
             path = tmp_path / "settings.txt"
-            path.write_text(arg + "\n")
+            path.write_bytes(arg if isinstance(arg, bytes) else arg.encode() + b"\n")
             arg = str(path)
-        args.append(arg.format(scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt"))
+        args.append(arg.format(scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt",
+                               garbled=garbled_scene_dir))
     assert main(args + ["--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 

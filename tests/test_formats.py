@@ -1,12 +1,21 @@
 """Tests for file formats: clouds, images, key-value files, and reports."""
 
+import math
+import warnings
+from dataclasses import fields
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from semcal.errors import CalibrationError, FormatError
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.io_formats import (
+    _CONFIG,
+    _SCENE_SPEC,
     RunConfig,
+    config_report_fields,
     extrinsics_report_fields,
     fmt6,
     format_report,
@@ -117,6 +126,13 @@ def test_pgm_rejects_labels_over_255(tmp_path):
         write_label_image(tmp_path / "x.pgm", LabelImage(labels=np.full((2, 2), 300)))
 
 
+def test_cloud_bin_rejects_coordinates_beyond_float32(tmp_path):
+    # 1e39 would be written as inf
+    cloud = LabeledPointCloud(np.array([[0.0, 0.0, 1e39]]), np.array([1]))
+    with pytest.raises(FormatError, match="float32"):
+        write_point_cloud(tmp_path / "c.bin", cloud)
+
+
 def test_intrinsics_round_trip(tmp_path):
     k = CameraIntrinsics(fx=400.5, fy=399.25, cx=320.125, cy=240.0, width=640, height=480)
     path = tmp_path / "k.txt"
@@ -198,6 +214,22 @@ def test_config_unknown_key(tmp_path):
         read_config(path)
 
 
+def test_config_keys_are_the_run_config_fields():
+    assert list(_CONFIG) == [f.name for f in fields(RunConfig)]
+
+
+def test_config_report_fields():
+    assert config_report_fields(RunConfig()) == {
+        "classes": "none", "range_weighting": True, "seed": 0, "max_iterations": 200,
+        "ftol": 1e-8, "line_tol": 1e-6, "ransac_threshold": 0.2, "ransac_iterations": 500,
+        "planarity_ratio": 0.05, "cloud_remap": "none", "image_remap": "none",
+    }
+    cfg = RunConfig(classes=(3, 1), ftol=1 / 3, cloud_remap={40: 1, 48: 2}, image_remap={})
+    fields_ = config_report_fields(cfg)
+    assert fields_["classes"] == "3,1" and fields_["ftol"] == 0.333333
+    assert fields_["cloud_remap"] == "40:1,48:2" and fields_["image_remap"] == "none"
+
+
 def test_scene_spec_parsing(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text(
@@ -270,6 +302,24 @@ def test_cloud_rejects_fractional_and_nan_labels(tmp_path):
     (tmp_path / "c.bin").write_bytes(blob)
     with pytest.raises(CalibrationError):
         read_point_cloud(tmp_path / "c.bin")
+    # a signalling NaN is rejected too, without a RuntimeWarning from the cast
+    (tmp_path / "c.bin").write_bytes(blob[:-4] + b"\x01\x00\x80\x7f")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CalibrationError):
+            read_point_cloud(tmp_path / "c.bin")
+
+
+@pytest.mark.parametrize("name", ["scene.txt", "frame_0000.csv"])
+def test_scene_dir_text_must_be_utf8(tmp_path, name):
+    scene = generate(SceneSpec(n_frames=1, objects_per_frame=2, seed=1))
+    root = tmp_path / "scene"
+    write_scene_dir(root, scene.pairs, scene.spec.intrinsics, scene.spec.classes)
+    if name.endswith(".csv"):
+        (root / "frame_0000.bin").unlink()
+    (root / name).write_bytes(b"\xff\xfe")
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_scene_dir(root)
 
 
 def test_scene_dir_missing_image(tmp_path):
@@ -322,3 +372,98 @@ def test_write_csv_sig6(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ("x", "y"), [(0.123456789, 2), ("row", 3.0)])
     assert path.read_text() == "x,y\n0.123457,2\nrow,3\n"
+
+
+# ---------------------------------------------------------------------------
+# properties of the text readers
+
+_KEYS = st.sampled_from(sorted({*_SCENE_SPEC, *_CONFIG, "wobble"}))
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["1e308", "-0", "2.5", "1,2", "2,1", "1,inf", "nan,1", "yes", "1:2, 3:4"]),
+)
+_KEYVALUE_FILES = st.lists(st.tuples(_KEYS | st.text(max_size=6), _VALUES), max_size=8).map(
+    lambda kvs: "\n".join(f"{k} = {v}" for k, v in kvs).encode("utf-8", "replace"))
+_CSV_FILES = st.lists(st.lists(_VALUES, min_size=1, max_size=5).map(",".join), max_size=4).map(
+    lambda rows: "\n".join(rows).encode("utf-8", "replace"))
+_PGM_FILES = st.tuples(st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 300),
+                       st.binary(max_size=20)).map(
+    lambda h: f"P5\n{h[0]} {h[1]}\n{h[2]}\n".encode() + h[3])
+_FILES = st.one_of(st.binary(max_size=64), _KEYVALUE_FILES, _CSV_FILES, _PGM_FILES,
+                   st.text(max_size=64).map(lambda s: s.encode("utf-8", "replace")))
+
+
+@pytest.mark.parametrize("reader, suffix", [
+    (read_intrinsics, ".txt"), (read_extrinsics, ".txt"), (read_config, ".txt"),
+    (read_scene_spec, ".txt"), (read_report, ".txt"), (read_point_cloud, ".csv"),
+    (read_point_cloud, ".bin"), (read_label_image, ".pgm"),
+])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=_FILES)
+def test_readers_raise_only_calibration_errors(reader, suffix, blob, tmp_path):
+    path = tmp_path / f"input{suffix}"
+    path.write_bytes(blob)
+    try:
+        reader(path)
+    except CalibrationError:  # FormatError included
+        pass
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fx=_POSITIVE, fy=_POSITIVE, cx=_FINITE, cy=_FINITE,
+       width=st.integers(1, 2**40), height=st.integers(1, 2**40))
+def test_intrinsics_round_trip_bit_for_bit(tmp_path, fx, fy, cx, cy, width, height):
+    k = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
+    write_intrinsics(tmp_path / "k.txt", k)
+    assert repr(read_intrinsics(tmp_path / "k.txt")) == repr(k)  # repr tells -0.0 from 0.0
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(angles=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+       t=st.lists(_FINITE, min_size=3, max_size=3))
+def test_extrinsics_round_trip(tmp_path, angles, t):
+    ext = Extrinsics(RotationAngles(*angles), Translation(*t))
+    write_extrinsics(tmp_path / "e.txt", ext)
+    back = read_extrinsics(tmp_path / "e.txt")
+    assert repr(back.translation) == repr(ext.translation)
+    for a, b in zip(ext.rotation.as_array(), back.rotation.as_array()):
+        # degrees and back cost at most one spacing; re-canonicalizing the
+        # angle to (-pi, pi] can cost one more, and -pi and pi are one angle
+        assert abs(math.remainder(b - a, 2 * math.pi)) <= 2 * np.spacing(abs(a))
+
+
+def _plain_string(text: str) -> bool:
+    """Whether a report keeps ``text`` a string: one line, no outer spaces, no number."""
+    if text != text.strip() or len(text.splitlines()) != 1 or text in ("true", "false"):
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_REPORT_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+_REPORT_VALUES = st.one_of(
+    st.integers(),
+    _FINITE.map(sig6),
+    st.booleans(),
+    st.text(min_size=1, max_size=16).filter(_plain_string),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=st.dictionaries(_REPORT_KEYS, st.recursive(
+    _REPORT_VALUES, lambda inner: st.dictionaries(_REPORT_KEYS, inner, max_size=4),
+    max_leaves=20), max_size=4))
+def test_report_round_trip_property(report):
+    assert parse_report(format_report(report)) == report

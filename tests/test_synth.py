@@ -51,8 +51,6 @@ def test_generate_structure():
     assert len(scene.pairs) == 3
     assert [p.frame_id for p in scene.pairs] == ["frame_0000", "frame_0001", "frame_0002"]
     assert scene.extrinsics is spec.extrinsics
-    assert len(scene.objects) == 3
-    assert all(len(frame) == 3 for frame in scene.objects)
     assert scene.noise_flips == [0, 0, 0]
     for pair in scene.pairs:
         # the class cycle keeps every class in every frame
