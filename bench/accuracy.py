@@ -17,7 +17,9 @@ samples served by the optimizer's memo (``n_repeated``, null where the
 side's report has no such line), the rotation (degrees) and translation
 (meters) errors, whether both lie in the criterion-6 band (1 degree, 0.1 m),
 the final cost, the cost at the ground truth, the relative gap between the
-two and the wall time.
+two, the wall time and a SHA-256 digest of the scene's output files (names
+and bytes).  ``identical_outputs`` counts the scenes whose digests agree
+between the two sides.
 
 The timings run in one more process that loads both sides' packages side by
 side.  Each of ``ROUNDS`` rounds times every task once per side, the sides in
@@ -48,6 +50,7 @@ same scenes read back from disk as float32.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -137,6 +140,9 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
         gt_cost = CostEvaluator(pairs, classes).evaluate_total(
             read_extrinsics(scene / "gt_extrinsics.txt"))
         final_cost = report["cost"]["total"]
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
         runs.append({
             "scene": scene.name,
             "evaluations": report["trace"]["n_evaluations"],
@@ -148,6 +154,7 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
             "gt_cost": gt_cost,
             "gap_to_gt": (final_cost - gt_cost) / gt_cost,
             "wall_s": wall,
+            "digest": digest.hexdigest(),
         })
     return {
         "scenes": runs,
@@ -335,6 +342,10 @@ def main() -> int:
                     for side, src in srcs.items()}
         timing = _run("--timing", *map(str, srcs.values()), out=tmp / "timing.json",
                       src=ROOT / "src")
+    digests = [[r["digest"] for name in SCENE_SETS for r in accuracy[side][name]["scenes"]]
+               for side in SIDES]
+    identical = {"scenes": len(digests[0]),
+                 "identical": sum(a == b for a, b in zip(*digests))}
     result = {
         "what": "criterion-6-style calibrate on 10-frame scenes (seeds 0-23 dev, 24-47 "
                 "held out) and 20-frame scenes (seeds 0-11), with 2% label noise; "
@@ -346,6 +357,7 @@ def main() -> int:
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "accuracy": accuracy,
+        "identical_outputs": identical,
         "timing": timing,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
@@ -353,6 +365,7 @@ def main() -> int:
         print(f"{side}: " + "; ".join(
             f"{name} {s['in_band']}/{len(s['scenes'])} in band, {s['evaluations']} "
             f"evaluations, {s['wall_s']:.1f} s" for name, s in sets.items()))
+    print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")
     ratios = [(f"kernel {name}", t) for name, t in timing["kernel"].items()]
     ratios += [("replay", timing["replay"]), ("calibrate", timing["calibrate"])]
     ratios += [(f"layers {name}", t) for name, t in timing["layers"].items()]

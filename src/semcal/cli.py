@@ -41,8 +41,8 @@ from .io_formats import (
     write_report,
     write_scene_dir,
 )
-from .optimizer import OptimizerConfig, calibrate
-from .pnp_init import InitConfig, initialize
+from .optimizer import calibrate
+from .pnp_init import initialize
 from .costfield import CostEvaluator
 from .synth import SceneSpec, generate
 
@@ -112,38 +112,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _init_config(cfg: RunConfig) -> InitConfig:
-    return InitConfig(ransac_threshold=cfg.ransac_threshold,
-                      ransac_iterations=cfg.ransac_iterations, seed=cfg.seed,
-                      planarity_ratio=cfg.planarity_ratio)
+def _prepare(args) -> tuple[RunConfig, CostEvaluator]:
+    """The run's config and its one prepared cost kernel, shared by init and refinement.
 
-
-def _optimizer_config(cfg: RunConfig) -> OptimizerConfig:
-    return OptimizerConfig(max_iterations=cfg.max_iterations, ftol=cfg.ftol,
-                           line_tol=cfg.line_tol)
-
-
-def _load_config(args) -> RunConfig:
-    """Config file first, then flags override it; every field is checked here."""
+    The config file comes first and flags override it; ``RunConfig`` checks
+    every field before the scene is read.  A class list left unset is taken
+    from the scene manifest.
+    """
     cfg = read_config(args.config) if args.config else RunConfig()
     if args.classes is not None:
         cfg = replace(cfg, classes=parse_classes("--classes", args.classes))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    _init_config(cfg)
-    _optimizer_config(cfg)
-    return cfg
-
-
-def _resolve_classes(cfg: RunConfig, manifest_classes) -> tuple[int, ...]:
-    if cfg.classes is not None:
-        return cfg.classes
-    if manifest_classes is not None:
-        return manifest_classes
-    raise CalibrationError(
-        "no class list: pass --classes, set it in the config, or provide a "
-        "scene.txt manifest"
+    pairs, _, manifest_classes = read_scene_dir(
+        args.data_dir, cloud_remap=cfg.cloud_remap, image_remap=cfg.image_remap
     )
+    if cfg.classes is None:
+        if manifest_classes is None:
+            raise CalibrationError(
+                "no class list: pass --classes, set it in the config, or provide a "
+                "scene.txt manifest"
+            )
+        cfg = replace(cfg, classes=manifest_classes)
+    return cfg, CostEvaluator(pairs, cfg.classes, range_weighting=cfg.range_weighting)
 
 
 def _out_dir(args) -> Path:
@@ -194,9 +185,10 @@ def cmd_synth(args) -> int:
 
 
 def _init_report_block(result) -> dict:
-    plane = result.plane
-    block = {
-        "n_centroid_pairs": len(result.pair_set.pairs),
+    plane, ps = result.plane, result.pair_set
+    rows = zip(ps.frame_ids, ps.class_ids, ps.pixels_2d, result.projected, result.residual_px)
+    return {
+        "n_centroid_pairs": len(ps),
         "plane": {
             "normal_x": sig6(plane.normal[0]),
             "normal_y": sig6(plane.normal[1]),
@@ -214,44 +206,32 @@ def _init_report_block(result) -> dict:
             for i, (cand, cost) in enumerate(zip(result.candidates, result.candidate_costs))
         },
         "estimate": extrinsics_report_fields(result.extrinsics),
-        "centroid_reprojection": {},
+        "centroid_reprojection": {
+            f"row_{i}": {
+                "frame": frame_id,
+                "class": int(class_id),
+                "centroid_u": sig6(u),
+                "centroid_v": sig6(v),
+                "projected_u": sig6(pu) if np.isfinite(pu) else "none",
+                "projected_v": sig6(pv) if np.isfinite(pv) else "none",
+                "residual_px": sig6(residual) if np.isfinite(residual) else "inf",
+            }
+            for i, (frame_id, class_id, (u, v), (pu, pv), residual) in enumerate(rows)
+        },
     }
-    rows = block["centroid_reprojection"]
-    for i, diag in enumerate(result.diagnostics):
-        u, v = diag["projected_3d"]
-        rows[f"row_{i}"] = {
-            "frame": diag["frame_id"],
-            "class": int(diag["class_id"]),
-            "centroid_u": sig6(diag["centroid_2d"][0]),
-            "centroid_v": sig6(diag["centroid_2d"][1]),
-            "projected_u": sig6(u) if np.isfinite(u) else "none",
-            "projected_v": sig6(v) if np.isfinite(v) else "none",
-            "residual_px": sig6(diag["residual_px"])
-            if np.isfinite(diag["residual_px"]) else "inf",
-        }
-    return block
-
-
-def _evaluator(pairs, classes, cfg: RunConfig) -> CostEvaluator:
-    """The run's one prepared cost kernel, shared by init and refinement."""
-    return CostEvaluator(pairs, classes, range_weighting=cfg.range_weighting)
 
 
 def cmd_init(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args)
-    pairs, _, manifest_classes = read_scene_dir(
-        args.data_dir, cloud_remap=cfg.cloud_remap, image_remap=cfg.image_remap
-    )
-    classes = _resolve_classes(cfg, manifest_classes)
-    result = initialize(_evaluator(pairs, classes, cfg), _init_config(cfg))
+    cfg, evaluator = _prepare(args)
+    result = initialize(evaluator, cfg)
     out = _out_dir(args)
     write_extrinsics(out / "init_extrinsics.txt", result.extrinsics)
     report = {
         "init_report": {
             "version": __version__,
-            "config": config_report_fields(replace(cfg, classes=classes)),
-            "n_pairs": len(pairs),
+            "config": config_report_fields(cfg),
+            "n_pairs": len(evaluator.pairs),
             **_init_report_block(result),
         }
     }
@@ -279,26 +259,21 @@ def _breakdown_block(breakdown) -> dict:
 
 def cmd_calibrate(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args)
-    pairs, _, manifest_classes = read_scene_dir(
-        args.data_dir, cloud_remap=cfg.cloud_remap, image_remap=cfg.image_remap
-    )
-    classes = _resolve_classes(cfg, manifest_classes)
+    cfg, evaluator = _prepare(args)
     timings: dict[str, float] = {}
-    evaluator = _evaluator(pairs, classes, cfg)
 
     if args.init_file:
         start = read_extrinsics(args.init_file)
         init_block: dict = {"source": "file", "estimate": extrinsics_report_fields(start)}
     else:
         t_init = time.perf_counter()
-        result = initialize(evaluator, _init_config(cfg))
+        result = initialize(evaluator, cfg)
         timings["init_s"] = time.perf_counter() - t_init
         start = result.extrinsics
         init_block = {"source": "pipeline", **_init_report_block(result)}
 
     t_opt = time.perf_counter()
-    estimate, breakdown, trace = calibrate(evaluator, start, config=_optimizer_config(cfg))
+    estimate, breakdown, trace = calibrate(evaluator, start, cfg)
     timings["optimize_s"] = time.perf_counter() - t_opt
     timings["total_s"] = time.perf_counter() - t0
 
@@ -313,8 +288,8 @@ def cmd_calibrate(args) -> int:
     report = {
         "calibration_report": {
             "version": __version__,
-            "config": config_report_fields(replace(cfg, classes=classes)),
-            "n_pairs": len(pairs),
+            "config": config_report_fields(cfg),
+            "n_pairs": len(evaluator.pairs),
             "initialization": init_block,
             "estimate": extrinsics_report_fields(estimate),
             "cost": _breakdown_block(breakdown),
@@ -341,11 +316,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args)
-    pairs, _, manifest_classes = read_scene_dir(
-        args.data_dir, cloud_remap=cfg.cloud_remap, image_remap=cfg.image_remap
-    )
-    classes = _resolve_classes(cfg, manifest_classes)
+    cfg, evaluator = _prepare(args)
     reference = read_extrinsics(args.gt)
     if not (0 < args.span < math.inf and 0 < args.interval < math.inf):
         raise CalibrationError("--range and --interval must be positive and finite")
@@ -357,7 +328,6 @@ def cmd_sweep(args) -> int:
         raise CalibrationError("--interval larger than --range")
     displacements = [k * args.interval for k in range(-n_steps, n_steps + 1)]
 
-    evaluator = _evaluator(pairs, classes, cfg)
     base, axis = reference.to_vector(), np.eye(6)[axis_idx]
     rows = []
     best = (np.inf, 0.0)
@@ -374,7 +344,7 @@ def cmd_sweep(args) -> int:
     report = {
         "sweep_report": {
             "version": __version__,
-            "config": config_report_fields(replace(cfg, classes=classes)),
+            "config": config_report_fields(cfg),
             "axis": args.axis,
             "unit": unit,
             "range": sig6(args.span),

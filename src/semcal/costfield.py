@@ -175,6 +175,11 @@ class CostEvaluator:
          self._penalty, self._cell, empty) = np.repeat(
             np.array(meta, dtype=float), counts, axis=0).T.copy()
         self._filled = empty == 0.0
+        if not self._filled.any():
+            raise CalibrationError(
+                f"no point of the classes {list(self.classes)} has its class in its own "
+                "frame's image: every pose would cost the same"
+            )
         self._rotation = self._rotated = None
         self._counts = np.array(counts).reshape(len(self.pairs), len(self.classes))
         self._block = np.repeat(np.arange(len(counts)), counts)

@@ -21,12 +21,13 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import CalibrationError, FormatError
 from .geometry import CameraIntrinsics, Extrinsics
 from .scene import FramePair, LabelImage, LabeledPointCloud
 from .synth import SceneSpec
@@ -317,11 +318,14 @@ def extrinsics_report_fields(ext: Extrinsics) -> dict[str, float]:
 
 @dataclass
 class RunConfig:
-    """Settings shared by the pipeline commands.
+    """Every setting of the pipeline, checked when the config is built.
 
     ``classes`` of ``None`` means "take them from the scene manifest".
-    Remap tables translate external label vocabularies into the shared
-    class-id space; ids absent from a table pass through unchanged.
+    ``seed`` and the ``ransac_*`` and ``planarity_ratio`` fields drive
+    :func:`semcal.pnp_init.initialize`; ``max_iterations``, ``ftol`` and
+    ``line_tol`` drive :func:`semcal.optimizer.powell_minimize`.  Remap
+    tables translate external label vocabularies into the shared class-id
+    space; ids absent from a table pass through unchanged.
     """
 
     classes: tuple[int, ...] | None = None
@@ -330,11 +334,24 @@ class RunConfig:
     max_iterations: int = 200
     ftol: float = 1e-8
     line_tol: float = 1e-6
-    ransac_threshold: float = 0.2
+    ransac_threshold: float = 0.2  # meters
     ransac_iterations: int = 500
-    planarity_ratio: float = 0.05
+    planarity_ratio: float = 0.05  # max plane rms as a fraction of the centroid spread
     cloud_remap: dict[int, int] | None = None
     image_remap: dict[int, int] | None = None
+
+    def __post_init__(self):
+        if not (0 < self.ransac_threshold < math.inf and 0 < self.planarity_ratio < math.inf):
+            raise CalibrationError(
+                "ransac_threshold and planarity_ratio must be positive and finite")
+        if self.ransac_iterations < 1:
+            raise CalibrationError("ransac_iterations must be at least 1")
+        if self.seed < 0:
+            raise CalibrationError("seed must be non-negative")
+        if self.max_iterations < 1:
+            raise CalibrationError("max_iterations must be at least 1")
+        if not (0 < self.ftol < math.inf and 0 < self.line_tol < math.inf):
+            raise CalibrationError("tolerances must be positive and finite")
 
 
 # one converter per RunConfig field

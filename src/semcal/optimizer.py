@@ -10,7 +10,9 @@ piecewise-constant semantic cost tractable.
 
 Parameters are internally rescaled by per-parameter step sizes so one unit
 of search space means one "typical" move for that parameter, which matters
-because angles and translations live on very different scales.
+because angles and translations live on very different scales.  The
+iteration cap and the two tolerances are the ``max_iterations``, ``ftol``
+and ``line_tol`` fields of :class:`~semcal.io_formats.RunConfig`.
 """
 
 from __future__ import annotations
@@ -21,37 +23,24 @@ import math
 import numpy as np
 
 from .costfield import CostBreakdown, CostEvaluator
-from .errors import CalibrationError, NonFiniteCost
+from .errors import NonFiniteCost
 from .geometry import Extrinsics
+from .io_formats import RunConfig
 
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
 _MAX_EXPANSIONS = 40
 _TINY = 1e-25
 
 
-@dataclass
-class OptimizerConfig:
-    """Tuning knobs for :func:`powell_minimize`."""
+def trial_steps(n: int) -> np.ndarray:
+    """Per-parameter scale of the first trial move.
 
-    max_iterations: int = 200
-    ftol: float = 1e-8
-    line_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise CalibrationError("max_iterations must be at least 1")
-        if not (0 < self.ftol < math.inf and 0 < self.line_tol < math.inf):
-            raise CalibrationError("tolerances must be positive and finite")
-
-    def steps_for(self, n: int) -> np.ndarray:
-        """Per-parameter scale of the first trial move.
-
-        0.05 rad for the three angles and 0.1 m for the three translations
-        of a 6-parameter extrinsics vector, unit steps otherwise.
-        """
-        if n == 6:
-            return np.array([0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
-        return np.ones(n)
+    0.05 rad for the three angles and 0.1 m for the three translations
+    of a 6-parameter extrinsics vector, unit steps otherwise.
+    """
+    if n == 6:
+        return np.array([0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
+    return np.ones(n)
 
 
 @dataclass
@@ -202,7 +191,7 @@ def _line(g, f0: float, tol: float, refine: bool = True) -> tuple[float, float]:
     return float(alpha), float(f_min)
 
 
-def powell_minimize(f, x0, config: OptimizerConfig | None = None):
+def powell_minimize(f, x0, config: RunConfig | None = None):
     """Powell's conjugate-direction minimization.
 
     Returns ``(x_min, f_min, trace)``.  The direction set starts as the
@@ -211,10 +200,10 @@ def powell_minimize(f, x0, config: OptimizerConfig | None = None):
     accepts it.  A sweep with zero decrease resets the direction set to the
     basis once; a second zero-decrease sweep terminates as ``stalled``.
     """
-    cfg = config or OptimizerConfig()
+    cfg = config or RunConfig()
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    sigma = cfg.steps_for(n)
+    sigma = trial_steps(n)
     obj = _Objective(f)
 
     def fz(z: np.ndarray) -> float:
@@ -310,7 +299,7 @@ def _probe_directions(sigma: np.ndarray, rng: np.random.Generator):
 def calibrate(
     evaluator: CostEvaluator,
     init: Extrinsics,
-    config: OptimizerConfig | None = None,
+    config: RunConfig | None = None,
 ) -> tuple[Extrinsics, CostBreakdown, OptimizationTrace]:
     """Minimize the semantic cost of ``evaluator`` over the six extrinsic parameters.
 
@@ -328,7 +317,7 @@ def calibrate(
     diagonal can represent that direction, but a dense ray sample almost
     always overlaps it.
     """
-    cfg = config or OptimizerConfig()
+    cfg = config or RunConfig()
     # Basis resets, extrapolation and grid points back on the start resend poses.
     memo: dict[bytes, float] = {}
 
@@ -340,7 +329,7 @@ def calibrate(
         return cost
 
     x = np.asarray(init.to_vector(), dtype=float)
-    sigma = cfg.steps_for(6)
+    sigma = trial_steps(6)
     points: list[tuple[int, np.ndarray, float]] = []
     termination = "stalled"
     n_evaluations = 0

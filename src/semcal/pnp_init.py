@@ -9,6 +9,11 @@ estimate the plane-to-image homography, and decompose it into the two
 algebraically consistent poses.  Cheirality and the semantic cost pick the
 winner.
 
+The correspondences form one table (:class:`CentroidPairSet`): per row the
+frame, the class, the 3D centroid, the pixel centroid and that frame's
+camera, so frames with different intrinsics mix freely.  The RANSAC and
+planarity settings are fields of :class:`~semcal.io_formats.RunConfig`.
+
 The output is only an initial guess for the optimizer; centroid matches
 are systematically imperfect (a cloud centroid and a pixel centroid of the
 same object do not project onto each other exactly), so accuracy here is
@@ -17,54 +22,45 @@ judged coarsely.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .costfield import CostEvaluator
-from .errors import CalibrationError, Degenerate, InsufficientPairs, NonPlanar
-from .geometry import (
-    EPS_DEPTH,
-    CameraIntrinsics,
-    Extrinsics,
-    Translation,
-    euler_from_matrix,
-)
-from .scene import Centroid, centroid_2d, centroid_3d
+from .errors import Degenerate, InsufficientPairs, NonPlanar
+from .geometry import EPS_DEPTH, Extrinsics, Translation, euler_from_matrix
+from .io_formats import RunConfig
+from .scene import centroid_2d, centroid_3d
 
 MIN_PAIRS = 4
 
 
 @dataclass(frozen=True)
-class CentroidPair:
-    frame_id: str
-    class_id: int
-    c3d: Centroid
-    c2d: Centroid
-    intrinsics: CameraIntrinsics
-
-
-@dataclass(frozen=True)
 class CentroidPairSet:
-    """Matched 3D/2D centroid correspondences, one per usable (frame, class)."""
+    """Matched 3D/2D centroid correspondences, one row per usable (frame, class).
 
-    pairs: tuple[CentroidPair, ...]
+    ``camera`` holds each row's own ``fx, fy, cx, cy``.
+    """
 
-    def __post_init__(self):
-        if len(self.pairs) < MIN_PAIRS:
-            raise InsufficientPairs(
-                f"{len(self.pairs)} centroid pairs found, need at least {MIN_PAIRS}"
-            )
+    frame_ids: tuple[str, ...]
+    class_ids: np.ndarray  # (n,) int
+    points_3d: np.ndarray  # (n, 3) sensor frame, meters
+    pixels_2d: np.ndarray  # (n, 2) pixel (u, v)
+    camera: np.ndarray  # (n, 4)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.frame_ids)
 
-    def points_3d(self) -> np.ndarray:
-        return np.array([p.c3d.position for p in self.pairs])
+    def project(self, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pixels of the 3D centroids under rotation ``r`` and translation ``t``.
 
-    def pixels_2d(self) -> np.ndarray:
-        return np.array([p.c2d.position for p in self.pairs])
+        Returns ``(pixels, front)``: the ``(n, 2)`` projections through each
+        row's camera, NaN for rows behind the camera, and the in-front mask.
+        """
+        cam = self.points_3d @ r.T + t
+        front = cam[:, 2] > EPS_DEPTH
+        z = np.where(front, cam[:, 2], np.nan)[:, None]
+        return self.camera[:, :2] * cam[:, :2] / z + self.camera[:, 2:], front
 
 
 @dataclass(frozen=True)
@@ -106,30 +102,18 @@ class InitResult:
     candidates: list[PoseCandidate]  # ranked, winner first
     candidate_costs: list[float]
     pair_set: CentroidPairSet
-    diagnostics: list[dict] = field(default_factory=list)
-
-
-@dataclass
-class InitConfig:
-    ransac_threshold: float = 0.2  # meters
-    ransac_iterations: int = 500
-    seed: int = 0
-    planarity_ratio: float = 0.05  # max plane rms as a fraction of cloud diameter
-
-    def __post_init__(self):
-        if not (0 < self.ransac_threshold < math.inf and 0 < self.planarity_ratio < math.inf):
-            raise CalibrationError(
-                "ransac_threshold and planarity_ratio must be positive and finite")
-        if self.ransac_iterations < 1:
-            raise CalibrationError("ransac_iterations must be at least 1")
-        if self.seed < 0:
-            raise CalibrationError("seed must be non-negative")
+    projected: np.ndarray  # (n, 2) pair-set centroids under the winner, NaN behind it
+    residual_px: np.ndarray  # (n,) distance to the pixel centroid, inf behind it
 
 
 def collect_centroid_pairs(pairs, classes) -> CentroidPairSet:
-    """One matched centroid pair per (frame, class) present in both modalities."""
-    found = []
+    """One matched centroid pair per (frame, class) present in both modalities.
+
+    Raises InsufficientPairs when fewer than ``MIN_PAIRS`` are found.
+    """
+    rows = []
     for pair in pairs:
+        k = pair.intrinsics
         for class_id in sorted(set(int(c) for c in classes)):
             c3d = centroid_3d(pair.cloud, class_id)
             if c3d is None:
@@ -137,10 +121,13 @@ def collect_centroid_pairs(pairs, classes) -> CentroidPairSet:
             c2d = centroid_2d(pair.image, class_id)
             if c2d is None:
                 continue
-            found.append(
-                CentroidPair(pair.frame_id, class_id, c3d, c2d, pair.intrinsics)
-            )
-    return CentroidPairSet(tuple(found))
+            rows.append((pair.frame_id, class_id, c3d.position, c2d.position,
+                         (k.fx, k.fy, k.cx, k.cy)))
+    if len(rows) < MIN_PAIRS:
+        raise InsufficientPairs(f"{len(rows)} centroid pairs found, need at least {MIN_PAIRS}")
+    frame_ids, class_ids, points, pixels, camera = zip(*rows)
+    return CentroidPairSet(frame_ids, np.array(class_ids), np.array(points),
+                           np.array(pixels), np.array(camera, dtype=float))
 
 
 def ransac_plane(
@@ -290,11 +277,7 @@ def _nearest_rotation(m: np.ndarray) -> np.ndarray:
 
 
 def decompose_planar_pose(
-    h: np.ndarray,
-    frame: PlaneFrame,
-    k: CameraIntrinsics,
-    points_3d=None,
-    pixels_2d=None,
+    h: np.ndarray, frame: PlaneFrame, pair_set: CentroidPairSet
 ) -> list[PoseCandidate]:
     """Both rigid poses consistent with a plane-to-camera homography.
 
@@ -302,8 +285,8 @@ def decompose_planar_pose(
     coordinates.  The two sign choices of ``h`` give the two candidates;
     each rotation is snapped to the nearest orthonormal matrix and composed
     with the chart so the returned extrinsics act on sensor-frame points.
-    When correspondences are supplied, each candidate carries its pixel
-    reprojection rms and the count of centroids in front of the camera.
+    Each candidate carries the pixel reprojection rms of ``pair_set`` and
+    the count of its centroids in front of the camera.
     """
     candidates = []
     for sign in (1.0, -1.0):
@@ -323,31 +306,17 @@ def decompose_planar_pose(
         r_full = r_pc @ m.T
         t_full = t_pc - r_full @ frame.origin
         ext = Extrinsics(euler_from_matrix(r_full), Translation(*t_full))
-        rms = float("nan")
-        cheirality = 0
-        if points_3d is not None and pixels_2d is not None:
-            pts = np.asarray(points_3d, dtype=float)
-            pix = np.asarray(pixels_2d, dtype=float)
-            cam = pts @ r_full.T + t_full
-            front = cam[:, 2] > EPS_DEPTH
-            cheirality = int(front.sum())
-            if cheirality:
-                cf = cam[front]
-                proj = np.stack(
-                    [
-                        k.fx * cf[:, 0] / cf[:, 2] + k.cx,
-                        k.fy * cf[:, 1] / cf[:, 2] + k.cy,
-                    ],
-                    axis=1,
-                )
-                rms = float(np.sqrt(np.mean(np.sum((proj - pix[front]) ** 2, axis=1))))
-            else:
-                rms = float("inf")
+        proj, front = pair_set.project(r_full, t_full)
+        cheirality = int(front.sum())
+        rms = float("inf")
+        if cheirality:
+            err = proj[front] - pair_set.pixels_2d[front]
+            rms = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
         candidates.append(PoseCandidate(ext, rms, cheirality))
     return candidates
 
 
-def initialize(evaluator: CostEvaluator, config: InitConfig | None = None) -> InitResult:
+def initialize(evaluator: CostEvaluator, config: RunConfig | None = None) -> InitResult:
     """Full initialization pipeline from a prepared scene to initial extrinsics.
 
     Centroid pairs -> consensus plane -> plane chart -> homography -> two
@@ -357,10 +326,9 @@ def initialize(evaluator: CostEvaluator, config: InitConfig | None = None) -> In
     the planar decomposition to be trustworthy (more frames usually fix
     this), and propagates InsufficientPairs / Degenerate from the stages.
     """
-    cfg = config or InitConfig()
+    cfg = config or RunConfig()
     pair_set = collect_centroid_pairs(evaluator.pairs, evaluator.classes)
-    pts3d = pair_set.points_3d()
-    pix2d = pair_set.pixels_2d()
+    pts3d = pair_set.points_3d
 
     plane = ransac_plane(
         pts3d, cfg.ransac_threshold, cfg.ransac_iterations, seed=cfg.seed
@@ -377,53 +345,25 @@ def initialize(evaluator: CostEvaluator, config: InitConfig | None = None) -> In
         )
 
     coords, frame, _ = plane_coordinates(plane, pts3d)
-    k = pair_set.pairs[0].intrinsics
-    normalized = np.stack(
-        [
-            (pix2d[:, 0] - np.array([p.intrinsics.cx for p in pair_set.pairs]))
-            / np.array([p.intrinsics.fx for p in pair_set.pairs]),
-            (pix2d[:, 1] - np.array([p.intrinsics.cy for p in pair_set.pairs]))
-            / np.array([p.intrinsics.fy for p in pair_set.pairs]),
-        ],
-        axis=1,
-    )
+    normalized = (pair_set.pixels_2d - pair_set.camera[:, 2:]) / pair_set.camera[:, :2]
     h = estimate_homography(coords, normalized)
-    candidates = decompose_planar_pose(h, frame, k, pts3d, pix2d)
+    candidates = decompose_planar_pose(h, frame, pair_set)
 
     costs = [evaluator.evaluate_total(c.extrinsics) for c in candidates]
     order = sorted(
         range(len(candidates)), key=lambda i: (-candidates[i].cheirality, costs[i])
     )
-    ranked = [candidates[i] for i in order]
-    ranked_costs = [costs[i] for i in order]
-
-    winner = ranked[0]
-    r_w, t_w = winner.extrinsics.matrix()
-    diagnostics = []
-    for cp in pair_set.pairs:
-        cam = r_w @ cp.c3d.position + t_w
-        if cam[2] > EPS_DEPTH:
-            u = cp.intrinsics.fx * cam[0] / cam[2] + cp.intrinsics.cx
-            v = cp.intrinsics.fy * cam[1] / cam[2] + cp.intrinsics.cy
-            residual = float(np.hypot(u - cp.c2d.position[0], v - cp.c2d.position[1]))
-        else:
-            u = v = float("nan")
-            residual = float("inf")
-        diagnostics.append(
-            {
-                "frame_id": cp.frame_id,
-                "class_id": cp.class_id,
-                "centroid_2d": (float(cp.c2d.position[0]), float(cp.c2d.position[1])),
-                "projected_3d": (float(u), float(v)),
-                "residual_px": residual,
-            }
-        )
+    winner = candidates[order[0]]
+    projected, front = pair_set.project(*winner.extrinsics.matrix())
+    residual = np.hypot(*(projected - pair_set.pixels_2d).T)
+    residual[~front] = np.inf
 
     return InitResult(
         extrinsics=winner.extrinsics,
         plane=plane,
-        candidates=ranked,
-        candidate_costs=ranked_costs,
+        candidates=[candidates[i] for i in order],
+        candidate_costs=[costs[i] for i in order],
         pair_set=pair_set,
-        diagnostics=diagnostics,
+        projected=projected,
+        residual_px=residual,
     )

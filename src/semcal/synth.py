@@ -112,8 +112,13 @@ def rasterize(
     img = np.zeros((k.height, k.width), dtype=np.int32)
     if pts.shape[0] == 0:
         return LabelImage(img)
-    u = np.rint(k.fx * pts[:, 0] / pts[:, 2] + k.cx).astype(np.int64)
-    v = np.rint(k.fy * pts[:, 1] / pts[:, 2] + k.cy).astype(np.int64)
+    # Far-off projections, overflowed ones included, are clipped to cells that
+    # stay off the image under every offset, which keeps them inside int64.
+    pad = dilation + 1
+    with np.errstate(over="ignore"):
+        uf, vf = k.fx * pts[:, 0] / pts[:, 2] + k.cx, k.fy * pts[:, 1] / pts[:, 2] + k.cy
+    u = np.rint(np.clip(uf, -pad, k.width + pad)).astype(np.int64)
+    v = np.rint(np.clip(vf, -pad, k.height + pad)).astype(np.int64)
     span = range(-dilation, dilation + 1)
     offsets = [(dx, dy) for dy in span for dx in span]
     n = u.shape[0]
@@ -205,8 +210,11 @@ def generate(spec: SceneSpec) -> SceneData:
         cam2 = sensor @ r_gt.T + t_gt
         z = cam2[:, 2]
         keep = z > EPS_DEPTH
-        uf = np.where(keep, k.fx * cam2[:, 0] / np.where(keep, z, 1.0) + k.cx, -1.0)
-        vf = np.where(keep, k.fy * cam2[:, 1] / np.where(keep, z, 1.0) + k.cy, -1.0)
+        with np.errstate(over="ignore"):
+            uf = np.where(keep, k.fx * cam2[:, 0] / np.where(keep, z, 1.0) + k.cx, -1.0)
+            vf = np.where(keep, k.fy * cam2[:, 1] / np.where(keep, z, 1.0) + k.cy, -1.0)
+        # Off-image either way; the clip keeps huge projections inside int64.
+        uf, vf = np.clip(uf, -1.0, k.width), np.clip(vf, -1.0, k.height)
         ui = np.rint(uf).astype(np.int64)
         vi = np.rint(vf).astype(np.int64)
         keep &= (ui >= 0) & (ui < k.width) & (vi >= 0) & (vi < k.height)

@@ -336,7 +336,18 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(["synth", "--spec", "ground_jitter = inf"], id="spec-ground_jitter-inf"),
     # drawn depths up to 1e308 do not fit the float32 cloud file
     pytest.param(["synth", "--spec", "depth_range = 1,1e308"], id="spec-depth_range-huge"),
+    # projections far beyond int64 used to warn in the integer cast
+    pytest.param(["synth", "--spec", "ground_y = 1e300"], id="spec-ground_y-huge"),
+    pytest.param(["synth", "--spec", "lateral_range = 1e300,1e300"], id="spec-lateral_range-huge"),
+    pytest.param(["synth", "--spec", "lateral_range = 1e308,1e308"],
+                 id="spec-lateral_range-overflow"),
+    # no image keeps a pixel of any class, so every pose would cost the same
+    pytest.param(_CALIBRATE + ["--config", "image_remap = 1:0,2:0,3:0"],
+                 id="calibrate-no-class-pixels"),
+    pytest.param(_SWEEP + ["--range", "1", "--interval", "0.1", "--config",
+                           "image_remap = 1:0,2:0,3:0"], id="sweep-no-class-pixels"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_is_an_error(argv, scene_dir, garbled_scene_dir, tmp_path, capsys):
     """Each bad flag or file value ends in one ``error:`` line, not a traceback."""
     args = []

@@ -7,34 +7,34 @@ from semcal.costfield import CostEvaluator
 from semcal.errors import CalibrationError, NonFiniteCost
 from semcal.geometry import Extrinsics, RotationAngles, Translation
 import semcal.optimizer
+from semcal.io_formats import RunConfig
 from semcal.optimizer import (
-    OptimizerConfig,
     _line,
     _probe_directions,
     calibrate,
     powell_minimize,
+    trial_steps,
 )
 from semcal.synth import SceneSpec, generate, perturb
 
 
 def test_config_validation():
     with pytest.raises(CalibrationError):
-        OptimizerConfig(max_iterations=0)
+        RunConfig(max_iterations=0)
     with pytest.raises(CalibrationError):
-        OptimizerConfig(ftol=0.0)
+        RunConfig(ftol=0.0)
     with pytest.raises(CalibrationError):
-        OptimizerConfig(line_tol=-1.0)
+        RunConfig(line_tol=-1.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(CalibrationError):
-            OptimizerConfig(ftol=bad)
+            RunConfig(ftol=bad)
         with pytest.raises(CalibrationError):
-            OptimizerConfig(line_tol=bad)
+            RunConfig(line_tol=bad)
 
 
 def test_config_default_steps():
-    cfg = OptimizerConfig()
-    assert np.array_equal(cfg.steps_for(6), [0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
-    assert np.array_equal(cfg.steps_for(2), [1.0, 1.0])
+    assert np.array_equal(trial_steps(6), [0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
+    assert np.array_equal(trial_steps(2), [1.0, 1.0])
 
 
 def line_minimize(f, x, direction, tol=1e-6):
@@ -96,7 +96,7 @@ def test_powell_quadratic_coupled():
 def test_powell_rosenbrock():
     f = lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
     x, fx, trace = powell_minimize(
-        f, np.array([-1.2, 1.0]), OptimizerConfig(max_iterations=500, ftol=1e-12)
+        f, np.array([-1.2, 1.0]), RunConfig(max_iterations=500, ftol=1e-12)
     )
     assert np.allclose(x, [1.0, 1.0], atol=1e-6)
     assert trace.termination == "converged"
@@ -113,7 +113,7 @@ def test_powell_trace_non_increasing():
 
 def test_powell_max_iterations():
     f = lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-    _, _, trace = powell_minimize(f, np.array([-1.2, 1.0]), OptimizerConfig(max_iterations=2))
+    _, _, trace = powell_minimize(f, np.array([-1.2, 1.0]), RunConfig(max_iterations=2))
     assert trace.termination == "max_iterations"
     assert trace.points[-1][0] == 2
 

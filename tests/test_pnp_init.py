@@ -7,8 +7,8 @@ from helpers import make_planar_pairs
 from semcal.costfield import CostEvaluator
 from semcal.errors import CalibrationError, Degenerate, InsufficientPairs, NonPlanar
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
+from semcal.io_formats import RunConfig
 from semcal.pnp_init import (
-    InitConfig,
     collect_centroid_pairs,
     decompose_planar_pose,
     estimate_homography,
@@ -23,10 +23,13 @@ def test_collect_pairs_matches_frames_and_classes():
     pairs, _, classes = make_planar_pairs(seed=0, n_frames=4, n_classes=3)
     ps = collect_centroid_pairs(pairs, classes)
     assert len(ps) == 12
-    assert ps.points_3d().shape == (12, 3)
-    assert ps.pixels_2d().shape == (12, 2)
+    assert ps.points_3d.shape == (12, 3)
+    assert ps.pixels_2d.shape == (12, 2)
+    assert ps.camera.shape == (12, 4)
+    assert ps.frame_ids == tuple(p.frame_id for p in pairs for _ in classes)
+    assert list(ps.class_ids) == list(classes) * 4
     # pixel centroids are the exact integer pixels the fixture picked
-    assert np.allclose(ps.pixels_2d(), np.round(ps.pixels_2d()))
+    assert np.allclose(ps.pixels_2d, np.round(ps.pixels_2d))
 
 
 def test_collect_pairs_skips_one_sided_classes():
@@ -39,7 +42,7 @@ def test_collect_pairs_skips_one_sided_classes():
         collect_centroid_pairs([fp], (1, 2))
     found = collect_centroid_pairs([fp, fp, fp, fp], (1, 2))
     assert len(found) == 4
-    assert all(p.class_id == 1 for p in found.pairs)
+    assert list(found.class_ids) == [1] * 4
 
 
 def test_ransac_plane_exact():
@@ -129,16 +132,16 @@ def test_homography_degenerate_cases():
 def test_decompose_returns_two_candidates():
     pairs, gt, classes = make_planar_pairs(seed=11)
     ps = collect_centroid_pairs(pairs, classes)
-    pts3d = ps.points_3d()
-    pix2d = ps.pixels_2d()
-    k = ps.pairs[0].intrinsics
+    pts3d = ps.points_3d
+    pix2d = ps.pixels_2d
+    k = pairs[0].intrinsics
     plane = ransac_plane(pts3d)
     coords, frame, _ = plane_coordinates(plane, pts3d)
     normalized = np.column_stack(
         [(pix2d[:, 0] - k.cx) / k.fx, (pix2d[:, 1] - k.cy) / k.fy]
     )
     h = estimate_homography(coords, normalized)
-    candidates = decompose_planar_pose(h, frame, k, pts3d, pix2d)
+    candidates = decompose_planar_pose(h, frame, ps)
     assert len(candidates) == 2
     best = min(candidates, key=lambda c: (-c.cheirality, c.rms))
     err = np.abs(np.asarray(best.extrinsics.to_vector()) - np.asarray(gt.to_vector()))
@@ -160,9 +163,23 @@ def test_initialize_exact_on_planar_fixture():
         # ranking puts the full-cheirality candidate first
         assert result.candidates[0].cheirality >= result.candidates[1].cheirality
         assert result.plane.rms < 1e-9
-        assert len(result.diagnostics) == len(result.pair_set)
-        for row in result.diagnostics:
-            assert row["residual_px"] < 1e-6
+        assert result.projected.shape == (len(result.pair_set), 2)
+        assert result.residual_px.shape == (len(result.pair_set),)
+        assert result.residual_px.max() < 1e-6
+
+
+def test_initialize_mixes_cameras():
+    # the same plane seen by two cameras that differ only in focal length
+    gt = Extrinsics(RotationAngles(0.1, -0.15, 0.05), Translation(0.2, -0.3, 0.1))
+    wide = CameraIntrinsics(fx=300.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
+    first, _, classes = make_planar_pairs(seed=5, gt=gt)
+    second, _, _ = make_planar_pairs(seed=5, k=wide, gt=gt)
+    second = [FramePair(p.cloud, p.image, p.intrinsics, "wide_" + p.frame_id) for p in second]
+    result = initialize(CostEvaluator(first + second, classes))
+    err = np.abs(np.asarray(result.extrinsics.to_vector()) - np.asarray(gt.to_vector()))
+    assert err.max() < 1e-6
+    assert result.candidates[0].rms < 1e-6
+    assert result.residual_px.max() < 1e-6
 
 
 def test_initialize_deterministic():
@@ -191,7 +208,7 @@ def test_initialize_nonplanar_gate():
             )
         )
     with pytest.raises(NonPlanar):
-        initialize(CostEvaluator(bent, classes), InitConfig(ransac_threshold=5.0))
+        initialize(CostEvaluator(bent, classes), RunConfig(ransac_threshold=5.0))
 
 
 def test_initialize_insufficient_pairs():
@@ -209,4 +226,4 @@ def test_initialize_insufficient_pairs():
 ])
 def test_init_config_validation(bad):
     with pytest.raises(CalibrationError):
-        InitConfig(**bad)
+        RunConfig(**bad)
