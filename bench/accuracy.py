@@ -13,13 +13,23 @@ criterion-6 ground truth) once:
 For each side -- REV, exported with ``git archive`` into a temporary
 directory, and the working tree's ``src/`` -- one process runs ``semcal
 calibrate`` on every scene.  Per scene the JSON records the evaluations, the
-samples served by the optimizer's memo (``n_repeated``, null where the
-side's report has no such line), the rotation (degrees) and translation
+samples served by the optimizer's memo (``n_repeated``) and those of the
+probe stage (``n_probe``; both null where the side's report has no such
+line), the rotation (degrees) and translation
 (meters) errors, whether both lie in the criterion-6 band (1 degree, 0.1 m),
 the final cost, the cost at the ground truth, the relative gap between the
 two, the wall time and a SHA-256 digest of the scene's output files (names
 and bytes).  ``identical_outputs`` counts the scenes whose digests agree
 between the two sides.
+
+``summary`` gives, per side, the numbers an accuracy gate reads:
+
+- ``criterion_6``: scenes in band among dev seeds 0-9 and among 20-frame
+  seeds 0-9, the scenes of acceptance criterion 6;
+- ``untuned_in_band``: scenes in band among the held-out and 20-frame sets;
+- ``evaluations``: the evaluations over all scenes;
+- ``median_gap_to_gt``: per set, the median relative gap to the cost at the
+  ground truth.
 
 The timings run in one more process that loads both sides' packages side by
 side.  Each of ``ROUNDS`` rounds times every task once per side, the sides in
@@ -147,6 +157,7 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
             "scene": scene.name,
             "evaluations": report["trace"]["n_evaluations"],
             "n_repeated": report["trace"].get("n_repeated"),
+            "n_probe": report["trace"].get("n_probe_evaluations"),
             "rot_err_deg": rot,
             "trans_err_m": trans,
             "in_band": rot <= BAND_DEG and trans <= BAND_M,
@@ -168,6 +179,23 @@ def calibrate_all(root: Path, out_root: Path) -> dict:
     return {name: calibrate_set(sorted(p for p in (root / name).iterdir() if p.is_dir()),
                                 out_root / name)
             for name in SCENE_SETS}
+
+
+def summarize(sets: dict) -> dict:
+    """One side's accuracy gate numbers; see the module docstring."""
+    def in_band(name, seeds=None):
+        return sum(r["in_band"] for r in sets[name]["scenes"]
+                   if seeds is None or int(r["scene"].split("_")[1]) in seeds)
+
+    return {
+        "criterion_6": {"dev": in_band("dev", range(10)),
+                        "frames20": in_band("frames20", range(10))},
+        "untuned_in_band": in_band("held_out") + in_band("frames20"),
+        "untuned_scenes": len(sets["held_out"]["scenes"]) + len(sets["frames20"]["scenes"]),
+        "evaluations": sum(s["evaluations"] for s in sets.values()),
+        "median_gap_to_gt": {name: median(r["gap_to_gt"] for r in s["scenes"])
+                             for name, s in sets.items()},
+    }
 
 
 def _load(src: Path, name: str):
@@ -346,6 +374,7 @@ def main() -> int:
                for side in SIDES]
     identical = {"scenes": len(digests[0]),
                  "identical": sum(a == b for a, b in zip(*digests))}
+    summary = {side: summarize(sets) for side, sets in accuracy.items()}
     result = {
         "what": "criterion-6-style calibrate on 10-frame scenes (seeds 0-23 dev, 24-47 "
                 "held out) and 20-frame scenes (seeds 0-11), with 2% label noise; "
@@ -356,6 +385,7 @@ def main() -> int:
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
+        "summary": summary,
         "accuracy": accuracy,
         "identical_outputs": identical,
         "timing": timing,
@@ -365,6 +395,12 @@ def main() -> int:
         print(f"{side}: " + "; ".join(
             f"{name} {s['in_band']}/{len(s['scenes'])} in band, {s['evaluations']} "
             f"evaluations, {s['wall_s']:.1f} s" for name, s in sets.items()))
+        gate = summary[side]
+        print(f"{side}: criterion 6 {gate['criterion_6']['dev']}/10 and "
+              f"{gate['criterion_6']['frames20']}/10; held out + 20-frame "
+              f"{gate['untuned_in_band']}/{gate['untuned_scenes']} in band; "
+              f"{gate['evaluations']} evaluations; median gap to the ground-truth cost "
+              + ", ".join(f"{k} {v:+.4f}" for k, v in gate["median_gap_to_gt"].items()))
     print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")
     ratios = [(f"kernel {name}", t) for name, t in timing["kernel"].items()]
     ratios += [("replay", timing["replay"]), ("calibrate", timing["calibrate"])]

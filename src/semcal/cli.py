@@ -297,6 +297,7 @@ def cmd_calibrate(args) -> int:
                 "termination": trace.termination,
                 "n_evaluations": int(trace.n_evaluations),
                 "n_repeated": int(trace.n_repeated),
+                "n_probe_evaluations": int(trace.n_probe),
                 "n_points": len(trace.points),
                 "initial_cost": sig6(trace.points[0][2]),
                 "final_cost": sig6(trace.points[-1][2]),

@@ -8,6 +8,15 @@ refines with a golden-section/parabolic-interpolation loop.  No gradients
 anywhere; the objective is only ever sampled, which is what makes the
 piecewise-constant semantic cost tractable.
 
+The semantic cost rounds every point to a pixel, so along a line it is a
+staircase.  Brent's loop assumes a continuous function and would keep
+halving a flat step down to ``line_tol``; instead the refinement stops once
+``_PLATEAU_SAMPLES`` samples in a row return exactly the best value so far.
+Only exact equality counts: a smooth objective almost never repeats a value
+bit for bit, so on it the loop runs as before, while stopping on any
+sample that fails to improve would also cut short the slow, strictly
+decreasing descents of a curved valley such as Rosenbrock's.
+
 Parameters are internally rescaled by per-parameter step sizes so one unit
 of search space means one "typical" move for that parameter, which matters
 because angles and translations live on very different scales.  The
@@ -30,6 +39,7 @@ from .io_formats import RunConfig
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
 _MAX_EXPANSIONS = 40
 _TINY = 1e-25
+_PLATEAU_SAMPLES = 4  # samples in a row equal to the best value end a refinement
 
 
 def trial_steps(n: int) -> np.ndarray:
@@ -51,6 +61,7 @@ class OptimizationTrace:
     termination: str  # converged | max_iterations | stalled
     n_evaluations: int = 0  # objective samples
     n_repeated: int = 0  # samples calibrate's memo served without evaluating
+    n_probe: int = 0  # samples of calibrate's probe stage; the rest are Powell's
 
 
 class _Objective:
@@ -71,11 +82,21 @@ class _Objective:
 
 
 def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[float, float]:
-    # Minimize g on [a, b] given a < x < b with g(x) <= g(a), g(b).
-    # Parabolic steps when the fit is trustworthy, golden section otherwise.
+    """Minimize g on [a, b] given a < x < b with g(x) <= g(a), g(b).
+
+    Parabolic steps when the fit is trustworthy, golden section otherwise.
+    Stops early, once ``_PLATEAU_SAMPLES`` samples in a row have returned
+    exactly ``fx``: the search is then halving a flat step of the
+    pixel-quantized cost, which only spends samples on the same value.  Any
+    other value, better or worse, resets the count.  A continuous objective
+    almost never returns the same value bit for bit, so it is still refined
+    down to ``tol``; stopping on every non-improving sample would instead
+    cut short the strictly decreasing progress of a curved valley.
+    """
     w = v = x
     fw = fv = fx
     d = e = 0.0
+    flat = 0
     for _ in range(120):
         m = 0.5 * (a + b)
         tol1 = tol * abs(x) + _TINY ** 0.5
@@ -103,6 +124,7 @@ def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[floa
             d = _GOLDEN * e
         u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
         fu = g(u)
+        flat = flat + 1 if fu == fx else 0
         if fu <= fx:
             if u >= x:
                 a = x
@@ -121,6 +143,8 @@ def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[floa
                 w, fw = u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+        if flat >= _PLATEAU_SAMPLES:
+            break
     return x, fx
 
 
@@ -332,7 +356,7 @@ def calibrate(
     sigma = trial_steps(6)
     points: list[tuple[int, np.ndarray, float]] = []
     termination = "stalled"
-    n_evaluations = 0
+    n_evaluations = n_probe = 0
     current = None
     for _ in range(_MAX_ROUNDS):
         x, current, trace = powell_minimize(objective, x, cfg)
@@ -364,12 +388,14 @@ def calibrate(
             if before - current <= _PASS_GAIN_REL * max(abs(before), _TINY):
                 break
         n_evaluations += obj.n_evaluations
+        n_probe += obj.n_evaluations
         if not moved:
             break
         points.append((points[-1][0] + 1, x.copy(), current))
         if current == 0.0:
             break
 
-    trace = OptimizationTrace(points, termination, n_evaluations, n_evaluations - len(memo))
+    trace = OptimizationTrace(points, termination, n_evaluations,
+                              n_evaluations - len(memo), n_probe)
     estimate = Extrinsics.from_vector(x)
     return estimate, evaluator.evaluate(estimate), trace

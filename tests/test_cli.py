@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import re
 import shutil
 
 import numpy as np
@@ -9,6 +10,7 @@ from semcal.cli import main
 from semcal.geometry import Extrinsics, RotationAngles, Translation
 from semcal.io_formats import (
     read_extrinsics,
+    read_point_cloud,
     read_report,
     write_extrinsics,
 )
@@ -136,6 +138,7 @@ def test_calibrate_pipeline_init(scene_dir, tmp_path):
     assert np.all(err[:3] < np.deg2rad(2.0)) and np.all(err[3:] < 0.2)
     assert report["trace"]["final_cost"] <= report["trace"]["initial_cost"]
     assert 0 <= report["trace"]["n_repeated"] < report["trace"]["n_evaluations"]
+    assert 0 < report["trace"]["n_probe_evaluations"] < report["trace"]["n_evaluations"]
     per_pair = report["pairs"]
     assert set(per_pair) == {"frame_0000", "frame_0001", "frame_0002"}
 
@@ -360,6 +363,48 @@ def test_bad_input_is_an_error(argv, scene_dir, garbled_scene_dir, tmp_path, cap
                                garbled=garbled_scene_dir))
     assert main(args + ["--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_class_absent_from_data_has_no_points(scene_dir, tmp_path):
+    """A listed class that no cloud and no image holds is reported empty and
+    changes nothing else."""
+    reports, outputs = {}, {}
+    for classes in ("1,2", "1,2,9"):
+        out = tmp_path / classes
+        assert main(["calibrate", str(scene_dir), "--classes", classes,
+                     "--output", str(out)]) == 0
+        reports[classes] = read_report(out / "report.txt")["calibration_report"]
+        outputs[classes] = {name: data for name, data in dir_bytes(out).items()
+                            if name != "report.txt"}
+    assert reports["1,2,9"]["config"].pop("classes") == "1,2,9"
+    assert reports["1,2,9"]["cost"]["per_class"].pop("class_9") == 0
+    reports["1,2"]["config"].pop("classes")
+    assert reports["1,2,9"] == reports["1,2"]
+    assert outputs["1,2,9"] == outputs["1,2"]
+
+
+def test_frame_behind_the_camera(scene_dir, tmp_path, capsys):
+    """A frame whose cloud is mirrored to negative depth projects no point
+    at the truth; every subcommand still ends cleanly, without a NaN."""
+    scene = tmp_path / "mirrored"
+    shutil.copytree(scene_dir, scene)
+    frame = scene / "frame_0001.bin"
+    records = np.frombuffer(frame.read_bytes(), dtype="<f4").reshape(-1, 4).copy()
+    records[:, 2] *= -1.0
+    frame.write_bytes(records.tobytes())
+    gt = str(scene / "gt_extrinsics.txt")
+    runs = {"init": ["init"], "calibrate": ["calibrate"],
+            "calibrate-gt": ["calibrate", "--init", gt]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        rc = main(argv[:1] + [str(scene)] + argv[1:] + ["--output", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 1 and err.startswith("error: ")), (name, rc, err)
+        for path in out.iterdir():
+            assert not re.search(r"\bnan\b", path.read_text(), re.I), (name, path.name)
+    report = read_report(tmp_path / "calibrate-gt" / "report.txt")["calibration_report"]
+    n_points = read_point_cloud(frame).points.shape[0]
+    assert report["pairs"]["frame_0001"]["n_behind_camera"] == n_points
 
 
 def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from semcal.geometry import Extrinsics, RotationAngles, Translation
 import semcal.optimizer
 from semcal.io_formats import RunConfig
 from semcal.optimizer import (
+    _PLATEAU_SAMPLES,
     _line,
     _probe_directions,
     calibrate,
@@ -72,6 +73,25 @@ def test_line_minimize_uphill_both_ways():
     f = lambda x: abs(x[0])
     step, cost = line_minimize(f, np.zeros(1), np.ones(1))
     assert step == 0.0 and cost == 0.0
+
+
+@pytest.mark.parametrize("centre", [0.3, -0.7, 2.9, 40.3])
+def test_line_minimize_staircase_stops_on_plateau(centre):
+    """On a pixel-quantized cost the refinement stops once the samples repeat.
+
+    Brent's loop alone would keep halving the flat bottom step down to
+    ``tol``, spending every sample on the same value.
+    """
+    values = []
+
+    def g(a):
+        values.append(float(np.floor(64.0 * (a - centre) ** 2)))
+        return values[-1]
+
+    step, cost = _line(g, g(0.0), 1e-6)
+    assert cost == 0.0 and abs(step - centre) < 1.0 / 8.0  # on the bottom step
+    last_change = max(i for i in range(1, len(values)) if values[i] != values[i - 1])
+    assert len(values) - 1 - last_change <= _PLATEAU_SAMPLES
 
 
 def test_powell_quadratic_identity():
@@ -154,6 +174,24 @@ def test_calibrate_recovers_clean_scene():
     costs = [c for _, _, c in trace.points]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     assert trace.termination in {"converged", "max_iterations", "stalled"}
+
+
+def test_calibrate_counts_probe_samples(monkeypatch):
+    """``n_probe`` is every sample that no Powell run took."""
+    spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=4)
+    scene = generate(spec)
+    start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=2)
+    powell_samples = []
+    powell_minimize = semcal.optimizer.powell_minimize
+
+    def counting(*args, **kwargs):
+        result = powell_minimize(*args, **kwargs)
+        powell_samples.append(result[2].n_evaluations)
+        return result
+
+    monkeypatch.setattr(semcal.optimizer, "powell_minimize", counting)
+    _, _, trace = calibrate(CostEvaluator(scene.pairs, spec.classes), start)
+    assert 0 < trace.n_probe == trace.n_evaluations - sum(powell_samples)
 
 
 def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
