@@ -39,13 +39,19 @@ median of those ratios:
 
 - ``kernel``: microseconds per ``evaluate_total`` over 300 poses near the
   ground truth, each with its own rotation, on calib-c6 scene 8 and
-  sweep-clean scene 0;
+  sweep-clean scene 0.  A side's round repeats the poses until it has
+  taken ``ROUND_S`` seconds: one pass of 30-70 ms is shorter than the
+  host's speed swings, and unchanged code then read ratios of 0.78-1.25;
 - ``replay``: microseconds per ``evaluate_total`` over the poses the
-  baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats included;
+  baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats included.
+  Here and in ``kernel`` each round times a freshly built evaluator: with
+  one evaluator per side for all rounds, unchanged code read a median
+  ratio of 1.06, with 9 of 10 rounds above 1, a bias rounds cannot cancel;
 - ``calibrate``: seconds of ``calibrate`` from the initialization on
   calib-c6 scene 8;
 - ``layers``: on calib-c6 scene 8 and init-wide scene 0, the milliseconds
-  spent in ``build_distance_field`` per (frame, class) field, the seconds of
+  spent in ``build_distance_field`` per (frame, class) field (one call may
+  build the fields of several frames), the seconds of
   the whole ``CostEvaluator`` construction, and the seconds of
   ``initialize`` given that evaluator.  A round builds ``BUILDS``
   evaluators per side, alternating sides, and keeps each side's medians:
@@ -93,7 +99,7 @@ LAYER_SCENES = {
     "init-wide scene 0": dict(n_frames=20, objects_per_frame=12, classes=(1, 2, 3, 4, 5, 6),
                               noise_rate=0.02, seed=0),
 }
-POSES, ROUNDS, BUILDS = 300, 10, 5
+POSES, ROUNDS, BUILDS, ROUND_S = 300, 10, 5, 0.5
 SIDES = ("baseline", "change")
 
 
@@ -247,23 +253,24 @@ def time_sides(srcs: dict) -> dict:
                                                          rng.normal(scale=0.2, size=3)]))
              for _ in range(POSES)]
 
-    def per_eval(evaluator, seq):
+    def per_eval(side, pairs, classes, seq):
         def run():
-            t0 = time.perf_counter()
-            for pose in seq:
-                evaluator.evaluate_total(pose)
-            return {"us_per_eval": (time.perf_counter() - t0) / len(seq) * 1e6}
+            evaluator = mods[side]["costfield"].CostEvaluator(pairs, classes)
+            n, t0 = 0, time.perf_counter()
+            while (spent := time.perf_counter() - t0) < ROUND_S or not n:
+                for pose in seq:
+                    evaluator.evaluate_total(pose)
+                n += len(seq)
+            return {"us_per_eval": spent / n * 1e6}
         return run
 
     result = {"kernel": {}, "layers": {}}
     for name, kwargs in KERNEL_SCENES.items():
         spec = _spec(**kwargs)
         pairs = generate(spec).pairs
-        evaluators = {s: m["costfield"].CostEvaluator(pairs, spec.classes)
-                      for s, m in mods.items()}
-        result["kernel"][name] = {"points": evaluators["change"].denominator,
-                                  **_interleave({s: per_eval(e, poses)
-                                                 for s, e in evaluators.items()})}
+        points = mods["change"]["costfield"].CostEvaluator(pairs, spec.classes).denominator
+        result["kernel"][name] = {"points": points, **_interleave(
+            {s: per_eval(s, pairs, spec.classes, poses) for s in SIDES})}
 
     spec = _spec(**C6_SCENE_8)
     pairs = generate(spec).pairs
@@ -274,7 +281,7 @@ def time_sides(srcs: dict) -> dict:
     mods["baseline"]["optimizer"].calibrate(evaluators["baseline"], start)
     del evaluators["baseline"].evaluate_total
     result["replay"] = {"poses": len(sent), **_interleave(
-        {s: per_eval(e, sent) for s, e in evaluators.items()})}
+        {s: per_eval(s, pairs, spec.classes, sent) for s in SIDES})}
 
     def calibrate(side):
         def run():

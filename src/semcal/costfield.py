@@ -4,7 +4,7 @@ The per-point cost couples a label-consistency test with the minimum
 Manhattan distance from the projected pixel to any image pixel carrying the
 point's class, weighted by the squared range of the original sensor-frame
 point.  Distance lookups are served by per-class exact L1 distance
-transforms precomputed once per image.
+transforms precomputed once, together for all images of the same size.
 
 Failure modes fold into finite penalties so the aggregate loss stays total:
 a point behind the camera, or one whose class is absent from the image,
@@ -25,16 +25,17 @@ from .scene import IGNORE_CLASS, LabelImage
 
 
 class DistanceField(NamedTuple):
-    """Exact L1 distance transforms of several classes of one label image.
+    """Exact L1 distance transforms of several classes in same-size label images.
 
-    ``d[col, j, row]`` is the minimum Manhattan distance from pixel
-    ``(col, row)`` to any pixel of the ``j``-th class; zero exactly on such
-    pixels and below ``width + height`` everywhere.  ``empty[j]`` is set
-    when the class is absent; its plane then holds ``width + height``.
+    ``d[col, i * classes + j, row]`` is the minimum Manhattan distance from
+    pixel ``(col, row)`` of the ``i``-th image to any of its pixels of the
+    ``j``-th class; zero exactly on such pixels and below ``width + height``
+    everywhere.  ``empty[i * classes + j]`` is set when that class is absent
+    from that image; its plane then holds ``width + height``.
     """
 
-    d: np.ndarray  # (width, classes, height)
-    empty: np.ndarray  # (classes,) bool
+    d: np.ndarray  # (width, images * classes, height)
+    empty: np.ndarray  # (images * classes,) bool
 
 
 def _scan(a: np.ndarray) -> None:
@@ -47,26 +48,31 @@ def _scan(a: np.ndarray) -> None:
             np.minimum(cur, step, out=cur)
 
 
-def build_distance_field(image: LabelImage, classes, out=None) -> DistanceField:
-    """Exact L1 distance transforms of ``classes`` in one label image, built together.
+def build_distance_field(images: list[LabelImage], classes, out=None) -> DistanceField:
+    """Exact L1 distance transforms of ``classes`` in same-size label images, built together.
 
-    One compare marks every class in a ``(height, classes, width)`` array,
-    0 on its pixels and ``far = width + height`` (more than any distance)
-    elsewhere.  A forward and a backward row scan along the height, each
-    numpy call covering a row of every class, then one transpose and the
-    same scan along the width give the exact Manhattan transform (Rosenfeld
-    & Pfaltz, 1966).  ``out``, when given, receives the ``(width, classes,
-    height)`` result; its unsigned type must hold ``far + 1``.
+    Per image, one compare marks every class in a ``(height, classes,
+    width)`` array, 0 on its pixels and ``far = width + height`` (more than
+    any distance) elsewhere; a forward and a backward row scan along the
+    height, each numpy call covering a row of every class, and one
+    transpose write it into the image's slot of the ``(width, images *
+    classes, height)`` result.  The same scan along the width then runs
+    once over every slot, so its calls are shared by all the images, and
+    gives the exact Manhattan transform (Rosenfeld & Pfaltz, 1966).
+    ``out``, when given, receives the result; its unsigned type must hold
+    ``far + 1``.
     """
-    labels = image.labels
-    h, w = labels.shape
+    h, w = images[0].labels.shape
     far = h + w
+    n = len(classes)
     if out is None:
-        out = np.empty((w, len(classes), h), np.min_scalar_type(far + 1))
-    ids = np.array(classes, np.promote_types(labels.dtype, np.min_scalar_type(max(classes))))
-    a = (labels[:, None, :] != ids[:, None]) * out.dtype.type(far)
-    _scan(a)
-    out[...] = a.transpose(2, 1, 0)
+        out = np.empty((w, len(images) * n, h), np.min_scalar_type(far + 1))
+    for i, image in enumerate(images):
+        labels = image.labels
+        ids = np.array(classes, np.promote_types(labels.dtype, np.min_scalar_type(max(classes))))
+        a = (labels[:, None, :] != ids[:, None]) * out.dtype.type(far)
+        _scan(a)
+        out[:, i * n:(i + 1) * n] = a.transpose(2, 1, 0)
     _scan(out)
     return DistanceField(out, out[0, :, 0] == far)
 
@@ -121,8 +127,9 @@ class CostEvaluator:
     offset into one buffer that holds every distance field.  Exact L1
     distances between integer pixels are integers below ``width + height``,
     so the buffer stores them losslessly in the smallest unsigned type that
-    holds ``width + height + 1``; each image's fields are built straight
-    into it.
+    holds ``width + height + 1``.  Each group of same-size pairs, in the
+    order its size first appears, has its fields built by one
+    :func:`build_distance_field` call straight into a block of the buffer.
 
     Each evaluation is one flat pass: one rotation of all points, round /
     clip / gather, one sum.  :meth:`evaluate_total`, the hot path of
@@ -142,26 +149,34 @@ class CostEvaluator:
         self.classes = _validated_classes(classes)
 
         n_classes = len(self.classes)
-        wh = max(p.intrinsics.width + p.intrinsics.height for p in self.pairs)
+        groups = {}  # (width, height): indices of the pairs of that image size
+        for i, pair in enumerate(self.pairs):
+            groups.setdefault((pair.intrinsics.width, pair.intrinsics.height), []).append(i)
         self._fields = np.empty(sum(p.image.labels.size for p in self.pairs) * n_classes,
-                                np.min_scalar_type(wh + 1))
-        points, sqn, counts, meta = [], [], [], []
+                                np.min_scalar_type(max(w + h for w, h in groups) + 1))
+        layout = {}  # pair index: (stride, cell of its first class, its empty flags)
         cell = 0
-        for pair in self.pairs:
+        for (w, h), members in groups.items():
+            stride = len(members) * n_classes * h
+            fields = self._fields[cell:cell + w * stride].reshape(w, -1, h)
+            empty = build_distance_field([self.pairs[i].image for i in members],
+                                         self.classes, fields).empty
+            for slot, i in enumerate(members):
+                layout[i] = (stride, cell + slot * n_classes * h,
+                             empty[slot * n_classes:(slot + 1) * n_classes])
+            cell += w * stride
+        points, sqn, counts, meta = [], [], [], []
+        for i, pair in enumerate(self.pairs):
             k = pair.intrinsics
-            size = k.width * n_classes * k.height
-            fields = self._fields[cell:cell + size].reshape(k.width, n_classes, k.height)
-            empty = build_distance_field(pair.image, self.classes, fields).empty
+            stride, first, empty = layout[i]
             for j, cid in enumerate(self.classes):
                 pts = pair.cloud.points[pair.cloud.labels == cid]
                 points.append(pts)
                 sqn.append(np.einsum("ij,ij->i", pts, pts) if range_weighting
                            else np.ones(len(pts)))
                 counts.append(len(pts))
-                meta.append((k.fx, k.fy, k.cx, k.cy, k.width - 1, k.height - 1,
-                             n_classes * k.height, k.width + k.height, cell + j * k.height,
-                             empty[j]))
-            cell += size
+                meta.append((k.fx, k.fy, k.cx, k.cy, k.width - 1, k.height - 1, stride,
+                             k.width + k.height, first + j * k.height, empty[j]))
         self.denominator = sum(counts)
         if self.denominator == 0:
             raise ZeroDenominator(

@@ -33,6 +33,7 @@ from .io_formats import RunConfig
 from .scene import centroid_2d, centroid_3d
 
 MIN_PAIRS = 4
+_CHUNK = 512  # RANSAC triples scored per array pass
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,23 @@ def collect_centroid_pairs(pairs, classes) -> CentroidPairSet:
                            np.array(pixels), np.array(camera, dtype=float))
 
 
+def _hypothesis(points, idx, threshold: float, cross_tol: float):
+    # (count, rms, normal, offset, inliers) of the plane through points[idx],
+    # or None for a collinear triple or fewer than 3 inliers
+    p0, p1, p2 = points[idx]
+    normal = np.cross(p1 - p0, p2 - p0)
+    norm = np.linalg.norm(normal)
+    if norm <= cross_tol:
+        return None
+    normal = normal / norm
+    offset = float(normal @ p0)
+    dist = np.abs(points @ normal - offset)
+    inliers = np.nonzero(dist <= threshold)[0]
+    if inliers.size < 3:
+        return None
+    return inliers.size, float(np.sqrt(np.mean(dist[inliers] ** 2))), normal, offset, inliers
+
+
 def ransac_plane(
     centroids, threshold: float = 0.2, iterations: int = 500, seed: int = 0
 ) -> PlaneModel:
@@ -138,7 +156,9 @@ def ransac_plane(
     Samples minimal triples, keeps the largest consensus set (ties broken by
     lower rms, then by earlier iteration), and refits the winner to its
     inliers via the smallest-eigenvector direction of their covariance.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Triples are scored as arrays, ``_CHUNK``
+    at a time, with a slack around the threshold; only those whose count could
+    be the largest are rescored one by one, so the result is a plain loop's.
     """
     points = np.asarray(centroids, dtype=float)
     n = points.shape[0]
@@ -146,26 +166,25 @@ def ransac_plane(
         raise Degenerate(f"plane fitting needs at least 3 points, got {n}")
     scale = float(np.linalg.norm(np.ptp(points, axis=0)))
     cross_tol = max(scale * scale * 1e-12, 1e-24)
+    slack = 1e-9 * (threshold + float(np.abs(points).sum(axis=1).max()))
     rng = np.random.default_rng(seed)
-    best = None  # (count, rms, normal, offset, inlier_idx)
-    for _ in range(iterations):
-        idx = rng.choice(n, size=3, replace=False) if n > 3 else np.arange(3)
-        p0, p1, p2 = points[idx]
-        (ax, ay, az), (bx, by, bz) = (p1 - p0).tolist(), (p2 - p0).tolist()  # np.cross, unrolled
-        normal = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
-        norm = np.linalg.norm(normal)
-        if norm <= cross_tol:
-            continue  # collinear sample
-        normal = normal / norm
-        offset = float(normal @ p0)
-        dist = np.abs(points @ normal - offset)
-        inliers = np.nonzero(dist <= threshold)[0]
-        count = inliers.size
-        if count < 3:
-            continue
-        rms = float(np.sqrt(np.mean(dist[inliers] ** 2)))
-        if best is None or count > best[0] or (count == best[0] and rms < best[1]):
-            best = (count, rms, normal, offset, inliers)
+    best = None  # (count, rms, normal, offset, inliers)
+    for start in range(0, iterations, _CHUNK):
+        draws = np.array([rng.choice(n, size=3, replace=False) if n > 3 else np.arange(3)
+                          for _ in range(min(_CHUNK, iterations - start))])
+        p0, p1, p2 = points[draws.T]
+        normal = np.cross(p1 - p0, p2 - p0)
+        norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))
+        normal /= np.where(norm > 0, norm, 1.0)[:, None]
+        dist = np.abs(points @ normal.T - np.einsum("ij,ij->i", normal, p0))
+        # counts that bound the exact one, of triples surely / maybe not collinear
+        low = np.where(norm > cross_tol * (1 + 1e-9), (dist <= threshold - slack).sum(axis=0), 0)
+        high = np.where(norm > cross_tol * (1 - 1e-9), (dist <= threshold + slack).sum(axis=0), 0)
+        floor = max(3, low.max(initial=0), best[0] if best else 0)
+        for idx in draws[high >= floor]:
+            h = _hypothesis(points, idx, threshold, cross_tol)
+            if h and (best is None or h[0] > best[0] or (h[0] == best[0] and h[1] < best[1])):
+                best = h
     if best is None:
         raise Degenerate("all sampled triples were collinear; cannot fit a plane")
 
@@ -239,26 +258,15 @@ def estimate_homography(plane_pts, image_pts) -> np.ndarray:
     t_src = _normalization(src)
     t_dst = _normalization(dst)
     ones = np.ones((n, 1))
-    sh = (np.hstack([src, ones]) @ t_src.T)[:, :2]
-    dh = (np.hstack([dst, ones]) @ t_dst.T)[:, :2]
-
+    sh = np.hstack([(np.hstack([src, ones]) @ t_src.T)[:, :2], ones])  # rows (x, y, 1)
+    dh = (np.hstack([dst, ones]) @ t_dst.T)[:, :2]  # rows (u, v)
+    # even rows (-x, -y, -1, 0, 0, 0, ux, uy, u), odd rows (0, 0, 0, -x, -y, -1, vx, vy, v)
     a = np.zeros((2 * n, 9))
-    x, y = sh[:, 0], sh[:, 1]
-    u, v = dh[:, 0], dh[:, 1]
-    a[0::2, 0] = -x
-    a[0::2, 1] = -y
-    a[0::2, 2] = -1.0
-    a[0::2, 6] = u * x
-    a[0::2, 7] = u * y
-    a[0::2, 8] = u
-    a[1::2, 3] = -x
-    a[1::2, 4] = -y
-    a[1::2, 5] = -1.0
-    a[1::2, 6] = v * x
-    a[1::2, 7] = v * y
-    a[1::2, 8] = v
+    a[0::2, :3] = a[1::2, 3:6] = -sh
+    a[0::2, 6:] = dh[:, :1] * sh
+    a[1::2, 6:] = dh[:, 1:] * sh
 
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=len(a) < 9)  # vt must be 9 x 9
     if s[-2] <= 1e-10 * s[0]:
         raise Degenerate("correspondences are rank-deficient (collinear or repeated)")
     h = vt[-1].reshape(3, 3)

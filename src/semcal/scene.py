@@ -121,8 +121,9 @@ def centroid_3d(cloud: LabeledPointCloud, class_id: int) -> Centroid | None:
 
 def centroid_2d(image: LabelImage, class_id: int) -> Centroid | None:
     """Mean pixel coordinate ``(u, v)`` of the pixels labeled ``class_id``."""
-    mask = image.labels == class_id
-    per_col, per_row = np.count_nonzero(mask, axis=0), np.count_nonzero(mask, axis=1)
+    mask = (image.labels == class_id).view(np.uint8)
+    acc = np.min_scalar_type(max(image.width, image.height))  # holds any row or column count
+    per_col, per_row = mask.sum(axis=0, dtype=acc), mask.sum(axis=1, dtype=acc)
     n = int(per_col.sum())
     if n == 0:
         return None

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from semcal.costfield import CostBreakdown, PairBreakdown, build_distance_field
+from semcal.errors import Degenerate
 from semcal.geometry import (
     EPS_DEPTH,
     CameraIntrinsics,
@@ -12,6 +13,7 @@ from semcal.geometry import (
     RotationAngles,
     Translation,
 )
+from semcal.pnp_init import PlaneModel
 from semcal.scene import FramePair, LabelImage, LabeledPointCloud
 
 
@@ -48,7 +50,7 @@ def brute_distance_grid(labels, class_id):
 def class_field(image, class_id):
     """One class's distance field as a ``(height, width)`` grid ``d`` plus its
     ``empty_class`` flag: the layout the scalar and per-block references read."""
-    field = build_distance_field(image, (class_id,))
+    field = build_distance_field([image], (class_id,))
     return SimpleNamespace(d=field.d[:, 0].T, empty_class=bool(field.empty[0]))
 
 
@@ -91,6 +93,52 @@ def make_planar_pairs(seed, n_frames=4, n_classes=3, k=None, gt=None):
         cloud = LabeledPointCloud(points=np.array(points), labels=np.array(classes))
         pairs.append(FramePair(cloud, LabelImage(labels=image), k, f"frame_{f:04d}"))
     return pairs, gt, classes
+
+
+def ransac_plane_loop(centroids, threshold=0.2, iterations=500, seed=0):
+    """``pnp_init.ransac_plane`` as it was before it scored triples as arrays:
+    one triple at a time, the same draws, the same refit."""
+    points = np.asarray(centroids, dtype=float)
+    n = points.shape[0]
+    if n < 3:
+        raise Degenerate(f"plane fitting needs at least 3 points, got {n}")
+    scale = float(np.linalg.norm(np.ptp(points, axis=0)))
+    cross_tol = max(scale * scale * 1e-12, 1e-24)
+    rng = np.random.default_rng(seed)
+    best = None  # (count, rms, normal, offset, inlier_idx)
+    for _ in range(iterations):
+        idx = rng.choice(n, size=3, replace=False) if n > 3 else np.arange(3)
+        p0, p1, p2 = points[idx]
+        (ax, ay, az), (bx, by, bz) = (p1 - p0).tolist(), (p2 - p0).tolist()
+        normal = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+        norm = np.linalg.norm(normal)
+        if norm <= cross_tol:
+            continue  # collinear sample
+        normal = normal / norm
+        offset = float(normal @ p0)
+        dist = np.abs(points @ normal - offset)
+        inliers = np.nonzero(dist <= threshold)[0]
+        count = inliers.size
+        if count < 3:
+            continue
+        rms = float(np.sqrt(np.mean(dist[inliers] ** 2)))
+        if best is None or count > best[0] or (count == best[0] and rms < best[1]):
+            best = (count, rms, normal, offset, inliers)
+    if best is None:
+        raise Degenerate("all sampled triples were collinear; cannot fit a plane")
+
+    inliers = best[4]
+    sub = points[inliers]
+    center = sub.mean(axis=0)
+    cov = (sub - center).T @ (sub - center)
+    _, eigvecs = np.linalg.eigh(cov)
+    normal = eigvecs[:, 0]
+    lead = int(np.argmax(np.abs(normal)))
+    if normal[lead] < 0:
+        normal = -normal
+    offset = float(normal @ center)
+    dist = np.abs(sub @ normal - offset)
+    return PlaneModel(normal, offset, inliers, float(np.sqrt(np.mean(dist**2))))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ from semcal.cli import main
 from semcal.geometry import Extrinsics, RotationAngles, Translation
 from semcal.io_formats import (
     read_extrinsics,
+    read_label_image,
     read_point_cloud,
     read_report,
     write_extrinsics,
+    write_label_image,
 )
+from semcal.scene import LabelImage
 
 
 SPEC_TEXT = (
@@ -407,18 +410,32 @@ def test_frame_behind_the_camera(scene_dir, tmp_path, capsys):
     assert report["pairs"]["frame_0001"]["n_behind_camera"] == n_points
 
 
+def test_frame_of_another_size_is_an_error(scene_dir, tmp_path, capsys):
+    """The frames share one intrinsics file, so a label image of another
+    size ends in an ``error:`` line that names its frame."""
+    scene = tmp_path / "cropped"
+    shutil.copytree(scene_dir, scene)
+    image = read_label_image(scene / "frame_0001.pgm")
+    write_label_image(scene / "frame_0001.pgm", LabelImage(image.labels[:-20, :-30]))
+    for cmd in ("init", "calibrate"):
+        assert main([cmd, str(scene), "--output", str(tmp_path / cmd)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "frame_0001" in err, err
+        assert len(err.splitlines()) == 1
+
+
 def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):
     import semcal.costfield
 
     calls = []
     build = semcal.costfield.build_distance_field
 
-    def counting_build(image, classes, out=None):
-        calls.append(tuple(classes))
-        return build(image, classes, out)
+    def counting_build(images, classes, out=None):
+        calls.append((len(images), tuple(classes)))
+        return build(images, classes, out)
 
     monkeypatch.setattr(semcal.costfield, "build_distance_field", counting_build)
     assert main(["calibrate", str(scene_dir), "--output", str(tmp_path / "cal")]) == 0
-    # one build per frame covers all 3 classes; initialization and
-    # refinement share it
-    assert calls == [(1, 2, 3)] * 3
+    # the 3 same-size frames form one build that covers all 3 classes;
+    # initialization and refinement share it
+    assert calls == [(3, (1, 2, 3))]

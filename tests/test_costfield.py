@@ -47,14 +47,14 @@ def planes(field):
 def test_distance_field_single_seed():
     labels = np.zeros((5, 7), dtype=int)
     labels[2, 3] = 4
-    field = build_distance_field(LabelImage(labels=labels), (4,))
+    field = build_distance_field([LabelImage(labels=labels)], (4,))
     expected = np.fromfunction(lambda r, c: np.abs(r - 2) + np.abs(c - 3), (5, 7))
     assert np.array_equal(planes(field)[0], expected)
     assert field.d.shape == (7, 1, 5) and not field.empty[0]
 
 
 def check_against_brute_force(labels, classes):
-    field = build_distance_field(LabelImage(labels=labels), classes)
+    field = build_distance_field([LabelImage(labels=labels)], classes)
     h, w = labels.shape
     assert field.d.shape == (w, len(classes), h)
     for j, (cid, grid) in enumerate(zip(classes, planes(field))):
@@ -99,6 +99,29 @@ def test_distance_field_property(labels, classes):
     check_against_brute_force(labels, tuple(classes))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    stack=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=3, max_dims=3, max_side=9),
+                     elements=st.integers(0, 3)),
+    classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+)
+def test_distance_field_of_several_images_property(stack, classes):
+    # one build over k same-size images, with its shared width scan, equals
+    # k one-image builds and the brute-force grids
+    images = [LabelImage(labels=labels) for labels in stack]
+    field = build_distance_field(images, classes)
+    k, h, w = stack.shape
+    n = len(classes)
+    assert field.d.shape == (w, k * n, h) and field.empty.shape == (k * n,)
+    for i, image in enumerate(images):
+        one = build_distance_field([image], classes)
+        assert np.array_equal(field.d[:, i * n:(i + 1) * n], one.d)
+        assert np.array_equal(field.empty[i * n:(i + 1) * n], one.empty)
+        for j, cid in enumerate(classes):
+            if not one.empty[j]:
+                assert np.array_equal(field.d[:, i * n + j].T, brute_distance_grid(stack[i], cid))
+
+
 def test_distance_field_integer_storage():
     # the type holds width + height + 1, so the scan's far + 1 cannot wrap;
     # the farthest cell, corner to corner, is (h - 1) + (w - 1)
@@ -106,7 +129,7 @@ def test_distance_field_integer_storage():
                         (200, 300, np.uint16)):
         labels = np.zeros((h, w), dtype=int)
         labels[0, 0] = 1
-        field = build_distance_field(LabelImage(labels=labels), (1,))
+        field = build_distance_field([LabelImage(labels=labels)], (1,))
         assert field.d.dtype == dtype
         assert field.d[-1, 0, -1] == (h - 1) + (w - 1)
 
@@ -121,7 +144,7 @@ def test_distance_field_long_images(length, axis):
     labels[[0, length // 2 + 7]] = 1
     labels[length // 3] = 2
     labels = labels.reshape(shape)
-    field = build_distance_field(LabelImage(labels=labels), (1, 2))
+    field = build_distance_field([LabelImage(labels=labels)], (1, 2))
     assert field.d.dtype == np.uint16
     for cid, grid in zip((1, 2), planes(field)):
         assert np.array_equal(grid, brute_distance_grid(labels, cid))
@@ -135,11 +158,11 @@ def test_distance_field_far_plus_one_exceeds_uint16(shape):
     labels.flat[[0, 40000]] = 1
     labels.flat[-1] = 2
     check_against_brute_force(labels, (1, 2, 3))
-    assert build_distance_field(LabelImage(labels=labels), (1,)).d.dtype == np.uint32
+    assert build_distance_field([LabelImage(labels=labels)], (1,)).d.dtype == np.uint32
 
 
 def test_distance_field_empty_class():
-    field = build_distance_field(LabelImage(labels=np.zeros((4, 4), dtype=int)), (3,))
+    field = build_distance_field([LabelImage(labels=np.zeros((4, 4), dtype=int))], (3,))
     assert field.empty[0]
     assert (field.d == 4 + 4).all()
 
@@ -334,6 +357,60 @@ def _kernel_scene():
         pairs[i] = FramePair(LabeledPointCloud(pair.cloud.points, labels), pair.image,
                              pair.intrinsics, pair.frame_id)
     return pairs
+
+
+def _two_size_scene():
+    """A clean 6-frame synth scene with frames 1, 3 and 4 cropped to a second
+    image size, so the evaluator builds two groups of fields whose frames
+    interleave in pair order.  Points that leave the crop at the truth, or
+    come within a pixel of its edge, are dropped: every remaining point
+    lands on its own class at the truth."""
+    gt = Extrinsics(RotationAngles(0.02, -0.03, 0.05), Translation(0.2, -0.1, 0.1))
+    spec = SceneSpec(n_frames=6, objects_per_frame=4, points_per_object=40, seed=3,
+                     extrinsics=gt, depth_range=(3.0, 12.0))
+    k = spec.intrinsics
+    small = CameraIntrinsics(k.fx, k.fy, k.cx, k.cy, width=k.width - 170, height=k.height - 110)
+    r, t = gt.matrix()
+    pairs = []
+    for i, pair in enumerate(generate(spec).pairs):
+        if i in (1, 3, 4):
+            x, y, z = r @ pair.cloud.points.T + t[:, None]
+            keep = ((k.fx * x / z + k.cx < small.width - 1.5)
+                    & (k.fy * y / z + k.cy < small.height - 1.5))
+            pair = FramePair(
+                LabeledPointCloud(pair.cloud.points[keep], pair.cloud.labels[keep]),
+                LabelImage(pair.image.labels[:small.height, :small.width]), small,
+                pair.frame_id)
+        pairs.append(pair)
+    return pairs, gt, spec.classes
+
+
+def test_evaluator_with_two_image_sizes():
+    pairs, gt, classes = _two_size_scene()
+    assert len({(p.image.width, p.image.height) for p in pairs}) == 2
+    assert all(len(p.cloud) for p in pairs)
+    lean = CostEvaluator(pairs, classes)
+    flat = CostEvaluator(pairs, classes)
+    flat._kernel = lambda ext: flat_kernel(flat, ext)
+    reference = ReferenceEvaluator(pairs, classes)
+    assert lean.evaluate_total(gt) == 0.0
+    far = Extrinsics(RotationAngles(0.0, 2.6, 0.0), Translation(0.0, 0.0, 0.0))
+    seen = dict.fromkeys(("n_behind_camera", "n_out_of_image"), 0)
+    for ext in [gt, far, *_random_poses(60, seed=8)]:
+        want = flat.evaluate(ext)
+        assert lean.evaluate_total(ext) == want.total
+        assert lean.evaluate(ext) == want
+        ref = reference.evaluate(ext)
+        assert _close(want.total, ref.total)
+        for frame_id, w in ref.per_pair.items():
+            g = want.per_pair[frame_id]
+            assert _close(g.numerator, w.numerator)
+            assert (g.n_consistent, g.n_inconsistent, g.n_behind_camera, g.n_out_of_image) == (
+                w.n_consistent, w.n_inconsistent, w.n_behind_camera, w.n_out_of_image)
+        for name in seen:
+            seen[name] += getattr(want, name)
+    # the poses reach behind-camera and off-image points
+    assert all(seen.values()), seen
 
 
 def _random_poses(n, seed=0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_planar_pairs
+from helpers import make_planar_pairs, ransac_plane_loop
 from semcal.costfield import CostEvaluator
 from semcal.errors import CalibrationError, Degenerate, InsufficientPairs, NonPlanar
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
@@ -86,6 +86,70 @@ def test_ransac_plane_deterministic():
     assert np.array_equal(a.inliers, b.inliers)
 
 
+def _ransac_point_sets():
+    """Point sets named for what they put in front of the array scoring."""
+    rng = np.random.default_rng(12)
+    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0)), -1).reshape(-1, 2)
+    line = np.outer(np.arange(6.0), [1.0, 2.0, 3.0])
+    noisy = rng.uniform(-5, 5, size=(40, 3))
+    noisy[:, 2] = 0.05 * noisy[:, 0] + rng.normal(0, 0.1, 40)
+    # points at exactly the threshold and one step of rounding either side
+    edge = np.column_stack([rng.uniform(-3, 3, size=(24, 2)),
+                            np.repeat([-0.2, 0.2, np.nextafter(0.2, 1), np.nextafter(0.2, 0)], 6)])
+    return {
+        "n=3": rng.normal(size=(3, 3)),
+        "line": line,
+        "line plus points": np.vstack([line, rng.normal(size=(3, 3))]),
+        "duplicates": np.repeat(rng.normal(size=(5, 3)), 3, axis=0),
+        "count ties": np.vstack([np.column_stack([grid, np.zeros(16)]),
+                                 np.column_stack([grid, np.full(16, 5.0)])]),
+        "noisy": noisy,
+        "at the threshold": edge,
+        "centroid scale": rng.uniform(-40, 40, size=(120, 3)) * [1.0, 0.02, 1.0] + [0, 1.6, 10],
+    }
+
+
+@pytest.mark.parametrize("name", list(_ransac_point_sets()))
+@pytest.mark.parametrize("iterations", [1, 7, 500, 1100])
+def test_ransac_plane_matches_the_one_at_a_time_loop(name, iterations):
+    def outcome(fit, seed):
+        try:
+            plane = fit(points, 0.2, iterations, seed)
+        except Degenerate as exc:
+            return str(exc)
+        return plane.inliers.tolist(), plane.normal.tolist(), plane.offset, plane.rms
+
+    points = _ransac_point_sets()[name]
+    for seed in (0, 3):
+        assert outcome(ransac_plane, seed) == outcome(ransac_plane_loop, seed)
+
+
+def test_ransac_plane_counts_points_at_the_threshold_like_the_loop():
+    # Thresholds equal to the exact distances of the points from the first
+    # triples drawn put points right on the threshold of a high-count triple;
+    # the array scoring rounds some of those distances the other way.
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-40, 40, size=(30, 3)) * [1.0, 0.05, 1.0] + [0.0, 1.6, 10.0]
+
+    def outcome(fit, threshold, seed):
+        try:
+            plane = fit(points, threshold, 40, seed)
+        except Degenerate as exc:
+            return str(exc)
+        return plane.inliers.tolist(), plane.normal.tolist(), plane.offset, plane.rms
+
+    for seed in range(3):
+        draws = np.random.default_rng(seed)
+        for _ in range(3):
+            p0, p1, p2 = points[draws.choice(len(points), size=3, replace=False)]
+            normal = np.cross(p1 - p0, p2 - p0)
+            normal = normal / np.linalg.norm(normal)
+            for threshold in np.abs(points @ normal - float(normal @ p0)):
+                if threshold > 0:
+                    assert (outcome(ransac_plane, threshold, seed)
+                            == outcome(ransac_plane_loop, threshold, seed))
+
+
 def test_plane_coordinates_reconstruct():
     rng = np.random.default_rng(6)
     points = rng.uniform(-4, 4, size=(15, 3))
@@ -114,6 +178,17 @@ def test_homography_exact_recovery():
     dst = sh[:, :2] / sh[:, 2:3]
     h = estimate_homography(src, dst)
     assert np.allclose(h, h_true, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_homography_from_the_fewest_correspondences(n):
+    # 4 pairs give an 8 x 9 system, whose null vector needs the full SVD
+    rng = np.random.default_rng(n)
+    h_true = np.eye(3) + rng.uniform(-0.2, 0.2, size=(3, 3))
+    h_true /= h_true[2, 2]
+    src = rng.uniform(-2, 2, size=(n, 2))
+    sh = np.column_stack([src, np.ones(n)]) @ h_true.T
+    assert np.allclose(estimate_homography(src, sh[:, :2] / sh[:, 2:3]), h_true, atol=1e-9)
 
 
 def test_homography_degenerate_cases():

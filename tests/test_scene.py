@@ -111,3 +111,21 @@ def test_centroid_2d_matches_nonzero_means():
                 continue
             assert c.support == rows.size
             assert c.position.tolist() == [cols.mean(), rows.mean()]
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (1, 70000), (70000, 1)])
+def test_centroid_2d_counts_past_the_narrow_types(shape):
+    # 97% of the pixels are class 1, so its counts per column and per row
+    # pass uint8 and uint16; the sums must equal the count_nonzero formula
+    h, w = shape
+    rng = np.random.default_rng(h)
+    labels = rng.choice(3, size=shape, p=[0.01, 0.97, 0.02])
+    img = LabelImage(labels=labels)
+    for cid in (1, 2):
+        mask = labels == cid
+        n = np.count_nonzero(mask)
+        u = np.count_nonzero(mask, axis=0) @ np.arange(w)
+        v = np.count_nonzero(mask, axis=1) @ np.arange(h)
+        c = centroid_2d(img, cid)
+        assert c.support == n
+        assert c.position.tolist() == [u / n, v / n]
