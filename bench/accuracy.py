@@ -2,13 +2,21 @@
 
     python3 bench/accuracy.py --baseline REV [--out BENCH_eval_loop.json]
 
-Run it from the repository root.  It writes three sets of criterion-6-style
+Run it from the repository root.  It writes these sets of criterion-6-style
 scenes (4 objects of 100 points, 2% label noise, depths 2.5-16 m, the
-criterion-6 ground truth) once:
+criterion-6 ground truth, unless a set says otherwise) once:
 
 - ``dev``: 10 frames, seeds 0-23, the scenes that tuning looks at;
 - ``held_out``: 10 frames, seeds 24-47, kept out of tuning;
-- ``frames20``: 20 frames, seeds 0-11.
+- ``frames20``: 20 frames, seeds 0-11;
+- ``seeds48_95``: 10 frames, seeds 48-95, kept out of tuning;
+- ``noise5``: 10 frames, 5% label noise, seeds 0-23;
+- ``jitter1`` and ``jitter2``: 10 frames, ``ground_jitter`` of 1 m and 2 m,
+  seeds 0-11, so the centroids are far from coplanar;
+- ``kitti_near``: 10 frames, seeds 0-5, a KITTI-like rotation near the Euler
+  singularity, (0.7, -89.2, 90.4) degrees.
+
+The first three are the 60 "bench scenes" of earlier comparisons.
 
 For each side -- REV, exported with ``git archive`` into a temporary
 directory, and the working tree's ``src/`` -- one process runs ``semcal
@@ -16,7 +24,8 @@ calibrate`` on every scene.  Per scene the JSON records the evaluations, the
 samples served by the optimizer's memo (``n_repeated``) and those of the
 probe stage (``n_probe``; both null where the side's report has no such
 line), the rotation (degrees) and translation
-(meters) errors, whether both lie in the criterion-6 band (1 degree, 0.1 m),
+(meters) errors against the scene's ``gt_extrinsics.txt``, whether both lie
+in the criterion-6 band (1 degree, 0.1 m),
 the final cost, the cost at the ground truth, the relative gap between the
 two, the wall time and a SHA-256 digest of the scene's output files (names
 and bytes).  ``identical_outputs`` counts the scenes whose digests agree
@@ -27,9 +36,13 @@ between the two sides.
 - ``criterion_6``: scenes in band among dev seeds 0-9 and among 20-frame
   seeds 0-9, the scenes of acceptance criterion 6;
 - ``untuned_in_band``: scenes in band among the held-out and 20-frame sets;
-- ``evaluations``: the evaluations over all scenes;
+- ``in_band`` and ``evaluations``: per set, the scenes in band and the
+  evaluations;
+- ``bench_evaluations``: the evaluations over the 60 bench scenes;
 - ``median_gap_to_gt``: per set, the median relative gap to the cost at the
-  ground truth.
+  ground truth;
+- ``watch``: the full records of the scenes in ``WATCH``, which earlier
+  measurements flagged as likely to move.
 
 The timings run in one more process that loads both sides' packages side by
 side.  Each of ``ROUNDS`` rounds times every task once per side, the sides in
@@ -80,13 +93,23 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENE_SETS = {  # name: (frames, seeds)
-    "dev": (10, range(24)),
-    "held_out": (10, range(24, 48)),
-    "frames20": (20, range(12)),
-}
-BAND_DEG, BAND_M = 1.0, 0.1
 GT = ((1.0, -2.0, 3.0), (0.2, -0.1, 0.1))  # degrees, meters
+KITTI_NEAR = ((0.7, -89.2, 90.4), GT[1])
+SCENE_SETS = {  # name: (seeds, SceneSpec keywords besides the defaults below, ground truth)
+    "dev": (range(24), {}, GT),
+    "held_out": (range(24, 48), {}, GT),
+    "frames20": (range(12), {"n_frames": 20}, GT),
+    "seeds48_95": (range(48, 96), {}, GT),
+    "noise5": (range(24), {"noise_rate": 0.05}, GT),
+    "jitter1": (range(12), {"ground_jitter": 1.0}, GT),
+    "jitter2": (range(12), {"ground_jitter": 2.0}, GT),
+    "kitti_near": (range(6), {}, KITTI_NEAR),
+}
+SCENE_DEFAULTS = dict(n_frames=10, objects_per_frame=4, points_per_object=100,
+                      noise_rate=0.02)
+BENCH_SETS = ("dev", "held_out", "frames20")
+WATCH = (("noise5", 20), ("jitter1", 11))  # (set, seed)
+BAND_DEG, BAND_M = 1.0, 0.1
 DEPTH = (2.5, 16.0)
 C6_SCENE_8 = dict(n_frames=10, objects_per_frame=4, points_per_object=100,
                   noise_rate=0.02, seed=8)
@@ -105,17 +128,17 @@ SIDES = ("baseline", "change")
 
 # semcal is imported inside the functions: which copy is imported depends on
 # the PYTHONPATH each side's process is started with.
-def _gt():
+def _gt(gt=GT):
     import numpy as np
     from semcal.geometry import Extrinsics, RotationAngles, Translation
 
-    return Extrinsics(RotationAngles(*np.radians(GT[0])), Translation(*GT[1]))
+    return Extrinsics(RotationAngles(*np.radians(gt[0])), Translation(*gt[1]))
 
 
-def _spec(**kwargs):
+def _spec(gt=GT, **kwargs):
     from semcal.synth import SceneSpec
 
-    return SceneSpec(extrinsics=_gt(), depth_range=DEPTH, **kwargs)
+    return SceneSpec(extrinsics=_gt(gt), depth_range=DEPTH, **kwargs)
 
 
 def write_scenes(root: Path) -> None:
@@ -123,12 +146,11 @@ def write_scenes(root: Path) -> None:
     from semcal.io_formats import write_scene_dir
     from semcal.synth import generate
 
-    for name, (frames, seeds) in SCENE_SETS.items():
+    for name, (seeds, kwargs, gt) in SCENE_SETS.items():
         for seed in seeds:
-            spec = _spec(n_frames=frames, objects_per_frame=4, points_per_object=100,
-                         noise_rate=0.02, seed=seed)
+            spec = _spec(gt, **{**SCENE_DEFAULTS, **kwargs}, seed=seed)
             write_scene_dir(root / name / f"scene_{seed:02d}", generate(spec).pairs,
-                            spec.intrinsics, spec.classes, gt=_gt())
+                            spec.intrinsics, spec.classes, gt=spec.extrinsics)
 
 
 def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
@@ -139,7 +161,6 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
     from semcal.geometry import wrap_angle
     from semcal.io_formats import read_extrinsics, read_report, read_scene_dir
 
-    gt = np.asarray(_gt().to_vector())
     runs = []
     for scene in scenes:
         out = out_root / scene.name
@@ -149,12 +170,13 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
         if rc != 0:
             raise SystemExit(f"calibrate failed on {scene} with exit code {rc}")
         report = read_report(out / "report.txt")["calibration_report"]
-        delta = np.asarray(read_extrinsics(out / "estimated_extrinsics.txt").to_vector()) - gt
+        gt = read_extrinsics(scene / "gt_extrinsics.txt")
+        delta = (np.asarray(read_extrinsics(out / "estimated_extrinsics.txt").to_vector())
+                 - np.asarray(gt.to_vector()))
         rot = float(max(abs(np.degrees(wrap_angle(d))) for d in delta[:3]))
         trans = float(np.max(np.abs(delta[3:])))
         pairs, _, classes = read_scene_dir(scene)
-        gt_cost = CostEvaluator(pairs, classes).evaluate_total(
-            read_extrinsics(scene / "gt_extrinsics.txt"))
+        gt_cost = CostEvaluator(pairs, classes).evaluate_total(gt)
         final_cost = report["cost"]["total"]
         digest = hashlib.sha256()
         for path in sorted(out.iterdir()):
@@ -191,17 +213,27 @@ def summarize(sets: dict) -> dict:
     """One side's accuracy gate numbers; see the module docstring."""
     def in_band(name, seeds=None):
         return sum(r["in_band"] for r in sets[name]["scenes"]
-                   if seeds is None or int(r["scene"].split("_")[1]) in seeds)
+                   if seeds is None or _seed(r) in seeds)
 
     return {
         "criterion_6": {"dev": in_band("dev", range(10)),
                         "frames20": in_band("frames20", range(10))},
         "untuned_in_band": in_band("held_out") + in_band("frames20"),
         "untuned_scenes": len(sets["held_out"]["scenes"]) + len(sets["frames20"]["scenes"]),
-        "evaluations": sum(s["evaluations"] for s in sets.values()),
+        "in_band": {name: s["in_band"] for name, s in sets.items()},
+        "scenes": {name: len(s["scenes"]) for name, s in sets.items()},
+        "evaluations": {name: s["evaluations"] for name, s in sets.items()},
+        "bench_evaluations": sum(sets[name]["evaluations"] for name in BENCH_SETS),
         "median_gap_to_gt": {name: median(r["gap_to_gt"] for r in s["scenes"])
                              for name, s in sets.items()},
+        "watch": {f"{name} seed {seed}": next(r for r in sets[name]["scenes"]
+                                              if _seed(r) == seed)
+                  for name, seed in WATCH},
     }
+
+
+def _seed(run: dict) -> int:
+    return int(run["scene"].split("_")[1])
 
 
 def _load(src: Path, name: str):
@@ -384,9 +416,10 @@ def main() -> int:
     summary = {side: summarize(sets) for side, sets in accuracy.items()}
     result = {
         "what": "criterion-6-style calibrate on 10-frame scenes (seeds 0-23 dev, 24-47 "
-                "held out) and 20-frame scenes (seeds 0-11), with 2% label noise; "
-                "interleaved timings of evaluate_total, calibrate, field build, evaluator "
-                "construction and initialize",
+                "held out, 48-95), 20-frame scenes (seeds 0-11), 5% label noise (seeds "
+                "0-23), ground jitter 1 m and 2 m (seeds 0-11) and a KITTI-like rig "
+                "(seeds 0-5); interleaved timings of evaluate_total, calibrate, field "
+                "build, evaluator construction and initialize",
         "baseline_rev": baseline,
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
@@ -406,8 +439,13 @@ def main() -> int:
         print(f"{side}: criterion 6 {gate['criterion_6']['dev']}/10 and "
               f"{gate['criterion_6']['frames20']}/10; held out + 20-frame "
               f"{gate['untuned_in_band']}/{gate['untuned_scenes']} in band; "
-              f"{gate['evaluations']} evaluations; median gap to the ground-truth cost "
+              f"{gate['bench_evaluations']} evaluations on the bench scenes; median gap "
+              "to the ground-truth cost "
               + ", ".join(f"{k} {v:+.4f}" for k, v in gate["median_gap_to_gt"].items()))
+        for label, r in gate["watch"].items():
+            print(f"{side}: watch {label}: {'in band' if r['in_band'] else 'out of band'}, "
+                  f"{r['rot_err_deg']:.3f} deg, {r['trans_err_m']:.3f} m, "
+                  f"gap {r['gap_to_gt']:+.4f}")
     print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")
     ratios = [(f"kernel {name}", t) for name, t in timing["kernel"].items()]
     ratios += [("replay", timing["replay"]), ("calibrate", timing["calibrate"])]

@@ -130,6 +130,8 @@ class CostEvaluator:
     holds ``width + height + 1``.  Each group of same-size pairs, in the
     order its size first appears, has its fields built by one
     :func:`build_distance_field` call straight into a block of the buffer.
+    ``center`` is the mean of the scored points, each weighted by its range
+    weight: by ``|p|^2``, or by 1 without range weighting.
 
     Each evaluation is one flat pass: one rotation of all points, round /
     clip / gather, one sum.  :meth:`evaluate_total`, the hot path of
@@ -186,6 +188,9 @@ class CostEvaluator:
 
         self._points = np.ascontiguousarray(np.concatenate(points).T)  # (3, N)
         self._sqn = np.concatenate(sqn)
+        weights = self._sqn.astype(float)
+        total = weights.sum()
+        self.center = self._points @ weights / total if total > 0 else np.zeros(3)
         (self._fx, self._fy, self._cx, self._cy, self._umax, self._vmax, self._stride,
          self._penalty, self._cell, empty) = np.repeat(
             np.array(meta, dtype=float), counts, axis=0).T.copy()

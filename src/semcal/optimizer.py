@@ -22,6 +22,10 @@ of search space means one "typical" move for that parameter, which matters
 because angles and translations live on very different scales.  The
 iteration cap and the two tolerances are the ``max_iterations``, ``ftol``
 and ``line_tol`` fields of :class:`~semcal.io_formats.RunConfig`.
+
+:func:`calibrate` runs this search over the angles and the point where the
+camera sees the scene's weighted center, in place of the translation, and
+follows each Powell run with line probes along the pairwise diagonals.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .costfield import CostBreakdown, CostEvaluator
 from .errors import NonFiniteCost
-from .geometry import Extrinsics
+from .geometry import Extrinsics, RotationAngles, Translation, rotation_matrix
 from .io_formats import RunConfig
 
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
@@ -293,17 +297,11 @@ def powell_minimize(f, x0, config: RunConfig | None = None):
 
 _MAX_ROUNDS = 8
 _MAX_PASSES = 16
-_RANDOM_PROBES = 64
-_PROBE_SEED = 1905
 _PASS_GAIN_REL = 1e-3  # a pass must shave this fraction off to keep walking
 
 
-def _probe_directions(sigma: np.ndarray, rng: np.random.Generator):
-    """Yield escape directions for a stalled Powell run, scaled by sigma.
-
-    First every two-parameter diagonal with both relative signs, then a
-    batch of random unit rays drawn in the rescaled space.
-    """
+def _probe_directions(sigma: np.ndarray):
+    """Yield every two-parameter diagonal, with both relative signs, scaled by sigma."""
     n = sigma.size
     for i in range(n):
         for j in range(i + 1, n):
@@ -312,12 +310,18 @@ def _probe_directions(sigma: np.ndarray, rng: np.random.Generator):
                 d[i] = sigma[i]
                 d[j] = sj * sigma[j]
                 yield d
-    for _ in range(_RANDOM_PROBES):
-        u = rng.standard_normal(n)
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-12:
-            continue
-        yield u / norm * sigma
+
+
+def _to_centered(ext: Extrinsics, center: np.ndarray) -> np.ndarray:
+    """``ext`` as (θ, c), where c = R(θ)·center + t is where the camera sees ``center``."""
+    r, t = ext.matrix()
+    return np.concatenate([ext.rotation.as_array(), r @ center + t])
+
+
+def _from_centered(y: np.ndarray, center: np.ndarray) -> Extrinsics:
+    """Inverse of :func:`_to_centered`: the extrinsics (θ, c - R(θ)·center)."""
+    rotation = RotationAngles(*y[:3])
+    return Extrinsics(rotation, Translation(*(y[3:] - rotation_matrix(rotation) @ center)))
 
 
 def calibrate(
@@ -331,56 +335,57 @@ def calibrate(
     returns the optimized extrinsics, the cost breakdown at the optimum,
     and the optimization trace.
 
-    The cost couples parameters whose image motion nearly cancels (a yaw
-    twist against a lateral shift, for instance), carving diagonal valleys
-    whose floor every axis-aligned line search reads as flat.  After each
-    Powell run this driver probes all pairwise two-parameter diagonals plus
-    a fixed-seed batch of random directions and, if any probe still
-    descends, walks there and runs Powell again.  The random rays matter
-    when the residual error mixes more than two parameters: no pairwise
-    diagonal can represent that direction, but a dense ray sample almost
-    always overlaps it.
+    The search runs over (θ, c), where c = R(θ)·p̄ + t is where the camera
+    sees p̄, the evaluator's ``center``.  Over (θ, t), a rotation about the
+    sensor origin cancelled by a translation of about the scene's depth
+    times the angle barely moves the far points that the range weight
+    counts most, and Powell stalled in that valley; about p̄ the rotation
+    leaves c in place, which removes the coupling (Triggs et al., *Bundle
+    Adjustment -- A Modern Synthesis*, 2000).  After each Powell run this
+    driver probes the 30 pairwise two-parameter diagonals and, if any still
+    descends, walks there and runs Powell again.  The trace rows and the
+    estimate are mapped back to (θ, t).
     """
     cfg = config or RunConfig()
+    center = evaluator.center
     # Basis resets, extrapolation and grid points back on the start resend poses.
     memo: dict[bytes, float] = {}
 
-    def objective(x: np.ndarray) -> float:
-        key = x.tobytes()
+    def objective(y: np.ndarray) -> float:
+        key = y.tobytes()
         cost = memo.get(key)
         if cost is None:
-            cost = memo[key] = evaluator.evaluate_total(Extrinsics.from_vector(x))
+            cost = memo[key] = evaluator.evaluate_total(_from_centered(y, center))
         return cost
 
-    x = np.asarray(init.to_vector(), dtype=float)
+    y = _to_centered(init, center)
     sigma = trial_steps(6)
     points: list[tuple[int, np.ndarray, float]] = []
     termination = "stalled"
     n_evaluations = n_probe = 0
     current = None
     for _ in range(_MAX_ROUNDS):
-        x, current, trace = powell_minimize(objective, x, cfg)
+        y, current, trace = powell_minimize(objective, y, cfg)
         termination = trace.termination
         n_evaluations += trace.n_evaluations
         offset = points[-1][0] + 1 if points else 0
         start = 1 if points else 0  # drop duplicated segment-start rows
         points.extend(
-            (offset + it - start, xv, cv) for it, xv, cv in trace.points[start:]
+            (offset + it - start, yv, cv) for it, yv, cv in trace.points[start:]
         )
 
         if current == 0.0:
             break  # the cost is nonnegative, so an exact zero is global
 
         obj = _Objective(objective)
-        rng = np.random.default_rng(_PROBE_SEED)
         moved = False
         for _ in range(_MAX_PASSES):
             before = current
-            for d in _probe_directions(sigma, rng):
-                alpha, f_new = _line(lambda a: obj(x + a * d), current, cfg.line_tol,
+            for d in _probe_directions(sigma):
+                alpha, f_new = _line(lambda a: obj(y + a * d), current, cfg.line_tol,
                                      refine=False)
                 if f_new < current:
-                    x = x + alpha * d
+                    y = y + alpha * d
                     current = f_new
             if current < before:
                 moved = True
@@ -391,11 +396,12 @@ def calibrate(
         n_probe += obj.n_evaluations
         if not moved:
             break
-        points.append((points[-1][0] + 1, x.copy(), current))
+        points.append((points[-1][0] + 1, y.copy(), current))
         if current == 0.0:
             break
 
+    points = [(it, _from_centered(yv, center).to_vector(), cv) for it, yv, cv in points]
     trace = OptimizationTrace(points, termination, n_evaluations,
                               n_evaluations - len(memo), n_probe)
-    estimate = Extrinsics.from_vector(x)
+    estimate = _from_centered(y, center)
     return estimate, evaluator.evaluate(estimate), trace

@@ -536,3 +536,19 @@ def test_lean_kernel_rounds_half_pixel_ties_like_the_flat_kernel():
                 Extrinsics(RotationAngles(0.0, 0.0, 0.0), Translation(0.0, 0.0, 1.0))):
         for got, want in zip(lean._kernel(ext), flat_kernel(lean, ext)):
             assert np.array_equal(got, want)
+
+
+def test_evaluator_center_is_the_range_weighted_mean():
+    """``center`` weights each scored point by |p|^2, or by 1 without range
+    weighting; points of other classes and of the ignore class do not count."""
+    spec = SceneSpec(n_frames=3, objects_per_frame=3, noise_rate=0.1, seed=5)
+    pairs = generate(spec).pairs
+    classes = (1, 2)
+    points = np.concatenate([p.cloud.points[np.isin(p.cloud.labels, classes)] for p in pairs])
+    assert len(points) < sum(len(p.cloud.points) for p in pairs)
+    weights = np.einsum("ij,ij->i", points, points)
+    weighted = CostEvaluator(pairs, classes).center
+    plain = CostEvaluator(pairs, classes, range_weighting=False).center
+    assert np.allclose(weighted, weights @ points / weights.sum(), rtol=1e-12, atol=0.0)
+    assert np.allclose(plain, points.mean(axis=0), rtol=1e-12, atol=0.0)
+    assert not np.allclose(weighted, plain, rtol=1e-3)

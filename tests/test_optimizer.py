@@ -10,8 +10,10 @@ import semcal.optimizer
 from semcal.io_formats import RunConfig
 from semcal.optimizer import (
     _PLATEAU_SAMPLES,
+    _from_centered,
     _line,
     _probe_directions,
+    _to_centered,
     calibrate,
     powell_minimize,
     trial_steps,
@@ -154,12 +156,32 @@ def test_non_finite_cost_raises():
 
 def test_probe_directions_cover_pairs():
     sigma = np.array([0.05] * 3 + [0.1] * 3)
-    dirs = list(_probe_directions(sigma, np.random.default_rng(0)))
-    pairwise = [d for d in dirs if np.count_nonzero(d) == 2]
-    # every unordered parameter pair appears with both relative signs
-    assert len(pairwise) == 30
-    assert len(dirs) == 30 + 64
-    assert all(np.linalg.norm(d) > 0 for d in dirs)
+    dirs = list(_probe_directions(sigma))
+    # every unordered parameter pair appears with both relative signs, once
+    assert len(dirs) == 30
+    assert all(np.count_nonzero(d) == 2 for d in dirs)
+    pairs = {(tuple(np.flatnonzero(d)), np.sign(d[d != 0]).prod()) for d in dirs}
+    assert len(pairs) == 30
+    assert all(np.array_equal(np.abs(d[d != 0]), sigma[d != 0]) for d in dirs)
+
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_centered_map_round_trips(seed):
+    """(theta, t) -> (theta, c) -> (theta, t) returns the pose, and c is
+    where the camera sees the center, on random poses and KITTI-like rigs."""
+    rng = np.random.default_rng(seed)
+    angles = [rng.uniform(-np.pi, np.pi, 3) for _ in range(40)]
+    angles += [np.deg2rad([0.7, -89.2, 90.4]), np.deg2rad([0.0, -90.0, 90.0])]
+    for theta in angles:
+        ext = Extrinsics(RotationAngles(*theta), Translation(*rng.uniform(-3.0, 3.0, 3)))
+        center = rng.normal(scale=10.0, size=3)
+        y = _to_centered(ext, center)
+        r, t = ext.matrix()
+        assert np.array_equal(y[:3], ext.rotation.as_array())
+        assert np.allclose(y[3:], r @ center + t, rtol=0.0, atol=1e-12)
+        back = _from_centered(y, center)
+        assert np.allclose(back.to_vector(), ext.to_vector(), rtol=0.0, atol=1e-12)
 
 
 def test_calibrate_recovers_clean_scene():
@@ -169,7 +191,12 @@ def test_calibrate_recovers_clean_scene():
     est, breakdown, trace = calibrate(CostEvaluator(scene.pairs, spec.classes), start)
     assert breakdown.total == 0.0
     err = np.abs(np.asarray(est.to_vector()) - np.asarray(scene.extrinsics.to_vector()))
-    assert np.all(err[:3] < np.deg2rad(0.5))
+    # Cost 0 is the global minimum, but on this 4-object scene it is a set:
+    # along theta_z alone the cost stays exactly 0 from -1.88 to +1.41 degrees
+    # around the truth (0.01-degree sweep), against -0.31..+0.31 for theta_x
+    # and -0.34..+0.30 for theta_y.  So theta_z is held to the 1-degree band
+    # of criterion 6 and the other two angles to 0.5 degrees.
+    assert np.all(err[:3] < np.deg2rad([0.5, 0.5, 1.0]))
     assert np.all(err[3:] < 0.05)
     costs = [c for _, _, c in trace.points]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
@@ -222,5 +249,5 @@ def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
     assert len(kernel_calls) == trace.n_evaluations - trace.n_repeated
     assert len({x.tobytes() for x, _ in samples}) == len(kernel_calls)
     memo_free = CostEvaluator(scene.pairs, spec.classes)
-    assert all(value == memo_free.evaluate_total(Extrinsics.from_vector(x))
-               for x, value in samples)
+    assert all(value == memo_free.evaluate_total(_from_centered(y, memo_free.center))
+               for y, value in samples)
