@@ -31,7 +31,9 @@ def wrap_angle(angle: float) -> float:
     """Canonicalize an angle in radians to the interval ``(-pi, pi]``."""
     if not math.isfinite(angle):
         raise CalibrationError(f"angle must be finite, got {angle!r}")
-    return math.pi - (math.pi - angle) % _TWO_PI
+    if not -math.pi < angle <= math.pi:  # on an angle in range the modulo may move the last bit
+        angle = math.pi - (math.pi - angle) % _TWO_PI
+    return float(angle)
 
 
 def _require_finite(name: str, *values: float) -> None:

@@ -26,6 +26,14 @@ def test_wrap_angle_basic():
     assert wrap_angle(np.deg2rad(-179) - np.deg2rad(179)) == pytest.approx(np.deg2rad(2))
 
 
+
+def test_wrap_angle_keeps_canonical_angles():
+    """An angle already in (-pi, pi] comes back bit for bit."""
+    angles = np.random.default_rng(0).uniform(-np.pi, np.pi, 2000).tolist()
+    angles += [np.pi, np.nextafter(-np.pi, 0.0), 0.1, -0.0]
+    assert all(wrap_angle(a) == a for a in angles)
+
+
 def test_rotation_angles_canonicalize():
     rot = RotationAngles(theta_x=3 * np.pi, theta_y=0.1, theta_z=-2 * np.pi)
     assert rot.theta_x == pytest.approx(np.pi)
