@@ -188,9 +188,8 @@ class CostEvaluator:
 
         self._points = np.ascontiguousarray(np.concatenate(points).T)  # (3, N)
         self._sqn = np.concatenate(sqn)
-        weights = self._sqn.astype(float)
-        total = weights.sum()
-        self.center = self._points @ weights / total if total > 0 else np.zeros(3)
+        weights = self._sqn.astype(float)  # all zero only when every point is at the origin
+        self.center = self._points @ weights / max(weights.sum(), np.finfo(float).tiny)
         (self._fx, self._fy, self._cx, self._cy, self._umax, self._vmax, self._stride,
          self._penalty, self._cell, empty) = np.repeat(
             np.array(meta, dtype=float), counts, axis=0).T.copy()

@@ -22,15 +22,12 @@ of search space means one "typical" move for that parameter, which matters
 because angles and translations live on very different scales.  The
 iteration cap and the two tolerances are the ``max_iterations``, ``ftol``
 and ``line_tol`` fields of :class:`~semcal.io_formats.RunConfig`.
-
-:func:`calibrate` runs this search over the angles and the point where the
-camera sees the scene's weighted center, in place of the translation, and
-follows each Powell run with line probes along the pairwise diagonals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -300,16 +297,11 @@ _MAX_PASSES = 16
 _PASS_GAIN_REL = 1e-3  # a pass must shave this fraction off to keep walking
 
 
-def _probe_directions(sigma: np.ndarray):
-    """Yield every two-parameter diagonal, with both relative signs, scaled by sigma."""
-    n = sigma.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sj in (1.0, -1.0):
-                d = np.zeros(n)
-                d[i] = sigma[i]
-                d[j] = sj * sigma[j]
-                yield d
+def _probe_directions(sigma: np.ndarray) -> list[np.ndarray]:
+    """Every two-parameter diagonal, with both relative signs, scaled by sigma."""
+    axes = np.diag(sigma)
+    return [axes[i] + sign * axes[j]
+            for i, j in itertools.combinations(range(sigma.size), 2) for sign in (1.0, -1.0)]
 
 
 def _to_centered(ext: Extrinsics, center: np.ndarray) -> np.ndarray:
@@ -336,15 +328,13 @@ def calibrate(
     and the optimization trace.
 
     The search runs over (θ, c), where c = R(θ)·p̄ + t is where the camera
-    sees p̄, the evaluator's ``center``.  Over (θ, t), a rotation about the
+    sees p̄, the evaluator's ``center``: over (θ, t), a rotation about the
     sensor origin cancelled by a translation of about the scene's depth
-    times the angle barely moves the far points that the range weight
-    counts most, and Powell stalled in that valley; about p̄ the rotation
-    leaves c in place, which removes the coupling (Triggs et al., *Bundle
-    Adjustment -- A Modern Synthesis*, 2000).  After each Powell run this
-    driver probes the 30 pairwise two-parameter diagonals and, if any still
-    descends, walks there and runs Powell again.  The trace rows and the
-    estimate are mapped back to (θ, t).
+    times the angle made a valley that stalled Powell, and about p̄ the
+    rotation leaves c in place (Triggs et al., *Bundle Adjustment -- A
+    Modern Synthesis*, 2000).  After each Powell run the driver probes the
+    30 pairwise two-parameter diagonals and, if any still descends, walks
+    there and runs Powell again.  Trace rows and estimate are in (θ, t).
     """
     cfg = config or RunConfig()
     center = evaluator.center
@@ -359,11 +349,9 @@ def calibrate(
         return cost
 
     y = _to_centered(init, center)
-    sigma = trial_steps(6)
+    probes = _probe_directions(trial_steps(6))
     points: list[tuple[int, np.ndarray, float]] = []
-    termination = "stalled"
     n_evaluations = n_probe = 0
-    current = None
     for _ in range(_MAX_ROUNDS):
         y, current, trace = powell_minimize(objective, y, cfg)
         termination = trace.termination
@@ -378,23 +366,21 @@ def calibrate(
             break  # the cost is nonnegative, so an exact zero is global
 
         obj = _Objective(objective)
-        moved = False
+        entry = current
         for _ in range(_MAX_PASSES):
             before = current
-            for d in _probe_directions(sigma):
+            for d in probes:
                 alpha, f_new = _line(lambda a: obj(y + a * d), current, cfg.line_tol,
                                      refine=False)
                 if f_new < current:
                     y = y + alpha * d
                     current = f_new
-            if current < before:
-                moved = True
             # Keep walking only while passes still make visible headway.
             if before - current <= _PASS_GAIN_REL * max(abs(before), _TINY):
                 break
         n_evaluations += obj.n_evaluations
         n_probe += obj.n_evaluations
-        if not moved:
+        if current == entry:
             break
         points.append((points[-1][0] + 1, y.copy(), current))
         if current == 0.0:
