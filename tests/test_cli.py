@@ -391,7 +391,6 @@ def test_class_absent_from_data_has_no_points(scene_dir, tmp_path):
     assert outputs["1,2,9"] == outputs["1,2"]
 
 
-
 def test_class_absent_from_every_image(scene_dir, tmp_path, capsys):
     """A class that the clouds hold but no image does costs its points the
     empty-field penalty at every pose; calibrate still ends cleanly."""
@@ -416,9 +415,10 @@ C6_GT = Extrinsics(RotationAngles(*np.deg2rad([1.0, -2.0, 3.0])), Translation(0.
 
 @pytest.mark.parametrize("seed", [8, 18, 40])
 def test_calibrate_leaves_the_rotation_translation_valley(seed, tmp_path):
-    """Criterion-6-style scenes on which a search over (theta, t) stalled
-    1.4-1.6 degrees off, in the valley where a rotation about the sensor
-    origin is cancelled by a translation; the centered search ends in band."""
+    """Criterion-6-style scenes whose init is only 1.4-1.6 degrees off, on
+    which a search over (theta, t) stalled out of band in the valley where a
+    rotation about the sensor origin is cancelled by a translation; the
+    centered search ends in band."""
     spec = SceneSpec(n_frames=10, objects_per_frame=4, points_per_object=100,
                      extrinsics=C6_GT, seed=seed, depth_range=(2.5, 16.0), noise_rate=0.02)
     scene = tmp_path / "scene"

@@ -26,7 +26,6 @@ def test_wrap_angle_basic():
     assert wrap_angle(np.deg2rad(-179) - np.deg2rad(179)) == pytest.approx(np.deg2rad(2))
 
 
-
 def test_wrap_angle_keeps_canonical_angles():
     """An angle already in (-pi, pi] comes back bit for bit."""
     angles = np.random.default_rng(0).uniform(-np.pi, np.pi, 2000).tolist()
