@@ -74,7 +74,10 @@ median of those ratios:
   ``initialize`` given that evaluator.  A round builds ``BUILDS``
   evaluators per side, alternating sides, and keeps each side's medians:
   with one build per round, the ratios of unchanged code ran from 0.71
-  to 1.12.
+  to 1.12.  ``memory`` holds each side's ``tracemalloc`` peak, in MB, over
+  one more evaluator construction outside the timed rounds, so set-up
+  memory sits next to set-up time; it includes the fields the evaluator
+  keeps.
 
 Every process pins BLAS and OpenMP to one thread.  The timing scenes live in
 memory as float64 clouds, so their evaluation counts differ from those of the
@@ -94,6 +97,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from statistics import median
 
@@ -363,11 +367,23 @@ def time_sides(srcs: dict) -> dict:
                     "evaluator_s": t1 - t0, "initialize_s": t2 - t1}
         return run
 
+    def peak_mb(side, pairs, classes):
+        tracemalloc.start()
+        try:
+            mods[side]["costfield"].CostEvaluator(pairs, classes)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
     for name, kwargs in LAYER_SCENES.items():
         spec = _spec(**kwargs)
         pairs = generate(spec).pairs
         result["layers"][name] = {"fields": len(pairs) * len(spec.classes), **_interleave(
             {s: layers(s, pairs, spec.classes) for s in SIDES}, repeats=BUILDS)}
+        memory = {s: {"evaluator_peak_mb": peak_mb(s, pairs, spec.classes)} for s in SIDES}
+        memory["ratio"] = {"evaluator_peak_mb": memory["change"]["evaluator_peak_mb"]
+                           / memory["baseline"]["evaluator_peak_mb"]}
+        result["layers"][name]["memory"] = memory
     return result
 
 
@@ -463,6 +479,7 @@ def main() -> int:
     ratios = [(f"kernel {name}", t) for name, t in timing["kernel"].items()]
     ratios += [("replay", timing["replay"]), ("calibrate", timing["calibrate"])]
     ratios += [(f"layers {name}", t) for name, t in timing["layers"].items()]
+    ratios += [(f"memory {name}", t["memory"]) for name, t in timing["layers"].items()]
     for label, t in ratios:
         print(f"{label}: " + ", ".join(f"{k} x{v:.3f}" for k, v in t["ratio"].items()))
     return 0

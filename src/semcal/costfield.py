@@ -14,6 +14,7 @@ misprojection can.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -39,40 +40,64 @@ class DistanceField(NamedTuple):
 
 
 def _scan(a: np.ndarray) -> None:
-    # In place along axis 0, forward then backward: a[i] = min(a[i], a[i-1] + 1).
+    """In place along axis 0, forward then backward: ``a[i] = min(a[i], a[i-1] + 1)``.
+
+    Each step is two numpy calls over a whole row, with one preallocated
+    ``step`` row and a 0-d ``one`` of ``a``'s type, so numpy converts no
+    Python scalar per call.
+    """
     rows = list(a)
     step = np.empty_like(rows[0])
+    one = np.ones((), a.dtype)
     for order in (rows, rows[::-1]):
         for prev, cur in zip(order, order[1:]):
-            np.add(prev, 1, out=step)
+            np.add(prev, one, out=step)
             np.minimum(cur, step, out=cur)
 
 
 def build_distance_field(images: list[LabelImage], classes, out=None) -> DistanceField:
     """Exact L1 distance transforms of ``classes`` in same-size label images, built together.
 
-    Per image, one compare marks every class in a ``(height, classes,
-    width)`` array, 0 on its pixels and ``far = width + height`` (more than
-    any distance) elsewhere; a forward and a backward row scan along the
-    height, each numpy call covering a row of every class, and one
-    transpose write it into the image's slot of the ``(width, images *
-    classes, height)`` result.  The same scan along the width then runs
-    once over every slot, so its calls are shared by all the images, and
-    gives the exact Manhattan transform (Rosenfeld & Pfaltz, 1966).
-    ``out``, when given, receives the result; its unsigned type must hold
-    ``far + 1``.
+    One ``(height, classes, width)`` compare buffer serves every image: a
+    compare writes 1 off each class's pixels and 0 on them straight into
+    it, a multiply turns the 1s into ``far = width + height`` (more than
+    any distance), and a forward and a backward row scan run along the
+    height, each numpy call covering a row of every class.  Each class
+    plane then moves into the image's slot of the ``(width, images *
+    classes, height)`` result in two copies: a transpose of machine words
+    of ``lanes = gcd(width, 8 // itemsize)`` neighbouring pixels into one
+    reusable ``(width / lanes, height)`` word buffer, then a de-interleave
+    of the lanes, which reads pixels ``lanes`` apart.  Besides the result,
+    a build holds ``classes + 1`` planes.  The same scan along the width
+    then runs once over every slot, so its calls are shared by all the
+    images, and gives the exact Manhattan transform (Rosenfeld & Pfaltz,
+    1966).  ``out``, when given, receives the result: it must be
+    C-contiguous, so the lane view of it is not a copy, and its unsigned
+    type must hold ``far + 1``.
     """
     h, w = images[0].labels.shape
     far = h + w
     n = len(classes)
     if out is None:
         out = np.empty((w, len(images) * n, h), np.min_scalar_type(far + 1))
+    elif not out.flags.c_contiguous:
+        raise ValueError("build_distance_field needs a C-contiguous out array")
+    lanes = math.gcd(w, 8 // out.itemsize)
+    word = np.dtype(f"u{lanes * out.itemsize}")
+    buf = np.empty((h, n, w), out.dtype)
+    words = buf.view(word)  # (h, n, w / lanes)
+    plane = np.empty((w // lanes, h), word)
+    pixels = plane.view(out.dtype).reshape(w // lanes, h, lanes).transpose(0, 2, 1)
+    dest = out.reshape(w // lanes, lanes, -1, h)
     for i, image in enumerate(images):
         labels = image.labels
         ids = np.array(classes, np.promote_types(labels.dtype, np.min_scalar_type(max(classes))))
-        a = (labels[:, None, :] != ids[:, None]) * out.dtype.type(far)
-        _scan(a)
-        out[:, i * n:(i + 1) * n] = a.transpose(2, 1, 0)
+        np.not_equal(labels[:, None, :], ids[:, None], out=buf, casting="unsafe")
+        buf *= out.dtype.type(far)
+        _scan(buf)
+        for j in range(n):
+            np.copyto(plane, words[:, j].T)
+            np.copyto(dest[:, :, i * n + j], pixels)
     _scan(out)
     return DistanceField(out, out[0, :, 0] == far)
 
@@ -129,7 +154,10 @@ class CostEvaluator:
     so the buffer stores them losslessly in the smallest unsigned type that
     holds ``width + height + 1``.  Each group of same-size pairs, in the
     order its size first appears, has its fields built by one
-    :func:`build_distance_field` call straight into a block of the buffer.
+    :func:`build_distance_field` call straight into a block of the buffer;
+    the call reuses one compare buffer for all the group's images and moves
+    each class plane into the block as words of several pixels, so besides
+    the buffer it holds only ``classes + 1`` planes of the group's size.
     ``center`` is the mean of the scored points, each weighted by its range
     weight: by ``|p|^2``, or by 1 without range weighting.
 

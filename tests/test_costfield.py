@@ -1,10 +1,12 @@
 """Tests for distance fields and the semantic consistency cost."""
 
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
     ReferenceEvaluator,
@@ -99,12 +101,29 @@ def test_distance_field_property(labels, classes):
     check_against_brute_force(labels, tuple(classes))
 
 
+def sparse_stack(k, h, w, seed):
+    """``k`` background images with a few pixels of classes 1-3 each; class 3
+    is absent from the first image."""
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((k, h, w), np.uint8)
+    for i, labels in enumerate(stack):
+        cells = rng.choice(h * w, size=15, replace=False)
+        labels.flat[cells] = np.repeat((1, 2, 3) if i else (1, 2, 1), 5)
+    return stack
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     stack=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=3, max_dims=3, max_side=9),
                      elements=st.integers(0, 3)),
     classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
 )
+# 16-bit fields (height + width >= 255) whose widths are 0-3 (mod 4), so
+# the build moves planes in words of 4, 1, 2 and 1 pixels
+@example(stack=sparse_stack(2, 119, 136, 0), classes=[1, 2, 3])
+@example(stack=sparse_stack(3, 118, 137, 1), classes=[3, 1, 2])
+@example(stack=sparse_stack(4, 117, 138, 2), classes=[2, 3, 1])
+@example(stack=sparse_stack(5, 116, 139, 3), classes=[1, 3, 2])
 def test_distance_field_of_several_images_property(stack, classes):
     # one build over k same-size images, with its shared width scan, equals
     # k one-image builds and the brute-force grids
@@ -113,6 +132,7 @@ def test_distance_field_of_several_images_property(stack, classes):
     k, h, w = stack.shape
     n = len(classes)
     assert field.d.shape == (w, k * n, h) and field.empty.shape == (k * n,)
+    assert field.d.dtype == np.min_scalar_type(h + w + 1)
     for i, image in enumerate(images):
         one = build_distance_field([image], classes)
         assert np.array_equal(field.d[:, i * n:(i + 1) * n], one.d)
@@ -159,6 +179,37 @@ def test_distance_field_far_plus_one_exceeds_uint16(shape):
     labels.flat[-1] = 2
     check_against_brute_force(labels, (1, 2, 3))
     assert build_distance_field([LabelImage(labels=labels)], (1,)).d.dtype == np.uint32
+
+
+def test_distance_field_build_memory():
+    # one compare buffer of every class and one word buffer of one plane
+    # serve all the images; a quarter plane covers the scans' lists of row
+    # views and their step rows.  Separate per-image bool and typed compare
+    # arrays, alive across two images, would peak at 7.5 planes here
+    h, w, classes = 480, 640, (1, 2, 3)
+    rng = np.random.default_rng(5)
+    images = [LabelImage(labels=rng.integers(0, 4, size=(h, w), dtype=np.uint8))
+              for _ in range(4)]
+    tracemalloc.start()
+    try:
+        field = build_distance_field(images, classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = h * w * field.d.itemsize
+    assert field.d.dtype == np.uint16
+    assert peak - field.d.nbytes <= (len(classes) + 1) * plane + plane // 4
+
+
+def test_distance_field_out_must_be_c_contiguous():
+    # the build writes through a reshaped view of out, which must not be a copy
+    images = [LabelImage(labels=np.eye(6, 8, dtype=np.uint8))] * 2
+    for out in (np.empty((8, 4, 6), np.uint8)[:, ::2],
+                np.empty((6, 2, 8), np.uint8).transpose(2, 1, 0)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            build_distance_field(images, (1,), out)
+    out = np.empty((8, 2, 6), np.uint8)
+    assert build_distance_field(images, (1,), out).d is out
 
 
 def test_distance_field_empty_class():
