@@ -57,19 +57,28 @@ median of those ratios:
 
 - ``kernel``: microseconds per ``evaluate_total`` over 300 poses near the
   ground truth, each with its own rotation, on calib-c6 scene 8 and
-  sweep-clean scene 0.  A side's round repeats the poses until it has
-  taken ``ROUND_S`` seconds: one pass of 30-70 ms is shorter than the
-  host's speed swings, and unchanged code then read ratios of 0.78-1.25;
+  sweep-clean scene 0.  A round times ``SLICE`` poses at a time on one
+  side and then the same poses on the other, the sides in alternating
+  order, until each side has taken ``ROUND_S`` seconds.  Timed in one
+  block per side, unchanged code read rounds of 0.74-1.27: a block spans
+  the host's speed steps, and a step can hit one side's block and not the
+  other's; in slices of 1-2 ms both sides meet the same steps.  A round
+  also builds ``BUILDS`` fresh evaluators per side, in alternating order,
+  each timed for ``ROUND_S / BUILDS``: the memory layout of one evaluator
+  biases its time, so one evaluator per side for all rounds read a median
+  ratio of 1.06, with 9 of 10 rounds above 1, and one per round still
+  read rounds of 0.94-1.04.  Unchanged code now reads 0.96-1.02 per
+  round;
 - ``replay``: microseconds per ``evaluate_total`` over the poses the
-  baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats included.
-  Here and in ``kernel`` each round times a freshly built evaluator: with
-  one evaluator per side for all rounds, unchanged code read a median
-  ratio of 1.06, with 9 of 10 rounds above 1, a bias rounds cannot cancel;
+  baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats
+  included, timed as ``kernel`` is;
 - ``calibrate``: seconds of ``calibrate`` from the initialization on
   calib-c6 scene 8;
-- ``layers``: on calib-c6 scene 8 and init-wide scene 0, the milliseconds
-  spent in ``build_distance_field`` per (frame, class) field (one call may
-  build the fields of several frames), the seconds of
+- ``layers``: on calib-c6 scene 8, init-wide scene 0 and a dense-label
+  scene, whose every class's bounding box covers at least 99% of its image
+  (``min_box_share``, the smallest such share in the scene), the
+  milliseconds spent in ``build_distance_field`` per (frame, class) field
+  (one call may build the fields of several frames), the seconds of
   the whole ``CostEvaluator`` construction, and the seconds of
   ``initialize`` given that evaluator.  A round builds ``BUILDS``
   evaluators per side, alternating sides, and keeps each side's medians:
@@ -130,8 +139,13 @@ LAYER_SCENES = {
     "calib-c6 scene 8": C6_SCENE_8,
     "init-wide scene 0": dict(n_frames=20, objects_per_frame=12, classes=(1, 2, 3, 4, 5, 6),
                               noise_rate=0.02, seed=0),
+    # 36 large objects at 2.5-4 m: every class's bounding box covers at
+    # least 99% of its image, so the fields of this scene are the whole image
+    "dense-label scene 0": dict(n_frames=10, objects_per_frame=36, size_range=(2.5, 4.0),
+                                depth_range=(2.5, 4.0), lateral_range=(-3.0, 3.0),
+                                points_per_object=100, noise_rate=0.02, seed=0),
 }
-POSES, ROUNDS, BUILDS, ROUND_S = 300, 10, 5, 0.5
+POSES, ROUNDS, BUILDS, ROUND_S, SLICE = 300, 10, 5, 0.5, 10
 SIDES = ("baseline", "change")
 
 
@@ -147,7 +161,7 @@ def _gt(gt=GT):
 def _spec(gt=GT, **kwargs):
     from semcal.synth import SceneSpec
 
-    return SceneSpec(extrinsics=_gt(gt), depth_range=DEPTH, **kwargs)
+    return SceneSpec(**{"extrinsics": _gt(gt), "depth_range": DEPTH, **kwargs})
 
 
 def write_scenes(root: Path) -> None:
@@ -262,22 +276,11 @@ def _load(src: Path, name: str):
                                                                    "pnp_init")}
 
 
-def _interleave(tasks: dict, repeats: int = 1) -> dict:
-    """Time ``tasks[side]()`` for both sides over ROUNDS rounds.
-
-    Each call returns a dict of timings.  A round calls each side
-    ``repeats`` times, the sides in alternating order, and keeps each
-    side's medians; the result keeps each side's medians over the rounds,
-    the change / baseline ratio of every round and their median.
-    """
-    rounds = []
-    for i in range(ROUNDS):
-        calls = {side: [] for side in SIDES}
-        for j in range(repeats):
-            for side in SIDES if (i + j) % 2 == 0 else SIDES[::-1]:
-                calls[side].append(tasks[side]())
-        rounds.append({side: {k: median(c[k] for c in cs) for k in cs[0]}
-                       for side, cs in calls.items()})
+def _rounds(run_round) -> dict:
+    """Each side's medians over ROUNDS rounds of ``run_round(i)``, which
+    returns a dict of timings per side, plus the change / baseline ratio of
+    every round and their median."""
+    rounds = [run_round(i) for i in range(ROUNDS)]
     keys = rounds[0]["baseline"]
     ratios = {k: [r["change"][k] / r["baseline"][k] for r in rounds] for k in keys}
     return {
@@ -285,6 +288,38 @@ def _interleave(tasks: dict, repeats: int = 1) -> dict:
         "ratio": {k: median(v) for k, v in ratios.items()},
         "round_ratios": ratios,
     }
+
+
+def _interleave(tasks: dict, repeats: int = 1) -> dict:
+    """Time ``tasks[side]()`` for both sides over ROUNDS rounds.
+
+    Each call returns a dict of timings.  A round calls each side
+    ``repeats`` times, the sides in alternating order, and keeps each
+    side's medians.
+    """
+    def run_round(i):
+        calls = {side: [] for side in SIDES}
+        for j in range(repeats):
+            for side in SIDES if (i + j) % 2 == 0 else SIDES[::-1]:
+                calls[side].append(tasks[side]())
+        return {side: {k: median(c[k] for c in cs) for k in cs[0]}
+                for side, cs in calls.items()}
+
+    return _rounds(run_round)
+
+
+def _min_box_share(pairs, classes) -> float:
+    """The smallest share of its image that a class's bounding box covers,
+    over every (frame, class) with pixels of that class."""
+    import numpy as np
+
+    shares = []
+    for pair in pairs:
+        for cid in classes:
+            rows, cols = np.nonzero(pair.image.labels == cid)
+            if rows.size:
+                shares.append((np.ptp(rows) + 1) * (np.ptp(cols) + 1) / pair.image.labels.size)
+    return float(min(shares))
 
 
 def time_sides(srcs: dict) -> dict:
@@ -300,24 +335,34 @@ def time_sides(srcs: dict) -> dict:
                                                          rng.normal(scale=0.2, size=3)]))
              for _ in range(POSES)]
 
-    def per_eval(side, pairs, classes, seq):
-        def run():
-            evaluator = mods[side]["costfield"].CostEvaluator(pairs, classes)
-            n, t0 = 0, time.perf_counter()
-            while (spent := time.perf_counter() - t0) < ROUND_S or not n:
-                for pose in seq:
-                    evaluator.evaluate_total(pose)
-                n += len(seq)
-            return {"us_per_eval": spent / n * 1e6}
-        return run
+    def per_eval(pairs, classes, seq):
+        """A round: BUILDS times, a fresh evaluator per side, built in
+        alternating order, then slices of SLICE poses of ``seq``, each timed
+        on both sides in alternating order, until each side has spent
+        another ROUND_S / BUILDS seconds."""
+        def run_round(i):
+            spent, n = dict.fromkeys(SIDES, 0.0), 0
+            for b in range(BUILDS):
+                evaluators = {side: mods[side]["costfield"].CostEvaluator(pairs, classes)
+                              for side in (SIDES if (i + b) % 2 == 0 else SIDES[::-1])}
+                while min(spent.values()) < ROUND_S * (b + 1) / BUILDS:
+                    batch = [seq[(n + k) % len(seq)] for k in range(SLICE)]
+                    for side in SIDES if (i + n // SLICE) % 2 == 0 else SIDES[::-1]:
+                        evaluate_total, t0 = evaluators[side].evaluate_total, time.perf_counter()
+                        for pose in batch:
+                            evaluate_total(pose)
+                        spent[side] += time.perf_counter() - t0
+                    n += SLICE
+            return {side: {"us_per_eval": spent[side] / n * 1e6} for side in SIDES}
+        return run_round
 
     result = {"kernel": {}, "layers": {}}
     for name, kwargs in KERNEL_SCENES.items():
         spec = _spec(**kwargs)
         pairs = generate(spec).pairs
         points = mods["change"]["costfield"].CostEvaluator(pairs, spec.classes).denominator
-        result["kernel"][name] = {"points": points, **_interleave(
-            {s: per_eval(s, pairs, spec.classes, poses) for s in SIDES})}
+        result["kernel"][name] = {"points": points,
+                                  **_rounds(per_eval(pairs, spec.classes, poses))}
 
     spec = _spec(**C6_SCENE_8)
     pairs = generate(spec).pairs
@@ -327,8 +372,7 @@ def time_sides(srcs: dict) -> dict:
     evaluators["baseline"].evaluate_total = lambda ext: sent.append(ext) or evaluate_total(ext)
     mods["baseline"]["optimizer"].calibrate(evaluators["baseline"], start)
     del evaluators["baseline"].evaluate_total
-    result["replay"] = {"poses": len(sent), **_interleave(
-        {s: per_eval(s, pairs, spec.classes, sent) for s in SIDES})}
+    result["replay"] = {"poses": len(sent), **_rounds(per_eval(pairs, spec.classes, sent))}
 
     def calibrate(side):
         def run():
@@ -378,8 +422,10 @@ def time_sides(srcs: dict) -> dict:
     for name, kwargs in LAYER_SCENES.items():
         spec = _spec(**kwargs)
         pairs = generate(spec).pairs
-        result["layers"][name] = {"fields": len(pairs) * len(spec.classes), **_interleave(
-            {s: layers(s, pairs, spec.classes) for s in SIDES}, repeats=BUILDS)}
+        result["layers"][name] = {
+            "fields": len(pairs) * len(spec.classes),
+            "min_box_share": _min_box_share(pairs, spec.classes),
+            **_interleave({s: layers(s, pairs, spec.classes) for s in SIDES}, repeats=BUILDS)}
         memory = {s: {"evaluator_peak_mb": peak_mb(s, pairs, spec.classes)} for s in SIDES}
         memory["ratio"] = {"evaluator_peak_mb": memory["change"]["evaluator_peak_mb"]
                            / memory["baseline"]["evaluator_peak_mb"]}

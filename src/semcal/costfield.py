@@ -4,7 +4,7 @@ The per-point cost couples a label-consistency test with the minimum
 Manhattan distance from the projected pixel to any image pixel carrying the
 point's class, weighted by the squared range of the original sensor-frame
 point.  Distance lookups are served by per-class exact L1 distance
-transforms precomputed once, together for all images of the same size.
+transforms over each class's bounding box, precomputed once for all images.
 
 Failure modes fold into finite penalties so the aggregate loss stays total:
 a point behind the camera, or one whose class is absent from the image,
@@ -24,82 +24,218 @@ from .errors import CalibrationError, ZeroDenominator
 from .geometry import EPS_DEPTH, Extrinsics
 from .scene import IGNORE_CLASS, LabelImage
 
+BAND = 8  # lines next to an edge that a class touching another edge is looked for in
+
 
 class DistanceField(NamedTuple):
-    """Exact L1 distance transforms of several classes in same-size label images.
+    """Exact L1 distance transforms of several classes in label images, each
+    stored only over the bounding box of its class's pixels.
 
-    ``d[col, i * classes + j, row]`` is the minimum Manhattan distance from
-    pixel ``(col, row)`` of the ``i``-th image to any of its pixels of the
-    ``j``-th class; zero exactly on such pixels and below ``width + height``
-    everywhere.  ``empty[i * classes + j]`` is set when that class is absent
-    from that image; its plane then holds ``width + height``.
+    Field ``f = i * classes + j`` belongs to the ``j``-th class in the
+    ``i``-th image.  Its box ``box[f] = (u0, v0, u1, v1)`` spans columns
+    ``u0..u1`` and rows ``v0..v1`` of the image and holds every pixel of the
+    class.  The distance from pixel ``(u, v)`` of the box to the nearest
+    pixel of the class, zero exactly on such pixels, is ``d[cell[f] + (u -
+    u0) * stride[f] + (v - v0)]``.  Beyond the box, on the image or off it,
+    the distance is that of the nearest box cell plus the axis offsets to
+    it: the nearest cell lies between the query and every pixel of the
+    class on each axis, so for L1 this is exact.  ``empty[f]`` is set when
+    the class is absent from the image; such a field has no cells.
     """
 
-    d: np.ndarray  # (width, images * classes, height)
+    d: np.ndarray  # (cells,): every box's cells, in one atlas
+    box: np.ndarray  # (images * classes, 4) int: u0, v0, u1, v1
+    cell: np.ndarray  # (images * classes,) int: index of the box's cell (u0, v0) in d
+    stride: np.ndarray  # (images * classes,) int: cells between neighbouring columns
     empty: np.ndarray  # (images * classes,) bool
 
 
-def _scan(a: np.ndarray) -> None:
-    """In place along axis 0, forward then backward: ``a[i] = min(a[i], a[i-1] + 1)``.
+def _boxes(labels: np.ndarray, ids: np.ndarray, lanes: int) -> list:
+    """Per class of ``ids``, ``(u0, v0, width, height)`` of a box around its
+    pixels in ``labels``, or None when it has none.
 
-    Each step is two numpy calls over a whole row, with one preallocated
-    ``step`` row and a 0-d ``one`` of ``a``'s type, so numpy converts no
-    Python scalar per call.
+    One compare of the four edges of the image against every class tells
+    which edges each class touches.  The box of a class that touches an
+    edge is often most of the image: each of its other sides is looked for
+    in the ``BAND`` lines next to that edge.  Otherwise the box spans the
+    rows and then the columns that hold the class.  Where the image is wide
+    enough, the width grows to a multiple of ``lanes``, since any box that
+    holds every pixel of the class is exact.
     """
-    rows = list(a)
-    step = np.empty_like(rows[0])
+    h, w = labels.shape
+    edges = np.concatenate((labels[0], labels[-1], labels[:, 0], labels[:, -1]))
+    touches = np.logical_or.reduceat(ids[:, None] == edges, [0, w, 2 * w, 2 * w + h], axis=1)
+    sides = (labels[:BAND], labels[:-BAND - 1:-1], labels[:, :BAND].T,
+             labels[:, :-BAND - 1:-1].T)  # lines inward from the top, bottom, left, right
+    boxes = []
+    for cid, touch in zip(ids, touches.tolist()):
+        insets = [None]
+        if any(touch):
+            insets = [0 if on else _first(lines, cid) for on, lines in zip(touch, sides)]
+        if None not in insets:
+            top, bottom, left, right = insets
+            v0, v1, u0, u1 = top, h - bottom, left, w - right
+        else:
+            mask = labels == cid
+            rows = np.flatnonzero(mask.any(axis=1))
+            if not rows.size:
+                boxes.append(None)
+                continue
+            v0, v1 = int(rows[0]), int(rows[-1]) + 1
+            cols = np.flatnonzero(mask[v0:v1].any(axis=0))
+            u0, u1 = int(cols[0]), int(cols[-1]) + 1
+        width = -((u0 - u1) // lanes) * lanes
+        boxes.append((0, v0, w, v1 - v0) if width > w
+                     else (min(u0, w - width), v0, width, v1 - v0))
+    return boxes
+
+
+def _first(lines: np.ndarray, cid) -> int | None:
+    """Index of the first row of ``lines`` that holds ``cid``, or None."""
+    hits = np.flatnonzero((lines == cid).any(axis=1))
+    return int(hits[0]) if hits.size else None
+
+
+def _scan(a: np.ndarray, extents: list[int], sizes: list[int]) -> None:
+    """In place down the rows of 2-D ``a``, over the boxes each row holds,
+    forward then backward: ``a[i] = min(a[i], a[i-1] + 1)``.
+
+    The boxes sit side by side along the rows, ``sizes[k]`` entries each, in
+    order of non-increasing ``extents``: row ``i`` holds box ``k`` while
+    ``i < extents[k]``, so the boxes a row holds are a prefix of it, and
+    rows that hold the same boxes form a run.  Each step is two numpy calls
+    over a row of a run, with one preallocated ``step`` row and a 0-d
+    ``one`` of ``a``'s type, so numpy converts no Python scalar per call.
+    """
+    runs, start, n = [], 0, sum(sizes)  # (first row, end row, entries) of each run
+    for extent, size in zip(extents[::-1], sizes[::-1]):
+        if extent > start:
+            runs.append((start, extent, n))
+            start = extent
+        n -= size
+    step = np.empty(runs[0][2], a.dtype)
     one = np.ones((), a.dtype)
-    for order in (rows, rows[::-1]):
-        for prev, cur in zip(order, order[1:]):
-            np.add(prev, one, out=step)
-            np.minimum(cur, step, out=cur)
+    add, minimum = np.add, np.minimum
+
+    def down(rows, n):
+        s = step[:n]
+        for prev, cur in zip(rows, rows[1:]):
+            add(prev, one, s)
+            minimum(cur, s, out=cur)
+
+    for start, stop, n in runs:  # from the last row of the run before
+        down(list(a[max(start - 1, 0):stop, :n]), n)
+    for k in range(len(runs) - 1, -1, -1):
+        start, stop, n = runs[k]
+        if k + 1 < len(runs):  # from the first row of the run after, which is shorter
+            m = runs[k + 1][2]
+            down((a[stop, :m], a[stop - 1, :m]), m)
+        down(list(a[start:stop, :n][::-1]), n)
 
 
-def build_distance_field(images: list[LabelImage], classes, out=None) -> DistanceField:
-    """Exact L1 distance transforms of ``classes`` in same-size label images, built together.
+def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
+    """Exact L1 distance transforms of ``classes`` in label images of any
+    sizes, each over its class's bounding box, built together.
 
-    One ``(height, classes, width)`` compare buffer serves every image: a
-    compare writes 1 off each class's pixels and 0 on them straight into
-    it, a multiply turns the 1s into ``far = width + height`` (more than
-    any distance), and a forward and a backward row scan run along the
-    height, each numpy call covering a row of every class.  Each class
-    plane then moves into the image's slot of the ``(width, images *
-    classes, height)`` result in two copies: a transpose of machine words
-    of ``lanes = gcd(width, 8 // itemsize)`` neighbouring pixels into one
-    reusable ``(width / lanes, height)`` word buffer, then a de-interleave
-    of the lanes, which reads pixels ``lanes`` apart.  Besides the result,
-    a build holds ``classes + 1`` planes.  The same scan along the width
-    then runs once over every slot, so its calls are shared by all the
-    images, and gives the exact Manhattan transform (Rosenfeld & Pfaltz,
-    1966).  ``out``, when given, receives the result: it must be
-    C-contiguous, so the lane view of it is not a copy, and its unsigned
-    type must hold ``far + 1``.
+    The boxes come first (see :func:`_boxes`); an absent class gets none.
+    Distances are integers below ``far``, the largest ``width + height`` of
+    the images, stored in the smallest unsigned type that holds ``far + 1``.
+
+    Then the boxes, tallest first, fill chunks placed side by side in one
+    reusable buffer of at most ``classes`` image planes.  A compare writes 1
+    off the class's pixels and 0 on them into a box's place, a multiply
+    turns the 1s into ``far``, and a forward and a backward row scan run
+    along the height of the chunk; as the boxes are sorted by height, each
+    numpy call of the scan covers a row of every box that reaches it.  Each
+    box then moves into the atlas in two copies: a transpose of machine
+    words of ``lanes`` neighbouring pixels, the largest power of two that
+    divides every box width and fits 8 bytes, into one reusable word
+    buffer, then a de-interleave of the lanes.
+
+    In the atlas the boxes sit side by side as well, widest first, column
+    by column: column ``x`` of every box holding it is one row of the
+    atlas, so one more scan gives the exact Manhattan transform (Rosenfeld
+    & Pfaltz, 1966).  A box whose image is narrower than the widest box
+    before it starts a new atlas block, which the scan runs over
+    separately: so no field takes more cells than its image, and images
+    of one size share one block.  Besides its result, a build holds
+    ``classes + 1`` planes of the largest image.
     """
-    h, w = images[0].labels.shape
-    far = h + w
     n = len(classes)
-    if out is None:
-        out = np.empty((w, len(images) * n, h), np.min_scalar_type(far + 1))
-    elif not out.flags.c_contiguous:
-        raise ValueError("build_distance_field needs a C-contiguous out array")
-    lanes = math.gcd(w, 8 // out.itemsize)
-    word = np.dtype(f"u{lanes * out.itemsize}")
-    buf = np.empty((h, n, w), out.dtype)
-    words = buf.view(word)  # (h, n, w / lanes)
-    plane = np.empty((w // lanes, h), word)
-    pixels = plane.view(out.dtype).reshape(w // lanes, h, lanes).transpose(0, 2, 1)
-    dest = out.reshape(w // lanes, lanes, -1, h)
-    for i, image in enumerate(images):
+    far = max(sum(image.labels.shape) for image in images)
+    dtype = np.min_scalar_type(far + 1)
+    sources, boxes = [], []  # per field: (labels, class id); (u0, v0, width, height) or None
+    for image in images:
         labels = image.labels
         ids = np.array(classes, np.promote_types(labels.dtype, np.min_scalar_type(max(classes))))
-        np.not_equal(labels[:, None, :], ids[:, None], out=buf, casting="unsafe")
-        buf *= out.dtype.type(far)
-        _scan(buf)
-        for j in range(n):
-            np.copyto(plane, words[:, j].T)
-            np.copyto(dest[:, :, i * n + j], pixels)
-    _scan(out)
-    return DistanceField(out, out[0, :, 0] == far)
+        sources += [(labels, cid) for cid in ids]
+        boxes += _boxes(labels, ids, 8 // dtype.itemsize)
+    present = [f for f, b in enumerate(boxes) if b]
+    lanes = math.gcd(8 // dtype.itemsize, *(boxes[f][2] for f in present))
+    word = np.dtype(f"u{lanes * dtype.itemsize}")
+
+    blocks = []  # fields that share one column stride, widest first
+    for f in sorted(present, key=lambda f: -boxes[f][2]):
+        if not blocks or boxes[blocks[-1][0]][2] > sources[f][0].shape[1]:
+            blocks.append([])
+        blocks[-1].append(f)
+    cell, stride, size = [0] * len(boxes), [0] * len(boxes), 0
+    for members in blocks:
+        rows = sum(boxes[f][3] for f in members)
+        for f in members:
+            cell[f], stride[f] = size, rows
+            size += boxes[f][3]
+        size += (boxes[members[0]][2] - 1) * rows
+    d = np.empty(size, dtype)
+    columns = {}  # field: its box's cells, as (width / lanes, lanes, height) of the atlas
+    for members in blocks:
+        start, rows = cell[members[0]], stride[members[0]]
+        block = d[start:start + boxes[members[0]][2] * rows].reshape(-1, lanes, rows)
+        for f in members:
+            at = cell[f] - start
+            columns[f] = block[:boxes[f][2] // lanes, :, at:at + boxes[f][3]]
+
+    cap = n * max(image.labels.size for image in images)
+    chunks = []  # fields that share one height scan, tallest first, and their width
+    for f in sorted(present, key=lambda f: -boxes[f][3]):
+        if chunks and boxes[chunks[-1][0][0]][3] * (chunks[-1][1] + boxes[f][2]) <= cap:
+            chunks[-1][0].append(f)
+            chunks[-1][1] += boxes[f][2]
+        else:
+            chunks.append([[f], boxes[f][2]])
+    buf = np.empty(max((boxes[m[0]][3] * w for m, w in chunks), default=0), dtype)
+    plane = np.empty(max((boxes[f][2] * boxes[f][3] // lanes for f in present), default=0), word)
+    far = dtype.type(far)
+    for members, width in chunks:
+        chunk = buf[:boxes[members[0]][3] * width].reshape(-1, width)
+        col = 0
+        for f in members:
+            u0, v0, w, h = boxes[f]
+            labels, cid = sources[f]
+            np.not_equal(labels[v0:v0 + h, u0:u0 + w], cid, out=chunk[:h, col:col + w],
+                         casting="unsafe")
+            col += w
+        chunk *= far  # the cells beyond the boxes are never read
+        _scan(chunk, [boxes[f][3] for f in members], [boxes[f][2] for f in members])
+        words = chunk.view(word)
+        col = 0
+        for f in members:
+            _, _, w, h = boxes[f]
+            moved = plane[:w // lanes * h].reshape(w // lanes, h)
+            np.copyto(moved, words[:h, col // lanes:(col + w) // lanes].T)
+            np.copyto(columns[f], moved.view(dtype).reshape(w // lanes, h, lanes)
+                      .transpose(0, 2, 1))
+            col += w
+    for members in blocks:
+        start, rows = cell[members[0]], stride[members[0]]
+        _scan(d[start:start + boxes[members[0]][2] * rows].reshape(-1, rows),
+              [boxes[f][2] for f in members], [boxes[f][3] for f in members])
+    box = np.zeros((len(boxes), 4), np.int64)
+    for f in present:
+        u0, v0, w, h = boxes[f]
+        box[f] = u0, v0, u0 + w - 1, v0 + h - 1
+    return DistanceField(d, box, np.array(cell), np.array(stride),
+                         np.array([b is None for b in boxes]))
 
 
 @dataclass
@@ -145,31 +281,27 @@ def _validated_classes(classes) -> tuple[int, ...]:
 class CostEvaluator:
     """Prepared multi-pair cost function, reusable across many extrinsics.
 
-    Construction packs the scene once.  The scored points, grouped into
+    Construction packs the scene once.  One :func:`build_distance_field`
+    call builds the fields of every pair, whatever its image size, into one
+    atlas; each (pair, class) field covers the bounding box of that class's
+    pixels, and an absent class has none.  The scored points, grouped into
     (pair, class) blocks in pair-then-class order, become flat per-point
     arrays: coordinates as one ``(3, N)`` array, range weight, the frame's
-    intrinsics and penalty, an empty-class flag, the block index and an
-    offset into one buffer that holds every distance field.  Exact L1
-    distances between integer pixels are integers below ``width + height``,
-    so the buffer stores them losslessly in the smallest unsigned type that
-    holds ``width + height + 1``.  Each group of same-size pairs, in the
-    order its size first appears, has its fields built by one
-    :func:`build_distance_field` call straight into a block of the buffer;
-    the call reuses one compare buffer for all the group's images and moves
-    each class plane into the block as words of several pixels, so besides
-    the buffer it holds only ``classes + 1`` planes of the group's size.
-    ``center`` is the mean of the scored points, each weighted by its range
-    weight: by ``|p|^2``, or by 1 without range weighting.
+    intrinsics and penalty, an empty-class flag, the block index, and their
+    field's box, column stride and the atlas index of the box's pixel
+    ``(0, 0)``.  ``center`` is the mean of the scored points, each weighted
+    by its range weight: by ``|p|^2``, or by 1 without range weighting.
 
-    Each evaluation is one flat pass: one rotation of all points, round /
-    clip / gather, one sum.  :meth:`evaluate_total`, the hot path of
-    optimizer and sweep loops, returns that sum over the denominator;
-    :meth:`evaluate` returns the same total, bit for bit, plus counts and
-    per-class / per-pair subtotals, which are summed separately and so add
-    up to the total only to rounding.  The instance keeps the rotated
-    points of the last rotation it saw, so a pose that changes only the
-    translation skips the matmul; that cache makes it unsafe to share
-    between threads.
+    Each evaluation is one flat pass: one rotation of all points, round,
+    clamp to each point's box, gather, one sum.  :meth:`evaluate_total`,
+    the hot path of optimizer and sweep loops, returns that sum over the
+    denominator; :meth:`evaluate` returns the same total, bit for bit, plus
+    counts and per-class / per-pair subtotals, which are summed separately
+    and so add up to the total only to rounding; it counts a point as off
+    the image against the image's bounds, not its box's.  The instance
+    keeps the rotated points of the last rotation it saw, so a pose that
+    changes only the translation skips the matmul; that cache makes it
+    unsafe to share between threads.
     """
 
     def __init__(self, pairs, classes, range_weighting: bool = True):
@@ -178,35 +310,23 @@ class CostEvaluator:
             raise CalibrationError("at least one frame pair is required")
         self.classes = _validated_classes(classes)
 
-        n_classes = len(self.classes)
-        groups = {}  # (width, height): indices of the pairs of that image size
-        for i, pair in enumerate(self.pairs):
-            groups.setdefault((pair.intrinsics.width, pair.intrinsics.height), []).append(i)
-        self._fields = np.empty(sum(p.image.labels.size for p in self.pairs) * n_classes,
-                                np.min_scalar_type(max(w + h for w, h in groups) + 1))
-        layout = {}  # pair index: (stride, cell of its first class, its empty flags)
-        cell = 0
-        for (w, h), members in groups.items():
-            stride = len(members) * n_classes * h
-            fields = self._fields[cell:cell + w * stride].reshape(w, -1, h)
-            empty = build_distance_field([self.pairs[i].image for i in members],
-                                         self.classes, fields).empty
-            for slot, i in enumerate(members):
-                layout[i] = (stride, cell + slot * n_classes * h,
-                             empty[slot * n_classes:(slot + 1) * n_classes])
-            cell += w * stride
+        fields = build_distance_field([pair.image for pair in self.pairs], self.classes)
+        self._fields = fields.d
+        # the index of a box's cell (u, v) is u * stride + v + origin
+        origin = fields.cell - fields.box[:, 0] * fields.stride - fields.box[:, 1]
         points, sqn, counts, meta = [], [], [], []
         for i, pair in enumerate(self.pairs):
             k = pair.intrinsics
-            stride, first, empty = layout[i]
             for j, cid in enumerate(self.classes):
+                f = i * len(self.classes) + j
                 pts = pair.cloud.points[pair.cloud.labels == cid]
                 points.append(pts)
                 sqn.append(np.einsum("ij,ij->i", pts, pts) if range_weighting
                            else np.ones(len(pts)))
                 counts.append(len(pts))
-                meta.append((k.fx, k.fy, k.cx, k.cy, k.width - 1, k.height - 1, stride,
-                             k.width + k.height, first + j * k.height, empty[j]))
+                u0, v0, u1, v1 = fields.box[f]
+                meta.append((k.fx, k.fy, k.cx, k.cy, u0, u1, v0, v1, fields.stride[f],
+                             k.width + k.height, origin[f], fields.empty[f]))
         self.denominator = sum(counts)
         if self.denominator == 0:
             raise ZeroDenominator(
@@ -218,9 +338,9 @@ class CostEvaluator:
         self._sqn = np.concatenate(sqn)
         weights = self._sqn.astype(float)  # all zero only when every point is at the origin
         self.center = self._points @ weights / max(weights.sum(), np.finfo(float).tiny)
-        (self._fx, self._fy, self._cx, self._cy, self._umax, self._vmax, self._stride,
-         self._penalty, self._cell, empty) = np.repeat(
-            np.array(meta, dtype=float), counts, axis=0).T.copy()
+        (self._fx, self._fy, self._cx, self._cy, self._umin, self._umax, self._vmin,
+         self._vmax, self._stride, self._penalty, self._cell, empty) = np.repeat(
+            np.array(meta, dtype=float).T, counts, axis=1)
         self._filled = empty == 0.0
         if not self._filled.any():
             raise CalibrationError(
@@ -231,14 +351,19 @@ class CostEvaluator:
         self._counts = np.array(counts).reshape(len(self.pairs), len(self.classes))
         self._block = np.repeat(np.arange(len(counts)), counts)
         self._pair = self._block // len(self.classes)
+        self._last_pixel = np.array([(p.intrinsics.width - 1, p.intrinsics.height - 1)
+                                     for p in self.pairs], float)
 
     def _kernel(self, ext: Extrinsics):
         """Per-point cost, plus the masks and values :meth:`evaluate` counts with.
 
-        Points off the image score the clamped cell's distance plus the
-        axis offsets, which is exact for L1; on the image the offsets are
-        zero, so one formula serves both.  Same-class pixels hold distance
+        Each point reads the cell of its field's box nearest to its pixel
+        and adds the axis offsets to it, which is exact for L1 inside the
+        box and beyond it, on the image or off it; inside the offsets are
+        zero, so one formula serves all.  Same-class pixels hold distance
         zero, so consistent points cost nothing without a label lookup.
+        Returns ``(cost, front, scored, u, v, off, d)``: ``u, v`` are the
+        rounded pixels, ``off`` the offsets and ``d`` the cells read.
         """
         r, t = ext.matrix()
         key = r.tobytes()
@@ -254,21 +379,23 @@ class CostEvaluator:
             w /= z
             w += c
             np.rint(w, out=w)
-        uc = np.minimum(np.maximum(u, 0.0), self._umax)
-        vc = np.minimum(np.maximum(v, 0.0), self._vmax)
+        uc = np.maximum(u, self._umin)
+        np.minimum(uc, self._umax, out=uc)
+        vc = np.maximum(v, self._vmin)
+        np.minimum(vc, self._vmax, out=vc)
         cell = uc * self._stride
         cell += self._cell
         cell += vc
         d = self._fields[cell.astype(np.intp)]
-        u -= uc
-        v -= vc
-        off = np.abs(u, out=u)
-        off += np.abs(v, out=v)
+        uc -= u
+        vc -= v
+        off = np.abs(uc, out=uc)
+        off += np.abs(vc, out=vc)
         scored = front & self._filled
         cost = off + d
         np.copyto(cost, self._penalty, where=~scored)
         cost *= self._sqn
-        return cost, front, scored, off, d
+        return cost, front, scored, u, v, off, d
 
     def evaluate_total(self, ext: Extrinsics) -> float:
         """Aggregate cost only; the hot path for optimization loops."""
@@ -276,10 +403,11 @@ class CostEvaluator:
 
     def evaluate(self, ext: Extrinsics) -> CostBreakdown:
         """Aggregate cost with per-class / per-pair subtotals and counts."""
-        cost, front, scored, off, d = self._kernel(ext)
-        inside = scored & (off == 0.0)
-        masks = (inside & (d == 0), inside & (d != 0), ~front, scored & (off != 0.0),
-                 front & ~scored)
+        cost, front, scored, u, v, off, d = self._kernel(ext)
+        last = self._last_pixel[self._pair].T
+        on_image = (u >= 0.0) & (u <= last[0]) & (v >= 0.0) & (v <= last[1])
+        inside, hit = scored & on_image, (off == 0.0) & (d == 0)
+        masks = (inside & hit, inside & ~hit, ~front, scored & ~on_image, front & ~scored)
         sums = np.bincount(self._block, weights=cost, minlength=self._counts.size)
         sums = sums.reshape(self._counts.shape)
         tallies = [np.bincount(self._pair[m], minlength=len(self.pairs)) for m in masks]

@@ -47,11 +47,32 @@ def brute_distance_grid(labels, class_id):
     return out
 
 
+def box_distance(field, f, u, v):
+    """Field ``f`` of a built ``DistanceField`` at pixels ``(u, v)`` anywhere,
+    on the image or off it: the box cell nearest to each pixel plus the axis
+    offsets to it."""
+    u0, v0, u1, v1 = field.box[f]
+    uc, vc = np.clip(u, u0, u1), np.clip(v, v0, v1)
+    cells = field.cell[f] + (uc - u0) * field.stride[f] + (vc - v0)
+    return field.d[cells] + np.abs(u - uc) + np.abs(v - vc)
+
+
+def expand_field(field, f, shape):
+    """Field ``f`` of a built ``DistanceField`` as a whole ``(height, width)``
+    grid, through :func:`box_distance`; an empty field's grid holds
+    ``width + height``."""
+    h, w = shape
+    if field.empty[f]:
+        return np.full(shape, h + w)
+    return box_distance(field, f, np.arange(w)[None, :], np.arange(h)[:, None])
+
+
 def class_field(image, class_id):
     """One class's distance field as a ``(height, width)`` grid ``d`` plus its
     ``empty_class`` flag: the layout the scalar and per-block references read."""
     field = build_distance_field([image], (class_id,))
-    return SimpleNamespace(d=field.d[:, 0].T, empty_class=bool(field.empty[0]))
+    return SimpleNamespace(d=expand_field(field, 0, image.labels.shape),
+                           empty_class=bool(field.empty[0]))
 
 
 def make_planar_pairs(seed, n_frames=4, n_classes=3, k=None, gt=None):
@@ -191,7 +212,7 @@ def point_cost(p, class_id, ext, k, fields, image=None, range_weighting=True) ->
 
 
 def flat_kernel(evaluator, ext):
-    """``(cost, front, scored, off, d)`` of one pose, freshly computed."""
+    """``(cost, front, scored, u, v, off, d)`` of one pose, freshly computed."""
     e = evaluator
     r, t = ext.matrix()
     x, y, z = r @ e._points + t[:, None]
@@ -199,13 +220,13 @@ def flat_kernel(evaluator, ext):
     z = np.where(front, z, 1.0)
     u = np.rint(e._fx * x / z + e._cx)
     v = np.rint(e._fy * y / z + e._cy)
-    uc = np.minimum(np.maximum(u, 0.0), e._umax)
-    vc = np.minimum(np.maximum(v, 0.0), e._vmax)
+    uc = np.minimum(np.maximum(u, e._umin), e._umax)
+    vc = np.minimum(np.maximum(v, e._vmin), e._vmax)
     d = e._fields[(e._cell + uc * e._stride + vc).astype(np.intp)]
     off = np.abs(u - uc) + np.abs(v - vc)
     scored = front & e._filled
     cost = np.where(scored, d + off, e._penalty) * e._sqn
-    return cost, front, scored, off, d
+    return cost, front, scored, u, v, off, d
 
 
 # ---------------------------------------------------------------------------

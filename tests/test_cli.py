@@ -470,16 +470,33 @@ def test_frame_of_another_size_is_an_error(scene_dir, tmp_path, capsys):
 
 def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):
     import semcal.costfield
+    from semcal.costfield import CostEvaluator
+    from semcal.geometry import CameraIntrinsics
+    from semcal.io_formats import read_scene_dir
+    from semcal.optimizer import calibrate
+    from semcal.pnp_init import initialize
+    from semcal.scene import FramePair
 
     calls = []
     build = semcal.costfield.build_distance_field
 
-    def counting_build(images, classes, out=None):
+    def counting_build(*args, **kwargs):
+        images, classes = args[:2]
         calls.append((len(images), tuple(classes)))
-        return build(images, classes, out)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(semcal.costfield, "build_distance_field", counting_build)
     assert main(["calibrate", str(scene_dir), "--output", str(tmp_path / "cal")]) == 0
-    # the 3 same-size frames form one build that covers all 3 classes;
-    # initialization and refinement share it
+    # one build covers the 3 frames and all 3 classes; initialization and
+    # refinement share it
+    assert calls == [(3, (1, 2, 3))]
+    # frames of two image sizes share one build too.  The CLI reads one
+    # intrinsics file per scene, so this scene goes through the library
+    pairs, k, classes = read_scene_dir(scene_dir)
+    small = CameraIntrinsics(k.fx, k.fy, k.cx, k.cy, width=k.width - 30, height=k.height - 20)
+    pairs[1] = FramePair(pairs[1].cloud, LabelImage(pairs[1].image.labels[:-20, :-30]), small,
+                         pairs[1].frame_id)
+    calls.clear()
+    evaluator = CostEvaluator(pairs, classes)
+    calibrate(evaluator, initialize(evaluator).extrinsics)
     assert calls == [(3, (1, 2, 3))]

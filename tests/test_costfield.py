@@ -10,8 +10,11 @@ from hypothesis import example, given, settings
 
 from helpers import (
     ReferenceEvaluator,
+    box_distance,
     brute_distance_grid,
+    brute_min_l1,
     class_field,
+    expand_field,
     flat_kernel,
     point_cost,
     query_distance,
@@ -41,9 +44,27 @@ def k():
     return CameraIntrinsics(fx=100.0, fy=100.0, cx=8.0, cy=6.0, width=16, height=12)
 
 
-def planes(field):
-    """Each class's distances as a ``(height, width)`` grid, in class order."""
-    return [field.d[:, j].T for j in range(field.d.shape[1])]
+def grids(field, shapes, n):
+    """Each field as a whole ``(height, width)`` grid, image by image in
+    class order, through the clamp-plus-offset of :func:`expand_field`."""
+    return [expand_field(field, f, shapes[f // n]) for f in range(len(field.empty))]
+
+
+def check_boxes(field, stacks, classes):
+    """Each box lies on its image and holds every pixel of its class; an
+    absent class has no box; the atlas holds at most one image plane per
+    field, the cells of a full-image layout."""
+    n = len(classes)
+    for f, (u0, v0, u1, v1) in enumerate(field.box):
+        labels = stacks[f // n]
+        rows, cols = np.nonzero(labels == classes[f % n])
+        assert field.empty[f] == (rows.size == 0)
+        if rows.size:
+            h, w = labels.shape
+            assert 0 <= u0 <= cols.min() and cols.max() <= u1 < w
+            assert 0 <= v0 <= rows.min() and rows.max() <= v1 < h
+    assert field.d.size <= sum(labels.size for labels in stacks) * n
+    assert field.d.dtype == np.min_scalar_type(max(sum(labels.shape) for labels in stacks) + 1)
 
 
 def test_distance_field_single_seed():
@@ -51,21 +72,22 @@ def test_distance_field_single_seed():
     labels[2, 3] = 4
     field = build_distance_field([LabelImage(labels=labels)], (4,))
     expected = np.fromfunction(lambda r, c: np.abs(r - 2) + np.abs(c - 3), (5, 7))
-    assert np.array_equal(planes(field)[0], expected)
-    assert field.d.shape == (7, 1, 5) and not field.empty[0]
+    assert np.array_equal(expand_field(field, 0, (5, 7)), expected)
+    # the box is the seed's row, widened to all 7 columns: words of 8
+    # pixels do not fit, so the build moves single pixels
+    assert field.box.tolist() == [[0, 2, 6, 2]] and field.d.size == 7
+    assert not field.empty[0]
 
 
 def check_against_brute_force(labels, classes):
     field = build_distance_field([LabelImage(labels=labels)], classes)
+    check_boxes(field, [labels], classes)
     h, w = labels.shape
-    assert field.d.shape == (w, len(classes), h)
-    for j, (cid, grid) in enumerate(zip(classes, planes(field))):
-        present = (labels == cid).any()
-        assert field.empty[j] == (not present)
-        if present:
-            assert np.array_equal(grid, brute_distance_grid(labels, cid))
-        else:
+    for j, (cid, grid) in enumerate(zip(classes, grids(field, [labels.shape], len(classes)))):
+        if field.empty[j]:
             assert (grid == h + w).all()
+        else:
+            assert np.array_equal(grid, brute_distance_grid(labels, cid))
 
 
 def test_distance_field_matches_brute_force():
@@ -109,49 +131,72 @@ def sparse_stack(k, h, w, seed):
     for i, labels in enumerate(stack):
         cells = rng.choice(h * w, size=15, replace=False)
         labels.flat[cells] = np.repeat((1, 2, 3) if i else (1, 2, 1), 5)
-    return stack
+    return list(stack)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    stack=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=3, max_dims=3, max_side=9),
-                     elements=st.integers(0, 3)),
-    classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
-)
-# 16-bit fields (height + width >= 255) whose widths are 0-3 (mod 4), so
-# the build moves planes in words of 4, 1, 2 and 1 pixels
-@example(stack=sparse_stack(2, 119, 136, 0), classes=[1, 2, 3])
-@example(stack=sparse_stack(3, 118, 137, 1), classes=[3, 1, 2])
-@example(stack=sparse_stack(4, 117, 138, 2), classes=[2, 3, 1])
-@example(stack=sparse_stack(5, 116, 139, 3), classes=[1, 3, 2])
-def test_distance_field_of_several_images_property(stack, classes):
-    # one build over k same-size images, with its shared width scan, equals
-    # k one-image builds and the brute-force grids
-    images = [LabelImage(labels=labels) for labels in stack]
+@st.composite
+def mixed_images(draw):
+    """1-5 label images of mixed sizes, some with classes in a small patch."""
+    images = []
+    for _ in range(draw(st.integers(1, 5))):
+        h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        labels = np.zeros((h, w), np.uint8)
+        ph, pw = draw(st.integers(1, h)), draw(st.integers(1, w))
+        v0, u0 = draw(st.integers(0, h - ph)), draw(st.integers(0, w - pw))
+        labels[v0:v0 + ph, u0:u0 + pw] = draw(hnp.arrays(np.uint8, (ph, pw),
+                                                         elements=st.integers(0, 3)))
+        images.append(labels)
+    return images
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks=mixed_images(),
+       classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+       queries=hnp.arrays(np.int64, (8, 2), elements=st.integers(-20, 31)))
+# 16-bit fields (height + width >= 255) of one size whose widths are 0-3
+# (mod 4), so the build moves boxes in words of up to 4 pixels; then two
+# sizes, so the atlas takes a second block for the narrower image
+@example(stacks=sparse_stack(2, 119, 136, 0), classes=[1, 2, 3], queries=np.zeros((8, 2), int))
+@example(stacks=sparse_stack(3, 118, 137, 1), classes=[3, 1, 2], queries=np.zeros((8, 2), int))
+@example(stacks=sparse_stack(4, 117, 138, 2), classes=[2, 3, 1], queries=np.zeros((8, 2), int))
+@example(stacks=sparse_stack(5, 116, 139, 3), classes=[1, 3, 2], queries=np.zeros((8, 2), int))
+@example(stacks=sparse_stack(2, 40, 140, 4) + sparse_stack(2, 140, 40, 5), classes=[1, 2, 3],
+         queries=np.array([[-3, 5], [150, 7], [20, -9], [9, 150]] * 2))
+def test_distance_field_of_several_images_property(stacks, classes, queries):
+    # one build over images of mixed sizes, with its shared scans, equals
+    # one-image builds, the brute-force grids on every cell and the brute-
+    # force distances at pixels off the image
+    images = [LabelImage(labels=labels) for labels in stacks]
     field = build_distance_field(images, classes)
-    k, h, w = stack.shape
     n = len(classes)
-    assert field.d.shape == (w, k * n, h) and field.empty.shape == (k * n,)
-    assert field.d.dtype == np.min_scalar_type(h + w + 1)
-    for i, image in enumerate(images):
-        one = build_distance_field([image], classes)
-        assert np.array_equal(field.d[:, i * n:(i + 1) * n], one.d)
-        assert np.array_equal(field.empty[i * n:(i + 1) * n], one.empty)
-        for j, cid in enumerate(classes):
-            if not one.empty[j]:
-                assert np.array_equal(field.d[:, i * n + j].T, brute_distance_grid(stack[i], cid))
+    assert field.box.shape == (len(images) * n, 4) and field.empty.shape == (len(images) * n,)
+    check_boxes(field, stacks, classes)
+    shapes = [labels.shape for labels in stacks]
+    for f, grid in enumerate(grids(field, shapes, n)):
+        labels, cid = stacks[f // n], classes[f % n]
+        one = build_distance_field([images[f // n]], classes)
+        assert field.empty[f] == one.empty[f % n]
+        assert np.array_equal(grid, expand_field(one, f % n, labels.shape))
+        if field.empty[f]:
+            continue
+        assert np.array_equal(grid, brute_distance_grid(labels, cid))
+        h, w = labels.shape
+        off = queries[(queries[:, 0] < 0) | (queries[:, 0] >= w)
+                      | (queries[:, 1] < 0) | (queries[:, 1] >= h)]
+        assert np.array_equal(box_distance(field, f, off[:, 0], off[:, 1]),
+                              brute_min_l1(labels, cid, off))
 
 
 def test_distance_field_integer_storage():
-    # the type holds width + height + 1, so the scan's far + 1 cannot wrap;
-    # the farthest cell, corner to corner, is (h - 1) + (w - 1)
+    # the type holds the largest width + height + 1, so the scan's far + 1
+    # cannot wrap; the farthest cell, corner to corner, is (h - 1) + (w - 1)
     for h, w, dtype in ((5, 7, np.uint8), (127, 127, np.uint8), (127, 128, np.uint16),
                         (200, 300, np.uint16)):
         labels = np.zeros((h, w), dtype=int)
         labels[0, 0] = 1
         field = build_distance_field([LabelImage(labels=labels)], (1,))
         assert field.d.dtype == dtype
-        assert field.d[-1, 0, -1] == (h - 1) + (w - 1)
+        assert expand_field(field, 0, (h, w))[-1, -1] == (h - 1) + (w - 1)
 
 
 @pytest.mark.parametrize("length", [16382, 16400])
@@ -166,7 +211,7 @@ def test_distance_field_long_images(length, axis):
     labels = labels.reshape(shape)
     field = build_distance_field([LabelImage(labels=labels)], (1, 2))
     assert field.d.dtype == np.uint16
-    for cid, grid in zip((1, 2), planes(field)):
+    for cid, grid in zip((1, 2), grids(field, [shape], 2)):
         assert np.array_equal(grid, brute_distance_grid(labels, cid))
 
 
@@ -185,7 +230,9 @@ def test_distance_field_build_memory():
     # one compare buffer of every class and one word buffer of one plane
     # serve all the images; a quarter plane covers the scans' lists of row
     # views and their step rows.  Separate per-image bool and typed compare
-    # arrays, alive across two images, would peak at 7.5 planes here
+    # arrays, alive across two images, would peak at 7.5 planes here.  On
+    # dense labels every box is the whole image, so the atlas holds exactly
+    # the cells of a full-image layout
     h, w, classes = 480, 640, (1, 2, 3)
     rng = np.random.default_rng(5)
     images = [LabelImage(labels=rng.integers(0, 4, size=(h, w), dtype=np.uint8))
@@ -198,24 +245,39 @@ def test_distance_field_build_memory():
         tracemalloc.stop()
     plane = h * w * field.d.itemsize
     assert field.d.dtype == np.uint16
+    assert field.d.size == w * len(images) * len(classes) * h
     assert peak - field.d.nbytes <= (len(classes) + 1) * plane + plane // 4
 
 
-def test_distance_field_out_must_be_c_contiguous():
-    # the build writes through a reshaped view of out, which must not be a copy
-    images = [LabelImage(labels=np.eye(6, 8, dtype=np.uint8))] * 2
-    for out in (np.empty((8, 4, 6), np.uint8)[:, ::2],
-                np.empty((6, 2, 8), np.uint8).transpose(2, 1, 0)):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            build_distance_field(images, (1,), out)
-    out = np.empty((8, 2, 6), np.uint8)
-    assert build_distance_field(images, (1,), out).d is out
+def test_distance_field_of_sparse_images_is_small():
+    # on the class boxes of a scene whose objects fill a few percent of each
+    # image, the atlas is a small part of a full-image layout and the build
+    # holds no more beside it than on dense labels
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120)
+    spec = SceneSpec(n_frames=6, objects_per_frame=6, seed=4, intrinsics=k)
+    pairs = generate(spec).pairs
+    h, w = pairs[0].image.labels.shape
+    tracemalloc.start()
+    try:
+        field = build_distance_field([p.image for p in pairs], spec.classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = h * w * field.d.itemsize
+    assert field.d.size < 0.4 * w * len(pairs) * len(spec.classes) * h
+    assert peak - field.d.nbytes <= (len(spec.classes) + 1) * plane + plane // 4
+    for f, grid in enumerate(grids(field, [(h, w)] * len(pairs), len(spec.classes))):
+        if not field.empty[f]:
+            cid = spec.classes[f % len(spec.classes)]
+            labels = pairs[f // len(spec.classes)].image.labels
+            assert np.array_equal(grid, brute_distance_grid(labels, cid))
 
 
 def test_distance_field_empty_class():
     field = build_distance_field([LabelImage(labels=np.zeros((4, 4), dtype=int))], (3,))
     assert field.empty[0]
-    assert (field.d == 4 + 4).all()
+    assert field.d.size == 0
+    assert (expand_field(field, 0, (4, 4)) == 4 + 4).all()
 
 
 def test_query_distance_out_of_range_matches_brute_force():
@@ -372,6 +434,29 @@ def test_evaluator_breakdown_counts(k):
     assert breakdown.n_inconsistent == 1
     assert breakdown.n_behind_camera == 1
     assert breakdown.per_pair["f0"].denominator == 3
+
+
+def test_evaluate_counts_points_beyond_their_box_against_the_image(k):
+    """Points on the image but outside their class's box are inconsistent,
+    not off the image, and points off the image are counted as such: the
+    box bounds the stored cells, not the image."""
+    labels = np.zeros((12, 16), dtype=int)
+    labels[5:7, 7:9] = 1  # class 1's box: columns 7-8, rows 5-6
+    labels[0, 0] = 2
+    # at depth 1 the identity projects (x, y) to pixel (100 x + 8, 100 y + 6)
+    pixels = [(0, 0), (15, 11), (3, 6), (8, 0), (12, 10), (7, 5), (8, 6), (-4, 6), (20, 2),
+              (8, -3), (8, 14), (-1, -1)]
+    points = np.array([[(u - 8) / 100, (v - 6) / 100, 1.0] for u, v in pixels])
+    pair = FramePair(LabeledPointCloud(points, np.ones(len(points), int)),
+                     LabelImage(labels=labels), k, "f0")
+    got = CostEvaluator([pair], (1, 2)).evaluate(Extrinsics.identity())
+    want = ReferenceEvaluator([pair], (1, 2)).evaluate(Extrinsics.identity())
+    assert (got.n_consistent, got.n_inconsistent, got.n_out_of_image) == (2, 5, 5)
+    assert (got.n_consistent, got.n_inconsistent, got.n_out_of_image, got.n_behind_camera,
+            got.n_empty_field) == (want.n_consistent, want.n_inconsistent,
+                                   want.n_out_of_image, want.n_behind_camera,
+                                   want.n_empty_field)
+    assert _close(got.numerator, want.numerator)
 
 
 def _kernel_scene():
