@@ -66,9 +66,9 @@ median of those ratios:
   also builds ``BUILDS`` fresh evaluators per side, in alternating order,
   each timed for ``ROUND_S / BUILDS``: the memory layout of one evaluator
   biases its time, so one evaluator per side for all rounds read a median
-  ratio of 1.06, with 9 of 10 rounds above 1, and one per round still
-  read rounds of 0.94-1.04.  Unchanged code now reads 0.96-1.02 per
-  round;
+  ratio of 1.06, with 9 of 10 rounds above 1, one per round still read
+  rounds of 0.94-1.04, and 5 in 0.5 s rounds 0.95-1.05.  Unchanged code
+  now reads 0.978-1.025 per round (three runs, 90 rounds);
 - ``replay``: microseconds per ``evaluate_total`` over the poses the
   baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats
   included, timed as ``kernel`` is;
@@ -83,7 +83,7 @@ median of those ratios:
   ``initialize`` given that evaluator.  A round builds ``BUILDS``
   evaluators per side, alternating sides, and keeps each side's medians:
   with one build per round, the ratios of unchanged code ran from 0.71
-  to 1.12.  ``memory`` holds each side's ``tracemalloc`` peak, in MB, over
+  to 1.12, and with 10 they still run from 0.92 to 1.09.  ``memory`` holds each side's ``tracemalloc`` peak, in MB, over
   one more evaluator construction outside the timed rounds, so set-up
   memory sits next to set-up time; it includes the fields the evaluator
   keeps.
@@ -145,7 +145,7 @@ LAYER_SCENES = {
                                 depth_range=(2.5, 4.0), lateral_range=(-3.0, 3.0),
                                 points_per_object=100, noise_rate=0.02, seed=0),
 }
-POSES, ROUNDS, BUILDS, ROUND_S, SLICE = 300, 10, 5, 0.5, 10
+POSES, ROUNDS, BUILDS, ROUND_S, SLICE = 300, 10, 10, 1.0, 10
 SIDES = ("baseline", "change")
 
 
