@@ -47,7 +47,9 @@ between the two sides.
 - ``median_gap_to_gt``: per set, the median relative gap to the cost at the
   ground truth;
 - ``watch``: the full records of the scenes in ``WATCH``, which earlier
-  measurements flagged as likely to move.
+  measurements flagged as likely to move;
+- ``source_lines``: the non-blank lines of the side's ``src/semcal/*.py``,
+  so code size is measured next to speed and accuracy.
 
 The timings run in one more process that loads both sides' packages side by
 side.  Each of ``ROUNDS`` rounds times every task once per side, the sides in
@@ -441,6 +443,12 @@ def _run(*task: str, out: Path, src: Path):
     return json.loads(out.read_text())
 
 
+def _source_lines(src: Path) -> int:
+    """Non-blank lines of the Python files of ``src/semcal``."""
+    return sum(bool(line.strip()) for path in sorted((src / "semcal").glob("*.py"))
+               for line in path.read_text().splitlines())
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -482,11 +490,13 @@ def main() -> int:
                     for side, src in srcs.items()}
         timing = _run("--timing", *map(str, srcs.values()), out=tmp / "timing.json",
                       src=ROOT / "src")
+        lines = {side: _source_lines(src) for side, src in srcs.items()}
     digests = [[r["digest"] for name in SCENE_SETS for r in accuracy[side][name]["scenes"]]
                for side in SIDES]
     identical = {"scenes": len(digests[0]),
                  "identical": sum(a == b for a, b in zip(*digests))}
-    summary = {side: summarize(sets) for side, sets in accuracy.items()}
+    summary = {side: {**summarize(sets), "source_lines": lines[side]}
+               for side, sets in accuracy.items()}
     result = {
         "what": "criterion-6-style calibrate on 10-frame scenes (seeds 0-23 dev, 24-47 "
                 "held out, 48-95), 20-frame scenes (seeds 0-11), 5% label noise (seeds "
@@ -522,6 +532,8 @@ def main() -> int:
                   f"{r['rot_err_deg']:.3f} deg, {r['trans_err_m']:.3f} m, "
                   f"gap {r['gap_to_gt']:+.4f}")
     print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")
+    print("non-blank source lines: " + ", ".join(
+        f"{side} {summary[side]['source_lines']}" for side in SIDES))
     ratios = [(f"kernel {name}", t) for name, t in timing["kernel"].items()]
     ratios += [("replay", timing["replay"]), ("calibrate", timing["calibrate"])]
     ratios += [(f"layers {name}", t) for name, t in timing["layers"].items()]

@@ -47,6 +47,7 @@ from .costfield import CostEvaluator
 from .synth import SceneSpec, generate
 
 _AXES = ("theta_x", "theta_y", "theta_z", "t_x", "t_y", "t_z")
+_MAX_SWEEP_ROWS = 10_000_001  # a sweep of 5,000,000 steps each way
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -317,16 +318,17 @@ def cmd_calibrate(args) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
-    cfg, evaluator = _prepare(args)
-    reference = read_extrinsics(args.gt)
     if not (0 < args.span < math.inf and 0 < args.interval < math.inf):
         raise CalibrationError("--range and --interval must be positive and finite")
+    ratio = args.span / args.interval  # inf when the quotient overflows
+    if not 0.5 < ratio < _MAX_SWEEP_ROWS / 2:  # so 1 <= n_steps and 2 * n_steps + 1 rows fit
+        raise CalibrationError(f"--range / --interval must give 3 to {_MAX_SWEEP_ROWS:,} rows")
+    n_steps = round(ratio)
+    cfg, evaluator = _prepare(args)
+    reference = read_extrinsics(args.gt)
 
     axis_idx = _AXES.index(args.axis)
     unit = "deg" if axis_idx < 3 else "m"
-    n_steps = int(round(args.span / args.interval))
-    if n_steps < 1:
-        raise CalibrationError("--interval larger than --range")
     displacements = [k * args.interval for k in range(-n_steps, n_steps + 1)]
 
     base, axis = reference.to_vector(), np.eye(6)[axis_idx]

@@ -14,7 +14,6 @@ misprojection can.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,8 +22,6 @@ import numpy as np
 from .errors import CalibrationError, ZeroDenominator
 from .geometry import EPS_DEPTH, Extrinsics
 from .scene import IGNORE_CLASS, LabelImage
-
-BAND = 8  # lines next to an edge that a class touching another edge is looked for in
 
 
 class DistanceField(NamedTuple):
@@ -50,50 +47,23 @@ class DistanceField(NamedTuple):
     empty: np.ndarray  # (images * classes,) bool
 
 
-def _boxes(labels: np.ndarray, ids: np.ndarray, lanes: int) -> list:
-    """Per class of ``ids``, ``(u0, v0, width, height)`` of a box around its
-    pixels in ``labels``, or None when it has none.
-
-    One compare of the four edges of the image against every class tells
-    which edges each class touches.  The box of a class that touches an
-    edge is often most of the image: each of its other sides is looked for
-    in the ``BAND`` lines next to that edge.  Otherwise the box spans the
-    rows and then the columns that hold the class.  Where the image is wide
-    enough, the width grows to a multiple of ``lanes``, since any box that
-    holds every pixel of the class is exact.
+def _boxes(labels: np.ndarray, ids: np.ndarray) -> list:
+    """Per class of ``ids``, ``(u0, v0, width, height)`` of the bounding box
+    of its pixels in ``labels``, or None when it has none: the rows that
+    hold the class, then the columns of those rows that hold it.
     """
-    h, w = labels.shape
-    edges = np.concatenate((labels[0], labels[-1], labels[:, 0], labels[:, -1]))
-    touches = np.logical_or.reduceat(ids[:, None] == edges, [0, w, 2 * w, 2 * w + h], axis=1)
-    sides = (labels[:BAND], labels[:-BAND - 1:-1], labels[:, :BAND].T,
-             labels[:, :-BAND - 1:-1].T)  # lines inward from the top, bottom, left, right
     boxes = []
-    for cid, touch in zip(ids, touches.tolist()):
-        insets = [None]
-        if any(touch):
-            insets = [0 if on else _first(lines, cid) for on, lines in zip(touch, sides)]
-        if None not in insets:
-            top, bottom, left, right = insets
-            v0, v1, u0, u1 = top, h - bottom, left, w - right
-        else:
-            mask = labels == cid
-            rows = np.flatnonzero(mask.any(axis=1))
-            if not rows.size:
-                boxes.append(None)
-                continue
-            v0, v1 = int(rows[0]), int(rows[-1]) + 1
-            cols = np.flatnonzero(mask[v0:v1].any(axis=0))
-            u0, u1 = int(cols[0]), int(cols[-1]) + 1
-        width = -((u0 - u1) // lanes) * lanes
-        boxes.append((0, v0, w, v1 - v0) if width > w
-                     else (min(u0, w - width), v0, width, v1 - v0))
+    for cid in ids:
+        mask = labels == cid
+        rows = np.flatnonzero(mask.any(axis=1))
+        if not rows.size:
+            boxes.append(None)
+            continue
+        v0, v1 = int(rows[0]), int(rows[-1]) + 1
+        cols = np.flatnonzero(mask[v0:v1].any(axis=0))
+        u0, u1 = int(cols[0]), int(cols[-1]) + 1
+        boxes.append((u0, v0, u1 - u0, v1 - v0))
     return boxes
-
-
-def _first(lines: np.ndarray, cid) -> int | None:
-    """Index of the first row of ``lines`` that holds ``cid``, or None."""
-    hits = np.flatnonzero((lines == cid).any(axis=1))
-    return int(hits[0]) if hits.size else None
 
 
 def _scan(a: np.ndarray, extents: list[int], sizes: list[int]) -> None:
@@ -137,7 +107,8 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     """Exact L1 distance transforms of ``classes`` in label images of any
     sizes, each over its class's bounding box, built together.
 
-    The boxes come first (see :func:`_boxes`); an absent class gets none.
+    The boxes come first, each exactly the bounding box of its class's
+    pixels (see :func:`_boxes`); an absent class gets none.
     Distances are integers below ``far``, the largest ``width + height`` of
     the images, stored in the smallest unsigned type that holds ``far + 1``.
 
@@ -147,10 +118,7 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     turns the 1s into ``far``, and a forward and a backward row scan run
     along the height of the chunk; as the boxes are sorted by height, each
     numpy call of the scan covers a row of every box that reaches it.  Each
-    box then moves into the atlas in two copies: a transpose of machine
-    words of ``lanes`` neighbouring pixels, the largest power of two that
-    divides every box width and fits 8 bytes, into one reusable word
-    buffer, then a de-interleave of the lanes.
+    box then moves into the atlas in one transposing copy.
 
     In the atlas the boxes sit side by side as well, widest first, column
     by column: column ``x`` of every box holding it is one row of the
@@ -158,8 +126,9 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     & Pfaltz, 1966).  A box whose image is narrower than the widest box
     before it starts a new atlas block, which the scan runs over
     separately: so no field takes more cells than its image, and images
-    of one size share one block.  Besides its result, a build holds
-    ``classes + 1`` planes of the largest image.
+    of one size share one block.  Besides its result, a build holds its
+    buffer and the scans' row views: 3.16 image planes for 4 dense 480 x
+    640 images of 3 classes, by ``tracemalloc``.
     """
     n = len(classes)
     far = max(sum(image.labels.shape) for image in images)
@@ -169,10 +138,8 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
         labels = image.labels
         ids = np.array(classes, np.promote_types(labels.dtype, np.min_scalar_type(max(classes))))
         sources += [(labels, cid) for cid in ids]
-        boxes += _boxes(labels, ids, 8 // dtype.itemsize)
+        boxes += _boxes(labels, ids)
     present = [f for f, b in enumerate(boxes) if b]
-    lanes = math.gcd(8 // dtype.itemsize, *(boxes[f][2] for f in present))
-    word = np.dtype(f"u{lanes * dtype.itemsize}")
 
     blocks = []  # fields that share one column stride, widest first
     for f in sorted(present, key=lambda f: -boxes[f][2]):
@@ -187,13 +154,13 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
             size += boxes[f][3]
         size += (boxes[members[0]][2] - 1) * rows
     d = np.empty(size, dtype)
-    columns = {}  # field: its box's cells, as (width / lanes, lanes, height) of the atlas
+    columns = {}  # field: its box's cells, as (width, height) of the atlas
     for members in blocks:
         start, rows = cell[members[0]], stride[members[0]]
-        block = d[start:start + boxes[members[0]][2] * rows].reshape(-1, lanes, rows)
+        block = d[start:start + boxes[members[0]][2] * rows].reshape(-1, rows)
         for f in members:
             at = cell[f] - start
-            columns[f] = block[:boxes[f][2] // lanes, :, at:at + boxes[f][3]]
+            columns[f] = block[:boxes[f][2], at:at + boxes[f][3]]
 
     cap = n * max(image.labels.size for image in images)
     chunks = []  # fields that share one height scan, tallest first, and their width
@@ -204,28 +171,20 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
         else:
             chunks.append([[f], boxes[f][2]])
     buf = np.empty(max((boxes[m[0]][3] * w for m, w in chunks), default=0), dtype)
-    plane = np.empty(max((boxes[f][2] * boxes[f][3] // lanes for f in present), default=0), word)
     far = dtype.type(far)
     for members, width in chunks:
         chunk = buf[:boxes[members[0]][3] * width].reshape(-1, width)
-        col = 0
-        for f in members:
+        sizes = [boxes[f][2] for f in members]
+        ends = np.cumsum(sizes).tolist()  # each box's place along the chunk's rows
+        places = [chunk[:boxes[f][3], e - w:e] for f, w, e in zip(members, sizes, ends)]
+        for f, place in zip(members, places):
             u0, v0, w, h = boxes[f]
             labels, cid = sources[f]
-            np.not_equal(labels[v0:v0 + h, u0:u0 + w], cid, out=chunk[:h, col:col + w],
-                         casting="unsafe")
-            col += w
+            np.not_equal(labels[v0:v0 + h, u0:u0 + w], cid, out=place, casting="unsafe")
         chunk *= far  # the cells beyond the boxes are never read
-        _scan(chunk, [boxes[f][3] for f in members], [boxes[f][2] for f in members])
-        words = chunk.view(word)
-        col = 0
-        for f in members:
-            _, _, w, h = boxes[f]
-            moved = plane[:w // lanes * h].reshape(w // lanes, h)
-            np.copyto(moved, words[:h, col // lanes:(col + w) // lanes].T)
-            np.copyto(columns[f], moved.view(dtype).reshape(w // lanes, h, lanes)
-                      .transpose(0, 2, 1))
-            col += w
+        _scan(chunk, [boxes[f][3] for f in members], sizes)
+        for f, place in zip(members, places):
+            np.copyto(columns[f], place.T)
     for members in blocks:
         start, rows = cell[members[0]], stride[members[0]]
         _scan(d[start:start + boxes[members[0]][2] * rows].reshape(-1, rows),

@@ -465,6 +465,8 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
     )
     pairs = []
     for cloud_path in cloud_paths:
+        if pairs and pairs[-1].frame_id == cloud_path.stem:
+            raise FormatError(f"{root}: frame {cloud_path.stem} has both a .bin and a .csv cloud")
         image_path = cloud_path.with_suffix(".pgm")
         if not image_path.exists():
             raise FormatError(f"{cloud_path}: no matching label image {image_path.name}")

@@ -305,6 +305,11 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(_SWEEP + ["--range", "inf", "--interval", "0.1"], id="range-inf"),
     pytest.param(_SWEEP + ["--range", "1", "--interval", "nan"], id="interval-nan"),
     pytest.param(_SWEEP + ["--range", "1", "--interval", "inf"], id="interval-inf"),
+    # the quotient overflows to inf, or asks for more rows than the bound
+    pytest.param(_SWEEP + ["--range", "1e300", "--interval", "1e-300"],
+                 id="range-interval-overflow"),
+    pytest.param(_SWEEP + ["--range", "5000001", "--interval", "1"],
+                 id="range-interval-too-many-rows"),
     pytest.param(_CALIBRATE + ["--config", "max_iterations = nan"], id="config-max_iterations-nan"),
     pytest.param(_CALIBRATE + ["--config", "max_iterations = inf"], id="config-max_iterations-inf"),
     pytest.param(_CALIBRATE + ["--config", "seed = nan"], id="config-seed-nan"),

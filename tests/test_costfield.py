@@ -51,18 +51,16 @@ def grids(field, shapes, n):
 
 
 def check_boxes(field, stacks, classes):
-    """Each box lies on its image and holds every pixel of its class; an
-    absent class has no box; the atlas holds at most one image plane per
-    field, the cells of a full-image layout."""
+    """Each box is exactly the bounding box of its class's pixels; an absent
+    class has no box; the atlas holds at most one image plane per field, the
+    cells of a full-image layout."""
     n = len(classes)
     for f, (u0, v0, u1, v1) in enumerate(field.box):
         labels = stacks[f // n]
         rows, cols = np.nonzero(labels == classes[f % n])
         assert field.empty[f] == (rows.size == 0)
         if rows.size:
-            h, w = labels.shape
-            assert 0 <= u0 <= cols.min() and cols.max() <= u1 < w
-            assert 0 <= v0 <= rows.min() and rows.max() <= v1 < h
+            assert (u0, v0, u1, v1) == (cols.min(), rows.min(), cols.max(), rows.max())
     assert field.d.size <= sum(labels.size for labels in stacks) * n
     assert field.d.dtype == np.min_scalar_type(max(sum(labels.shape) for labels in stacks) + 1)
 
@@ -73,9 +71,8 @@ def test_distance_field_single_seed():
     field = build_distance_field([LabelImage(labels=labels)], (4,))
     expected = np.fromfunction(lambda r, c: np.abs(r - 2) + np.abs(c - 3), (5, 7))
     assert np.array_equal(expand_field(field, 0, (5, 7)), expected)
-    # the box is the seed's row, widened to all 7 columns: words of 8
-    # pixels do not fit, so the build moves single pixels
-    assert field.box.tolist() == [[0, 2, 6, 2]] and field.d.size == 7
+    # the box is the seed's own pixel, the field's only cell
+    assert field.box.tolist() == [[3, 2, 3, 2]] and field.d.size == 1
     assert not field.empty[0]
 
 
@@ -134,6 +131,19 @@ def sparse_stack(k, h, w, seed):
     return list(stack)
 
 
+def edge_stack():
+    """Two images whose classes touch one, two, three or four edges and
+    reach within a few lines of each other edge: class 1 the top edge only,
+    class 2 the left and bottom edges, class 3 the top, left and right
+    edges, class 4 all four; then the same turned."""
+    labels = np.zeros((20, 30), np.uint8)
+    labels[0, 5:11] = labels[0, 20:25] = labels[3:15, 5] = 1
+    labels[4:20, 0] = labels[19, :25] = 2
+    labels[2, :] = labels[:14, 15] = 3
+    labels[1, 0] = labels[0, 27] = labels[10, 29] = labels[19, 27] = 4
+    return [labels, labels.T.copy()]
+
+
 @st.composite
 def mixed_images(draw):
     """1-5 label images of mixed sizes, some with classes in a small patch."""
@@ -153,15 +163,18 @@ def mixed_images(draw):
 @given(stacks=mixed_images(),
        classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
        queries=hnp.arrays(np.int64, (8, 2), elements=st.integers(-20, 31)))
-# 16-bit fields (height + width >= 255) of one size whose widths are 0-3
-# (mod 4), so the build moves boxes in words of up to 4 pixels; then two
-# sizes, so the atlas takes a second block for the narrower image
+# 16-bit fields (height + width >= 255) of one size, with widths 0-3 (mod
+# 4); then two sizes, so the atlas takes a second block for the narrower
+# image; then classes touching one, two, three and four image edges
 @example(stacks=sparse_stack(2, 119, 136, 0), classes=[1, 2, 3], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(3, 118, 137, 1), classes=[3, 1, 2], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(4, 117, 138, 2), classes=[2, 3, 1], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(5, 116, 139, 3), classes=[1, 3, 2], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(2, 40, 140, 4) + sparse_stack(2, 140, 40, 5), classes=[1, 2, 3],
          queries=np.array([[-3, 5], [150, 7], [20, -9], [9, 150]] * 2))
+@example(stacks=edge_stack(), classes=[1, 2, 3, 4],
+         queries=np.array([[-3, 5], [40, 7], [20, -9], [9, 40], [-1, -1], [40, 40], [0, 0],
+                           [0, 0]]))
 def test_distance_field_of_several_images_property(stacks, classes, queries):
     # one build over images of mixed sizes, with its shared scans, equals
     # one-image builds, the brute-force grids on every cell and the brute-
@@ -227,12 +240,12 @@ def test_distance_field_far_plus_one_exceeds_uint16(shape):
 
 
 def test_distance_field_build_memory():
-    # one compare buffer of every class and one word buffer of one plane
-    # serve all the images; a quarter plane covers the scans' lists of row
-    # views and their step rows.  Separate per-image bool and typed compare
-    # arrays, alive across two images, would peak at 7.5 planes here.  On
-    # dense labels every box is the whole image, so the atlas holds exactly
-    # the cells of a full-image layout
+    # one compare buffer of every class serves all the images, and a
+    # quarter plane covers the scans' lists of row views and their step
+    # rows: 3.16 planes, one below the bound.  Separate per-image bool and
+    # typed compare arrays, alive across two images, would peak at 7.5
+    # planes here.  On dense labels every box is the whole image, so the
+    # atlas holds exactly the cells of a full-image layout
     h, w, classes = 480, 640, (1, 2, 3)
     rng = np.random.default_rng(5)
     images = [LabelImage(labels=rng.integers(0, 4, size=(h, w), dtype=np.uint8))

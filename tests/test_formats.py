@@ -337,6 +337,16 @@ def test_scene_dir_missing_image(tmp_path):
         read_scene_dir(root)
 
 
+def test_scene_dir_frame_with_two_clouds(tmp_path):
+    # a frame with both a .bin and a .csv cloud would otherwise load twice
+    scene = generate(SceneSpec(n_frames=3, objects_per_frame=2, seed=1))
+    root = tmp_path / "scene"
+    write_scene_dir(root, scene.pairs, scene.spec.intrinsics, scene.spec.classes)
+    write_point_cloud_csv(root / "frame_0001.csv", scene.pairs[1].cloud)
+    with pytest.raises(FormatError, match="frame_0001"):
+        read_scene_dir(root)
+
+
 def test_scene_dir_empty(tmp_path):
     root = tmp_path / "scene"
     root.mkdir()
