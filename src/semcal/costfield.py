@@ -250,6 +250,8 @@ class CostEvaluator:
     field's box, column stride and the atlas index of the box's pixel
     ``(0, 0)``.  ``center`` is the mean of the scored points, each weighted
     by its range weight: by ``|p|^2``, or by 1 without range weighting.
+    The same blocks and boxes give the initialization its semantic
+    centroids, on request (:meth:`centroids`), with no second scene scan.
 
     Each evaluation is one flat pass: one rotation of all points, round,
     clamp to each point's box, gather, one sum.  :meth:`evaluate_total`,
@@ -270,7 +272,7 @@ class CostEvaluator:
         self.classes = _validated_classes(classes)
 
         fields = build_distance_field([pair.image for pair in self.pairs], self.classes)
-        self._fields = fields.d
+        self._fields, self._box, self._empty = fields.d, fields.box, fields.empty
         # the index of a box's cell (u, v) is u * stride + v + origin
         origin = fields.cell - fields.box[:, 0] * fields.stride - fields.box[:, 1]
         points, sqn, counts, meta = [], [], [], []
@@ -312,6 +314,29 @@ class CostEvaluator:
         self._pair = self._block // len(self.classes)
         self._last_pixel = np.array([(p.intrinsics.width - 1, p.intrinsics.height - 1)
                                      for p in self.pairs], float)
+
+    def centroids(self) -> list[tuple[int, int, np.ndarray, tuple]]:
+        """``(pair index, class id, mean point, mean pixel (u, v))`` of each
+        (pair, class) block with points and pixels, pair then ascending class.
+        The pixels are counted per column and per row of the class's box, so
+        each mean is an exact integer sum over the count, bit for bit the mean
+        of the pixels' coordinates."""
+        n, counts = len(self.classes), self._counts.ravel().tolist()
+        ends, rows = np.cumsum(counts).tolist(), []
+        for f in sorted(range(len(counts)), key=lambda f: (f // n, self.classes[f % n])):
+            if not counts[f] or self._empty[f]:
+                continue
+            # in C order, as the cloud's own points, so the mean sums in the same order
+            points = np.ascontiguousarray(self._points[:, ends[f] - counts[f]:ends[f]].T)
+            u0, v0, u1, v1 = self._box[f]
+            labels = self.pairs[f // n].image.labels[v0:v1 + 1, u0:u1 + 1]
+            mask = (labels == self.classes[f % n]).view(np.uint8)
+            acc = np.min_scalar_type(max(mask.shape))  # holds any row or column count
+            per_col, per_row = mask.sum(axis=0, dtype=acc), mask.sum(axis=1, dtype=acc)
+            u, v = per_col @ np.arange(u0, u1 + 1), per_row @ np.arange(v0, v1 + 1)
+            size = int(per_col.sum())
+            rows.append((f // n, self.classes[f % n], points.mean(axis=0), (u / size, v / size)))
+        return rows
 
     def _kernel(self, ext: Extrinsics):
         """Per-point cost, plus the masks and values :meth:`evaluate` counts with.

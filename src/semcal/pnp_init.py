@@ -30,10 +30,10 @@ from .costfield import CostEvaluator
 from .errors import Degenerate, InsufficientPairs, NonPlanar
 from .geometry import EPS_DEPTH, Extrinsics, Translation, euler_from_matrix
 from .io_formats import RunConfig
-from .scene import centroid_2d, centroid_3d
 
 MIN_PAIRS = 4
 _CHUNK = 512  # RANSAC triples scored per array pass
+_DIFFS = 1 << 16  # point pairs differenced per pass of the planarity gate
 
 
 @dataclass(frozen=True)
@@ -107,28 +107,32 @@ class InitResult:
     residual_px: np.ndarray  # (n,) distance to the pixel centroid, inf behind it
 
 
-def collect_centroid_pairs(pairs, classes) -> CentroidPairSet:
-    """One matched centroid pair per (frame, class) present in both modalities.
+def collect_centroid_pairs(evaluator: CostEvaluator) -> CentroidPairSet:
+    """One matched centroid pair per (frame, class) present in both
+    modalities, from :meth:`~semcal.costfield.CostEvaluator.centroids`.
 
     Raises InsufficientPairs when fewer than ``MIN_PAIRS`` are found.
     """
-    rows = []
-    for pair in pairs:
-        k = pair.intrinsics
-        for class_id in sorted(set(int(c) for c in classes)):
-            c3d = centroid_3d(pair.cloud, class_id)
-            if c3d is None:
-                continue
-            c2d = centroid_2d(pair.image, class_id)
-            if c2d is None:
-                continue
-            rows.append((pair.frame_id, class_id, c3d.position, c2d.position,
-                         (k.fx, k.fy, k.cx, k.cy)))
+    rows = evaluator.centroids()
     if len(rows) < MIN_PAIRS:
         raise InsufficientPairs(f"{len(rows)} centroid pairs found, need at least {MIN_PAIRS}")
-    frame_ids, class_ids, points, pixels, camera = zip(*rows)
-    return CentroidPairSet(frame_ids, np.array(class_ids), np.array(points),
-                           np.array(pixels), np.array(camera, dtype=float))
+    index, class_ids, points, pixels = zip(*rows)
+    pairs = [evaluator.pairs[i] for i in index]
+    camera = [(p.intrinsics.fx, p.intrinsics.fy, p.intrinsics.cx, p.intrinsics.cy) for p in pairs]
+    return CentroidPairSet(tuple(p.frame_id for p in pairs), np.array(class_ids),
+                           np.array(points), np.array(pixels), np.array(camera, dtype=float))
+
+
+def _diameter(points: np.ndarray) -> float:
+    """Largest distance between two of ``points``, each chunk of rows against
+    itself and the rows after it, about ``_DIFFS`` pairs at a time.  The
+    squares add in the order of ``(diffs**2).sum(axis=-1)``, so the value is
+    the brute-force one, bit for bit."""
+    step, best = max(1, _DIFFS // len(points)), 0.0
+    for i in range(0, len(points), step):
+        dx, dy, dz = [(c[i:i + step, None] - c[i:]) ** 2 for c in points.T]
+        best = max(best, float((dx + dy + dz).max()))
+    return float(np.sqrt(best))
 
 
 def _hypothesis(points, idx, threshold: float, cross_tol: float):
@@ -329,20 +333,17 @@ def initialize(evaluator: CostEvaluator, config: RunConfig | None = None) -> Ini
 
     Centroid pairs -> consensus plane -> plane chart -> homography -> two
     pose candidates, ranked by cheirality count then by the semantic cost
-    of ``evaluator``, whose pairs and classes also supply the centroids.
+    of ``evaluator``, whose (pair, class) blocks also supply the centroids.
     Raises NonPlanar when the centroids spread too far off any plane for
     the planar decomposition to be trustworthy (more frames usually fix
     this), and propagates InsufficientPairs / Degenerate from the stages.
     """
     cfg = config or RunConfig()
-    pair_set = collect_centroid_pairs(evaluator.pairs, evaluator.classes)
+    pair_set = collect_centroid_pairs(evaluator)
     pts3d = pair_set.points_3d
 
-    plane = ransac_plane(
-        pts3d, cfg.ransac_threshold, cfg.ransac_iterations, seed=cfg.seed
-    )
-    diffs = pts3d[:, None, :] - pts3d[None, :, :]
-    diameter = float(np.sqrt((diffs**2).sum(axis=2).max()))
+    plane = ransac_plane(pts3d, cfg.ransac_threshold, cfg.ransac_iterations, seed=cfg.seed)
+    diameter = _diameter(pts3d)
     if diameter <= 0.0:
         raise Degenerate("all centroids coincide")
     if plane.rms > cfg.planarity_ratio * diameter:

@@ -1,7 +1,8 @@
 """Data model for labeled point clouds, label images, and frame pairs.
 
 Class ids share one vocabulary across both modalities; id 0 is reserved for
-"unlabeled/ignore" and is excluded from centroids and from the cost function.
+"unlabeled/ignore" and is never a class of the cost function, so it has no
+distance field, no scored point and no semantic centroid.
 """
 
 from __future__ import annotations
@@ -96,36 +97,3 @@ class FramePair:
                 f"{self.image.width}x{self.image.height} but intrinsics say "
                 f"{self.intrinsics.width}x{self.intrinsics.height}"
             )
-
-
-@dataclass(frozen=True)
-class Centroid:
-    class_id: int
-    position: np.ndarray  # (3,) in the sensor frame, or (2,) pixel (u, v)
-    support: int
-
-    def __post_init__(self):
-        if self.support < 1:
-            raise CalibrationError("centroid support must be >= 1")
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-
-def centroid_3d(cloud: LabeledPointCloud, class_id: int) -> Centroid | None:
-    """Arithmetic mean of the points labeled ``class_id``; None if there are none."""
-    mask = cloud.labels == class_id
-    n = int(mask.sum())
-    if n == 0:
-        return None
-    return Centroid(class_id, cloud.points[mask].mean(axis=0), n)
-
-
-def centroid_2d(image: LabelImage, class_id: int) -> Centroid | None:
-    """Mean pixel coordinate ``(u, v)`` of the pixels labeled ``class_id``."""
-    mask = (image.labels == class_id).view(np.uint8)
-    acc = np.min_scalar_type(max(image.width, image.height))  # holds any row or column count
-    per_col, per_row = mask.sum(axis=0, dtype=acc), mask.sum(axis=1, dtype=acc)
-    n = int(per_col.sum())
-    if n == 0:
-        return None
-    u, v = per_col @ np.arange(image.width), per_row @ np.arange(image.height)
-    return Centroid(class_id, np.array([u / n, v / n]), n)

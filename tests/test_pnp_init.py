@@ -1,5 +1,7 @@
 """Tests for the centroid / plane / homography initialization pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from semcal.errors import CalibrationError, Degenerate, InsufficientPairs, NonPl
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.io_formats import RunConfig
 from semcal.pnp_init import (
+    _diameter,
     collect_centroid_pairs,
     decompose_planar_pose,
     estimate_homography,
@@ -17,11 +20,12 @@ from semcal.pnp_init import (
     ransac_plane,
 )
 from semcal.scene import FramePair, LabelImage, LabeledPointCloud
+from semcal.synth import SceneSpec, generate
 
 
 def test_collect_pairs_matches_frames_and_classes():
     pairs, _, classes = make_planar_pairs(seed=0, n_frames=4, n_classes=3)
-    ps = collect_centroid_pairs(pairs, classes)
+    ps = collect_centroid_pairs(CostEvaluator(pairs, classes))
     assert len(ps) == 12
     assert ps.points_3d.shape == (12, 3)
     assert ps.pixels_2d.shape == (12, 2)
@@ -39,10 +43,54 @@ def test_collect_pairs_skips_one_sided_classes():
     image[5, 5] = 1  # class 2 has points but no pixels
     fp = FramePair(cloud, LabelImage(labels=image), k, "f0")
     with pytest.raises(InsufficientPairs):
-        collect_centroid_pairs([fp], (1, 2))
-    found = collect_centroid_pairs([fp, fp, fp, fp], (1, 2))
+        collect_centroid_pairs(CostEvaluator([fp], (1, 2)))
+    found = collect_centroid_pairs(CostEvaluator([fp, fp, fp, fp], (1, 2)))
     assert len(found) == 4
     assert list(found.class_ids) == [1] * 4
+
+
+def test_class_order_changes_no_row_and_no_result():
+    # rows come in ascending class order whatever order the classes are
+    # given in, so RANSAC draws the same rows and the pose is the same
+    pairs = generate(SceneSpec(n_frames=6, noise_rate=0.02, seed=2)).pairs
+    ordered, shuffled = CostEvaluator(pairs, (1, 2, 3)), CostEvaluator(pairs, (3, 1, 2))
+    a, b = collect_centroid_pairs(ordered), collect_centroid_pairs(shuffled)
+    assert a.frame_ids == b.frame_ids
+    for name in ("class_ids", "points_3d", "pixels_2d", "camera"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    rows = list(zip(a.frame_ids, a.class_ids.tolist()))  # the frame ids sort in frame order
+    assert rows == sorted(rows) and len(rows) > 12
+    first, second = initialize(ordered), initialize(shuffled)
+    assert first.extrinsics == second.extrinsics
+    assert first.candidates == second.candidates
+    assert np.array_equal(first.plane.inliers, second.plane.inliers)
+    assert np.array_equal(first.projected, second.projected)
+    assert np.array_equal(first.residual_px, second.residual_px)
+    # the costs sum the points in each evaluator's own block order
+    assert first.candidate_costs == pytest.approx(second.candidate_costs, rel=1e-12)
+
+
+def test_diameter_matches_the_brute_force_value():
+    # many small sets, where another order of the squares' sum would show in
+    # the last bit, and larger ones that span several chunks
+    rng = np.random.default_rng(0)
+    sets = [rng.normal(size=(int(rng.integers(2, 8)), 3)) * 10 for _ in range(300)]
+    sets += [rng.uniform(-40, 40, size=(n, 3)) + [0, 1.6, 10] for n in (333, 1000)]
+    for points in sets:
+        diffs = points[:, None, :] - points[None, :, :]
+        assert _diameter(points) == float(np.sqrt((diffs**2).sum(axis=2).max()))
+
+
+def test_diameter_memory_is_bounded():
+    # brute force would difference 4e8 pairs, 9.6 GB; the chunks hold a few MB
+    points = np.random.default_rng(1).normal(size=(20_000, 3))
+    tracemalloc.start()
+    try:
+        _diameter(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_ransac_plane_exact():
@@ -206,7 +254,7 @@ def test_homography_degenerate_cases():
 
 def test_decompose_returns_two_candidates():
     pairs, gt, classes = make_planar_pairs(seed=11)
-    ps = collect_centroid_pairs(pairs, classes)
+    ps = collect_centroid_pairs(CostEvaluator(pairs, classes))
     pts3d = ps.points_3d
     pix2d = ps.pixels_2d
     k = pairs[0].intrinsics
