@@ -58,38 +58,39 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"semcal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--classes", help="comma-separated class ids, e.g. 1,2,3")
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument(
-            "--threads", type=int,
-            help="ignored: accepted for compatibility; the cost kernel runs on one thread",
-        )
-        p.add_argument("--output", default=".", help="output directory (default: .)")
-        p.add_argument(
-            "--with-timings", action="store_true",
-            help="include wall-clock timings in the report (breaks byte-identical reruns)",
-        )
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output", default=".", help="output directory (default: .)")
+    report.add_argument(
+        "--with-timings", action="store_true",
+        help="include wall-clock timings in the report (breaks byte-identical reruns)",
+    )
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--classes", help="comma-separated class ids, e.g. 1,2,3")
+    selection.add_argument("--seed", type=int, help="random seed override")
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("data_dir", help="scene directory")
+    scene.add_argument("--config", help="key = value config file; flags win")
+    scene.add_argument(
+        "--threads", type=int,
+        help="ignored: accepted for compatibility; the cost kernel runs on one thread",
+    )
 
-    p = sub.add_parser("synth", help="generate a synthetic scene with known ground truth")
+    p = sub.add_parser("synth", parents=[selection, report],
+                       help="generate a synthetic scene with known ground truth")
     p.add_argument("--spec", help="scene-spec file; omitted fields use defaults")
-    common(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("init", help="estimate initial extrinsics from class centroids")
-    p.add_argument("data_dir", help="scene directory")
-    common(p)
+    p = sub.add_parser("init", parents=[scene, selection, report],
+                       help="estimate initial extrinsics from class centroids")
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("calibrate", help="full calibration: initialization plus refinement")
-    p.add_argument("data_dir", help="scene directory")
+    p = sub.add_parser("calibrate", parents=[scene, selection, report],
+                       help="full calibration: initialization plus refinement")
     p.add_argument("--init", dest="init_file", help="extrinsics file to start from")
-    common(p)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("sweep", help="cost curve along one parameter around a reference")
-    p.add_argument("data_dir", help="scene directory")
+    p = sub.add_parser("sweep", parents=[scene, selection, report],
+                       help="cost curve along one parameter around a reference")
     p.add_argument("--gt", required=True, help="reference extrinsics file")
     p.add_argument("--axis", required=True, choices=_AXES)
     p.add_argument(
@@ -100,14 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--interval", required=True, type=float,
         help="grid step (degrees for theta axes, meters for t axes)",
     )
-    common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("eval", help="per-parameter signed errors of an estimate against GT")
-    p.add_argument("data_dir", nargs="?", help="scene directory (echoed, not required)")
+    p = sub.add_parser("eval", parents=[report],
+                       help="per-parameter signed errors of an estimate against GT")
     p.add_argument("--estimated", required=True, help="estimated extrinsics file")
     p.add_argument("--gt", required=True, help="ground-truth extrinsics file")
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     return parser
@@ -144,45 +143,33 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _finish(out: Path, report_name: str, report: dict, timings: dict, args) -> int:
-    if args.with_timings:
-        key = next(iter(report))
-        report[key]["timings"] = {name: sig6(dt) for name, dt in timings.items()}
-    write_report(out / report_name, report)
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its sidecar files and returns the name of its
+# report, the report's body and the wall-clock timings of its stages
 
 
-def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
+def cmd_synth(args) -> tuple[str, dict, dict]:
     spec = read_scene_spec(args.spec) if args.spec else SceneSpec()
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if args.classes is not None:
         spec = replace(spec, classes=parse_classes("--classes", args.classes))
     scene = generate(spec)
-    out = _out_dir(args)
-    write_scene_dir(out, scene.pairs, spec.intrinsics, spec.classes, gt=scene.extrinsics)
-    report = {
-        "synth_report": {
-            "version": __version__,
-            "seed": spec.seed,
-            "n_frames": spec.n_frames,
-            "objects_per_frame": spec.objects_per_frame,
-            "classes": ",".join(str(c) for c in spec.classes),
-            "noise_rate": sig6(spec.noise_rate),
-            "n_label_flips": int(sum(scene.noise_flips)),
-            "gt_extrinsics": extrinsics_report_fields(scene.extrinsics),
-            "frames": {
-                pair.frame_id: {"n_points": int(pair.cloud.points.shape[0])}
-                for pair in scene.pairs
-            },
-        }
-    }
-    return _finish(out, "report.txt", report, {"total_s": time.perf_counter() - t0}, args)
+    write_scene_dir(args.output, scene.pairs, spec.intrinsics, spec.classes,
+                    gt=scene.extrinsics)
+    return "synth_report", {
+        "seed": spec.seed,
+        "n_frames": spec.n_frames,
+        "objects_per_frame": spec.objects_per_frame,
+        "classes": ",".join(str(c) for c in spec.classes),
+        "noise_rate": sig6(spec.noise_rate),
+        "n_label_flips": int(sum(scene.noise_flips)),
+        "gt_extrinsics": extrinsics_report_fields(scene.extrinsics),
+        "frames": {
+            pair.frame_id: {"n_points": int(pair.cloud.points.shape[0])}
+            for pair in scene.pairs
+        },
+    }, {}
 
 
 def _init_report_block(result) -> dict:
@@ -222,21 +209,15 @@ def _init_report_block(result) -> dict:
     }
 
 
-def cmd_init(args) -> int:
-    t0 = time.perf_counter()
+def cmd_init(args) -> tuple[str, dict, dict]:
     cfg, evaluator = _prepare(args)
     result = initialize(evaluator, cfg)
-    out = _out_dir(args)
-    write_extrinsics(out / "init_extrinsics.txt", result.extrinsics)
-    report = {
-        "init_report": {
-            "version": __version__,
-            "config": config_report_fields(cfg),
-            "n_pairs": len(evaluator.pairs),
-            **_init_report_block(result),
-        }
-    }
-    return _finish(out, "report.txt", report, {"total_s": time.perf_counter() - t0}, args)
+    write_extrinsics(_out_dir(args) / "init_extrinsics.txt", result.extrinsics)
+    return "init_report", {
+        "config": config_report_fields(cfg),
+        "n_pairs": len(evaluator.pairs),
+        **_init_report_block(result),
+    }, {}
 
 
 def _breakdown_block(breakdown) -> dict:
@@ -246,7 +227,7 @@ def _breakdown_block(breakdown) -> dict:
         "denominator": sig6(breakdown.denominator),
         "per_class": {
             f"class_{cid}": sig6(num / den if den else 0.0)
-            for cid, (num, den) in sorted(breakdown.per_class.items())
+            for cid, (num, den) in breakdown.per_class.items()
         },
         "counts": {
             "consistent": int(breakdown.n_consistent),
@@ -258,8 +239,7 @@ def _breakdown_block(breakdown) -> dict:
     }
 
 
-def cmd_calibrate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_calibrate(args) -> tuple[str, dict, dict]:
     cfg, evaluator = _prepare(args)
     timings: dict[str, float] = {}
 
@@ -276,7 +256,6 @@ def cmd_calibrate(args) -> int:
     t_opt = time.perf_counter()
     estimate, breakdown, trace = calibrate(evaluator, start, cfg)
     timings["optimize_s"] = time.perf_counter() - t_opt
-    timings["total_s"] = time.perf_counter() - t0
 
     out = _out_dir(args)
     write_extrinsics(out / "estimated_extrinsics.txt", estimate)
@@ -286,38 +265,33 @@ def cmd_calibrate(args) -> int:
          "t_x_m", "t_y_m", "t_z_m", "cost"),
         [(str(it), *to_file_units(x), cost) for it, x, cost in trace.points],
     )
-    report = {
-        "calibration_report": {
-            "version": __version__,
-            "config": config_report_fields(cfg),
-            "n_pairs": len(evaluator.pairs),
-            "initialization": init_block,
-            "estimate": extrinsics_report_fields(estimate),
-            "cost": _breakdown_block(breakdown),
-            "trace": {
-                "termination": trace.termination,
-                "n_evaluations": int(trace.n_evaluations),
-                "n_repeated": int(trace.n_repeated),
-                "n_probe_evaluations": int(trace.n_probe),
-                "n_points": len(trace.points),
-                "initial_cost": sig6(trace.points[0][2]),
-                "final_cost": sig6(trace.points[-1][2]),
-            },
-            "pairs": {
-                frame_id: {
-                    "cost": sig6(pb.numerator / pb.denominator if pb.denominator else 0.0),
-                    "n_inconsistent": int(pb.n_inconsistent),
-                    "n_behind_camera": int(pb.n_behind_camera),
-                }
-                for frame_id, pb in sorted(breakdown.per_pair.items())
-            },
-        }
-    }
-    return _finish(out, "report.txt", report, timings, args)
+    return "calibration_report", {
+        "config": config_report_fields(cfg),
+        "n_pairs": len(evaluator.pairs),
+        "initialization": init_block,
+        "estimate": extrinsics_report_fields(estimate),
+        "cost": _breakdown_block(breakdown),
+        "trace": {
+            "termination": trace.termination,
+            "n_evaluations": int(trace.n_evaluations),
+            "n_repeated": int(trace.n_repeated),
+            "n_probe_evaluations": int(trace.n_probe),
+            "n_points": len(trace.points),
+            "initial_cost": sig6(trace.points[0][2]),
+            "final_cost": sig6(trace.points[-1][2]),
+        },
+        "pairs": {
+            frame_id: {
+                "cost": sig6(pb.numerator / pb.denominator if pb.denominator else 0.0),
+                "n_inconsistent": int(pb.n_inconsistent),
+                "n_behind_camera": int(pb.n_behind_camera),
+            }
+            for frame_id, pb in sorted(breakdown.per_pair.items())
+        },
+    }, timings
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sweep(args) -> tuple[str, dict, dict]:
     if not (0 < args.span < math.inf and 0 < args.interval < math.inf):
         raise CalibrationError("--range and --interval must be positive and finite")
     ratio = args.span / args.interval  # inf when the quotient overflows
@@ -341,29 +315,23 @@ def cmd_sweep(args) -> int:
         if cost < best[0]:
             best = (cost, disp)
 
-    out = _out_dir(args)
     csv_name = f"sweep_{args.axis}.csv"
-    write_csv(out / csv_name, (f"displacement_{unit}", "cost"), rows)
-    report = {
-        "sweep_report": {
-            "version": __version__,
-            "config": config_report_fields(cfg),
-            "axis": args.axis,
-            "unit": unit,
-            "range": sig6(args.span),
-            "interval": sig6(args.interval),
-            "n_rows": len(rows),
-            "csv": csv_name,
-            "min_cost": sig6(best[0]),
-            "argmin_displacement": sig6(best[1]),
-            "cost_at_zero": sig6(rows[n_steps][1]),
-        }
-    }
-    return _finish(out, "report.txt", report, {"total_s": time.perf_counter() - t0}, args)
+    write_csv(_out_dir(args) / csv_name, (f"displacement_{unit}", "cost"), rows)
+    return "sweep_report", {
+        "config": config_report_fields(cfg),
+        "axis": args.axis,
+        "unit": unit,
+        "range": sig6(args.span),
+        "interval": sig6(args.interval),
+        "n_rows": len(rows),
+        "csv": csv_name,
+        "min_cost": sig6(best[0]),
+        "argmin_displacement": sig6(best[1]),
+        "cost_at_zero": sig6(rows[n_steps][1]),
+    }, {}
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args) -> tuple[str, dict, dict]:
     estimated = read_extrinsics(args.estimated)
     reference = read_extrinsics(args.gt)
     est = estimated.to_vector()
@@ -381,29 +349,29 @@ def cmd_eval(args) -> int:
     for (name, unit), val in zip(labels, values):
         print(f"{name + '_' + unit:<14}{fmt6(sig6(val)):>14}")
 
-    out = _out_dir(args)
-    report = {
-        "eval_report": {
-            "version": __version__,
-            "estimated_file": str(args.estimated),
-            "gt_file": str(args.gt),
-            "data_dir": str(args.data_dir) if args.data_dir else "none",
-            "errors": {
-                f"{name}_{unit}": sig6(val) for (name, unit), val in zip(labels, values)
-            },
-        }
-    }
-    return _finish(out, "report.txt", report, {"total_s": time.perf_counter() - t0}, args)
+    return "eval_report", {
+        "estimated_file": str(args.estimated),
+        "gt_file": str(args.gt),
+        "errors": {f"{name}_{unit}": sig6(val) for (name, unit), val in zip(labels, values)},
+    }, {}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its ``report.txt``: ``version`` first and,
+    under ``--with-timings``, ``timings`` last, with ``total_s`` covering the
+    whole subcommand and its sidecar files."""
+    args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        name, body, timings = args.func(args)
+        timings["total_s"] = time.perf_counter() - t0
+        if args.with_timings:
+            body["timings"] = {stage: sig6(dt) for stage, dt in timings.items()}
+        write_report(_out_dir(args) / "report.txt", {name: {"version": __version__, **body}})
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

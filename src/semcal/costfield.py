@@ -229,7 +229,9 @@ class CostBreakdown:
 
 
 def _validated_classes(classes) -> tuple[int, ...]:
-    ids = tuple(dict.fromkeys(int(c) for c in classes))
+    """The distinct class ids in ascending order, so that neither the blocks
+    nor the sums over them depend on the order the ids were given in."""
+    ids = tuple(sorted({int(c) for c in classes}))
     if not ids:
         raise CalibrationError("the class set must not be empty")
     if min(ids) <= IGNORE_CLASS:
@@ -244,12 +246,13 @@ class CostEvaluator:
     call builds the fields of every pair, whatever its image size, into one
     atlas; each (pair, class) field covers the bounding box of that class's
     pixels, and an absent class has none.  The scored points, grouped into
-    (pair, class) blocks in pair-then-class order, become flat per-point
-    arrays: coordinates as one ``(3, N)`` array, range weight, the frame's
-    intrinsics and penalty, an empty-class flag, the block index, and their
-    field's box, column stride and the atlas index of the box's pixel
-    ``(0, 0)``.  ``center`` is the mean of the scored points, each weighted
-    by its range weight: by ``|p|^2``, or by 1 without range weighting.
+    (pair, class) blocks, pair by pair in ascending class order, become flat
+    per-point arrays: coordinates as one ``(3, N)`` array, range weight, the
+    frame's intrinsics and penalty, an empty-class flag, the block index,
+    and their field's box, column stride and the atlas index of the box's
+    pixel ``(0, 0)``.  Frame ids must be distinct.  ``center`` is the mean
+    of the scored points, each weighted by its range weight: by ``|p|^2``,
+    or by 1 without range weighting.
     The same blocks and boxes give the initialization its semantic
     centroids, on request (:meth:`centroids`), with no second scene scan.
 
@@ -269,6 +272,10 @@ class CostEvaluator:
         self.pairs = tuple(pairs)
         if not self.pairs:
             raise CalibrationError("at least one frame pair is required")
+        ids = [pair.frame_id for pair in self.pairs]
+        if len(set(ids)) < len(ids):  # the per-pair breakdown is keyed by frame id
+            dup = next(f for i, f in enumerate(ids) if f in ids[:i])
+            raise CalibrationError(f"two frame pairs share the frame id {dup!r}")
         self.classes = _validated_classes(classes)
 
         fields = build_distance_field([pair.image for pair in self.pairs], self.classes)
@@ -323,7 +330,7 @@ class CostEvaluator:
         of the pixels' coordinates."""
         n, counts = len(self.classes), self._counts.ravel().tolist()
         ends, rows = np.cumsum(counts).tolist(), []
-        for f in sorted(range(len(counts)), key=lambda f: (f // n, self.classes[f % n])):
+        for f in range(len(counts)):
             if not counts[f] or self._empty[f]:
                 continue
             # in C order, as the cloud's own points, so the mean sums in the same order

@@ -163,6 +163,26 @@ def test_with_timings_flag(scene_dir, tmp_path):
     assert report["timings"]["total_s"] >= 0
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "--spec", "{spec}"], id="synth"),
+    pytest.param(["init", "{scene}"], id="init"),
+    pytest.param(["calibrate", "{scene}", "--init", "{gt}"], id="calibrate"),
+    pytest.param(["sweep", "{scene}", "--gt", "{gt}", "--axis", "t_x", "--range", "0.1",
+                  "--interval", "0.1"], id="sweep"),
+    pytest.param(["eval", "--estimated", "{gt}", "--gt", "{gt}"], id="eval"),
+])
+def test_with_timings_on_every_subcommand(argv, scene_dir, tmp_path):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    args = [a.format(spec=spec, scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt")
+            for a in argv]
+    out = tmp_path / "out"
+    assert main(args + ["--output", str(out), "--with-timings"]) == 0
+    (body,) = read_report(out / "report.txt").values()
+    assert list(body)[0] == "version" and list(body)[-1] == "timings"
+    assert body["timings"]["total_s"] >= 0
+
+
 def test_sweep_rotation(scene_dir, tmp_path):
     out = tmp_path / "sw"
     rc = main([
@@ -216,7 +236,9 @@ def test_eval_table_and_report(tmp_path, capsys):
     assert rc == 0
     table = capsys.readouterr().out
     assert "parameter" in table and "d_theta_z_deg" in table
-    errors = read_report(out / "report.txt")["eval_report"]["errors"]
+    report = read_report(out / "report.txt")["eval_report"]
+    assert "data_dir" not in report
+    errors = report["errors"]
     # the 358 degree gap wraps to 2 degrees
     assert errors["d_theta_z_deg"] == pytest.approx(2.0)
     assert errors["d_t_x_m"] == pytest.approx(0.2)
@@ -261,6 +283,29 @@ def test_bad_axis_rejected(scene_dir, tmp_path):
             "--axis", "bogus", "--range", "1", "--interval", "1",
             "--output", str(tmp_path),
         ])
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "{scene}"], id="eval-data_dir"),
+    pytest.param(["eval", "--classes", "1,2,3"], id="eval-classes"),
+    pytest.param(["eval", "--config", "{spec}"], id="eval-config"),
+    pytest.param(["eval", "--seed", "1"], id="eval-seed"),
+    pytest.param(["eval", "--threads", "1"], id="eval-threads"),
+    pytest.param(["synth", "--config", "{spec}"], id="synth-config"),
+    pytest.param(["synth", "--threads", "1"], id="synth-threads"),
+])
+def test_unread_inputs_are_rejected(argv, scene_dir, tmp_path):
+    """A subcommand declares only the inputs it reads; argparse rejects the rest."""
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    gt = str(scene_dir / "gt_extrinsics.txt")
+    args = [a.format(scene=scene_dir, spec=spec) for a in argv]
+    if args[0] == "eval":
+        args += ["--estimated", gt, "--gt", gt]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag(capsys):
@@ -433,6 +478,25 @@ def test_calibrate_leaves_the_rotation_translation_valley(seed, tmp_path):
     delta = np.asarray(est.to_vector()) - np.asarray(C6_GT.to_vector())
     assert np.all(np.abs(np.degrees(delta[:3])) <= 1.0), np.degrees(delta[:3])
     assert np.all(np.abs(delta[3:]) <= 0.1), delta[3:]
+
+
+def test_class_order_changes_no_output(tmp_path):
+    """The evaluator holds the classes in ascending order, so the order of
+    ``--classes`` moves no output but the config echo."""
+    spec = SceneSpec(n_frames=10, objects_per_frame=4, points_per_object=100,
+                     extrinsics=C6_GT, seed=8, depth_range=(2.5, 16.0), noise_rate=0.02)
+    scene = tmp_path / "scene"
+    write_scene_dir(scene, generate(spec).pairs, spec.intrinsics, spec.classes, gt=C6_GT)
+    runs = {}
+    for classes in ("1,2,3", "3,1,2", "2,3,1"):
+        out = tmp_path / classes
+        assert main(["calibrate", str(scene), "--classes", classes, "--output", str(out)]) == 0
+        runs[classes] = dir_bytes(out)
+        report = runs[classes].pop("report.txt").decode()
+        assert f"    classes: {classes}\n" in report
+        runs[classes]["report.txt"] = report.replace(f"classes: {classes}\n", "classes: -\n")
+    assert runs["3,1,2"] == runs["1,2,3"]
+    assert runs["2,3,1"] == runs["1,2,3"]
 
 
 def test_frame_behind_the_camera(scene_dir, tmp_path, capsys):

@@ -406,6 +406,13 @@ def test_class_list_validation(k):
     assert a.total == b.total
 
 
+def test_duplicate_frame_ids_are_an_error(k):
+    # the per-pair breakdown and the centroid rows are keyed by frame id
+    pair = make_pair(k)
+    with pytest.raises(CalibrationError, match="'f0'"):
+        CostEvaluator([pair, pair], (1,))
+
+
 def test_total_cost_matches_evaluator(k):
     pair = make_pair(k)
     ext = Extrinsics(RotationAngles(0.01, -0.02, 0.005), Translation(0.01, 0.0, -0.02))

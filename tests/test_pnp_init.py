@@ -41,10 +41,10 @@ def test_collect_pairs_skips_one_sided_classes():
     cloud = LabeledPointCloud(points=np.zeros((2, 3)), labels=np.array([1, 2]))
     image = np.zeros((48, 64), dtype=int)
     image[5, 5] = 1  # class 2 has points but no pixels
-    fp = FramePair(cloud, LabelImage(labels=image), k, "f0")
+    frames = [FramePair(cloud, LabelImage(labels=image), k, f"f{i}") for i in range(4)]
     with pytest.raises(InsufficientPairs):
-        collect_centroid_pairs(CostEvaluator([fp], (1, 2)))
-    found = collect_centroid_pairs(CostEvaluator([fp, fp, fp, fp], (1, 2)))
+        collect_centroid_pairs(CostEvaluator(frames[:1], (1, 2)))
+    found = collect_centroid_pairs(CostEvaluator(frames, (1, 2)))
     assert len(found) == 4
     assert list(found.class_ids) == [1] * 4
 
@@ -66,8 +66,8 @@ def test_class_order_changes_no_row_and_no_result():
     assert np.array_equal(first.plane.inliers, second.plane.inliers)
     assert np.array_equal(first.projected, second.projected)
     assert np.array_equal(first.residual_px, second.residual_px)
-    # the costs sum the points in each evaluator's own block order
-    assert first.candidate_costs == pytest.approx(second.candidate_costs, rel=1e-12)
+    # both evaluators hold their points in one block order, so the costs sum alike
+    assert first.candidate_costs == second.candidate_costs
 
 
 def test_diameter_matches_the_brute_force_value():
