@@ -463,16 +463,20 @@ def test_class_absent_from_every_image(scene_dir, tmp_path, capsys):
 C6_GT = Extrinsics(RotationAngles(*np.deg2rad([1.0, -2.0, 3.0])), Translation(0.2, -0.1, 0.1))
 
 
+def write_c6_scene(path, seed):
+    spec = SceneSpec(n_frames=10, objects_per_frame=4, points_per_object=100,
+                     extrinsics=C6_GT, seed=seed, depth_range=(2.5, 16.0), noise_rate=0.02)
+    write_scene_dir(path, generate(spec).pairs, spec.intrinsics, spec.classes, gt=C6_GT)
+
+
 @pytest.mark.parametrize("seed", [8, 18, 40])
 def test_calibrate_leaves_the_rotation_translation_valley(seed, tmp_path):
     """Criterion-6-style scenes whose init is only 1.4-1.6 degrees off, on
     which a search over (theta, t) stalled out of band in the valley where a
     rotation about the sensor origin is cancelled by a translation; the
     centered search ends in band."""
-    spec = SceneSpec(n_frames=10, objects_per_frame=4, points_per_object=100,
-                     extrinsics=C6_GT, seed=seed, depth_range=(2.5, 16.0), noise_rate=0.02)
     scene = tmp_path / "scene"
-    write_scene_dir(scene, generate(spec).pairs, spec.intrinsics, spec.classes, gt=C6_GT)
+    write_c6_scene(scene, seed)
     assert main(["calibrate", str(scene), "--output", str(tmp_path / "out")]) == 0
     est = read_extrinsics(tmp_path / "out" / "estimated_extrinsics.txt")
     delta = np.asarray(est.to_vector()) - np.asarray(C6_GT.to_vector())
@@ -483,10 +487,8 @@ def test_calibrate_leaves_the_rotation_translation_valley(seed, tmp_path):
 def test_class_order_changes_no_output(tmp_path):
     """The evaluator holds the classes in ascending order, so the order of
     ``--classes`` moves no output but the config echo."""
-    spec = SceneSpec(n_frames=10, objects_per_frame=4, points_per_object=100,
-                     extrinsics=C6_GT, seed=8, depth_range=(2.5, 16.0), noise_rate=0.02)
     scene = tmp_path / "scene"
-    write_scene_dir(scene, generate(spec).pairs, spec.intrinsics, spec.classes, gt=C6_GT)
+    write_c6_scene(scene, 8)
     runs = {}
     for classes in ("1,2,3", "3,1,2", "2,3,1"):
         out = tmp_path / classes
