@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -50,6 +51,7 @@ _AXES = ("theta_x", "theta_y", "theta_z", "t_x", "t_y", "t_z")
 _MAX_SWEEP_ROWS = 10_000_001  # a sweep of 5,000,000 steps each way
 
 
+@functools.cache  # once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semcal",
@@ -66,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     selection = argparse.ArgumentParser(add_help=False)
     selection.add_argument("--classes", help="comma-separated class ids, e.g. 1,2,3")
-    selection.add_argument("--seed", type=int, help="random seed override")
     scene = argparse.ArgumentParser(add_help=False)
     scene.add_argument("data_dir", help="scene directory")
     scene.add_argument("--config", help="key = value config file; flags win")
@@ -78,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[selection, report],
                        help="generate a synthetic scene with known ground truth")
     p.add_argument("--spec", help="scene-spec file; omitted fields use defaults")
+    p.add_argument("--seed", type=int, help="random seed override")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("init", parents=[scene, selection, report],
@@ -115,15 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _prepare(args) -> tuple[RunConfig, CostEvaluator]:
     """The run's config and its one prepared cost kernel, shared by init and refinement.
 
-    The config file comes first and flags override it; ``RunConfig`` checks
-    every field before the scene is read.  A class list left unset is taken
-    from the scene manifest.
+    The config file comes first and ``--classes`` overrides it.  A class
+    list left unset is taken from the scene manifest.
     """
     cfg = read_config(args.config) if args.config else RunConfig()
     if args.classes is not None:
         cfg = replace(cfg, classes=parse_classes("--classes", args.classes))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     pairs, _, manifest_classes = read_scene_dir(
         args.data_dir, cloud_remap=cfg.cloud_remap, image_remap=cfg.image_remap
     )
@@ -134,7 +133,7 @@ def _prepare(args) -> tuple[RunConfig, CostEvaluator]:
                 "scene.txt manifest"
             )
         cfg = replace(cfg, classes=manifest_classes)
-    return cfg, CostEvaluator(pairs, cfg.classes, range_weighting=cfg.range_weighting)
+    return cfg, CostEvaluator(pairs, cfg.classes)
 
 
 def _out_dir(args) -> Path:
@@ -211,7 +210,7 @@ def _init_report_block(result) -> dict:
 
 def cmd_init(args) -> tuple[str, dict, dict]:
     cfg, evaluator = _prepare(args)
-    result = initialize(evaluator, cfg)
+    result = initialize(evaluator)
     write_extrinsics(_out_dir(args) / "init_extrinsics.txt", result.extrinsics)
     return "init_report", {
         "config": config_report_fields(cfg),
@@ -248,13 +247,13 @@ def cmd_calibrate(args) -> tuple[str, dict, dict]:
         init_block: dict = {"source": "file", "estimate": extrinsics_report_fields(start)}
     else:
         t_init = time.perf_counter()
-        result = initialize(evaluator, cfg)
+        result = initialize(evaluator)
         timings["init_s"] = time.perf_counter() - t_init
         start = result.extrinsics
         init_block = {"source": "pipeline", **_init_report_block(result)}
 
     t_opt = time.perf_counter()
-    estimate, breakdown, trace = calibrate(evaluator, start, cfg)
+    estimate, breakdown, trace = calibrate(evaluator, start)
     timings["optimize_s"] = time.perf_counter() - t_opt
 
     out = _out_dir(args)

@@ -251,8 +251,7 @@ class CostEvaluator:
     frame's intrinsics and penalty, an empty-class flag, the block index,
     and their field's box, column stride and the atlas index of the box's
     pixel ``(0, 0)``.  Frame ids must be distinct.  ``center`` is the mean
-    of the scored points, each weighted by its range weight: by ``|p|^2``,
-    or by 1 without range weighting.
+    of the scored points, each weighted by its range weight ``|p|^2``.
     The same blocks and boxes give the initialization its semantic
     centroids, on request (:meth:`centroids`), with no second scene scan.
 
@@ -268,7 +267,7 @@ class CostEvaluator:
     unsafe to share between threads.
     """
 
-    def __init__(self, pairs, classes, range_weighting: bool = True):
+    def __init__(self, pairs, classes):
         self.pairs = tuple(pairs)
         if not self.pairs:
             raise CalibrationError("at least one frame pair is required")
@@ -289,8 +288,7 @@ class CostEvaluator:
                 f = i * len(self.classes) + j
                 pts = pair.cloud.points[pair.cloud.labels == cid]
                 points.append(pts)
-                sqn.append(np.einsum("ij,ij->i", pts, pts) if range_weighting
-                           else np.ones(len(pts)))
+                sqn.append(np.einsum("ij,ij->i", pts, pts))
                 counts.append(len(pts))
                 u0, v0, u1, v1 = fields.box[f]
                 meta.append((k.fx, k.fy, k.cx, k.cy, u0, u1, v0, v1, fields.stride[f],

@@ -21,13 +21,12 @@ them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationError, FormatError
+from .errors import FormatError
 from .geometry import CameraIntrinsics, Extrinsics
 from .scene import FramePair, LabelImage, LabeledPointCloud
 from .synth import SceneSpec
@@ -104,15 +103,6 @@ def _int(path, key: str, text: str) -> int:
     if not value.is_integer():  # also false for nan and inf
         raise FormatError(f"{path}: field {key!r} is not an integer: {text!r}")
     return int(value)
-
-
-def _bool(path, key: str, text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise FormatError(f"{path}: field {key!r} is not a boolean: {text!r}")
 
 
 def parse_classes(path, text: str) -> tuple[int, ...]:
@@ -318,49 +308,20 @@ def extrinsics_report_fields(ext: Extrinsics) -> dict[str, float]:
 
 @dataclass
 class RunConfig:
-    """Every setting of the pipeline, checked when the config is built.
+    """The settings that describe a scene's data.
 
     ``classes`` of ``None`` means "take them from the scene manifest".
-    ``seed`` and the ``ransac_*`` and ``planarity_ratio`` fields drive
-    :func:`semcal.pnp_init.initialize`; ``max_iterations``, ``ftol`` and
-    ``line_tol`` drive :func:`semcal.optimizer.powell_minimize`.  Remap
-    tables translate external label vocabularies into the shared class-id
-    space; ids absent from a table pass through unchanged.
+    Remap tables translate external label vocabularies into the shared
+    class-id space; ids absent from a table pass through unchanged.
     """
 
     classes: tuple[int, ...] | None = None
-    range_weighting: bool = True
-    seed: int = 0
-    max_iterations: int = 200
-    ftol: float = 1e-8
-    line_tol: float = 1e-6
-    ransac_threshold: float = 0.2  # meters
-    ransac_iterations: int = 500
-    planarity_ratio: float = 0.05  # max plane rms as a fraction of the centroid spread
     cloud_remap: dict[int, int] | None = None
     image_remap: dict[int, int] | None = None
 
-    def __post_init__(self):
-        if not (0 < self.ransac_threshold < math.inf and 0 < self.planarity_ratio < math.inf):
-            raise CalibrationError(
-                "ransac_threshold and planarity_ratio must be positive and finite")
-        if self.ransac_iterations < 1:
-            raise CalibrationError("ransac_iterations must be at least 1")
-        if self.seed < 0:
-            raise CalibrationError("seed must be non-negative")
-        if self.max_iterations < 1:
-            raise CalibrationError("max_iterations must be at least 1")
-        if not (0 < self.ftol < math.inf and 0 < self.line_tol < math.inf):
-            raise CalibrationError("tolerances must be positive and finite")
-
 
 # one converter per RunConfig field
-_CONFIG = {
-    "classes": _classes, "range_weighting": _bool, "seed": _int, "max_iterations": _int,
-    "ftol": _float, "line_tol": _float, "ransac_threshold": _float,
-    "ransac_iterations": _int, "planarity_ratio": _float,
-    "cloud_remap": _remap, "image_remap": _remap,
-}
+_CONFIG = {"classes": _classes, "cloud_remap": _remap, "image_remap": _remap}
 
 
 def read_config(path) -> RunConfig:
@@ -379,8 +340,6 @@ def config_report_fields(cfg: RunConfig) -> dict:
             value = ",".join(str(i) for i in value)
         elif isinstance(value, dict):
             value = ",".join(f"{s}:{d}" for s, d in value.items())
-        elif isinstance(value, float):
-            value = sig6(value)
         out[f.name] = value
     return out
 
@@ -508,22 +467,27 @@ def _scalar_text(value) -> str:
     return text
 
 
+def _report_lines(mapping: dict, depth: int):
+    pad = "  " * depth
+    for key, value in mapping.items():
+        key = str(key)
+        if key != key.strip() or ":" in key or len(key.splitlines()) != 1:
+            raise FormatError(f"report keys must be one line of text without ':' "
+                              f"or outer spaces, got {key!r}")
+        if isinstance(value, dict):
+            yield f"{pad}{key}:"
+            yield from _report_lines(value, depth + 1)
+        else:
+            yield f"{pad}{key}: {_scalar_text(value)}"
+
+
 def format_report(data: dict) -> str:
-    """Render a nested dict as an indentation-structured document."""
-    lines: list[str] = []
+    """Render a nested dict as an indentation-structured document.
 
-    def emit(mapping: dict, depth: int) -> None:
-        pad = "  " * depth
-        for key, value in mapping.items():
-            key = str(key)
-            if isinstance(value, dict):
-                lines.append(f"{pad}{key}:")
-                emit(value, depth + 1)
-            else:
-                lines.append(f"{pad}{key}: {_scalar_text(value)}")
-
-    emit(data, 0)
-    return "\n".join(lines) + "\n"
+    Raises FormatError for a key that would not parse back as itself: an
+    empty one, one holding ``:`` or a line break, or one with outer spaces.
+    """
+    return "\n".join(_report_lines(data, 0)) + "\n"
 
 
 def write_report(path, data: dict) -> None:

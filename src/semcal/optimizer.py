@@ -10,7 +10,7 @@ piecewise-constant semantic cost tractable.
 
 The semantic cost rounds every point to a pixel, so along a line it is a
 staircase.  Brent's loop assumes a continuous function and would keep
-halving a flat step down to ``line_tol``; instead the refinement stops once
+halving a flat step down to ``_LINE_TOL``; instead the refinement stops once
 ``_PLATEAU_SAMPLES`` samples in a row return exactly the best value so far.
 Only exact equality counts: a smooth objective almost never repeats a value
 bit for bit, so on it the loop runs as before, while stopping on any
@@ -19,9 +19,7 @@ decreasing descents of a curved valley such as Rosenbrock's.
 
 Parameters are internally rescaled by per-parameter step sizes so one unit
 of search space means one "typical" move for that parameter, which matters
-because angles and translations live on very different scales.  The
-iteration cap and the two tolerances are the ``max_iterations``, ``ftol``
-and ``line_tol`` fields of :class:`~semcal.io_formats.RunConfig`.
+because angles and translations live on very different scales.
 """
 
 from __future__ import annotations
@@ -35,12 +33,14 @@ import numpy as np
 from .costfield import CostBreakdown, CostEvaluator
 from .errors import NonFiniteCost
 from .geometry import Extrinsics, RotationAngles, Translation, rotation_matrix
-from .io_formats import RunConfig
 
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
 _MAX_EXPANSIONS = 40
 _TINY = 1e-25
 _PLATEAU_SAMPLES = 4  # samples in a row equal to the best value end a refinement
+_MAX_ITERATIONS = 200  # Powell sweeps per run
+_FTOL = 1e-8  # a sweep that cuts the cost by less, relatively, ends the run
+_LINE_TOL = 1e-6  # relative step at which a line refinement stops
 
 
 def trial_steps(n: int) -> np.ndarray:
@@ -216,7 +216,7 @@ def _line(g, f0: float, tol: float, refine: bool = True) -> tuple[float, float]:
     return float(alpha), float(f_min)
 
 
-def powell_minimize(f, x0, config: RunConfig | None = None):
+def powell_minimize(f, x0):
     """Powell's conjugate-direction minimization.
 
     Returns ``(x_min, f_min, trace)``.  The direction set starts as the
@@ -225,7 +225,6 @@ def powell_minimize(f, x0, config: RunConfig | None = None):
     accepts it.  A sweep with zero decrease resets the direction set to the
     basis once; a second zero-decrease sweep terminates as ``stalled``.
     """
-    cfg = config or RunConfig()
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     sigma = trial_steps(n)
@@ -241,14 +240,14 @@ def powell_minimize(f, x0, config: RunConfig | None = None):
     reset_used = False
     termination = "max_iterations"
 
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         f_start = current
         z_start = z.copy()
         biggest_drop = 0.0
         biggest_idx = 0
         for i in range(n):
             d = directions[i]
-            alpha, f_new = _line(lambda a: fz(z + a * d), current, cfg.line_tol)
+            alpha, f_new = _line(lambda a: fz(z + a * d), current, _LINE_TOL)
             if current - f_new > biggest_drop:
                 biggest_drop = current - f_new
                 biggest_idx = i
@@ -258,8 +257,8 @@ def powell_minimize(f, x0, config: RunConfig | None = None):
 
         decrease = f_start - current
         trace_points.append((iteration, z * sigma, current))
-        if 2.0 * decrease <= cfg.ftol * (abs(f_start) + abs(current)) + _TINY:
-            if decrease > 0.0 or reset_used or iteration == cfg.max_iterations:
+        if 2.0 * decrease <= _FTOL * (abs(f_start) + abs(current)) + _TINY:
+            if decrease > 0.0 or reset_used or iteration == _MAX_ITERATIONS:
                 termination = "converged" if decrease > 0.0 else "stalled"
                 break
             # Zero decrease: give the coordinate basis one fresh chance in
@@ -280,7 +279,7 @@ def powell_minimize(f, x0, config: RunConfig | None = None):
                 t -= biggest_drop * (f_start - f_ext) ** 2
                 if t < 0.0:
                     alpha, f_new = _line(
-                        lambda a: fz(z + a * displacement), current, cfg.line_tol
+                        lambda a: fz(z + a * displacement), current, _LINE_TOL
                     )
                     if alpha != 0.0:
                         z = z + alpha * displacement
@@ -317,9 +316,7 @@ def _from_centered(y: np.ndarray, center: np.ndarray) -> Extrinsics:
 
 
 def calibrate(
-    evaluator: CostEvaluator,
-    init: Extrinsics,
-    config: RunConfig | None = None,
+    evaluator: CostEvaluator, init: Extrinsics
 ) -> tuple[Extrinsics, CostBreakdown, OptimizationTrace]:
     """Minimize the semantic cost of ``evaluator`` over the six extrinsic parameters.
 
@@ -336,7 +333,6 @@ def calibrate(
     30 pairwise two-parameter diagonals and, if any still descends, walks
     there and runs Powell again.  Trace rows and estimate are in (θ, t).
     """
-    cfg = config or RunConfig()
     center = evaluator.center
     # Basis resets, extrapolation and grid points back on the start resend poses.
     memo: dict[bytes, float] = {}
@@ -353,7 +349,7 @@ def calibrate(
     points: list[tuple[int, np.ndarray, float]] = []
     n_evaluations = n_probe = 0
     for _ in range(_MAX_ROUNDS):
-        y, current, trace = powell_minimize(objective, y, cfg)
+        y, current, trace = powell_minimize(objective, y)
         termination = trace.termination
         n_evaluations += trace.n_evaluations
         offset = points[-1][0] + 1 if points else 0
@@ -370,7 +366,7 @@ def calibrate(
         for _ in range(_MAX_PASSES):
             before = current
             for d in probes:
-                alpha, f_new = _line(lambda a: obj(y + a * d), current, cfg.line_tol,
+                alpha, f_new = _line(lambda a: obj(y + a * d), current, _LINE_TOL,
                                      refine=False)
                 if f_new < current:
                     y = y + alpha * d

@@ -11,8 +11,9 @@ winner.
 
 The correspondences form one table (:class:`CentroidPairSet`): per row the
 frame, the class, the 3D centroid, the pixel centroid and that frame's
-camera, so frames with different intrinsics mix freely.  The RANSAC and
-planarity settings are fields of :class:`~semcal.io_formats.RunConfig`.
+camera, so frames with different intrinsics mix freely.  The plane fit
+runs with :func:`ransac_plane`'s defaults and the planarity gate with
+``_PLANARITY_RATIO``.
 
 The output is only an initial guess for the optimizer; centroid matches
 are systematically imperfect (a cloud centroid and a pixel centroid of the
@@ -29,11 +30,11 @@ import numpy as np
 from .costfield import CostEvaluator
 from .errors import Degenerate, InsufficientPairs, NonPlanar
 from .geometry import EPS_DEPTH, Extrinsics, Translation, euler_from_matrix
-from .io_formats import RunConfig
 
 MIN_PAIRS = 4
 _CHUNK = 512  # RANSAC triples scored per array pass
 _DIFFS = 1 << 16  # point pairs differenced per pass of the planarity gate
+_PLANARITY_RATIO = 0.05  # max plane rms as a fraction of the centroid spread
 
 
 @dataclass(frozen=True)
@@ -328,7 +329,7 @@ def decompose_planar_pose(
     return candidates
 
 
-def initialize(evaluator: CostEvaluator, config: RunConfig | None = None) -> InitResult:
+def initialize(evaluator: CostEvaluator) -> InitResult:
     """Full initialization pipeline from a prepared scene to initial extrinsics.
 
     Centroid pairs -> consensus plane -> plane chart -> homography -> two
@@ -338,17 +339,16 @@ def initialize(evaluator: CostEvaluator, config: RunConfig | None = None) -> Ini
     the planar decomposition to be trustworthy (more frames usually fix
     this), and propagates InsufficientPairs / Degenerate from the stages.
     """
-    cfg = config or RunConfig()
     pair_set = collect_centroid_pairs(evaluator)
     pts3d = pair_set.points_3d
 
-    plane = ransac_plane(pts3d, cfg.ransac_threshold, cfg.ransac_iterations, seed=cfg.seed)
+    plane = ransac_plane(pts3d)
     diameter = _diameter(pts3d)
     if diameter <= 0.0:
         raise Degenerate("all centroids coincide")
-    if plane.rms > cfg.planarity_ratio * diameter:
+    if plane.rms > _PLANARITY_RATIO * diameter:
         raise NonPlanar(
-            f"plane rms {plane.rms:.3g} m exceeds {cfg.planarity_ratio:.0%} of the "
+            f"plane rms {plane.rms:.3g} m exceeds {_PLANARITY_RATIO:.0%} of the "
             f"centroid spread ({diameter:.3g} m); the centroid layout is not planar "
             "enough for homography-based initialization"
         )

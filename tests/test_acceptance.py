@@ -33,7 +33,7 @@ from semcal.geometry import (
     Translation,
     wrap_angle,
 )
-from semcal.io_formats import RunConfig, read_extrinsics, write_scene_dir
+from semcal.io_formats import read_extrinsics, write_scene_dir
 from semcal.optimizer import calibrate, powell_minimize
 from semcal.pnp_init import initialize
 from semcal.scene import LabelImage
@@ -172,9 +172,7 @@ def test_criterion_4_planar_initialization(capsys):
 
 def test_criterion_5_optimizer_references(capsys):
     rosen = lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-    x, _, _ = powell_minimize(
-        rosen, np.array([-1.2, 1.0]), RunConfig(max_iterations=500, ftol=1e-12)
-    )
+    x, _, _ = powell_minimize(rosen, np.array([-1.2, 1.0]))
     rosen_err = float(np.max(np.abs(x - 1.0)))
 
     quad_worst = 0.0
@@ -184,9 +182,7 @@ def test_criterion_5_optimizer_references(capsys):
         a = q @ np.diag(rng.uniform(0.5, 10.0, size=6)) @ q.T
         m = rng.uniform(-2.0, 2.0, size=6)
         f = lambda x: float((x - m) @ a @ (x - m))
-        x, _, _ = powell_minimize(
-            f, np.zeros(6), RunConfig(max_iterations=400, ftol=1e-14)
-        )
+        x, _, _ = powell_minimize(f, np.zeros(6))
         quad_worst = max(quad_worst, float(np.max(np.abs(x - m))))
     ok = rosen_err < 1e-6 and quad_worst < 1e-8
     announce(

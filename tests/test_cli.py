@@ -293,13 +293,17 @@ def test_bad_axis_rejected(scene_dir, tmp_path):
     pytest.param(["eval", "--threads", "1"], id="eval-threads"),
     pytest.param(["synth", "--config", "{spec}"], id="synth-config"),
     pytest.param(["synth", "--threads", "1"], id="synth-threads"),
+    pytest.param(["init", "{scene}", "--seed", "1"], id="init-seed"),
+    pytest.param(["calibrate", "{scene}", "--seed", "1"], id="calibrate-seed"),
+    pytest.param(["sweep", "{scene}", "--gt", "{gt}", "--axis", "t_x", "--range", "1",
+                  "--interval", "0.1", "--seed", "1"], id="sweep-seed"),
 ])
 def test_unread_inputs_are_rejected(argv, scene_dir, tmp_path):
     """A subcommand declares only the inputs it reads; argparse rejects the rest."""
     spec = tmp_path / "spec.txt"
     spec.write_text(SPEC_TEXT)
     gt = str(scene_dir / "gt_extrinsics.txt")
-    args = [a.format(scene=scene_dir, spec=spec) for a in argv]
+    args = [a.format(scene=scene_dir, spec=spec, gt=gt) for a in argv]
     if args[0] == "eval":
         args += ["--estimated", gt, "--gt", gt]
     with pytest.raises(SystemExit) as exc:
@@ -316,9 +320,13 @@ def test_version_flag(capsys):
 
 
 def test_removed_config_keys_are_errors(scene_dir, tmp_path, capsys):
-    # the smooth cost mode (epsilon) and the thread count are gone
+    # the smooth cost mode (epsilon) and the thread count are gone, and the
+    # tuning settings are constants of the modules that use them
     config = tmp_path / "old.cfg"
-    for text in ("epsilon = 0.5", "epsilon = -1", "threads = 2"):
+    for text in ("epsilon = 0.5", "epsilon = -1", "threads = 2", "range_weighting = false",
+                 "seed = 1", "max_iterations = 200", "ftol = 1e-8", "line_tol = 1e-6",
+                 "ransac_threshold = 0.2", "ransac_iterations = 500",
+                 "planarity_ratio = 0.05"):
         config.write_text(text + "\n")
         rc = main(["calibrate", str(scene_dir), "--config", str(config),
                    "--output", str(tmp_path / "out")])
@@ -355,6 +363,8 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
                  id="range-interval-overflow"),
     pytest.param(_SWEEP + ["--range", "5000001", "--interval", "1"],
                  id="range-interval-too-many-rows"),
+    # a tuning setting is now a module constant, so a config file that sets
+    # one fails as an unknown field, whatever its value
     pytest.param(_CALIBRATE + ["--config", "max_iterations = nan"], id="config-max_iterations-nan"),
     pytest.param(_CALIBRATE + ["--config", "max_iterations = inf"], id="config-max_iterations-inf"),
     pytest.param(_CALIBRATE + ["--config", "seed = nan"], id="config-seed-nan"),
@@ -367,7 +377,6 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(["synth", "--spec", "width = nan"], id="spec-width-nan"),
     pytest.param(["synth", "--seed", "-1"], id="synth-seed-negative"),
     pytest.param(["synth", "--spec", "seed = -1"], id="spec-seed-negative"),
-    pytest.param(["init", "{scene}", "--seed", "-1"], id="init-seed-negative"),
     pytest.param(["init", "{scene}", "--config", "seed = -1"], id="config-seed-negative"),
     pytest.param(["init", "{scene}", "--config", "planarity_ratio = nan"],
                  id="config-planarity_ratio-nan"),
@@ -379,7 +388,7 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
                  id="config-ransac_threshold-inf"),
     pytest.param(["init", "{scene}", "--config", "ransac_iterations = 0"],
                  id="config-ransac_iterations-zero"),
-    # settings the subcommand does not use are still checked
+    # also for a subcommand that would not have read the setting
     pytest.param(_CALIBRATE + ["--config", "planarity_ratio = nan"],
                  id="calibrate-init-file-planarity_ratio-nan"),
     pytest.param(_CALIBRATE + ["--config", "seed = -1"], id="calibrate-init-file-seed-negative"),
@@ -537,6 +546,22 @@ def test_frame_of_another_size_is_an_error(scene_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "frame_0001" in err, err
         assert len(err.splitlines()) == 1
+
+
+def test_frame_id_that_cannot_be_a_report_key_is_an_error(scene_dir, tmp_path, capsys):
+    """A frame id keys its block of the report, so one that would not parse
+    back as itself ends in an ``error:`` line instead of a report whose
+    ``pairs`` block reads back wrong."""
+    scene = tmp_path / "colon"
+    shutil.copytree(scene_dir, scene)
+    for suffix in (".bin", ".pgm"):
+        (scene / f"frame_0001{suffix}").rename(scene / f"a: b{suffix}")
+    rc = main(["calibrate", str(scene), "--init", str(scene / "gt_extrinsics.txt"),
+               "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "'a: b'" in err
 
 
 def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):

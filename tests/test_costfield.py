@@ -582,12 +582,15 @@ def _close(got, want):
     return got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("range_weighting", [True, False])
-def test_evaluator_matches_block_loop(range_weighting):
+# whether the evaluator is given its classes out of ascending order
+_SHUFFLED = pytest.mark.parametrize("shuffled", [True, False])
+
+
+@_SHUFFLED
+def test_evaluator_matches_block_loop(shuffled):
     pairs = _kernel_scene()
-    classes = (1, 2, 3)
-    packed = CostEvaluator(pairs, classes, range_weighting=range_weighting)
-    reference = ReferenceEvaluator(pairs, classes, range_weighting=range_weighting)
+    packed = CostEvaluator(pairs, (3, 1, 2) if shuffled else (1, 2, 3))
+    reference = ReferenceEvaluator(pairs, (1, 2, 3))
     seen = dict.fromkeys(("n_consistent", "n_inconsistent", "n_behind_camera",
                           "n_out_of_image", "n_empty_field"), 0)
     for ext in _random_poses(200):
@@ -618,16 +621,15 @@ def test_evaluator_matches_block_loop(range_weighting):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("range_weighting", [True, False])
-def test_evaluator_matches_point_cost(range_weighting):
+@_SHUFFLED
+def test_evaluator_matches_point_cost(shuffled):
     pairs = _kernel_scene()
     classes = (1, 2, 3)
-    evaluator = CostEvaluator(pairs, classes, range_weighting=range_weighting)
+    evaluator = CostEvaluator(pairs, (3, 1, 2) if shuffled else classes)
     fields = [fields_of(pair.image, classes) for pair in pairs]
     for ext in _random_poses(4, seed=1):
         numerator = sum(
-            point_cost(p, int(c), ext, pair.intrinsics, fld, image=pair.image,
-                       range_weighting=range_weighting)
+            point_cost(p, int(c), ext, pair.intrinsics, fld, image=pair.image)
             for pair, fld in zip(pairs, fields)
             for p, c in zip(pair.cloud.points, pair.cloud.labels)
             if c in classes
@@ -650,12 +652,11 @@ def _lean_loop_poses():
     return stretches + alternating + base[4:]
 
 
-@pytest.mark.parametrize("range_weighting", [True, False])
-def test_lean_kernel_matches_flat_kernel_bit_for_bit(range_weighting):
+@_SHUFFLED
+def test_lean_kernel_matches_flat_kernel_bit_for_bit(shuffled):
     pairs = _kernel_scene()
-    classes = (1, 2, 3)
-    lean = CostEvaluator(pairs, classes, range_weighting=range_weighting)
-    reference = CostEvaluator(pairs, classes, range_weighting=range_weighting)
+    lean = CostEvaluator(pairs, (3, 1, 2) if shuffled else (1, 2, 3))
+    reference = CostEvaluator(pairs, (1, 2, 3))
     reference._kernel = lambda ext: flat_kernel(reference, ext)
     seen = dict.fromkeys(("n_behind_camera", "n_out_of_image", "n_empty_field"), 0)
     for ext in _lean_loop_poses():
@@ -695,8 +696,8 @@ def test_lean_kernel_rounds_half_pixel_ties_like_the_flat_kernel():
 
 
 def test_evaluator_center_is_the_range_weighted_mean():
-    """``center`` weights each scored point by |p|^2, or by 1 without range
-    weighting; points of other classes and of the ignore class do not count."""
+    """``center`` weights each scored point by |p|^2; points of other classes
+    and of the ignore class do not count."""
     spec = SceneSpec(n_frames=3, objects_per_frame=3, noise_rate=0.1, seed=5)
     pairs = generate(spec).pairs
     classes = (1, 2)
@@ -704,7 +705,5 @@ def test_evaluator_center_is_the_range_weighted_mean():
     assert len(points) < sum(len(p.cloud.points) for p in pairs)
     weights = np.einsum("ij,ij->i", points, points)
     weighted = CostEvaluator(pairs, classes).center
-    plain = CostEvaluator(pairs, classes, range_weighting=False).center
     assert np.allclose(weighted, weights @ points / weights.sum(), rtol=1e-12, atol=0.0)
-    assert np.allclose(plain, points.mean(axis=0), rtol=1e-12, atol=0.0)
-    assert not np.allclose(weighted, plain, rtol=1e-3)
+    assert not np.allclose(weighted, points.mean(axis=0), rtol=1e-3)

@@ -194,23 +194,14 @@ def test_config_parsing(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(
         "classes = 1,2,3\n"
-        "seed = 7\n"
-        "max_iterations = 50.0\n"
-        "range_weighting = false\n"
         "cloud_remap = 10:1, 20:2\n"
         "# a comment line\n"
-        "ftol = 1e-9\n"
     )
     cfg = read_config(path)
     assert cfg.classes == (1, 2, 3)
-    assert cfg.seed == 7
-    # an integral value written as a float is still an integer field
-    assert cfg.max_iterations == 50 and isinstance(cfg.max_iterations, int)
-    assert cfg.range_weighting is False
     assert cfg.cloud_remap == {10: 1, 20: 2}
-    assert cfg.ftol == 1e-9
     # untouched fields keep their defaults
-    assert cfg.ransac_iterations == RunConfig().ransac_iterations
+    assert cfg.image_remap is RunConfig().image_remap is None
 
 
 def test_config_unknown_key(tmp_path):
@@ -226,24 +217,23 @@ def test_config_keys_are_the_run_config_fields():
 
 def test_config_report_fields():
     assert config_report_fields(RunConfig()) == {
-        "classes": "none", "range_weighting": True, "seed": 0, "max_iterations": 200,
-        "ftol": 1e-8, "line_tol": 1e-6, "ransac_threshold": 0.2, "ransac_iterations": 500,
-        "planarity_ratio": 0.05, "cloud_remap": "none", "image_remap": "none",
+        "classes": "none", "cloud_remap": "none", "image_remap": "none",
     }
-    cfg = RunConfig(classes=(3, 1), ftol=1 / 3, cloud_remap={40: 1, 48: 2}, image_remap={})
-    fields_ = config_report_fields(cfg)
-    assert fields_["classes"] == "3,1" and fields_["ftol"] == 0.333333
-    assert fields_["cloud_remap"] == "40:1,48:2" and fields_["image_remap"] == "none"
+    cfg = RunConfig(classes=(3, 1), cloud_remap={40: 1, 48: 2}, image_remap={})
+    assert config_report_fields(cfg) == {
+        "classes": "3,1", "cloud_remap": "40:1,48:2", "image_remap": "none",
+    }
 
 
 def test_scene_spec_parsing(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text(
-        "n_frames = 5\nclasses = 1,2\ndepth_range = 3,9\n"
+        "n_frames = 5.0\nclasses = 1,2\ndepth_range = 3,9\n"
         "theta_z_deg = 45\nt_x_m = 0.25\nfx = 300\nnoise_rate = 0.1\n"
     )
     spec = read_scene_spec(path)
-    assert spec.n_frames == 5
+    # an integral value written as a float is still an integer field
+    assert spec.n_frames == 5 and isinstance(spec.n_frames, int)
     assert spec.classes == (1, 2)
     assert spec.depth_range == (3.0, 9.0)
     assert spec.extrinsics.rotation.theta_z == pytest.approx(np.pi / 4)
@@ -377,6 +367,14 @@ def test_report_rejects_duplicate_and_bad_indent():
         parse_report("a: 1\na: 2\n")
     with pytest.raises(FormatError, match="key"):
         parse_report("just some text\n")
+
+
+@pytest.mark.parametrize("key", ["", "a: b", "a:", "a\nb", "a\rb", " a", "a "],
+                         ids=["empty", "colon", "colon-last", "newline", "return",
+                              "leading-space", "trailing-space"])
+def test_report_rejects_keys_that_cannot_parse_back(key):
+    with pytest.raises(FormatError, match="report keys"):
+        format_report({"pairs": {key: {"cost": 0.5}}})
 
 
 def test_report_scalar_typing():

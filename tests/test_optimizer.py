@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from semcal.costfield import CostEvaluator
-from semcal.errors import CalibrationError, NonFiniteCost
+from semcal.errors import FormatError, NonFiniteCost
 from semcal.geometry import Extrinsics, RotationAngles, Translation
 import semcal.optimizer
-from semcal.io_formats import RunConfig
+from semcal.io_formats import read_config
 from semcal.optimizer import (
     _PLATEAU_SAMPLES,
     _from_centered,
@@ -21,18 +21,14 @@ from semcal.optimizer import (
 from semcal.synth import SceneSpec, generate, perturb
 
 
-def test_config_validation():
-    with pytest.raises(CalibrationError):
-        RunConfig(max_iterations=0)
-    with pytest.raises(CalibrationError):
-        RunConfig(ftol=0.0)
-    with pytest.raises(CalibrationError):
-        RunConfig(line_tol=-1.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(CalibrationError):
-            RunConfig(ftol=bad)
-        with pytest.raises(CalibrationError):
-            RunConfig(line_tol=bad)
+def test_config_validation(tmp_path):
+    """The iteration cap and tolerances are constants; a config file that
+    sets one fails as an unknown field."""
+    path = tmp_path / "cfg.txt"
+    for text in ("max_iterations = 0", "ftol = 1e-12", "line_tol = nan"):
+        path.write_text(text + "\n")
+        with pytest.raises(FormatError, match=f"unknown config field.*{text.split()[0]}"):
+            read_config(path)
 
 
 def test_config_default_steps():
@@ -117,9 +113,7 @@ def test_powell_quadratic_coupled():
 
 def test_powell_rosenbrock():
     f = lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-    x, fx, trace = powell_minimize(
-        f, np.array([-1.2, 1.0]), RunConfig(max_iterations=500, ftol=1e-12)
-    )
+    x, fx, trace = powell_minimize(f, np.array([-1.2, 1.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-6)
     assert trace.termination == "converged"
 
@@ -133,9 +127,10 @@ def test_powell_trace_non_increasing():
     assert trace.n_evaluations > 0
 
 
-def test_powell_max_iterations():
+def test_powell_max_iterations(monkeypatch):
     f = lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-    _, _, trace = powell_minimize(f, np.array([-1.2, 1.0]), RunConfig(max_iterations=2))
+    monkeypatch.setattr(semcal.optimizer, "_MAX_ITERATIONS", 2)
+    _, _, trace = powell_minimize(f, np.array([-1.2, 1.0]))
     assert trace.termination == "max_iterations"
     assert trace.points[-1][0] == 2
 
