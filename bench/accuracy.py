@@ -92,7 +92,9 @@ median of those ratios:
 
 Every process pins BLAS and OpenMP to one thread.  The timing scenes live in
 memory as float64 clouds, so their evaluation counts differ from those of the
-same scenes read back from disk as float32.
+same scenes read back from disk as float32.  ``host`` records the numpy
+version next to the machine: the RANSAC triples of ``initialize``, and with
+them every estimate, follow numpy's ``Generator`` streams.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -507,7 +510,8 @@ def main() -> int:
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version()},
+                 "python": platform.python_version(),
+                 "numpy": importlib.metadata.version("numpy")},
         "summary": summary,
         "accuracy": accuracy,
         "identical_outputs": identical,

@@ -136,6 +136,14 @@ def _prepare(args) -> tuple[RunConfig, CostEvaluator]:
     return cfg, CostEvaluator(pairs, cfg.classes)
 
 
+def _check_output(out: Path) -> None:
+    """Fail before any work when ``--output`` cannot be made a directory:
+    it, or its nearest existing ancestor, is not one."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise CalibrationError(f"--output {out}: {existing} is not a directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,6 +370,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_output(Path(args.output))
         name, body, timings = args.func(args)
         timings["total_s"] = time.perf_counter() - t0
         if args.with_timings:
@@ -369,6 +378,9 @@ def main(argv=None) -> int:
         write_report(_out_dir(args) / "report.txt", {name: {"version": __version__, **body}})
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the readers turn theirs into FormatError
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     return 0
 

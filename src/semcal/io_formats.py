@@ -462,7 +462,7 @@ def _scalar_text(value) -> str:
     if isinstance(value, (float, np.floating)):
         return fmt6(value)
     text = str(value)
-    if "\n" in text:
+    if "".join(text.splitlines()) != text:
         raise FormatError(f"report values must be single-line, got {text!r}")
     return text
 
@@ -485,7 +485,8 @@ def format_report(data: dict) -> str:
     """Render a nested dict as an indentation-structured document.
 
     Raises FormatError for a key that would not parse back as itself: an
-    empty one, one holding ``:`` or a line break, or one with outer spaces.
+    empty one, one holding ``:`` or a line break, or one with outer spaces;
+    and for a string value holding a line break.
     """
     return "\n".join(_report_lines(data, 0)) + "\n"
 
@@ -495,18 +496,18 @@ def write_report(path, data: dict) -> None:
 
 
 def _scalar_value(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    # a bool or number only where _scalar_text prints that value as exactly
+    # ``text``, so a string such as '007' or '1.0' reads back as written
+    if text in ("true", "false"):
+        return text == "true"
+    for parse, show in ((int, str), (float, fmt6)):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        if show(value) == text:
+            return value
+    return text
 
 
 def parse_report(text: str, source: str = "report") -> dict:

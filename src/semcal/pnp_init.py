@@ -13,7 +13,10 @@ The correspondences form one table (:class:`CentroidPairSet`): per row the
 frame, the class, the 3D centroid, the pixel centroid and that frame's
 camera, so frames with different intrinsics mix freely.  The plane fit
 runs with :func:`ransac_plane`'s defaults and the planarity gate with
-``_PLANARITY_RATIO``.
+``_PLANARITY_RATIO``.  The fit's random triples come from one
+``Generator.integers`` call that reproduces ``Generator.choice``'s draws
+exactly (:func:`_triples`), so every estimate is the one a loop of
+``choice`` calls gives, with the same numpy.
 
 The output is only an initial guess for the optimizer; centroid matches
 are systematically imperfect (a cloud centroid and a pixel centroid of the
@@ -153,17 +156,49 @@ def _hypothesis(points, idx, threshold: float, cross_tol: float):
     return inliers.size, float(np.sqrt(np.mean(dist[inliers] ** 2))), normal, offset, inliers
 
 
+def _triples(n: int, count: int, seed: int) -> np.ndarray:
+    """The ``(count, 3)`` rows that ``count`` successive
+    ``np.random.default_rng(seed).choice(n, 3, replace=False)`` calls return,
+    drawn by one ``integers`` call; ``(0, 1, 2)`` rows when ``n == 3``.
+
+    ``choice`` samples 3 of ``n`` with Floyd's algorithm (Bentley & Floyd,
+    *A sample of brilliance*, CACM 1987) and then shuffles the sample, and
+    each of its steps takes one bounded integer from the stream that
+    ``integers`` takes them from too.  So five integers per row, in
+    ``choice``'s order, give its rows exactly: Floyd's picks below ``n - 2``,
+    ``n - 1`` and ``n``, each pick that repeats an earlier one replaced by
+    its step's largest index, then the shuffle's swap positions below 3 and
+    2, swapped into slots 2 and 1.
+    """
+    if n == 3:
+        return np.tile(np.arange(3), (count, 1))
+    draws = np.random.default_rng(seed).integers(0, [n - 2, n - 1, n, 3, 2], size=(count, 5))
+    rows, (swap2, swap1) = draws[:, :3], draws[:, 3:].T
+    a, b, c = rows.T  # views: the replacements write into rows
+    b[b == a] = n - 2
+    c[(c == a) | (c == b)] = n - 1
+    every = np.arange(count)
+    for slot, pos in ((2, swap2), (1, swap1)):
+        picked = rows[every, pos]
+        rows[every, pos] = rows[:, slot]
+        rows[:, slot] = picked
+    return rows
+
+
 def ransac_plane(
     centroids, threshold: float = 0.2, iterations: int = 500, seed: int = 0
 ) -> PlaneModel:
     """Consensus plane through a 3D point set.
 
-    Samples minimal triples, keeps the largest consensus set (ties broken by
-    lower rms, then by earlier iteration), and refits the winner to its
-    inliers via the smallest-eigenvector direction of their covariance.
-    Deterministic for a fixed seed.  Triples are scored as arrays, ``_CHUNK``
-    at a time, with a slack around the threshold; only those whose count could
-    be the largest are rescored one by one, so the result is a plain loop's.
+    Samples ``iterations`` minimal triples, keeps the largest consensus set
+    (ties broken by lower rms, then by earlier iteration), and refits the
+    winner to its inliers via the smallest-eigenvector direction of their
+    covariance.  Deterministic for a fixed seed: the triples are those of
+    ``iterations`` successive ``default_rng(seed).choice(n, 3, replace=False)``
+    calls, all drawn up front by :func:`_triples` in one array call.
+    Triples are scored as arrays, ``_CHUNK`` at a time, with a slack around
+    the threshold; only those whose count could be the largest are rescored
+    one by one, so the result is a plain loop's.
     """
     points = np.asarray(centroids, dtype=float)
     n = points.shape[0]
@@ -172,11 +207,10 @@ def ransac_plane(
     scale = float(np.linalg.norm(np.ptp(points, axis=0)))
     cross_tol = max(scale * scale * 1e-12, 1e-24)
     slack = 1e-9 * (threshold + float(np.abs(points).sum(axis=1).max()))
-    rng = np.random.default_rng(seed)
+    triples = _triples(n, iterations, seed)
     best = None  # (count, rms, normal, offset, inliers)
     for start in range(0, iterations, _CHUNK):
-        draws = np.array([rng.choice(n, size=3, replace=False) if n > 3 else np.arange(3)
-                          for _ in range(min(_CHUNK, iterations - start))])
+        draws = triples[start:start + _CHUNK]
         p0, p1, p2 = points[draws.T]
         normal = np.cross(p1 - p0, p2 - p0)
         norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))

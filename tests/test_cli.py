@@ -321,18 +321,25 @@ def test_version_flag(capsys):
 
 def test_removed_config_keys_are_errors(scene_dir, tmp_path, capsys):
     # the smooth cost mode (epsilon) and the thread count are gone, and the
-    # tuning settings are constants of the modules that use them
+    # tuning settings are constants of the modules that use them; every
+    # subcommand that reads a config fails on them, whatever their value
     config = tmp_path / "old.cfg"
+    gt = str(scene_dir / "gt_extrinsics.txt")
+    commands = (["init"], ["calibrate"], ["calibrate", "--init", gt],
+                ["sweep", "--gt", gt, "--axis", "t_x", "--range", "1", "--interval", "0.1"])
     for text in ("epsilon = 0.5", "epsilon = -1", "threads = 2", "range_weighting = false",
-                 "seed = 1", "max_iterations = 200", "ftol = 1e-8", "line_tol = 1e-6",
-                 "ransac_threshold = 0.2", "ransac_iterations = 500",
-                 "planarity_ratio = 0.05"):
+                 "seed = 1", "seed = -1", "max_iterations = 200", "max_iterations = 0",
+                 "ftol = 1e-8", "ftol = nan", "line_tol = 1e-6", "line_tol = -1",
+                 "ransac_threshold = 0.2", "ransac_iterations = 500", "ransac_iterations = 2.5",
+                 "planarity_ratio = 0.05", "planarity_ratio = nan"):
         config.write_text(text + "\n")
-        rc = main(["calibrate", str(scene_dir), "--config", str(config),
-                   "--output", str(tmp_path / "out")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(text.split()[0]) in err
+        for command in commands:
+            rc = main([command[0], str(scene_dir), *command[1:], "--config", str(config),
+                       "--output", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (text, command)
+            assert f"unknown config field(s) [{text.split()[0]!r}]" in err
 
 
 def test_threads_flag_is_ignored(scene_dir, tmp_path):
@@ -430,6 +437,36 @@ def test_bad_input_is_an_error(argv, scene_dir, garbled_scene_dir, tmp_path, cap
                                garbled=garbled_scene_dir))
     assert main(args + ["--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth"], id="synth"),
+    pytest.param(["init", "{scene}"], id="init"),
+    pytest.param(["calibrate", "{scene}"], id="calibrate"),
+    pytest.param(_SWEEP + ["--range", "1", "--interval", "0.1"], id="sweep"),
+    pytest.param(["eval", "--estimated", "{gt}", "--gt", "{gt}"], id="eval"),
+])
+def test_output_that_cannot_be_a_directory_is_an_error(argv, scene_dir, tmp_path, capsys):
+    """An ``--output`` that is a file, or lies under one, ends in one
+    ``error:`` line before any work, and the file is left as it was."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    args = [a.format(scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt") for a in argv]
+    for out in (blocker, blocker / "sub"):
+        assert main(args + ["--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert "is not a directory" in captured.err
+    assert blocker.read_text() == "keep\n"
+
+
+def test_output_file_that_cannot_be_written_is_an_error(scene_dir, tmp_path, capsys):
+    (tmp_path / "out" / "report.txt").mkdir(parents=True)
+    assert main(["init", str(scene_dir), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "report.txt" in err
 
 
 def test_class_absent_from_data_has_no_points(scene_dir, tmp_path):
@@ -562,6 +599,18 @@ def test_frame_id_that_cannot_be_a_report_key_is_an_error(scene_dir, tmp_path, c
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "'a: b'" in err
+
+
+def test_zero_padded_frame_ids_read_back_as_written(scene_dir, tmp_path):
+    """KITTI-style frame names stay strings in the init report's rows."""
+    scene = tmp_path / "padded"
+    shutil.copytree(scene_dir, scene)
+    for i in range(3):
+        for suffix in (".bin", ".pgm"):
+            (scene / f"frame_{i:04d}{suffix}").rename(scene / f"{i:06d}{suffix}")
+    assert main(["init", str(scene), "--output", str(tmp_path / "out")]) == 0
+    rows = read_report(tmp_path / "out" / "report.txt")["init_report"]["centroid_reprojection"]
+    assert {row["frame"] for row in rows.values()} == {"000000", "000001", "000002"}
 
 
 def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):

@@ -377,6 +377,24 @@ def test_report_rejects_keys_that_cannot_parse_back(key):
         format_report({"pairs": {key: {"cost": 0.5}}})
 
 
+@pytest.mark.parametrize("value", ["000123", "007", "1.0", "+1", "1e3", "1_000", "-0.0"])
+def test_report_strings_that_look_numeric_read_back_as_written(value):
+    # a report prints no number as any of these, so they stay strings
+    assert parse_report(format_report({"frame": value})) == {"frame": value}
+
+
+def test_report_negative_zero_reads_back():
+    assert format_report({"x": -0.0}) == "x: -0\n"
+    value = parse_report("x: -0\n")["x"]
+    assert isinstance(value, float) and math.copysign(1.0, value) == -1.0
+
+
+@pytest.mark.parametrize("value", ["a\rb", "a\nb", "a\r\nb", "a\n", "a\u2028b"])
+def test_report_rejects_values_with_a_line_break(value):
+    with pytest.raises(FormatError, match="single-line"):
+        format_report({"frame": value})
+
+
 def test_report_scalar_typing():
     parsed = parse_report("a: 1\nb: 1.5\nc: true\nd: false\ne: hello\n")
     assert parsed == {"a": 1, "b": 1.5, "c": True, "d": False, "e": "hello"}
@@ -456,14 +474,17 @@ def test_extrinsics_round_trip(tmp_path, angles, t):
 
 
 def _plain_string(text: str) -> bool:
-    """Whether a report keeps ``text`` a string: one line, no outer spaces, no number."""
+    """Whether a report keeps ``text`` a string: one line, no outer spaces,
+    and not the way a report prints a bool or a number."""
     if text != text.strip() or len(text.splitlines()) != 1 or text in ("true", "false"):
         return False
-    try:
-        float(text)
-    except ValueError:
-        return True
-    return False
+    for parse, show in ((int, str), (float, fmt6)):
+        try:
+            if show(parse(text)) == text:
+                return False
+        except ValueError:
+            pass
+    return True
 
 
 _REPORT_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from semcal.costfield import CostEvaluator
-from semcal.errors import FormatError, NonFiniteCost
+from semcal.errors import NonFiniteCost
 from semcal.geometry import Extrinsics, RotationAngles, Translation
 import semcal.optimizer
-from semcal.io_formats import read_config
 from semcal.optimizer import (
     _PLATEAU_SAMPLES,
     _from_centered,
@@ -19,16 +18,6 @@ from semcal.optimizer import (
     trial_steps,
 )
 from semcal.synth import SceneSpec, generate, perturb
-
-
-def test_config_validation(tmp_path):
-    """The iteration cap and tolerances are constants; a config file that
-    sets one fails as an unknown field."""
-    path = tmp_path / "cfg.txt"
-    for text in ("max_iterations = 0", "ftol = 1e-12", "line_tol = nan"):
-        path.write_text(text + "\n")
-        with pytest.raises(FormatError, match=f"unknown config field.*{text.split()[0]}"):
-            read_config(path)
 
 
 def test_config_default_steps():

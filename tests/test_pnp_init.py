@@ -12,6 +12,7 @@ from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Transl
 from semcal.io_formats import read_config
 from semcal.pnp_init import (
     _diameter,
+    _triples,
     collect_centroid_pairs,
     decompose_planar_pose,
     estimate_homography,
@@ -132,6 +133,20 @@ def test_ransac_plane_deterministic():
     assert np.array_equal(a.normal, b.normal)
     assert a.offset == b.offset
     assert np.array_equal(a.inliers, b.inliers)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 40, 120, 10_001, 100_000])
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_ransac_triples_are_the_choice_draws(n, seed):
+    """One ``integers`` call gives the rows of successive ``choice`` calls;
+    a numpy release that changes either stream fails here by name."""
+    rng = np.random.default_rng(seed)
+    expected = np.array([rng.choice(n, size=3, replace=False) for _ in range(600)])
+    assert np.array_equal(_triples(n, 600, seed), expected)
+
+
+def test_ransac_triples_of_three_points():
+    assert _triples(3, 4, 0).tolist() == [[0, 1, 2]] * 4
 
 
 def _ransac_point_sets():
