@@ -193,12 +193,11 @@ def _init_report_block(result) -> dict:
             "rms_m": sig6(plane.rms),
         },
         "candidates": {
-            f"candidate_{i}": {
-                "cost": sig6(cost),
-                "cheirality": int(cand.cheirality),
-                "reprojection_rms_px": sig6(cand.rms),
-            }
-            for i, (cand, cost) in enumerate(zip(result.candidates, result.candidate_costs))
+            "candidate_0": {
+                "cost": sig6(result.cost),
+                "cheirality": result.cheirality,
+                "reprojection_rms_px": sig6(result.rms),
+            },
         },
         "estimate": extrinsics_report_fields(result.extrinsics),
         "centroid_reprojection": {

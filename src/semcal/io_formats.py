@@ -462,8 +462,9 @@ def _scalar_text(value) -> str:
     if isinstance(value, (float, np.floating)):
         return fmt6(value)
     text = str(value)
-    if "".join(text.splitlines()) != text:
-        raise FormatError(f"report values must be single-line, got {text!r}")
+    if text in ("true", "false") or text != text.strip() or len(text.splitlines()) != 1:
+        raise FormatError(f"report values must be single-line text without outer spaces, "
+                          f"not empty, 'true' or 'false', got {text!r}")
     return text
 
 
@@ -486,7 +487,9 @@ def format_report(data: dict) -> str:
 
     Raises FormatError for a key that would not parse back as itself: an
     empty one, one holding ``:`` or a line break, or one with outer spaces;
-    and for a string value holding a line break.
+    and for a string value that would read back as something else: an empty
+    one, ``true`` or ``false``, one holding a line break, or one with outer
+    spaces.
     """
     return "\n".join(_report_lines(data, 0)) + "\n"
 

@@ -181,36 +181,26 @@ def _line(g, f0: float, tol: float, refine: bool = True) -> tuple[float, float]:
             if rising >= 3:
                 break
 
-    if best_a == 0.0:
-        if not refine:
-            return 0.0, f0
-        alphas = sorted(samples)
-        i = alphas.index(0.0)
-        lo = alphas[i - 1] if i > 0 else 0.0
-        hi = alphas[i + 1] if i + 1 < len(alphas) else 0.0
-        if samples[lo] == f0 and samples[hi] == f0 and len(samples) > 2:
-            return 0.0, f0  # flat as far as probed
-        alpha, f_min = _brent(g, lo, hi, 0.0, f0, tol)
-    else:
-        if abs(best_a) >= 2.0 ** max(_GRID_POWERS):
-            # Best point sits on the grid edge: keep expanding outward.
-            b, fb = best_a, best_f
-            for _ in range(_MAX_EXPANSIONS):
-                c = b * 2.0
-                fc = g(c)
-                samples[c] = fc
-                if fc >= fb:
-                    break
-                b, fb = c, fc
-            best_a, best_f = b, fb
-        if not refine:
-            return (float(best_a), float(best_f)) if best_f < f0 else (0.0, f0)
-        alphas = sorted(samples)
-        i = alphas.index(best_a)
-        lo = alphas[i - 1] if i > 0 else best_a
-        hi = alphas[i + 1] if i + 1 < len(alphas) else best_a
-        alpha, f_min = _brent(g, lo, hi, best_a, best_f, tol)
-
+    if abs(best_a) >= 2.0 ** max(_GRID_POWERS):
+        # Best point sits on the grid edge: keep expanding outward.
+        b, fb = best_a, best_f
+        for _ in range(_MAX_EXPANSIONS):
+            c = b * 2.0
+            fc = g(c)
+            samples[c] = fc
+            if fc >= fb:
+                break
+            b, fb = c, fc
+        best_a, best_f = b, fb
+    if not refine:
+        return (float(best_a), float(best_f)) if best_f < f0 else (0.0, f0)
+    alphas = sorted(samples)
+    i = alphas.index(best_a)
+    lo = alphas[i - 1] if i > 0 else best_a
+    hi = alphas[i + 1] if i + 1 < len(alphas) else best_a
+    if best_a == 0.0 and samples[lo] == f0 and samples[hi] == f0 and len(samples) > 2:
+        return 0.0, f0  # flat as far as probed
+    alpha, f_min = _brent(g, lo, hi, best_a, best_f, tol)
     if f_min >= f0:
         return 0.0, f0
     return float(alpha), float(f_min)

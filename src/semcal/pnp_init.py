@@ -5,18 +5,20 @@ points carrying that class against the mean pixel of the image region with
 the same class.  The 3D centroids in driving scenes cluster near a common
 plane (objects stand on the ground), which turns the pose problem planar:
 fit that plane robustly, express the centroids in plane coordinates,
-estimate the plane-to-image homography, and decompose it into the two
-algebraically consistent poses.  Cheirality and the semantic cost pick the
-winner.
+estimate the plane-to-image homography, and decompose it into a pose.
+The homography is scaled to ``h[2,2] = 1``, which puts the chart origin in
+front of the camera (Zhang, *A flexible new technique for camera
+calibration*, TPAMI 2000), so it has one pose: the other sign would put the
+chart behind the camera.
 
 The correspondences form one table (:class:`CentroidPairSet`): per row the
 frame, the class, the 3D centroid, the pixel centroid and that frame's
 camera, so frames with different intrinsics mix freely.  The plane fit
 runs with :func:`ransac_plane`'s defaults and the planarity gate with
-``_PLANARITY_RATIO``.  The fit's random triples come from one
-``Generator.integers`` call that reproduces ``Generator.choice``'s draws
-exactly (:func:`_triples`), so every estimate is the one a loop of
-``choice`` calls gives, with the same numpy.
+``_PLANARITY_RATIO`` of the centroids' bounding-box diagonal.  The fit's
+random triples come from one ``Generator.integers`` call that reproduces
+``Generator.choice``'s draws exactly (:func:`_triples`), so every
+estimate is the one a loop of ``choice`` calls gives, with the same numpy.
 
 The output is only an initial guess for the optimizer; centroid matches
 are systematically imperfect (a cloud centroid and a pixel centroid of the
@@ -36,8 +38,7 @@ from .geometry import EPS_DEPTH, Extrinsics, Translation, euler_from_matrix
 
 MIN_PAIRS = 4
 _CHUNK = 512  # RANSAC triples scored per array pass
-_DIFFS = 1 << 16  # point pairs differenced per pass of the planarity gate
-_PLANARITY_RATIO = 0.05  # max plane rms as a fraction of the centroid spread
+_PLANARITY_RATIO = 0.05  # max plane rms as a fraction of the bounding-box diagonal
 
 
 @dataclass(frozen=True)
@@ -78,37 +79,18 @@ class PlaneModel:
     rms: float  # rms point-plane distance over the inliers
 
 
-@dataclass(frozen=True)
-class PlaneFrame:
-    """Orthonormal chart on a plane: origin plus two in-plane axes.
-
-    ``[axis_a, axis_b, normal]`` is right-handed.
-    """
-
-    origin: np.ndarray
-    axis_a: np.ndarray
-    axis_b: np.ndarray
-    normal: np.ndarray
-
-
-@dataclass(frozen=True)
-class PoseCandidate:
-    extrinsics: Extrinsics
-    rms: float  # centroid reprojection rms in pixels
-    cheirality: int  # number of centroids landing in front of the camera
-
-
 @dataclass
 class InitResult:
-    """Winning initial extrinsics plus everything needed to audit the choice."""
+    """Initial extrinsics plus everything needed to audit them."""
 
     extrinsics: Extrinsics
     plane: PlaneModel
-    candidates: list[PoseCandidate]  # ranked, winner first
-    candidate_costs: list[float]
+    cost: float  # semantic cost of ``evaluator`` at the extrinsics
+    cheirality: int  # number of centroids landing in front of the camera
+    rms: float  # centroid reprojection rms in pixels over those, inf if none
     pair_set: CentroidPairSet
-    projected: np.ndarray  # (n, 2) pair-set centroids under the winner, NaN behind it
-    residual_px: np.ndarray  # (n,) distance to the pixel centroid, inf behind it
+    projected: np.ndarray  # (n, 2) pair-set centroids under the extrinsics, NaN behind
+    residual_px: np.ndarray  # (n,) distance to the pixel centroid, inf behind
 
 
 def collect_centroid_pairs(evaluator: CostEvaluator) -> CentroidPairSet:
@@ -125,18 +107,6 @@ def collect_centroid_pairs(evaluator: CostEvaluator) -> CentroidPairSet:
     camera = [(p.intrinsics.fx, p.intrinsics.fy, p.intrinsics.cx, p.intrinsics.cy) for p in pairs]
     return CentroidPairSet(tuple(p.frame_id for p in pairs), np.array(class_ids),
                            np.array(points), np.array(pixels), np.array(camera, dtype=float))
-
-
-def _diameter(points: np.ndarray) -> float:
-    """Largest distance between two of ``points``, each chunk of rows against
-    itself and the rows after it, about ``_DIFFS`` pairs at a time.  The
-    squares add in the order of ``(diffs**2).sum(axis=-1)``, so the value is
-    the brute-force one, bit for bit."""
-    step, best = max(1, _DIFFS // len(points)), 0.0
-    for i in range(0, len(points), step):
-        dx, dy, dz = [(c[i:i + step, None] - c[i:]) ** 2 for c in points.T]
-        best = max(best, float((dx + dy + dz).max()))
-    return float(np.sqrt(best))
 
 
 def _hypothesis(points, idx, threshold: float, cross_tol: float):
@@ -246,9 +216,10 @@ def ransac_plane(
 def plane_coordinates(plane: PlaneModel, centroids):
     """Express points in an orthonormal chart on the plane.
 
-    Returns ``(coords, frame, residuals)``: the (n, 2) in-plane coordinates
-    of the orthogonally projected points, the chart, and the signed
-    out-of-plane residuals.
+    Returns ``(coords, origin, basis)``: the (n, 2) in-plane coordinates of
+    the orthogonally projected points, the chart origin, and the
+    right-handed 3 x 3 basis whose columns are the two in-plane axes and the
+    plane normal.
     """
     points = np.asarray(centroids, dtype=float)
     normal = plane.normal
@@ -260,11 +231,9 @@ def plane_coordinates(plane: PlaneModel, centroids):
     axis_a = seed_axis - (seed_axis @ normal) * normal
     axis_a = axis_a / np.linalg.norm(axis_a)
     axis_b = np.cross(normal, axis_a)
-    frame = PlaneFrame(origin, axis_a, axis_b, normal)
     rel = points - origin
     coords = np.stack([rel @ axis_a, rel @ axis_b], axis=1)
-    residuals = rel @ normal
-    return coords, frame, residuals
+    return coords, origin, np.stack([axis_a, axis_b, normal], axis=1)
 
 
 def _normalization(points: np.ndarray) -> np.ndarray:
@@ -284,8 +253,10 @@ def estimate_homography(plane_pts, image_pts) -> np.ndarray:
     """Direct linear transform homography from (n, 2) correspondences.
 
     Both sets are isotropically normalized first; the stacked 2n x 9 system
-    is solved by its smallest singular direction and denormalized.  The
-    result maps plane coordinates to normalized image coordinates.
+    is solved by its smallest singular direction, denormalized and scaled
+    to ``h[2,2] = 1``.  The result maps plane coordinates to normalized
+    image coordinates.  Raises Degenerate when ``h[2,2]`` is about 0: the
+    chart origin would then project to infinity.
     """
     src = np.asarray(plane_pts, dtype=float)
     dst = np.asarray(image_pts, dtype=float)
@@ -310,9 +281,9 @@ def estimate_homography(plane_pts, image_pts) -> np.ndarray:
         raise Degenerate("correspondences are rank-deficient (collinear or repeated)")
     h = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t_dst) @ h @ t_src
-    if abs(h[2, 2]) > 1e-12:
-        h = h / h[2, 2]
-    return h
+    if abs(h[2, 2]) <= 1e-12:
+        raise Degenerate("homography maps the chart origin to infinity")
+    return h / h[2, 2]
 
 
 def _nearest_rotation(m: np.ndarray) -> np.ndarray:
@@ -323,89 +294,72 @@ def _nearest_rotation(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def decompose_planar_pose(
-    h: np.ndarray, frame: PlaneFrame, pair_set: CentroidPairSet
-) -> list[PoseCandidate]:
-    """Both rigid poses consistent with a plane-to-camera homography.
+def decompose_planar_pose(h: np.ndarray, origin: np.ndarray, basis: np.ndarray) -> Extrinsics:
+    """The rigid pose of a plane-to-camera homography with ``h[2,2] = 1``.
 
     ``h`` must map plane-chart coordinates to intrinsics-normalized image
-    coordinates.  The two sign choices of ``h`` give the two candidates;
-    each rotation is snapped to the nearest orthonormal matrix and composed
-    with the chart so the returned extrinsics act on sensor-frame points.
-    Each candidate carries the pixel reprojection rms of ``pair_set`` and
-    the count of its centroids in front of the camera.
+    coordinates; ``origin`` and ``basis`` are the chart of
+    :func:`plane_coordinates`.  The rotation is snapped to the nearest
+    orthonormal matrix and composed with the chart, so the returned
+    extrinsics act on sensor-frame points.  With ``h[2,2] = 1`` the chart
+    origin lies in front of the camera; ``-h`` would give its mirror image
+    behind it.
     """
-    candidates = []
-    for sign in (1.0, -1.0):
-        hs = sign * np.asarray(h, dtype=float)
-        h1, h2, h3 = hs[:, 0], hs[:, 1], hs[:, 2]
-        n1, n2 = np.linalg.norm(h1), np.linalg.norm(h2)
-        if n1 < 1e-12 or n2 < 1e-12:
-            raise Degenerate("homography column collapsed; cannot recover a pose")
-        lam = 2.0 / (n1 + n2)
-        r1 = lam * h1
-        r2 = lam * h2
-        r3 = np.cross(r1, r2)
-        r_pc = _nearest_rotation(np.stack([r1, r2, r3], axis=1))
-        t_pc = lam * h3
-        # Chart-to-sensor: p = origin + M @ (a, b, 0); camera = R_pc @ (a,b,0) + t_pc.
-        m = np.stack([frame.axis_a, frame.axis_b, frame.normal], axis=1)
-        r_full = r_pc @ m.T
-        t_full = t_pc - r_full @ frame.origin
-        ext = Extrinsics(euler_from_matrix(r_full), Translation(*t_full))
-        proj, front = pair_set.project(r_full, t_full)
-        cheirality = int(front.sum())
-        rms = float("inf")
-        if cheirality:
-            err = proj[front] - pair_set.pixels_2d[front]
-            rms = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
-        candidates.append(PoseCandidate(ext, rms, cheirality))
-    return candidates
+    h1, h2, h3 = np.asarray(h, dtype=float).T
+    n1, n2 = np.linalg.norm(h1), np.linalg.norm(h2)
+    if n1 < 1e-12 or n2 < 1e-12:
+        raise Degenerate("homography column collapsed; cannot recover a pose")
+    lam = 2.0 / (n1 + n2)
+    r1 = lam * h1
+    r2 = lam * h2
+    r_pc = _nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=1))
+    # Chart-to-sensor: p = origin + basis @ (a, b, 0); camera = R_pc @ (a, b, 0) + t_pc.
+    r_full = r_pc @ basis.T
+    t_full = lam * h3 - r_full @ origin
+    return Extrinsics(euler_from_matrix(r_full), Translation(*t_full))
 
 
 def initialize(evaluator: CostEvaluator) -> InitResult:
     """Full initialization pipeline from a prepared scene to initial extrinsics.
 
-    Centroid pairs -> consensus plane -> plane chart -> homography -> two
-    pose candidates, ranked by cheirality count then by the semantic cost
-    of ``evaluator``, whose (pair, class) blocks also supply the centroids.
-    Raises NonPlanar when the centroids spread too far off any plane for
-    the planar decomposition to be trustworthy (more frames usually fix
-    this), and propagates InsufficientPairs / Degenerate from the stages.
+    Centroid pairs -> consensus plane -> plane chart -> homography -> pose,
+    whose semantic cost ``evaluator`` gives; the evaluator's (pair, class)
+    blocks also supply the centroids.  Raises NonPlanar when the plane rms
+    exceeds ``_PLANARITY_RATIO`` of the centroids' bounding-box diagonal,
+    too far off any plane for the planar decomposition to be trustworthy
+    (more frames usually fix this), and propagates InsufficientPairs /
+    Degenerate from the stages.
     """
     pair_set = collect_centroid_pairs(evaluator)
     pts3d = pair_set.points_3d
 
     plane = ransac_plane(pts3d)
-    diameter = _diameter(pts3d)
-    if diameter <= 0.0:
-        raise Degenerate("all centroids coincide")
-    if plane.rms > _PLANARITY_RATIO * diameter:
+    spread = float(np.linalg.norm(np.ptp(pts3d, axis=0)))
+    if plane.rms > _PLANARITY_RATIO * spread:
         raise NonPlanar(
             f"plane rms {plane.rms:.3g} m exceeds {_PLANARITY_RATIO:.0%} of the "
-            f"centroid spread ({diameter:.3g} m); the centroid layout is not planar "
+            f"centroid spread ({spread:.3g} m); the centroid layout is not planar "
             "enough for homography-based initialization"
         )
 
-    coords, frame, _ = plane_coordinates(plane, pts3d)
+    coords, origin, basis = plane_coordinates(plane, pts3d)
     normalized = (pair_set.pixels_2d - pair_set.camera[:, 2:]) / pair_set.camera[:, :2]
     h = estimate_homography(coords, normalized)
-    candidates = decompose_planar_pose(h, frame, pair_set)
+    extrinsics = decompose_planar_pose(h, origin, basis)
 
-    costs = [evaluator.evaluate_total(c.extrinsics) for c in candidates]
-    order = sorted(
-        range(len(candidates)), key=lambda i: (-candidates[i].cheirality, costs[i])
-    )
-    winner = candidates[order[0]]
-    projected, front = pair_set.project(*winner.extrinsics.matrix())
-    residual = np.hypot(*(projected - pair_set.pixels_2d).T)
+    projected, front = pair_set.project(*extrinsics.matrix())
+    err = projected - pair_set.pixels_2d
+    cheirality = int(front.sum())
+    rms = float(np.sqrt(np.mean(np.sum(err[front] ** 2, axis=1)))) if cheirality else float("inf")
+    residual = np.hypot(*err.T)
     residual[~front] = np.inf
 
     return InitResult(
-        extrinsics=winner.extrinsics,
+        extrinsics=extrinsics,
         plane=plane,
-        candidates=[candidates[i] for i in order],
-        candidate_costs=[costs[i] for i in order],
+        cost=evaluator.evaluate_total(extrinsics),
+        cheirality=cheirality,
+        rms=rms,
         pair_set=pair_set,
         projected=projected,
         residual_px=residual,

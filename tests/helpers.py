@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+import importlib.util
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -365,3 +367,13 @@ class ReferenceEvaluator:
         breakdown.numerator = numerator
         breakdown.total = numerator / self.denominator
         return breakdown
+
+
+def load_perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded from its file: perfbench is
+    a directory of scripts, not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

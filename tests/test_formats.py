@@ -395,6 +395,16 @@ def test_report_rejects_values_with_a_line_break(value):
         format_report({"frame": value})
 
 
+@pytest.mark.parametrize("value", ["", "true", "false", " x", "x ", "\tx", " "],
+                         ids=["empty", "true", "false", "leading-space", "trailing-space",
+                              "leading-tab", "space"])
+def test_report_rejects_values_that_read_back_as_something_else(value):
+    # '' would open a nested block, 'true'/'false' read back as bools and
+    # outer spaces are stripped on reading
+    with pytest.raises(FormatError, match="report values"):
+        format_report({"frame": value})
+
+
 def test_report_scalar_typing():
     parsed = parse_report("a: 1\nb: 1.5\nc: true\nd: false\ne: hello\n")
     assert parsed == {"a": 1, "b": 1.5, "c": True, "d": False, "e": "hello"}

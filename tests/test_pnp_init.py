@@ -1,17 +1,13 @@
 """Tests for the centroid / plane / homography initialization pipeline."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from helpers import make_planar_pairs, ransac_plane_loop
 from semcal.costfield import CostEvaluator
-from semcal.errors import Degenerate, FormatError, InsufficientPairs, NonPlanar
+from semcal.errors import Degenerate, InsufficientPairs, NonPlanar
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
-from semcal.io_formats import read_config
 from semcal.pnp_init import (
-    _diameter,
     _triples,
     collect_centroid_pairs,
     decompose_planar_pose,
@@ -63,35 +59,12 @@ def test_class_order_changes_no_row_and_no_result():
     assert rows == sorted(rows) and len(rows) > 12
     first, second = initialize(ordered), initialize(shuffled)
     assert first.extrinsics == second.extrinsics
-    assert first.candidates == second.candidates
+    assert (first.cheirality, first.rms) == (second.cheirality, second.rms)
     assert np.array_equal(first.plane.inliers, second.plane.inliers)
     assert np.array_equal(first.projected, second.projected)
     assert np.array_equal(first.residual_px, second.residual_px)
     # both evaluators hold their points in one block order, so the costs sum alike
-    assert first.candidate_costs == second.candidate_costs
-
-
-def test_diameter_matches_the_brute_force_value():
-    # many small sets, where another order of the squares' sum would show in
-    # the last bit, and larger ones that span several chunks
-    rng = np.random.default_rng(0)
-    sets = [rng.normal(size=(int(rng.integers(2, 8)), 3)) * 10 for _ in range(300)]
-    sets += [rng.uniform(-40, 40, size=(n, 3)) + [0, 1.6, 10] for n in (333, 1000)]
-    for points in sets:
-        diffs = points[:, None, :] - points[None, :, :]
-        assert _diameter(points) == float(np.sqrt((diffs**2).sum(axis=2).max()))
-
-
-def test_diameter_memory_is_bounded():
-    # brute force would difference 4e8 pairs, 9.6 GB; the chunks hold a few MB
-    points = np.random.default_rng(1).normal(size=(20_000, 3))
-    tracemalloc.start()
-    try:
-        _diameter(points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert first.cost == second.cost
 
 
 def test_ransac_plane_exact():
@@ -219,16 +192,15 @@ def test_plane_coordinates_reconstruct():
     points[:, 2] = 1.5 - 0.2 * points[:, 0] + 0.1 * points[:, 1]
     points += rng.normal(0, 0.01, size=points.shape)
     plane = ransac_plane(points, threshold=0.5)
-    coords, frame, residuals = plane_coordinates(plane, points)
-    basis = np.stack([frame.axis_a, frame.axis_b, frame.normal], axis=1)
-    # chart is orthonormal and right-handed
+    coords, origin, basis = plane_coordinates(plane, points)
+    # chart is orthonormal and right-handed, its origin on the plane and its
+    # last axis the plane normal
     assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-12)
     assert np.linalg.det(basis) == pytest.approx(1.0, abs=1e-12)
-    rebuilt = (
-        frame.origin
-        + coords @ np.stack([frame.axis_a, frame.axis_b])
-        + residuals[:, None] * frame.normal
-    )
+    assert np.array_equal(basis[:, 2], plane.normal)
+    assert origin @ plane.normal == pytest.approx(plane.offset, abs=1e-12)
+    residuals = (points - origin) @ plane.normal
+    rebuilt = origin + coords @ basis[:, :2].T + residuals[:, None] * plane.normal
     assert np.allclose(rebuilt, points, atol=1e-12)
 
 
@@ -267,39 +239,52 @@ def test_homography_degenerate_cases():
         estimate_homography(same, same)
 
 
-def test_decompose_returns_two_candidates():
+def test_homography_that_sends_the_origin_to_infinity():
+    # h[2,2] = 0 fixes no sign, so no pose in front of the camera
+    rng = np.random.default_rng(8)
+    h_true = np.array([[1.0, 0.1, 0.5], [-0.2, 1.0, 0.2], [0.3, 0.4, 0.0]])
+    src = rng.uniform(1, 2, size=(12, 2))
+    sh = np.column_stack([src, np.ones(12)]) @ h_true.T
+    with pytest.raises(Degenerate, match="infinity"):
+        estimate_homography(src, sh[:, :2] / sh[:, 2:3])
+
+
+def test_decompose_returns_the_pose_in_front():
     pairs, gt, classes = make_planar_pairs(seed=11)
     ps = collect_centroid_pairs(CostEvaluator(pairs, classes))
     pts3d = ps.points_3d
     pix2d = ps.pixels_2d
     k = pairs[0].intrinsics
     plane = ransac_plane(pts3d)
-    coords, frame, _ = plane_coordinates(plane, pts3d)
+    coords, origin, basis = plane_coordinates(plane, pts3d)
     normalized = np.column_stack(
         [(pix2d[:, 0] - k.cx) / k.fx, (pix2d[:, 1] - k.cy) / k.fy]
     )
     h = estimate_homography(coords, normalized)
-    candidates = decompose_planar_pose(h, frame, ps)
-    assert len(candidates) == 2
-    best = min(candidates, key=lambda c: (-c.cheirality, c.rms))
-    err = np.abs(np.asarray(best.extrinsics.to_vector()) - np.asarray(gt.to_vector()))
+    assert h[2, 2] == 1.0
+    pose = decompose_planar_pose(h, origin, basis)
+    err = np.abs(np.asarray(pose.to_vector()) - np.asarray(gt.to_vector()))
     assert err.max() < 1e-8
-    assert best.cheirality == len(ps)
-    assert best.rms < 1e-6
+    projected, front = ps.project(*pose.matrix())
+    assert front.all()
+    assert np.abs(projected - pix2d).max() < 1e-6
+    # the other sign of h is the mirror image, with every centroid behind
+    _, mirror_front = ps.project(*decompose_planar_pose(-h, origin, basis).matrix())
+    assert not mirror_front.any()
 
 
 def test_initialize_exact_on_planar_fixture():
     for seed in (0, 1, 2):
         pairs, gt, classes = make_planar_pairs(seed=seed)
-        result = initialize(CostEvaluator(pairs, classes))
+        evaluator = CostEvaluator(pairs, classes)
+        result = initialize(evaluator)
         err = np.abs(
             np.asarray(result.extrinsics.to_vector()) - np.asarray(gt.to_vector())
         )
         assert err.max() < 1e-6
-        assert len(result.candidates) == 2
-        assert len(result.candidate_costs) == 2
-        # ranking puts the full-cheirality candidate first
-        assert result.candidates[0].cheirality >= result.candidates[1].cheirality
+        assert result.cheirality == len(result.pair_set)
+        assert result.rms < 1e-6
+        assert result.cost == evaluator.evaluate_total(result.extrinsics)
         assert result.plane.rms < 1e-9
         assert result.projected.shape == (len(result.pair_set), 2)
         assert result.residual_px.shape == (len(result.pair_set),)
@@ -316,7 +301,7 @@ def test_initialize_mixes_cameras():
     result = initialize(CostEvaluator(first + second, classes))
     err = np.abs(np.asarray(result.extrinsics.to_vector()) - np.asarray(gt.to_vector()))
     assert err.max() < 1e-6
-    assert result.candidates[0].rms < 1e-6
+    assert result.rms < 1e-6
     assert result.residual_px.max() < 1e-6
 
 
@@ -326,7 +311,8 @@ def test_initialize_deterministic():
     a = initialize(evaluator)
     b = initialize(evaluator)
     assert np.array_equal(a.extrinsics.to_vector(), b.extrinsics.to_vector())
-    assert a.candidate_costs == b.candidate_costs
+    assert a.cost == b.cost
+    assert (a.cheirality, a.rms) == (b.cheirality, b.rms)
 
 
 def test_initialize_nonplanar_gate():
@@ -355,20 +341,3 @@ def test_initialize_insufficient_pairs():
     pairs, _, classes = make_planar_pairs(seed=0, n_frames=1, n_classes=3)
     with pytest.raises(InsufficientPairs):
         initialize(CostEvaluator(pairs, classes))
-
-
-@pytest.mark.parametrize("bad", [
-    {"ransac_threshold": 0.0}, {"ransac_threshold": -1.0},
-    {"ransac_threshold": float("nan")}, {"ransac_threshold": float("inf")},
-    {"planarity_ratio": 0.0}, {"planarity_ratio": -0.05},
-    {"planarity_ratio": float("nan")}, {"planarity_ratio": float("inf")},
-    {"ransac_iterations": 0}, {"seed": -1},
-])
-def test_init_config_validation(bad, tmp_path):
-    """The RANSAC and planarity settings are constants; a config file that
-    sets one fails as an unknown field."""
-    (key, value), = bad.items()
-    path = tmp_path / "cfg.txt"
-    path.write_text(f"{key} = {value}\n")
-    with pytest.raises(FormatError, match=f"unknown config field.*{key}"):
-        read_config(path)

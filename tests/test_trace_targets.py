@@ -6,37 +6,27 @@ of a traced benchmark run.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
+from helpers import load_perfbench
 from semcal.costfield import CostEvaluator
-
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # standard library imports only
-    return module
 
 
 def test_traced_functions_resolve():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     missing = [(module, attr) for module, attr, _ in tracing._FUNCTIONS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing
 
 
 def test_traced_methods_resolve():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     missing = [attr for attr, _ in tracing._METHODS
                if not callable(getattr(CostEvaluator, attr, None))]
     assert not missing
 
 
 def test_tracer_installs_and_restores():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     before = CostEvaluator.evaluate_total
     tracer = tracing.Tracer()
     tracer.install()
