@@ -14,7 +14,17 @@ criterion-6 ground truth, unless a set says otherwise) once:
 - ``jitter1`` and ``jitter2``: 10 frames, ``ground_jitter`` of 1 m and 2 m,
   seeds 0-11, so the centroids are far from coplanar;
 - ``kitti_near``: 10 frames, seeds 0-5, a KITTI-like rotation near the Euler
-  singularity, (0.7, -89.2, 90.4) degrees.
+  singularity, (0.7, -89.2, 90.4) degrees;
+- ``sparse10`` and ``sparse5``: the dev scenes with each written cloud cut
+  to 10% and 5% of its points, drawn by a generator seeded per scene and
+  frame; the images stay as they are, as for a sparse LiDAR against a dense
+  segmentation;
+- ``random_rig``: 10 frames, seeds 0-23, a rig rotation uniform over
+  SO(3), a normalized Gaussian quaternion from a generator of its own per
+  seed, and the dev translation;
+- ``warm_0.1`` and ``warm_0.5``: the dev scenes, calibrated with ``--init``
+  from ``synth.perturb`` of the ground truth by 0.1 degrees and 0.01 m, and
+  by 0.5 degrees and 0.05 m, per angle and per axis.
 
 The first three are the 60 "bench scenes" of earlier comparisons.
 
@@ -26,11 +36,12 @@ probe stage (``n_probe``; both null where the side's report has no such
 line), the rotation (degrees) and translation
 (meters) errors against the scene's ``gt_extrinsics.txt``, whether both lie
 in the criterion-6 band (1 degree per Euler angle, 0.1 m), the angle of the
-rotation between estimate and truth (``rot_angle_deg``),
-the final cost, the cost at the ground truth, the relative gap between the
-two, the wall time and a SHA-256 digest of the scene's output files (names
-and bytes).  ``identical_outputs`` counts the scenes whose digests agree
-between the two sides.
+rotation between estimate and truth (``rot_angle_deg``), the final cost,
+the cost at the ground truth, the relative gap between the two (null where
+the cost at the truth is 0, as in some sparse scenes), the wall time and a
+SHA-256 digest of the scene's output files (names and bytes).
+``identical_outputs`` counts the scenes whose digests agree between the two
+sides.
 
 ``summary`` gives, per side, the numbers an accuracy gate reads:
 
@@ -114,19 +125,35 @@ import time
 import tracemalloc
 from pathlib import Path
 from statistics import median
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 GT = ((1.0, -2.0, 3.0), (0.2, -0.1, 0.1))  # degrees, meters
 KITTI_NEAR = ((0.7, -89.2, 90.4), GT[1])
-SCENE_SETS = {  # name: (seeds, SceneSpec keywords besides the defaults below, ground truth)
-    "dev": (range(24), {}, GT),
-    "held_out": (range(24, 48), {}, GT),
-    "frames20": (range(12), {"n_frames": 20}, GT),
-    "seeds48_95": (range(48, 96), {}, GT),
-    "noise5": (range(24), {"noise_rate": 0.05}, GT),
-    "jitter1": (range(12), {"ground_jitter": 1.0}, GT),
-    "jitter2": (range(12), {"ground_jitter": 2.0}, GT),
-    "kitti_near": (range(6), {}, KITTI_NEAR),
+
+
+class SceneSet(NamedTuple):
+    seeds: range
+    spec: dict = {}  # SceneSpec keywords besides the defaults below
+    gt: tuple | None = GT  # degrees, meters; None: a uniform rotation per seed
+    keep: float = 1.0  # the share of each cloud's points written
+    start: tuple | None = None  # (degrees, meters) off the truth to start from
+
+
+SCENE_SETS = {
+    "dev": SceneSet(range(24)),
+    "held_out": SceneSet(range(24, 48)),
+    "frames20": SceneSet(range(12), {"n_frames": 20}),
+    "seeds48_95": SceneSet(range(48, 96)),
+    "noise5": SceneSet(range(24), {"noise_rate": 0.05}),
+    "jitter1": SceneSet(range(12), {"ground_jitter": 1.0}),
+    "jitter2": SceneSet(range(12), {"ground_jitter": 2.0}),
+    "kitti_near": SceneSet(range(6), gt=KITTI_NEAR),
+    "sparse10": SceneSet(range(24), keep=0.10),
+    "sparse5": SceneSet(range(24), keep=0.05),
+    "random_rig": SceneSet(range(24), gt=None),
+    "warm_0.1": SceneSet(range(24), start=(0.1, 0.01)),
+    "warm_0.5": SceneSet(range(24), start=(0.5, 0.05)),
 }
 SCENE_DEFAULTS = dict(n_frames=10, objects_per_frame=4, points_per_object=100,
                       noise_rate=0.02)
@@ -169,16 +196,50 @@ def _spec(gt=GT, **kwargs):
     return SceneSpec(**{"extrinsics": _gt(gt), "depth_range": DEPTH, **kwargs})
 
 
-def write_scenes(root: Path) -> None:
-    """Write every scene set with the working tree's generator."""
-    from semcal.io_formats import write_scene_dir
-    from semcal.synth import generate
+def _random_gt(seed: int) -> tuple:
+    """The ground truth of ``random_rig`` scene ``seed``: a rotation uniform
+    over SO(3), from a normalized Gaussian quaternion, and the dev
+    translation."""
+    import numpy as np
+    from semcal.geometry import euler_from_matrix
 
-    for name, (seeds, kwargs, gt) in SCENE_SETS.items():
-        for seed in seeds:
-            spec = _spec(gt, **{**SCENE_DEFAULTS, **kwargs}, seed=seed)
-            write_scene_dir(root / name / f"scene_{seed:02d}", generate(spec).pairs,
-                            spec.intrinsics, spec.classes, gt=spec.extrinsics)
+    w, x, y, z = (q := np.random.default_rng(seed).normal(size=4)) / np.linalg.norm(q)
+    r = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                  [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                  [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    return tuple(np.degrees(euler_from_matrix(r).as_array()).tolist()), GT[1]
+
+
+def write_scenes(root: Path) -> None:
+    """Write every scene set with the working tree's generator; a set with a
+    start also gets the ``start_extrinsics.txt`` that calibrate starts from."""
+    import numpy as np
+    from semcal.io_formats import write_extrinsics, write_scene_dir
+    from semcal.synth import generate, perturb
+
+    for name, s in SCENE_SETS.items():
+        for seed in s.seeds:
+            spec = _spec(s.gt or _random_gt(seed), **{**SCENE_DEFAULTS, **s.spec}, seed=seed)
+            pairs = generate(spec).pairs
+            if s.keep < 1.0:
+                pairs = [_subsample(pair, s.keep, np.random.default_rng((seed, i)))
+                         for i, pair in enumerate(pairs)]
+            scene = root / name / f"scene_{seed:02d}"
+            write_scene_dir(scene, pairs, spec.intrinsics, spec.classes, gt=spec.extrinsics)
+            if s.start:
+                write_extrinsics(scene / "start_extrinsics.txt", perturb(
+                    spec.extrinsics, np.radians(s.start[0]), s.start[1], seed))
+
+
+def _subsample(pair, keep: float, rng):
+    """``pair`` with ``keep`` of its cloud's points, drawn by ``rng``, in cloud order."""
+    import numpy as np
+    from semcal.scene import FramePair, LabeledPointCloud
+
+    cloud = pair.cloud
+    kept = np.sort(rng.choice(len(cloud), round(keep * len(cloud)), replace=False))
+    return FramePair(LabeledPointCloud(cloud.points[kept], cloud.labels[kept]),
+                     pair.image, pair.intrinsics, pair.frame_id)
 
 
 def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
@@ -193,7 +254,9 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
     for scene in scenes:
         out = out_root / scene.name
         t0 = time.perf_counter()
-        rc = semcal.cli.main(["calibrate", str(scene), "--output", str(out)])
+        start = scene / "start_extrinsics.txt"
+        rc = semcal.cli.main(["calibrate", str(scene), "--output", str(out),
+                              *(["--init", str(start)] if start.exists() else [])])
         wall = time.perf_counter() - t0
         if rc != 0:
             raise SystemExit(f"calibrate failed on {scene} with exit code {rc}")
@@ -223,7 +286,7 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
             "in_band_by_angle": angle <= BAND_DEG and trans <= BAND_M,
             "final_cost": final_cost,
             "gt_cost": gt_cost,
-            "gap_to_gt": (final_cost - gt_cost) / gt_cost,
+            "gap_to_gt": (final_cost - gt_cost) / gt_cost if gt_cost else None,
             "wall_s": wall,
             "digest": digest.hexdigest(),
         })
@@ -258,7 +321,8 @@ def summarize(sets: dict) -> dict:
         "scenes": {name: len(s["scenes"]) for name, s in sets.items()},
         "evaluations": {name: s["evaluations"] for name, s in sets.items()},
         "bench_evaluations": sum(sets[name]["evaluations"] for name in BENCH_SETS),
-        "median_gap_to_gt": {name: median(r["gap_to_gt"] for r in s["scenes"])
+        "median_gap_to_gt": {name: median(r["gap_to_gt"] for r in s["scenes"]
+                                          if r["gap_to_gt"] is not None)
                              for name, s in sets.items()},
         "watch": {f"{name} seed {seed}": next(r for r in sets[name]["scenes"]
                                               if _seed(r) == seed)
@@ -503,9 +567,11 @@ def main() -> int:
     result = {
         "what": "criterion-6-style calibrate on 10-frame scenes (seeds 0-23 dev, 24-47 "
                 "held out, 48-95), 20-frame scenes (seeds 0-11), 5% label noise (seeds "
-                "0-23), ground jitter 1 m and 2 m (seeds 0-11) and a KITTI-like rig "
-                "(seeds 0-5); interleaved timings of evaluate_total, calibrate, field "
-                "build, evaluator construction and initialize",
+                "0-23), ground jitter 1 m and 2 m (seeds 0-11), a KITTI-like rig "
+                "(seeds 0-5), dev clouds cut to 10% and 5%, random rigs (seeds 0-23) and "
+                "dev warm starts 0.1 deg / 0.01 m and 0.5 deg / 0.05 m off the truth; "
+                "interleaved timings of evaluate_total, calibrate, field build, evaluator "
+                "construction and initialize",
         "baseline_rev": baseline,
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),

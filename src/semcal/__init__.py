@@ -15,7 +15,7 @@ return; everything else lives in the submodules.
 from .errors import CalibrationError
 from .geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from .scene import FramePair, LabelImage, LabeledPointCloud
-from .costfield import CostBreakdown, CostEvaluator, PairBreakdown
+from .costfield import CostBreakdown, CostEvaluator
 from .pnp_init import InitResult, initialize
 from .optimizer import OptimizationTrace, calibrate
 from .synth import SceneData, SceneSpec, generate
@@ -34,7 +34,6 @@ __all__ = [
     "LabelImage",
     "LabeledPointCloud",
     "OptimizationTrace",
-    "PairBreakdown",
     "RotationAngles",
     "SceneData",
     "SceneSpec",

@@ -288,7 +288,7 @@ def cmd_calibrate(args) -> tuple[str, dict, dict]:
         },
         "pairs": {
             frame_id: {
-                "cost": sig6(pb.numerator / pb.denominator if pb.denominator else 0.0),
+                "cost": sig6(pb.total),
                 "n_inconsistent": int(pb.n_inconsistent),
                 "n_behind_camera": int(pb.n_behind_camera),
             }

@@ -14,7 +14,7 @@ misprojection can.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -198,29 +198,16 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
 
 
 @dataclass
-class PairBreakdown:
-    """Cost tally for one frame pair: sums plus diagnostic point counts."""
-
-    frame_id: str
-    numerator: float = 0.0
-    denominator: int = 0
-    per_class: dict[int, tuple[float, int]] = field(default_factory=dict)
-    n_consistent: int = 0
-    n_inconsistent: int = 0
-    n_behind_camera: int = 0
-    n_out_of_image: int = 0
-    n_empty_field: int = 0
-
-
-@dataclass
 class CostBreakdown:
-    """Aggregate loss over all pairs with per-class and per-pair subtotals."""
+    """Loss, per-class subtotals and point counts of a scene, with one such
+    record per frame pair in ``per_pair``, keyed by frame id.  A pair's own
+    ``per_pair`` is empty, and its ``total`` is 0.0 when it has no points."""
 
     total: float
     numerator: float
     denominator: int
     per_class: dict[int, tuple[float, int]]
-    per_pair: dict[str, PairBreakdown]
+    per_pair: dict[str, CostBreakdown]
     n_consistent: int = 0
     n_inconsistent: int = 0
     n_behind_camera: int = 0
@@ -281,42 +268,44 @@ class CostEvaluator:
         self._fields, self._box, self._empty = fields.d, fields.box, fields.empty
         # the index of a box's cell (u, v) is u * stride + v + origin
         origin = fields.cell - fields.box[:, 0] * fields.stride - fields.box[:, 1]
-        points, sqn, counts, meta = [], [], [], []
+        n = len(self.classes)
+        class_ids = np.array(self.classes)
+        blocks = []  # per point of every cloud: its (pair, class) block, -1 for other labels
         for i, pair in enumerate(self.pairs):
-            k = pair.intrinsics
-            for j, cid in enumerate(self.classes):
-                f = i * len(self.classes) + j
-                pts = pair.cloud.points[pair.cloud.labels == cid]
-                points.append(pts)
-                sqn.append(np.einsum("ij,ij->i", pts, pts))
-                counts.append(len(pts))
-                u0, v0, u1, v1 = fields.box[f]
-                meta.append((k.fx, k.fy, k.cx, k.cy, u0, u1, v0, v1, fields.stride[f],
-                             k.width + k.height, origin[f], fields.empty[f]))
-        self.denominator = sum(counts)
+            j = np.minimum(np.searchsorted(class_ids, pair.cloud.labels), n - 1)
+            blocks.append(np.where(class_ids[j] == pair.cloud.labels, i * n + j, -1))
+        blocks = np.concatenate(blocks)
+        counts = np.bincount(blocks + 1, minlength=len(fields.box) + 1)
+        order = np.argsort(blocks, kind="stable")[counts[0]:]  # pair, class, then cloud order
+        self.denominator = int(order.size)
         if self.denominator == 0:
             raise ZeroDenominator(
                 "no points carry any of the requested classes "
                 f"{list(self.classes)} in any pair"
             )
 
-        self._points = np.ascontiguousarray(np.concatenate(points).T)  # (3, N)
-        self._sqn = np.concatenate(sqn)
+        points = np.concatenate([pair.cloud.points for pair in self.pairs])[order]
+        self._points = np.ascontiguousarray(points.T)  # (3, N)
+        self._sqn = np.einsum("ij,ij->i", points, points)
         weights = self._sqn.astype(float)  # all zero only when every point is at the origin
         self.center = self._points @ weights / max(weights.sum(), np.finfo(float).tiny)
-        (self._fx, self._fy, self._cx, self._cy, self._umin, self._umax, self._vmin,
-         self._vmax, self._stride, self._penalty, self._cell, empty) = np.repeat(
-            np.array(meta, dtype=float).T, counts, axis=1)
-        self._filled = empty == 0.0
+        self._block = blocks[order]
+        self._pair = self._block // n
+        # taken along axis 1, so each per-point row is contiguous for the kernel
+        per_pair = np.array([(k.fx, k.fy, k.cx, k.cy, k.width + k.height)
+                             for k in (pair.intrinsics for pair in self.pairs)], float).T
+        self._fx, self._fy, self._cx, self._cy, self._penalty = per_pair.take(self._pair, 1)
+        per_field = np.column_stack([fields.box, fields.stride, origin]).astype(float).T
+        (self._umin, self._vmin, self._umax, self._vmax, self._stride,
+         self._cell) = per_field.take(self._block, 1)
+        self._filled = ~fields.empty[self._block]
         if not self._filled.any():
             raise CalibrationError(
                 f"no point of the classes {list(self.classes)} has its class in its own "
                 "frame's image: every pose would cost the same"
             )
         self._rotation = self._rotated = None
-        self._counts = np.array(counts).reshape(len(self.pairs), len(self.classes))
-        self._block = np.repeat(np.arange(len(counts)), counts)
-        self._pair = self._block // len(self.classes)
+        self._counts = counts[1:].reshape(len(self.pairs), n)
         self._last_pixel = np.array([(p.intrinsics.width - 1, p.intrinsics.height - 1)
                                      for p in self.pairs], float)
 
@@ -399,23 +388,17 @@ class CostEvaluator:
         masks = (inside & hit, inside & ~hit, ~front, scored & ~on_image, front & ~scored)
         sums = np.bincount(self._block, weights=cost, minlength=self._counts.size)
         sums = sums.reshape(self._counts.shape)
-        tallies = [np.bincount(self._pair[m], minlength=len(self.pairs)) for m in masks]
-        numerator = float(cost.sum())
-        breakdown = CostBreakdown(
-            total=numerator / self.denominator,
-            numerator=numerator,
-            denominator=self.denominator,
-            per_class={c: (float(sums[:, j].sum()), int(self._counts[:, j].sum()))
-                       for j, c in enumerate(self.classes)},
-            per_pair={},
-        )
-        for i, pair in enumerate(self.pairs):
-            pb = PairBreakdown(pair.frame_id, float(sums[i].sum()), int(self._counts[i].sum()))
-            pb.per_class = {c: (float(sums[i, j]), int(self._counts[i, j]))
-                            for j, c in enumerate(self.classes)}
-            (pb.n_consistent, pb.n_inconsistent, pb.n_behind_camera, pb.n_out_of_image,
-             pb.n_empty_field) = (int(n[i]) for n in tallies)
-            breakdown.per_pair[pair.frame_id] = pb
-        (breakdown.n_consistent, breakdown.n_inconsistent, breakdown.n_behind_camera,
-         breakdown.n_out_of_image, breakdown.n_empty_field) = (int(n.sum()) for n in tallies)
-        return breakdown
+        tallies = np.array([np.bincount(self._pair[m], minlength=len(self.pairs)) for m in masks])
+
+        def record(numerator, sums, counts, tally, per_pair):  # sums and counts per class
+            denominator = int(counts.sum())
+            return CostBreakdown(
+                numerator / denominator if denominator else 0.0, numerator, denominator,
+                {c: (float(s), int(k)) for c, s, k in zip(self.classes, sums, counts)},
+                per_pair, *map(int, tally))
+
+        per_pair = {pair.frame_id: record(float(sums[i].sum()), sums[i], self._counts[i],
+                                          tallies[:, i], {}) for i, pair in enumerate(self.pairs)}
+        # each class's column summed on its own: sums.sum(axis=0) adds in another order
+        return record(float(cost.sum()), [s.sum() for s in sums.T], self._counts.sum(axis=0),
+                      tallies.sum(axis=1), per_pair)

@@ -42,12 +42,17 @@ def fmt6(value: float) -> str:
     return f"{float(value):.6g}"
 
 
+def _read_bytes(path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _read_text(path) -> str:
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -193,15 +198,12 @@ def read_point_cloud(path) -> LabeledPointCloud:
                 raise FormatError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
         data = np.asarray(rows, dtype=float).reshape(len(rows), 4)
     else:
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+        blob = _read_bytes(path)
         if len(blob) % 16 != 0:
             raise FormatError(f"{path}: size {len(blob)} is not a multiple of 16 bytes")
         with np.errstate(invalid="ignore"):  # a signalling NaN is rejected below
             data = np.frombuffer(blob, dtype="<f4").astype(float).reshape(-1, 4)
-    return LabeledPointCloud(points=data[:, :3].copy(), labels=data[:, 3])
+    return LabeledPointCloud(points=data[:, :3], labels=data[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +222,7 @@ def write_label_image(path, image: LabelImage) -> None:
 def read_label_image(path) -> LabelImage:
     """Read a binary PGM (P5) label image."""
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    blob = _read_bytes(path)
     # header is ASCII tokens (magic, width, height, maxval); '#' comments allowed
     pos = 0
     tokens = []
@@ -410,7 +409,8 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
 
     Returns the pairs, the shared intrinsics, and the manifest's class list
     (``None`` when there is no manifest).  Each frame is a ``<stem>.bin`` or
-    ``<stem>.csv`` cloud next to a ``<stem>.pgm`` label image.
+    ``<stem>.csv`` cloud next to a ``<stem>.pgm`` label image; a manifest's
+    ``n_frames`` must count them.
     """
     root = Path(path)
     if not root.is_dir():
@@ -447,6 +447,10 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
         manifest = _parse_keyvalues(manifest_path, _read_text(manifest_path))
         if "classes" in manifest:
             classes = parse_classes(manifest_path, manifest["classes"])
+        n_frames = _int(manifest_path, "n_frames", manifest.get("n_frames", str(len(pairs))))
+        if n_frames != len(pairs):
+            raise FormatError(f"{manifest_path}: n_frames = {n_frames}, but the scene has "
+                              f"{len(pairs)} frames")
     return pairs, intrinsics, classes
 
 

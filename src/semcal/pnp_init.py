@@ -37,7 +37,6 @@ from .errors import Degenerate, InsufficientPairs, NonPlanar
 from .geometry import EPS_DEPTH, Extrinsics, Translation, euler_from_matrix
 
 MIN_PAIRS = 4
-_CHUNK = 512  # RANSAC triples scored per array pass
 _PLANARITY_RATIO = 0.05  # max plane rms as a fraction of the bounding-box diagonal
 
 
@@ -166,9 +165,9 @@ def ransac_plane(
     covariance.  Deterministic for a fixed seed: the triples are those of
     ``iterations`` successive ``default_rng(seed).choice(n, 3, replace=False)``
     calls, all drawn up front by :func:`_triples` in one array call.
-    Triples are scored as arrays, ``_CHUNK`` at a time, with a slack around
-    the threshold; only those whose count could be the largest are rescored
-    one by one, so the result is a plain loop's.
+    Every triple is scored in one array pass, with a slack around the
+    threshold; only those whose count could be the largest are rescored one
+    by one, in draw order, so the result is a plain loop's.
     """
     points = np.asarray(centroids, dtype=float)
     n = points.shape[0]
@@ -178,22 +177,19 @@ def ransac_plane(
     cross_tol = max(scale * scale * 1e-12, 1e-24)
     slack = 1e-9 * (threshold + float(np.abs(points).sum(axis=1).max()))
     triples = _triples(n, iterations, seed)
+    p0, p1, p2 = points[triples.T]
+    normal = np.cross(p1 - p0, p2 - p0)
+    norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))
+    normal /= np.where(norm > 0, norm, 1.0)[:, None]
+    dist = np.abs(points @ normal.T - np.einsum("ij,ij->i", normal, p0))
+    # counts that bound the exact one, of triples surely / maybe not collinear
+    low = np.where(norm > cross_tol * (1 + 1e-9), (dist <= threshold - slack).sum(axis=0), 0)
+    high = np.where(norm > cross_tol * (1 - 1e-9), (dist <= threshold + slack).sum(axis=0), 0)
     best = None  # (count, rms, normal, offset, inliers)
-    for start in range(0, iterations, _CHUNK):
-        draws = triples[start:start + _CHUNK]
-        p0, p1, p2 = points[draws.T]
-        normal = np.cross(p1 - p0, p2 - p0)
-        norm = np.sqrt(np.einsum("ij,ij->i", normal, normal))
-        normal /= np.where(norm > 0, norm, 1.0)[:, None]
-        dist = np.abs(points @ normal.T - np.einsum("ij,ij->i", normal, p0))
-        # counts that bound the exact one, of triples surely / maybe not collinear
-        low = np.where(norm > cross_tol * (1 + 1e-9), (dist <= threshold - slack).sum(axis=0), 0)
-        high = np.where(norm > cross_tol * (1 - 1e-9), (dist <= threshold + slack).sum(axis=0), 0)
-        floor = max(3, low.max(initial=0), best[0] if best else 0)
-        for idx in draws[high >= floor]:
-            h = _hypothesis(points, idx, threshold, cross_tol)
-            if h and (best is None or h[0] > best[0] or (h[0] == best[0] and h[1] < best[1])):
-                best = h
+    for idx in triples[high >= max(3, low.max(initial=0))]:
+        h = _hypothesis(points, idx, threshold, cross_tol)
+        if h and (best is None or h[0] > best[0] or (h[0] == best[0] and h[1] < best[1])):
+            best = h
     if best is None:
         raise Degenerate("all sampled triples were collinear; cannot fit a plane")
 

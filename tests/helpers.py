@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from semcal.costfield import CostBreakdown, PairBreakdown, build_distance_field
+from semcal.costfield import CostBreakdown, build_distance_field
 from semcal.errors import Degenerate
 from semcal.geometry import (
     EPS_DEPTH,
@@ -267,7 +267,7 @@ class _PairPrep:
 
     def evaluate(self, r: np.ndarray, t: np.ndarray, counts: bool):
         """Numerator (and optionally diagnostics) for one extrinsics sample."""
-        out = PairBreakdown(self.frame_id, denominator=self.denominator) if counts else None
+        out = CostBreakdown(0.0, 0.0, self.denominator, {}, {}) if counts else None
         k = self.k
         w, h = k.width, k.height
         penalty_scale = w + h
@@ -319,6 +319,7 @@ class _PairPrep:
             numerator += block_sum
         if counts:
             out.numerator = numerator
+            out.total = numerator / self.denominator if self.denominator else 0.0
             out.per_class = {
                 cid: (per_class[cid], self.per_class_den[cid]) for cid in per_class
             }
@@ -343,7 +344,7 @@ class ReferenceEvaluator:
 
     def evaluate(self, ext):
         r, t = ext.matrix()
-        pair_results = [p.evaluate(r, t, True) for p in self._preps]
+        pair_results = {p.frame_id: p.evaluate(r, t, True) for p in self._preps}
         per_class = {c: (0.0, 0) for c in self.classes}
         numerator = 0.0
         breakdown = CostBreakdown(
@@ -353,8 +354,8 @@ class ReferenceEvaluator:
             per_class=per_class,
             per_pair={},
         )
-        for pb in pair_results:
-            breakdown.per_pair[pb.frame_id] = pb
+        for frame_id, pb in pair_results.items():
+            breakdown.per_pair[frame_id] = pb
             numerator += pb.numerator
             for cid, (num, den) in pb.per_class.items():
                 acc_num, acc_den = per_class[cid]

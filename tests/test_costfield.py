@@ -456,6 +456,25 @@ def test_evaluator_breakdown_counts(k):
     assert breakdown.per_pair["f0"].denominator == 3
 
 
+def test_each_pair_has_a_record_of_its_own(k):
+    """A pair's record is a CostBreakdown with its own total and no pairs; a
+    pair with no point of the classes reads 0.0."""
+    scored = make_pair(k)
+    bare = FramePair(
+        cloud=LabeledPointCloud(points=np.array([[0.0, 0.0, 1.0]]), labels=np.array([2])),
+        image=scored.image, intrinsics=k, frame_id="f1",
+    )
+    breakdown = CostEvaluator([scored, bare], (1,)).evaluate(Extrinsics.identity())
+    assert set(breakdown.per_pair) == {"f0", "f1"}
+    for record in breakdown.per_pair.values():
+        assert type(record) is type(breakdown)
+        assert record.per_pair == {}
+    f0, f1 = breakdown.per_pair["f0"], breakdown.per_pair["f1"]
+    assert f0.denominator == 3
+    assert f0.total == f0.numerator / f0.denominator == breakdown.total
+    assert (f1.total, f1.numerator, f1.denominator, f1.per_class) == (0.0, 0.0, 0, {1: (0.0, 0)})
+
+
 def test_evaluate_counts_points_beyond_their_box_against_the_image(k):
     """Points on the image but outside their class's box are inconsistent,
     not off the image, and points off the image are counted as such: the

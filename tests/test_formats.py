@@ -327,6 +327,23 @@ def test_scene_dir_missing_image(tmp_path):
         read_scene_dir(root)
 
 
+def test_scene_dir_checks_the_manifest_frame_count(tmp_path):
+    # a partly copied scene must not calibrate in silence on fewer frames
+    scene = generate(SceneSpec(n_frames=3, objects_per_frame=2, seed=1))
+    root = tmp_path / "scene"
+    write_scene_dir(root, scene.pairs, scene.spec.intrinsics, scene.spec.classes)
+    (root / "frame_0001.bin").unlink()
+    (root / "frame_0001.pgm").unlink()
+    with pytest.raises(FormatError, match="n_frames = 3, but the scene has 2 frames"):
+        read_scene_dir(root)
+    for text in ("2.5", "two"):
+        (root / "scene.txt").write_text(f"n_frames = {text}\n")
+        with pytest.raises(FormatError, match="n_frames"):
+            read_scene_dir(root)
+    (root / "scene.txt").write_text("n_frames = 2.0\nclasses = 1,2\n")
+    assert len(read_scene_dir(root)[0]) == 2
+
+
 def test_scene_dir_frame_with_two_clouds(tmp_path):
     # a frame with both a .bin and a .csv cloud would otherwise load twice
     scene = generate(SceneSpec(n_frames=3, objects_per_frame=2, seed=1))
