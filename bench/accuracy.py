@@ -43,6 +43,12 @@ SHA-256 digest of the scene's output files (names and bytes).
 ``identical_outputs`` counts the scenes whose digests agree between the two
 sides.
 
+Both sides calibrate the scenes that the working tree writes.  One more
+process writes every scene again with REV's package, so that
+``identical_scenes`` counts the scenes whose files (names and bytes) agree
+between the two generators and writers; this adds about 20 seconds on a
+2-core x86-64 host.
+
 ``summary`` gives, per side, the numbers an accuracy gate reads:
 
 - ``criterion_6``: scenes in band among dev seeds 0-9 and among 20-frame
@@ -210,13 +216,23 @@ def _random_gt(seed: int) -> tuple:
     return tuple(np.degrees(euler_from_matrix(r).as_array()).tolist()), GT[1]
 
 
-def write_scenes(root: Path) -> None:
-    """Write every scene set with the working tree's generator; a set with a
-    start also gets the ``start_extrinsics.txt`` that calibrate starts from."""
+def _digest(directory: Path) -> str:
+    """SHA-256 of the names and bytes of the files in ``directory``."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def write_scenes(root: Path) -> list[str]:
+    """Write every scene set with the semcal on sys.path and return each
+    scene's digest; a set with a start also gets the ``start_extrinsics.txt``
+    that calibrate starts from."""
     import numpy as np
     from semcal.io_formats import write_extrinsics, write_scene_dir
     from semcal.synth import generate, perturb
 
+    digests = []
     for name, s in SCENE_SETS.items():
         for seed in s.seeds:
             spec = _spec(s.gt or _random_gt(seed), **{**SCENE_DEFAULTS, **s.spec}, seed=seed)
@@ -229,6 +245,8 @@ def write_scenes(root: Path) -> None:
             if s.start:
                 write_extrinsics(scene / "start_extrinsics.txt", perturb(
                     spec.extrinsics, np.radians(s.start[0]), s.start[1], seed))
+            digests.append(_digest(scene))
+    return digests
 
 
 def _subsample(pair, keep: float, rng):
@@ -271,9 +289,6 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
         pairs, _, classes = read_scene_dir(scene)
         gt_cost = CostEvaluator(pairs, classes).evaluate_total(gt)
         final_cost = report["cost"]["total"]
-        digest = hashlib.sha256()
-        for path in sorted(out.iterdir()):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
         runs.append({
             "scene": scene.name,
             "evaluations": report["trace"]["n_evaluations"],
@@ -288,7 +303,7 @@ def calibrate_set(scenes: list[Path], out_root: Path) -> dict:
             "gt_cost": gt_cost,
             "gap_to_gt": (final_cost - gt_cost) / gt_cost if gt_cost else None,
             "wall_s": wall,
-            "digest": digest.hexdigest(),
+            "digest": _digest(out),
         })
     return {
         "scenes": runs,
@@ -527,6 +542,7 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_eval_loop.json", help="JSON file to write")
     parser.add_argument("--calibrate", nargs=2, metavar=("SCENES", "OUT"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--scenes", metavar="OUT", help=argparse.SUPPRESS)
     parser.add_argument("--timing", nargs=3, metavar=("BASELINE_SRC", "CHANGE_SRC", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -534,6 +550,10 @@ def main() -> int:
         scenes, out = map(Path, args.calibrate)
         with tempfile.TemporaryDirectory() as tmp:
             out.write_text(json.dumps(calibrate_all(scenes, Path(tmp))))
+        return 0
+    if args.scenes:
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(args.scenes).write_text(json.dumps(write_scenes(Path(tmp))))
         return 0
     if args.timing:
         *srcs, out = map(Path, args.timing)
@@ -551,8 +571,9 @@ def main() -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tmp / "baseline")], input=archive, check=True)
         scenes = tmp / "scenes"
-        write_scenes(scenes)
         srcs = dict(zip(SIDES, (tmp / "baseline" / "src", ROOT / "src")))
+        scene_digests = [_run("--scenes", out=tmp / "scenes.json", src=srcs["baseline"]),
+                         write_scenes(scenes)]
         accuracy = {side: _run("--calibrate", str(scenes), out=tmp / "side.json", src=src)
                     for side, src in srcs.items()}
         timing = _run("--timing", *map(str, srcs.values()), out=tmp / "timing.json",
@@ -560,8 +581,9 @@ def main() -> int:
         lines = {side: _source_lines(src) for side, src in srcs.items()}
     digests = [[r["digest"] for name in SCENE_SETS for r in accuracy[side][name]["scenes"]]
                for side in SIDES]
-    identical = {"scenes": len(digests[0]),
-                 "identical": sum(a == b for a, b in zip(*digests))}
+    identical, identical_scenes = (
+        {"scenes": len(a), "identical": sum(x == y for x, y in zip(a, b))}
+        for a, b in (digests, scene_digests))
     summary = {side: {**summarize(sets), "source_lines": lines[side]}
                for side, sets in accuracy.items()}
     result = {
@@ -581,6 +603,7 @@ def main() -> int:
         "summary": summary,
         "accuracy": accuracy,
         "identical_outputs": identical,
+        "identical_scenes": identical_scenes,
         "timing": timing,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
@@ -601,6 +624,8 @@ def main() -> int:
             print(f"{side}: watch {label}: {'in band' if r['in_band'] else 'out of band'}, "
                   f"{r['rot_err_deg']:.3f} deg, {r['trans_err_m']:.3f} m, "
                   f"gap {r['gap_to_gt']:+.4f}")
+    print(f"byte-identical scene files: {identical_scenes['identical']}/"
+          f"{identical_scenes['scenes']} scenes")
     print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")
     print("non-blank source lines: " + ", ".join(
         f"{side} {summary[side]['source_lines']}" for side in SIDES))

@@ -21,6 +21,7 @@ them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -219,27 +220,23 @@ def write_label_image(path, image: LabelImage) -> None:
     Path(path).write_bytes(header + labels.astype(np.uint8).tobytes())
 
 
+# A PGM header token after whitespace and '#' comments; a comment runs to its
+# newline, and a '#' inside a token belongs to the token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
+
 def read_label_image(path) -> LabelImage:
     """Read a binary PGM (P5) label image."""
     path = Path(path)
     blob = _read_bytes(path)
-    # header is ASCII tokens (magic, width, height, maxval); '#' comments allowed
     pos = 0
     tokens = []
-    while len(tokens) < 4:
-        if pos >= len(blob):
+    for _ in range(4):  # magic, width, height, maxval
+        match = _PGM_TOKEN.match(blob, pos)
+        if match is None:
             raise FormatError(f"{path}: truncated PGM header")
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(blob[start:pos])
+        tokens.append(match[1])
+        pos = match.end()
     if tokens[0] != b"P5":
         raise FormatError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
     try:
@@ -348,7 +345,7 @@ def config_report_fields(cfg: RunConfig) -> dict:
 
 _SCENE_SPEC = {
     "n_frames": _int, "objects_per_frame": _int, "points_per_object": _int, "seed": _int,
-    "dilation": _int, "densify": _int, "noise_rate": _float, "ground_y": _float,
+    "dilation": _int, "noise_rate": _float, "ground_y": _float,
     "ground_jitter": _float, "classes": _classes, "size_range": _range,
     "depth_range": _range, "lateral_range": _range, **_INTRINSICS, **_EXTRINSICS,
 }
@@ -518,33 +515,35 @@ def _scalar_value(text: str):
 
 
 def parse_report(text: str, source: str = "report") -> dict:
-    """Parse a document written by :func:`format_report` back to its dict."""
+    """Parse a document written by :func:`format_report` back to its dict.
+
+    Each level is indented by two spaces, and a line is one level deeper
+    than the line before it only after a ``key:`` line, which opens a block;
+    any other indentation is a FormatError.
+    """
     root: dict = {}
-    # stack of (indent, dict) for the open nesting levels
-    stack: list[tuple[int, dict]] = [(-1, root)]
+    stack = [root]  # the open blocks; the one at depth d holds lines at depth d
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        indent = len(raw) - len(raw.lstrip(" "))
-        line = raw.strip()
+        line = raw.lstrip(" ")
+        depth, odd = divmod(len(raw) - len(line), 2)
+        if odd or depth >= len(stack) or line[0].isspace():
+            raise FormatError(f"{source}:{lineno}: bad indentation")
         if ":" not in line:
             raise FormatError(f"{source}:{lineno}: expected 'key: value' or 'key:'")
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
-        while stack and indent <= stack[-1][0]:
-            stack.pop()
-        if not stack:
-            raise FormatError(f"{source}:{lineno}: bad indentation")
-        parent = stack[-1][1]
+        del stack[depth + 1 :]
+        parent = stack[-1]
         if key in parent:
             raise FormatError(f"{source}:{lineno}: duplicate key {key!r}")
         if rest:
             parent[key] = _scalar_value(rest)
         else:
-            child: dict = {}
-            parent[key] = child
-            stack.append((indent, child))
+            parent[key] = {}
+            stack.append(parent[key])
     return root
 
 

@@ -30,6 +30,9 @@ from .scene import IGNORE_CLASS, FramePair, LabelImage, LabeledPointCloud
 # Points whose projection falls this close to a pixel-rounding boundary are
 # discarded: their cell assignment would hinge on the last float ulp.
 _ROUNDING_MARGIN = 1e-6
+# The image splats this many points per cloud point: the point itself and
+# copies drawn across its object, which fill the footprint between samples.
+_DENSIFY = 8
 
 
 def _default_intrinsics() -> CameraIntrinsics:
@@ -55,7 +58,6 @@ class SceneSpec:
     ground_y: float = 1.2
     ground_jitter: float = 0.2
     dilation: int = 1
-    densify: int = 8
 
     def __post_init__(self):
         if self.n_frames < 1 or self.objects_per_frame < 1 or self.points_per_object < 1:
@@ -75,8 +77,8 @@ class SceneSpec:
             raise CalibrationError("ground_y must be finite")
         if not 0.0 <= self.noise_rate < 1.0:
             raise CalibrationError("noise rate must lie in [0, 1)")
-        if self.dilation < 0 or self.densify < 1:
-            raise CalibrationError("dilation must be >= 0 and densify >= 1")
+        if self.dilation < 0:
+            raise CalibrationError("dilation must be >= 0")
         if self.seed < 0:
             raise CalibrationError("seed must be non-negative")
 
@@ -91,6 +93,24 @@ class SceneData:
     noise_flips: list[int]
 
 
+def _pixels(points: np.ndarray, k: CameraIntrinsics, pad: int):
+    """Unrounded pixel coordinates ``u, v`` of camera-frame points, and the
+    mask of the points in front of the camera.
+
+    Both coordinates are clipped to ``pad`` pixels beyond the image, so a
+    far-off projection, an overflowed one included, stays off the image by
+    more than ``pad - 1`` cells and no integer cast of it overflows; a point
+    behind the camera lands at ``-pad``.
+    """
+    x, y, z = points.T
+    front = z > EPS_DEPTH
+    z = np.where(front, z, 1.0)
+    with np.errstate(over="ignore"):
+        u = np.where(front, k.fx * x / z + k.cx, -pad)
+        v = np.where(front, k.fy * y / z + k.cy, -pad)
+    return np.clip(u, -pad, k.width + pad), np.clip(v, -pad, k.height + pad), front
+
+
 def rasterize(
     points: np.ndarray,
     labels: np.ndarray,
@@ -99,49 +119,24 @@ def rasterize(
 ) -> LabelImage:
     """Depth-buffered splat of labeled camera-frame points into a label image.
 
-    Each point claims the square of cells within ``dilation`` of its rounded
-    projection, all at its own depth; the nearest claim wins each cell, with
-    ties broken by input order.
+    Each point in front of the camera claims the square of cells within
+    ``dilation`` of its rounded projection, all at its own depth; the
+    nearest claim wins each cell, with ties broken by input order.
     """
     points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels)
-    z = points[:, 2]
-    front = z > EPS_DEPTH
-    pts = points[front]
-    lab = labels[front]
+    # Behind the camera or far off, a point's footprint misses the image.
+    uf, vf, _ = _pixels(points, k, dilation + 1)
+    span = np.arange(-dilation, dilation + 1)[:, None]
+    uu = np.rint(uf).astype(np.int64) + span  # (offset, point)
+    vv = np.rint(vf).astype(np.int64) + span
+    cell = vv[:, None] * k.width + uu  # (dy, dx, point)
+    ok = ((vv >= 0) & (vv < k.height))[:, None] & ((uu >= 0) & (uu < k.width))
+    idx = np.broadcast_to(np.arange(points.shape[0]), cell.shape)[ok]
+    cell = cell[ok]
+    order = np.lexsort((idx, points[idx, 2], cell))
+    winners = order[np.unique(cell[order], return_index=True)[1]]
     img = np.zeros((k.height, k.width), dtype=np.int32)
-    if pts.shape[0] == 0:
-        return LabelImage(img)
-    # Far-off projections, overflowed ones included, are clipped to cells that
-    # stay off the image under every offset, which keeps them inside int64.
-    pad = dilation + 1
-    with np.errstate(over="ignore"):
-        uf, vf = k.fx * pts[:, 0] / pts[:, 2] + k.cx, k.fy * pts[:, 1] / pts[:, 2] + k.cy
-    u = np.rint(np.clip(uf, -pad, k.width + pad)).astype(np.int64)
-    v = np.rint(np.clip(vf, -pad, k.height + pad)).astype(np.int64)
-    span = range(-dilation, dilation + 1)
-    offsets = [(dx, dy) for dy in span for dx in span]
-    n = u.shape[0]
-    m = len(offsets)
-    uu = np.empty(n * m, dtype=np.int64)
-    vv = np.empty(n * m, dtype=np.int64)
-    for j, (dx, dy) in enumerate(offsets):
-        uu[j * n : (j + 1) * n] = u + dx
-        vv[j * n : (j + 1) * n] = v + dy
-    zz = np.tile(pts[:, 2], m)
-    ll = np.tile(lab, m)
-    order_idx = np.tile(np.arange(n), m)
-    ok = (uu >= 0) & (uu < k.width) & (vv >= 0) & (vv < k.height)
-    uu, vv, zz, ll, order_idx = uu[ok], vv[ok], zz[ok], ll[ok], order_idx[ok]
-    if uu.size == 0:
-        return LabelImage(img)
-    cell = vv * k.width + uu
-    order = np.lexsort((order_idx, zz, cell))
-    cell_sorted = cell[order]
-    first = np.ones(cell_sorted.size, dtype=bool)
-    first[1:] = cell_sorted[1:] != cell_sorted[:-1]
-    winners = order[first]
-    img.reshape(-1)[cell[winners]] = ll[winners]
+    img.reshape(-1)[cell[winners]] = np.asarray(labels)[idx[winners]]
     return LabelImage(img)
 
 
@@ -155,101 +150,56 @@ def generate(spec: SceneSpec) -> SceneData:
     guarantees that make this usable as a verification oracle."""
     r_gt, t_gt = spec.extrinsics.matrix()
     k = spec.intrinsics
+    n_obj, n_pts = spec.objects_per_frame, spec.points_per_object
+    # Cycling the class list keeps every class present in every frame, which
+    # the centroid matcher relies on.
+    obj_class = np.resize(np.array(spec.classes), n_obj)
+    cam_lab = np.repeat(obj_class, n_pts)
+    owner = np.repeat(np.arange(n_obj), n_pts * (_DENSIFY - 1))  # the object of each copy
+    splat_lab = np.concatenate([cam_lab, obj_class[owner]])
+    sorted_classes = np.sort(spec.classes)
+    pool = np.concatenate([[IGNORE_CLASS], sorted_classes])
     pairs = []
     noise_flips = []
-    class_arr = np.array(spec.classes)
     for i in range(spec.n_frames):
         rng = np.random.default_rng([spec.seed, i])
-        cam_pts = []
-        cam_lab = []
-        records = []
-        for j in range(spec.objects_per_frame):
-            # Cycling the class list keeps every class present in every
-            # frame, which the centroid matcher relies on.
-            class_id = int(class_arr[j % class_arr.size])
-            size = float(rng.uniform(*spec.size_range))
-            cx = float(rng.uniform(*spec.lateral_range))
-            cz = float(rng.uniform(*spec.depth_range))
-            cy = spec.ground_y - 0.5 * size + float(
-                rng.uniform(-spec.ground_jitter, spec.ground_jitter)
-            )
-            half = 0.5 * size
-            pts = rng.uniform(-half, half, size=(spec.points_per_object, 3)) + (cx, cy, cz)
-            cam_pts.append(pts)
-            cam_lab.append(np.full(spec.points_per_object, class_id, dtype=np.int64))
-            records.append((class_id, (cx, cy, cz), size))
-        cam_pts = np.vstack(cam_pts)
-        cam_lab = np.concatenate(cam_lab)
-
-        # Densified copies fill the pixel footprint between the cloud samples.
-        extra = rng.uniform(-0.5, 0.5, size=(cam_pts.shape[0] * (spec.densify - 1), 3))
-        sizes = np.repeat(
-            [rec[2] for rec in records],
-            spec.points_per_object * (spec.densify - 1),
-        )
-        centers = np.repeat(
-            np.array([rec[1] for rec in records]),
-            spec.points_per_object * (spec.densify - 1),
-            axis=0,
-        )
-        extra = extra * sizes[:, None] + centers
-        extra_lab = np.repeat(
-            np.array([rec[0] for rec in records]),
-            spec.points_per_object * (spec.densify - 1),
-        )
-        image = rasterize(
-            np.vstack([cam_pts, extra]),
-            np.concatenate([cam_lab, extra_lab]),
-            k,
-            spec.dilation,
-        )
+        sizes, centers, blobs = np.empty(n_obj), np.empty((n_obj, 3)), []
+        for j in range(n_obj):
+            size = rng.uniform(*spec.size_range)
+            cx = rng.uniform(*spec.lateral_range)
+            cz = rng.uniform(*spec.depth_range)
+            cy = spec.ground_y - 0.5 * size + rng.uniform(-spec.ground_jitter, spec.ground_jitter)
+            sizes[j], centers[j] = size, (cx, cy, cz)
+            blobs.append(rng.uniform(-0.5 * size, 0.5 * size, size=(n_pts, 3)) + centers[j])
+        cam_pts = np.vstack(blobs)
+        extra = rng.uniform(-0.5, 0.5, size=(owner.size, 3)) * sizes[owner, None] + centers[owner]
+        image = rasterize(np.vstack([cam_pts, extra]), splat_lab, k, spec.dilation)
 
         # Sensor-frame cloud, then prune anything the camera cannot vouch for:
         # behind, off-image, rounding-fragile, or occluded by another class.
         sensor = (cam_pts - t_gt) @ r_gt
-        cam2 = sensor @ r_gt.T + t_gt
-        z = cam2[:, 2]
-        keep = z > EPS_DEPTH
-        with np.errstate(over="ignore"):
-            uf = np.where(keep, k.fx * cam2[:, 0] / np.where(keep, z, 1.0) + k.cx, -1.0)
-            vf = np.where(keep, k.fy * cam2[:, 1] / np.where(keep, z, 1.0) + k.cy, -1.0)
-        # Off-image either way; the clip keeps huge projections inside int64.
-        uf, vf = np.clip(uf, -1.0, k.width), np.clip(vf, -1.0, k.height)
-        ui = np.rint(uf).astype(np.int64)
-        vi = np.rint(vf).astype(np.int64)
+        uf, vf, keep = _pixels(sensor @ r_gt.T + t_gt, k, 1)
+        ui, vi = np.rint(uf).astype(np.int64), np.rint(vf).astype(np.int64)
         keep &= (ui >= 0) & (ui < k.width) & (vi >= 0) & (vi < k.height)
         keep &= ~_near_rounding_boundary(uf) & ~_near_rounding_boundary(vf)
         keep &= image.labels[np.clip(vi, 0, k.height - 1), np.clip(ui, 0, k.width - 1)] == cam_lab
         if not keep.any():
             raise EmptyScene(f"frame {i}: no object point survives projection")
-
         sensor = sensor[keep]
-        lab = cam_lab[keep].copy()
+        lab = cam_lab[keep]
 
         # Label noise last: relabel a fraction of the cloud points to a
         # different class or to the ignore id.  Same-seed runs at higher
         # rates flip supersets of the lower-rate flips.
         flip_draw = rng.random(sensor.shape[0])
-        alt_choice = rng.integers(0, class_arr.size, size=sensor.shape[0])
+        alt_choice = rng.integers(0, pool.size - 1, size=sensor.shape[0])
         flips = flip_draw < spec.noise_rate
-        if flips.any():
-            sorted_classes = np.sort(class_arr)
-            pool = np.concatenate([[IGNORE_CLASS], sorted_classes])
-            # Shift the drawn index past the point's own pool slot so the
-            # new label is always different from the old one.
-            own_slot = np.searchsorted(sorted_classes, lab) + 1
-            alt = np.where(alt_choice >= own_slot, alt_choice + 1, alt_choice)
-            lab[flips] = pool[alt[flips]]
+        # Shift the drawn index past the point's own pool slot so the new
+        # label is always different from the old one.
+        alt = alt_choice + (alt_choice > np.searchsorted(sorted_classes, lab))
+        lab[flips] = pool[alt[flips]]
         noise_flips.append(int(flips.sum()))
-
-        pairs.append(
-            FramePair(
-                LabeledPointCloud(sensor, lab),
-                image,
-                k,
-                f"frame_{i:04d}",
-            )
-        )
+        pairs.append(FramePair(LabeledPointCloud(sensor, lab), image, k, f"frame_{i:04d}"))
     return SceneData(pairs, spec.extrinsics, spec, noise_flips)
 
 

@@ -1,6 +1,7 @@
 """Shared fixture builders for the test suite."""
 
 import importlib.util
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -75,6 +76,29 @@ def class_field(image, class_id):
     field = build_distance_field([image], (class_id,))
     return SimpleNamespace(d=expand_field(field, 0, image.labels.shape),
                            empty_class=bool(field.empty[0]))
+
+
+def splat_reference(points, labels, k, dilation):
+    """``synth.rasterize`` one cell at a time: each cell takes the label of
+    the in-front point of least depth whose rounded projection lies within
+    ``dilation`` of it, depth ties going to the earlier point; 0 if none."""
+    claims = []  # (u, v, depth, label) of every point in front of the camera
+    for (x, y, z), label in zip(np.asarray(points, dtype=float).tolist(), labels):
+        if z > EPS_DEPTH:
+            u, v = k.fx * x / z + k.cx, k.fy * y / z + k.cy
+            if math.isfinite(u) and math.isfinite(v):
+                claims.append((round(u), round(v), z, int(label)))
+    image = np.zeros((k.height, k.width), dtype=np.int32)
+    for row in range(k.height):
+        for col in range(k.width):
+            best = None
+            for u, v, z, label in claims:
+                near = abs(u - col) <= dilation and abs(v - row) <= dilation
+                if near and (best is None or z < best[0]):
+                    best = (z, label)
+            if best is not None:
+                image[row, col] = best[1]
+    return image
 
 
 def make_planar_pairs(seed, n_frames=4, n_classes=3, k=None, gt=None):

@@ -46,12 +46,18 @@ def scene_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def garbled_scene_dir(scene_dir, tmp_path_factory):
-    """A copy of the scene whose intrinsics file is not UTF-8 text."""
-    root = tmp_path_factory.mktemp("garbled") / "scene"
-    shutil.copytree(scene_dir, root)
-    (root / "intrinsics.txt").write_bytes(b"\xff\xfe")
-    return root
+def broken_scene_dirs(scene_dir, tmp_path_factory):
+    """Copies of the scene, each with one unreadable part: an intrinsics file
+    that is not UTF-8 text, a cloud that is a directory, no intrinsics file."""
+    dirs = {}
+    for name in ("garbled", "cloud_dir", "no_intrinsics"):
+        dirs[name] = tmp_path_factory.mktemp(name) / "scene"
+        shutil.copytree(scene_dir, dirs[name])
+    (dirs["garbled"] / "intrinsics.txt").write_bytes(b"\xff\xfe")
+    (dirs["cloud_dir"] / "frame_0000.bin").unlink()
+    (dirs["cloud_dir"] / "frame_0000.bin").mkdir()
+    (dirs["no_intrinsics"] / "intrinsics.txt").unlink()
+    return dirs
 
 
 def dir_bytes(path):
@@ -379,9 +385,18 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(["init", "{scene}", "--classes", "1,-2"], id="init-classes-negative"),
     pytest.param(["init", "{scene}", "--config", b"\xff\xfe"], id="config-not-utf8"),
     pytest.param(["init", "{garbled}"], id="intrinsics-not-utf8"),
+    pytest.param(["init", "{no_intrinsics}"], id="intrinsics-missing"),
+    pytest.param(["init", "{cloud_dir}"], id="cloud-is-a-directory"),
+    pytest.param(["init", "{scene}", "--config", "cloud_remap = 1:a"],
+                 id="config-remap-non-integer"),
     pytest.param(["synth", "--spec", "size_range = 1,inf"], id="spec-size_range-inf"),
     pytest.param(["synth", "--spec", "lateral_range = nan,1"], id="spec-lateral_range-nan"),
     pytest.param(["synth", "--spec", "lateral_range = 2,1"], id="spec-lateral_range-unordered"),
+    pytest.param(["synth", "--spec", "depth_range = 1,2,3"], id="spec-depth_range-three-parts"),
+    pytest.param(["synth", "--spec", "depth_range = 1,far"], id="spec-depth_range-non-numeric"),
+    pytest.param(["synth", "--spec", "ground_y = nan"], id="spec-ground_y-nan"),
+    # the densified copies per cloud point are a constant of the generator
+    pytest.param(["synth", "--spec", "densify = 8"], id="spec-densify-removed"),
     pytest.param(["synth", "--spec", "ground_jitter = inf"], id="spec-ground_jitter-inf"),
     # drawn depths up to 1e308 do not fit the float32 cloud file
     pytest.param(["synth", "--spec", "depth_range = 1,1e308"], id="spec-depth_range-huge"),
@@ -397,7 +412,7 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
                            "image_remap = 1:0,2:0,3:0"], id="sweep-no-class-pixels"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_bad_input_is_an_error(argv, scene_dir, garbled_scene_dir, tmp_path, capsys):
+def test_bad_input_is_an_error(argv, scene_dir, broken_scene_dirs, tmp_path, capsys):
     """Each bad flag or file value ends in one ``error:`` line, not a traceback."""
     args = []
     for prev, arg in zip([None] + argv, argv):
@@ -406,7 +421,7 @@ def test_bad_input_is_an_error(argv, scene_dir, garbled_scene_dir, tmp_path, cap
             path.write_bytes(arg if isinstance(arg, bytes) else arg.encode() + b"\n")
             arg = str(path)
         args.append(arg.format(scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt",
-                               garbled=garbled_scene_dir))
+                               **broken_scene_dirs))
     assert main(args + ["--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 

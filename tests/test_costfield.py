@@ -400,6 +400,8 @@ def test_class_list_validation(k):
         CostEvaluator([pair], ())
     with pytest.raises(CalibrationError):
         CostEvaluator([pair], (1, IGNORE_CLASS))
+    with pytest.raises(CalibrationError, match="at least one frame pair"):
+        CostEvaluator([], (1,))
     # duplicates are tolerated by de-duplication, not an error
     a = CostEvaluator([pair], (1, 1)).evaluate(Extrinsics.identity())
     b = CostEvaluator([pair], (1,)).evaluate(Extrinsics.identity())

@@ -102,9 +102,12 @@ def test_pgm_round_trip(tmp_path):
 
 def test_pgm_accepts_comment_header(tmp_path):
     path = tmp_path / "img.pgm"
-    path.write_bytes(b"P5\n# a comment\n2 2\n255\n\x01\x02\x03\x04")
-    back = read_label_image(path)
-    assert np.array_equal(back.labels, [[1, 2], [3, 4]])
+    for header in (b"P5\n# a comment\n2 2\n255\n",
+                   b"#a\nP5 #b\n2\n#c\n2 #d\n255\n",
+                   b"P5\t2\x0b2\x0c255\n"):
+        path.write_bytes(header + b"\x01\x02\x03\x04")
+        back = read_label_image(path)
+        assert np.array_equal(back.labels, [[1, 2], [3, 4]])
 
 
 def test_pgm_rejects_bad_magic_and_size(tmp_path):
@@ -118,6 +121,17 @@ def test_pgm_rejects_bad_magic_and_size(tmp_path):
     # -2 x -3 passes a byte-count check of 6 but is no image size
     path.write_bytes(b"P5\n-2 -3\n255\n" + bytes(6))
     with pytest.raises(FormatError, match="size"):
+        read_label_image(path)
+    # a comment runs to the end of the file, so the header never ends
+    path.write_bytes(b"P5\n2 2\n# 255")
+    with pytest.raises(FormatError, match="truncated PGM header"):
+        read_label_image(path)
+    # a '#' inside a token belongs to the token
+    path.write_bytes(b"P5#c 2 2\n255\n" + bytes(4))
+    with pytest.raises(FormatError, match="magic b'P5#c'"):
+        read_label_image(path)
+    path.write_bytes(b"P5\n2#3 2\n255\n" + bytes(4))
+    with pytest.raises(FormatError, match="non-numeric PGM header field"):
         read_label_image(path)
 
 
@@ -384,6 +398,11 @@ def test_report_rejects_duplicate_and_bad_indent():
         parse_report("a: 1\na: 2\n")
     with pytest.raises(FormatError, match="key"):
         parse_report("just some text\n")
+    # indentation that format_report never writes: under a value, two steps
+    # down at once, or a tab
+    for text in ("a: 1\n  b: 2\n", "a:\n    b: 1\n  c: 2\n", "a:\n\tb: 1\n", "a:\n   b: 1\n"):
+        with pytest.raises(FormatError, match="bad indentation"):
+            parse_report(text)
 
 
 @pytest.mark.parametrize("key", ["", "a: b", "a:", "a\nb", "a\rb", " a", "a "],

@@ -24,6 +24,8 @@ def test_wrap_angle_basic():
     assert wrap_angle(np.deg2rad(181)) == pytest.approx(np.deg2rad(-179))
     # error across the wrap point comes out as 2 degrees, not 358
     assert wrap_angle(np.deg2rad(-179) - np.deg2rad(179)) == pytest.approx(np.deg2rad(2))
+    with pytest.raises(CalibrationError, match="finite"):
+        wrap_angle(np.nan)
 
 
 def test_wrap_angle_keeps_canonical_angles():
@@ -80,6 +82,8 @@ def test_extrinsics_vector_round_trip():
     ext = Extrinsics(RotationAngles(0.1, -0.2, 0.3), Translation(1.0, -2.0, 0.5))
     vec = ext.to_vector()
     assert np.allclose(Extrinsics.from_vector(vec).to_vector(), vec)
+    with pytest.raises(CalibrationError, match="6-vector"):
+        Extrinsics.from_vector(vec[:5])
 
 
 def test_extrinsics_identity():

@@ -8,6 +8,7 @@ from semcal.costfield import CostEvaluator
 from semcal.errors import Degenerate, InsufficientPairs, NonPlanar
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.pnp_init import (
+    _nearest_rotation,
     _triples,
     collect_centroid_pairs,
     decompose_planar_pose,
@@ -271,6 +272,17 @@ def test_decompose_returns_the_pose_in_front():
     # the other sign of h is the mirror image, with every centroid behind
     _, mirror_front = ps.project(*decompose_planar_pose(-h, origin, basis).matrix())
     assert not mirror_front.any()
+    with pytest.raises(Degenerate, match="column collapsed"):
+        decompose_planar_pose(h * [1.0, 0.0, 1.0], origin, basis)
+
+
+def test_nearest_rotation_of_a_reflection():
+    # for a reflection u @ vt is the reflection itself; flipping one axis
+    # gives a rotation as near as any (Frobenius distance 2)
+    m = np.diag([1.0, 1.0, -1.0])
+    r = _nearest_rotation(m)
+    assert np.allclose(r @ r.T, np.eye(3)) and np.linalg.det(r) == pytest.approx(1.0)
+    assert np.linalg.norm(r - m) == pytest.approx(2.0)
 
 
 def test_initialize_exact_on_planar_fixture():

@@ -35,6 +35,8 @@ def test_cloud_shape_validation():
         LabeledPointCloud(points=np.zeros((3, 2)), labels=np.zeros(3, dtype=int))
     with pytest.raises(CalibrationError):
         LabeledPointCloud(points=np.zeros((3, 3)), labels=np.zeros(4, dtype=int))
+    with pytest.raises(CalibrationError, match="finite"):
+        LabeledPointCloud(points=[[0.0, np.nan, 1.0]], labels=[1])
 
 
 def test_cloud_owns_its_points():

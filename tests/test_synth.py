@@ -1,11 +1,14 @@
 """Tests for the synthetic scene generator used as the verification oracle."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from helpers import splat_reference
 from semcal.costfield import CostEvaluator
 from semcal.errors import CalibrationError, EmptyScene
-from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
+from semcal.geometry import EPS_DEPTH, CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.scene import IGNORE_CLASS
 from semcal.synth import SceneSpec, generate, perturb, rasterize
 
@@ -41,8 +44,8 @@ def test_spec_validation():
         SceneSpec(seed=-1)
     with pytest.raises(CalibrationError):
         SceneSpec(dilation=-1)
-    with pytest.raises(CalibrationError):
-        SceneSpec(densify=0)
+    with pytest.raises(CalibrationError, match="ground_y"):
+        SceneSpec(ground_y=float("nan"))
 
 
 def test_generate_structure():
@@ -101,6 +104,24 @@ def test_rasterize_drops_behind_and_off_image():
     pts = np.array([[0.0, 0.0, -3.0], [50.0, 0.0, 2.0]])
     img = rasterize(pts, np.array([1, 2]), k, dilation=1)
     assert not img.labels.any()
+
+
+_SPLAT_K = CameraIntrinsics(fx=20.0, fy=20.0, cx=8.0, cy=6.0, width=16, height=12)
+_COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e300, -1e300]))
+_DEPTH = st.one_of(st.floats(-1.0, 6.0),
+                   st.sampled_from([0.0, EPS_DEPTH, -EPS_DEPTH, 1.0, 2.0, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_COORD, _COORD, _DEPTH), max_size=40),
+       dilation=st.integers(0, 3))
+def test_rasterize_matches_brute_force_splat(points, dilation):
+    # points behind the camera, at depth 0 and EPS_DEPTH, far off the image
+    # and at 1e300 m; every point its own label, so the winner shows
+    points = np.array(points, dtype=float).reshape(-1, 3)
+    labels = np.arange(1, len(points) + 1)
+    image = rasterize(points, labels, _SPLAT_K, dilation)
+    assert np.array_equal(image.labels, splat_reference(points, labels, _SPLAT_K, dilation))
 
 
 def test_cloud_labels_agree_with_image():
