@@ -88,6 +88,9 @@ median of those ratios:
   ratio of 1.06, with 9 of 10 rounds above 1, one per round still read
   rounds of 0.94-1.04, and 5 in 0.5 s rounds 0.95-1.05.  Unchanged code
   now reads 0.978-1.025 per round (three runs, 90 rounds);
+- ``kernel_t_x``: the same on ``POSES`` poses of the ground-truth rotation
+  that step along t_x alone, ``T_X_SPAN`` either side of the truth, as the
+  t_x axis of a sweep or a line search along t_x sends them;
 - ``replay``: microseconds per ``evaluate_total`` over the poses the
   baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats
   included, timed as ``kernel`` is;
@@ -184,6 +187,7 @@ LAYER_SCENES = {
                                 points_per_object=100, noise_rate=0.02, seed=0),
 }
 POSES, ROUNDS, BUILDS, ROUND_S, SLICE = 300, 10, 10, 1.0, 10
+T_X_SPAN = 0.3  # meters either side of the truth, in the POSES steps of kernel_t_x
 SIDES = ("baseline", "change")
 
 
@@ -409,15 +413,19 @@ def _min_box_share(pairs, classes) -> float:
 def time_sides(srcs: dict) -> dict:
     """Interleaved kernel, replay, calibrate and layer timings of both sides."""
     import numpy as np
-    from semcal.geometry import Extrinsics
+    from semcal.geometry import Extrinsics, Translation
     from semcal.synth import generate
 
     mods = {side: _load(src, f"semcal_{side}") for side, src in srcs.items()}
-    gt = np.asarray(_gt().to_vector())
+    truth = _gt()
+    gt = np.asarray(truth.to_vector())
     rng = np.random.default_rng(0)
     poses = [Extrinsics.from_vector(gt + np.concatenate([rng.normal(scale=0.03, size=3),
                                                          rng.normal(scale=0.2, size=3)]))
              for _ in range(POSES)]
+    t = truth.translation
+    steps = [Extrinsics(truth.rotation, Translation(t.t_x + dx, t.t_y, t.t_z))
+             for dx in np.linspace(-T_X_SPAN, T_X_SPAN, POSES)]
 
     def per_eval(pairs, classes, seq):
         """A round: BUILDS times, a fresh evaluator per side, built in
@@ -440,13 +448,14 @@ def time_sides(srcs: dict) -> dict:
             return {side: {"us_per_eval": spent[side] / n * 1e6} for side in SIDES}
         return run_round
 
-    result = {"kernel": {}, "layers": {}}
+    result = {"kernel": {}, "kernel_t_x": {}, "layers": {}}
     for name, kwargs in KERNEL_SCENES.items():
         spec = _spec(**kwargs)
         pairs = generate(spec).pairs
         points = mods["change"]["costfield"].CostEvaluator(pairs, spec.classes).denominator
-        result["kernel"][name] = {"points": points,
-                                  **_rounds(per_eval(pairs, spec.classes, poses))}
+        for task, seq in (("kernel", poses), ("kernel_t_x", steps)):
+            result[task][name] = {"points": points,
+                                  **_rounds(per_eval(pairs, spec.classes, seq))}
 
     spec = _spec(**C6_SCENE_8)
     pairs = generate(spec).pairs
@@ -592,8 +601,9 @@ def main() -> int:
                 "0-23), ground jitter 1 m and 2 m (seeds 0-11), a KITTI-like rig "
                 "(seeds 0-5), dev clouds cut to 10% and 5%, random rigs (seeds 0-23) and "
                 "dev warm starts 0.1 deg / 0.01 m and 0.5 deg / 0.05 m off the truth; "
-                "interleaved timings of evaluate_total, calibrate, field build, evaluator "
-                "construction and initialize",
+                "interleaved timings of evaluate_total (a new rotation per pose, and steps "
+                "along t_x alone), calibrate, field build, evaluator construction and "
+                "initialize",
         "baseline_rev": baseline,
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
@@ -629,7 +639,8 @@ def main() -> int:
     print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")
     print("non-blank source lines: " + ", ".join(
         f"{side} {summary[side]['source_lines']}" for side in SIDES))
-    ratios = [(f"kernel {name}", t) for name, t in timing["kernel"].items()]
+    ratios = [(f"{task} {name}", t) for task in ("kernel", "kernel_t_x")
+              for name, t in timing[task].items()]
     ratios += [("replay", timing["replay"]), ("calibrate", timing["calibrate"])]
     ratios += [(f"layers {name}", t) for name, t in timing["layers"].items()]
     ratios += [(f"memory {name}", t["memory"]) for name, t in timing["layers"].items()]

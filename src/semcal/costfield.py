@@ -50,8 +50,15 @@ class DistanceField(NamedTuple):
 def _boxes(labels: np.ndarray, ids: np.ndarray) -> list:
     """Per class of ``ids``, ``(u0, v0, width, height)`` of the bounding box
     of its pixels in ``labels``, or None when it has none: the rows that
-    hold the class, then the columns of those rows that hold it.
+    hold the class, then the columns of those rows that hold it.  Class ids
+    are positive, so each class is looked for only in the band of rows that
+    hold any label.
     """
+    band = np.flatnonzero(labels.any(axis=1))
+    if not band.size:
+        return [None] * len(ids)
+    top = int(band[0])
+    labels = labels[top:int(band[-1]) + 1]
     boxes = []
     for cid in ids:
         mask = labels == cid
@@ -62,7 +69,7 @@ def _boxes(labels: np.ndarray, ids: np.ndarray) -> list:
         v0, v1 = int(rows[0]), int(rows[-1]) + 1
         cols = np.flatnonzero(mask[v0:v1].any(axis=0))
         u0, u1 = int(cols[0]), int(cols[-1]) + 1
-        boxes.append((u0, v0, u1 - u0, v1 - v0))
+        boxes.append((u0, top + v0, u1 - u0, v1 - v0))
     return boxes
 
 
@@ -249,9 +256,9 @@ class CostEvaluator:
     counts and per-class / per-pair subtotals, which are summed separately
     and so add up to the total only to rounding; it counts a point as off
     the image against the image's bounds, not its box's.  The instance
-    keeps the rotated points of the last rotation it saw, so a pose that
-    changes only the translation skips the matmul; that cache makes it
-    unsafe to share between threads.
+    keeps what the last pose's projection computed and redoes only what a
+    new pose moves (see :meth:`_kernel`); that state makes it unsafe to
+    share between threads.
     """
 
     def __init__(self, pairs, classes):
@@ -291,20 +298,27 @@ class CostEvaluator:
         self.center = self._points @ weights / max(weights.sum(), np.finfo(float).tiny)
         self._block = blocks[order]
         self._pair = self._block // n
-        # taken along axis 1, so each per-point row is contiguous for the kernel
         per_pair = np.array([(k.fx, k.fy, k.cx, k.cy, k.width + k.height)
                              for k in (pair.intrinsics for pair in self.pairs)], float).T
-        self._fx, self._fy, self._cx, self._cy, self._penalty = per_pair.take(self._pair, 1)
+        if (per_pair == per_pair[:, :1]).all():  # one camera: scalars, one array less per pass
+            fx, fy, cx, cy, self._penalty = per_pair[:, 0].tolist()
+        else:  # taken along axis 1, so each per-point row is contiguous for the kernel
+            fx, fy, cx, cy, self._penalty = per_pair.take(self._pair, 1)
+        self._camera = ((fx, cx), (fy, cy))  # per image axis, u then v
         per_field = np.column_stack([fields.box, fields.stride, origin]).astype(float).T
-        (self._umin, self._vmin, self._umax, self._vmax, self._stride,
-         self._cell) = per_field.take(self._block, 1)
+        umin, vmin, umax, vmax, self._stride, self._cell = per_field.take(self._block, 1)
+        self._bounds = ((umin, umax), (vmin, vmax))
         self._filled = ~fields.empty[self._block]
         if not self._filled.any():
             raise CalibrationError(
                 f"no point of the classes {list(self.classes)} has its class in its own "
                 "frame's image: every pose would cost the same"
             )
-        self._rotation = self._rotated = None
+        self._unfilled = None if self._filled.all() else ~self._filled
+        self._everywhere = np.ones(self.denominator, bool)
+        # the kernel's state: the last rotation and translation, and what it kept of them
+        self._rotation = self._rotated = self._t = None
+        self._axes = [None, None]
         self._counts = counts[1:].reshape(len(self.pairs), n)
         self._last_pixel = np.array([(p.intrinsics.width - 1, p.intrinsics.height - 1)
                                      for p in self.pairs], float)
@@ -335,52 +349,94 @@ class CostEvaluator:
     def _kernel(self, ext: Extrinsics):
         """Per-point cost, plus the masks and values :meth:`evaluate` counts with.
 
+        Returns ``(cost, front, scored, u, v, off, d)``: ``u, v`` are the
+        rounded pixels, ``off`` the offsets from them to the box and ``d``
+        the cells read; see :meth:`_cost`.
+        """
+        cost, d = self._cost(ext)
+        (_, du), (_, dv) = self._axes
+        u, v = (self._pixels(i, self._t[i]) for i in (0, 1))
+        return cost, self._front, self._scored, u, v, du + dv, d
+
+    def _cost(self, ext: Extrinsics):
+        """Per-point cost and the cells read: the hot path.
+
         Each point reads the cell of its field's box nearest to its pixel
         and adds the axis offsets to it, which is exact for L1 inside the
         box and beyond it, on the image or off it; inside the offsets are
         zero, so one formula serves all.  Same-class pixels hold distance
         zero, so consistent points cost nothing without a label lookup.
-        Returns ``(cost, front, scored, u, v, off, d)``: ``u, v`` are the
-        rounded pixels, ``off`` the offsets and ``d`` the cells read.
+
+        The instance keeps each part of the last pose's projection with
+        the pose components it depends on: the rotated points and their
+        nearest depth on the rotation, keyed by its bytes; the depth and
+        the front and scored masks on t_z too; and per image axis, on that
+        axis's translation too, the pixels clamped to the box (taken on,
+        for u, to u's part of the cell index) and the offsets to the box.
+        A pose is compared with the last component by component, and only
+        the parts whose components changed are recomputed: so a pose that
+        moves t_x alone, or t_y alone, recomputes one image axis and then
+        the cells.  Kept arrays are replaced, never written to.  A mask
+        that would select nothing is not applied: with every point in
+        front and every field filled, the cost takes no penalty pass.
         """
         r, t = ext.matrix()
-        key = r.tobytes()
+        key, t = r.tobytes(), t.tolist()
+        kept = self._t
         if key != self._rotation:
-            self._rotation, self._rotated = key, r @ self._points
-        rx, ry, rz = self._rotated
-        z = rz + t[2]
-        front = z > EPS_DEPTH
-        z[~front] = 1.0
-        u, v = rx + t[0], ry + t[1]
-        for w, f, c in ((u, self._fx, self._cx), (v, self._fy, self._cy)):
-            w *= f  # in place, in the IEEE order of f * x / z + c
-            w /= z
-            w += c
-            np.rint(w, out=w)
-        uc = np.maximum(u, self._umin)
-        np.minimum(uc, self._umax, out=uc)
-        vc = np.maximum(v, self._vmin)
-        np.minimum(vc, self._vmax, out=vc)
-        cell = uc * self._stride
-        cell += self._cell
-        cell += vc
-        d = self._fields[cell.astype(np.intp)]
-        uc -= u
-        vc -= v
-        off = np.abs(uc, out=uc)
-        off += np.abs(vc, out=vc)
-        scored = front & self._filled
-        cost = off + d
-        np.copyto(cost, self._penalty, where=~scored)
+            self._rotation, self._rotated, kept = key, r @ self._points, None
+            self._nearest = self._rotated[2].min()
+        if kept is None or t[2] != kept[2]:
+            z = self._rotated[2] + t[2]
+            if self._nearest + t[2] > EPS_DEPTH:  # rounding is monotonic: this is min(z)
+                front = self._everywhere
+                self._scored, self._unscored = self._filled, self._unfilled
+            else:
+                front = z > EPS_DEPTH
+                z[~front] = 1.0
+                self._scored = front & self._filled
+                self._unscored = ~self._scored
+            self._z, self._front, kept = z, front, (None, None)  # so both axes count as moved
+        axes = self._axes
+        for i, (low, high) in enumerate(self._bounds):
+            if t[i] != kept[i]:
+                w = self._pixels(i, t[i])
+                wc = np.maximum(w, low)  # np.clip takes twice as long
+                np.minimum(wc, high, out=wc)
+                off = np.subtract(wc, w, out=w)
+                np.abs(off, out=off)
+                if i == 0:
+                    wc *= self._stride
+                    wc += self._cell
+                axes[i] = wc, off
+        self._t = t
+        (cell, du), (vc, dv) = axes
+        cell = np.add(cell, vc, out=np.empty(cell.size, np.intp), casting="unsafe")
+        d = self._fields.take(cell)
+        cost = du + dv
+        cost += d
+        if self._unscored is not None:
+            np.copyto(cost, self._penalty, where=self._unscored)
         cost *= self._sqn
-        return cost, front, scored, u, v, off, d
+        return cost, d
+
+    def _pixels(self, i: int, t: float) -> np.ndarray:
+        """Rounded pixel coordinates along image axis ``i`` (0 for u, 1 for
+        v) of the kept rotated points and depth, moved by ``t`` on that axis."""
+        f, c = self._camera[i]
+        w = self._rotated[i] + t
+        w *= f  # in place, in the IEEE order of f * x / z + c
+        w /= self._z
+        w += c
+        return np.rint(w, out=w)
 
     def evaluate_total(self, ext: Extrinsics) -> float:
         """Aggregate cost only; the hot path for optimization loops."""
-        return float(self._kernel(ext)[0].sum() / self.denominator)
+        return float(self._cost(ext)[0].sum() / self.denominator)
 
     def evaluate(self, ext: Extrinsics) -> CostBreakdown:
         """Aggregate cost with per-class / per-pair subtotals and counts."""
+        self._t = None  # the full projection, whatever the pose before
         cost, front, scored, u, v, off, d = self._kernel(ext)
         last = self._last_pixel[self._pair].T
         on_image = (u >= 0.0) & (u <= last[0]) & (v >= 0.0) & (v <= last[1])

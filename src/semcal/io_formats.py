@@ -239,21 +239,19 @@ def read_label_image(path) -> LabelImage:
         pos = match.end()
     if tokens[0] != b"P5":
         raise FormatError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric PGM header field") from None
+    if not all(t.isdigit() for t in tokens[1:]):  # ASCII digits only, unlike int()
+        raise FormatError(f"{path}: non-numeric PGM header field")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if maxval <= 0 or maxval > 255:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
     if width <= 0 or height <= 0:
         raise FormatError(f"{path}: PGM size {width}x{height} is not positive")
-    pos += 1  # single whitespace byte after maxval
-    data = blob[pos:]
-    if len(data) != width * height:
-        raise FormatError(
-            f"{path}: expected {width * height} pixel bytes, found {len(data)}"
-        )
-    return LabelImage(labels=np.frombuffer(data, dtype=np.uint8).reshape(height, width))
+    pos += 1  # single whitespace byte after maxval, if the file has one
+    found = max(len(blob) - pos, 0)
+    if found != width * height:
+        raise FormatError(f"{path}: expected {width * height} pixel bytes, found {found}")
+    # a view of the file's bytes: LabelImage makes the one copy
+    return LabelImage(labels=np.frombuffer(blob, np.uint8, offset=pos).reshape(height, width))
 
 
 # ---------------------------------------------------------------------------

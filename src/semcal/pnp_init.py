@@ -167,7 +167,8 @@ def ransac_plane(
     calls, all drawn up front by :func:`_triples` in one array call.
     Every triple is scored in one array pass, with a slack around the
     threshold; only those whose count could be the largest are rescored one
-    by one, in draw order, so the result is a plain loop's.
+    by one, in draw order and each ordered triple once, so the result is a
+    plain loop's.
     """
     points = np.asarray(centroids, dtype=float)
     n = points.shape[0]
@@ -185,9 +186,12 @@ def ransac_plane(
     # counts that bound the exact one, of triples surely / maybe not collinear
     low = np.where(norm > cross_tol * (1 + 1e-9), (dist <= threshold - slack).sum(axis=0), 0)
     high = np.where(norm > cross_tol * (1 - 1e-9), (dist <= threshold + slack).sum(axis=0), 0)
+    candidates = triples[high >= max(3, low.max(initial=0))].tolist()
     best = None  # (count, rms, normal, offset, inliers)
-    for idx in triples[high >= max(3, low.max(initial=0))]:
-        h = _hypothesis(points, idx, threshold, cross_tol)
+    # a repeat of an ordered triple gives the same bits, which cannot beat an
+    # equal best; another order of the same points can give other bits
+    for idx in dict.fromkeys(map(tuple, candidates)):
+        h = _hypothesis(points, list(idx), threshold, cross_tol)
         if h and (best is None or h[0] > best[0] or (h[0] == best[0] and h[1] < best[1])):
             best = h
     if best is None:

@@ -244,10 +244,12 @@ def flat_kernel(evaluator, ext):
     x, y, z = r @ e._points + t[:, None]
     front = z > EPS_DEPTH
     z = np.where(front, z, 1.0)
-    u = np.rint(e._fx * x / z + e._cx)
-    v = np.rint(e._fy * y / z + e._cy)
-    uc = np.minimum(np.maximum(u, e._umin), e._umax)
-    vc = np.minimum(np.maximum(v, e._vmin), e._vmax)
+    (fx, cx), (fy, cy) = e._camera
+    (umin, umax), (vmin, vmax) = e._bounds
+    u = np.rint(fx * x / z + cx)
+    v = np.rint(fy * y / z + cy)
+    uc = np.minimum(np.maximum(u, umin), umax)
+    vc = np.minimum(np.maximum(v, vmin), vmax)
     d = e._fields[(e._cell + uc * e._stride + vc).astype(np.intp)]
     off = np.abs(u - uc) + np.abs(v - vc)
     scored = front & e._filled

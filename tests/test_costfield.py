@@ -19,7 +19,7 @@ from helpers import (
     point_cost,
     query_distance,
 )
-from semcal.costfield import CostEvaluator, build_distance_field
+from semcal.costfield import CostEvaluator, _boxes, build_distance_field
 from semcal.errors import CalibrationError, ZeroDenominator
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.scene import IGNORE_CLASS, FramePair, LabelImage, LabeledPointCloud
@@ -198,6 +198,28 @@ def test_distance_field_of_several_images_property(stacks, classes, queries):
                       | (queries[:, 1] < 0) | (queries[:, 1] >= h)]
         assert np.array_equal(box_distance(field, f, off[:, 0], off[:, 1]),
                               brute_min_l1(labels, cid, off))
+
+
+@settings(max_examples=200, deadline=None)
+@given(core=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                       elements=st.integers(0, 3)),
+       top=st.integers(0, 3), bottom=st.integers(0, 3))
+@example(core=np.zeros((4, 5), np.uint8), top=0, bottom=0)  # no label at all
+@example(core=np.array([[1, 0, 2], [0, 0, 0], [3, 0, 1]], np.uint8), top=0, bottom=0)
+@example(core=np.array([[0, 0, 0], [0, 2, 0], [0, 0, 0]], np.uint8), top=2, bottom=3)
+def test_boxes_are_the_nonzero_bounding_boxes(core, top, bottom):
+    """``_boxes`` looks for each class only in the band of rows that hold a
+    label; its boxes are still those of ``np.nonzero``, with empty rows
+    above and below, labels on the first and last row, or none at all."""
+    labels = np.pad(core, ((top, bottom), (0, 0)))
+    ids = np.arange(1, 5, dtype=np.uint8)  # class 4 is never drawn
+    for cid, box in zip(ids, _boxes(labels, ids)):
+        rows, cols = np.nonzero(labels == cid)
+        if rows.size:
+            u0, v0 = int(cols.min()), int(rows.min())
+            assert box == (u0, v0, int(cols.max()) - u0 + 1, int(rows.max()) - v0 + 1)
+        else:
+            assert box is None
 
 
 def test_distance_field_integer_storage():
@@ -692,6 +714,87 @@ def test_lean_kernel_matches_flat_kernel_bit_for_bit(shuffled):
             seen[name] += getattr(want, name)
     # the poses reach behind-camera, off-image and empty-class points
     assert all(seen.values()), seen
+
+
+def _one_camera_scene():
+    """Three frames of one small camera, with class 3 erased from the second
+    image: the scalar-camera kernel, where every point can be in front of
+    the camera while some field is empty."""
+    k = CameraIntrinsics(fx=150.0, fy=160.0, cx=60.0, cy=45.0, width=120, height=90)
+    spec = SceneSpec(n_frames=3, objects_per_frame=3, points_per_object=30, noise_rate=0.02,
+                     seed=4, intrinsics=k, depth_range=(3.0, 9.0), lateral_range=(-2.0, 2.0))
+    pairs = list(generate(spec).pairs)
+    second = pairs[1]
+    pairs[1] = FramePair(second.cloud, LabelImage(np.where(second.image.labels == 3, 0,
+                                                           second.image.labels)), k,
+                         second.frame_id)
+    return pairs
+
+
+def _moves(start, seed):
+    """Poses that move t_x alone, t_y alone, t_z alone, the rotation alone,
+    then everything, each a few times; then t_x and t_y in turn, a repeat,
+    and a t_z that puts every point behind the camera."""
+    rng = np.random.default_rng(seed)
+    poses = [start]
+
+    def move(part):
+        r, t = poses[-1].rotation, poses[-1].translation
+        step = rng.normal(scale=0.3)
+        if part == "all":
+            return _random_poses(1, seed=int(rng.integers(1000)))[0]
+        if part == "r":
+            return Extrinsics(RotationAngles(r.theta_x + step / 5, r.theta_y, r.theta_z), t)
+        moved = {"t_x": t.t_x, "t_y": t.t_y, "t_z": t.t_z}
+        moved["t_" + part] += step
+        return Extrinsics(r, Translation(**moved))
+
+    for part in ["x", "y", "z", "r", "all"] * 3 + ["x", "y"] * 4:
+        poses += [move(part) for _ in range(3)]
+    r, t = poses[-1].rotation, poses[-1].translation
+    return poses + [poses[-1], Extrinsics(r, Translation(t.t_x, t.t_y, -50.0)), poses[-1]]
+
+
+@pytest.mark.parametrize("scene", ["two cameras", "one camera"])
+def test_kept_projection_matches_a_fresh_evaluator_bit_for_bit(scene):
+    """Two cameras with points behind them (per-point intrinsics, the depth
+    mask), one camera with every point in front (scalar intrinsics, no depth
+    mask); an empty field in both, so the penalty mask runs in each."""
+    pairs = _kernel_scene() if scene == "two cameras" else _one_camera_scene()
+    classes = (1, 2, 3)
+    kept = CostEvaluator(pairs, classes)
+    assert isinstance(kept._camera[0][0], float) == (scene == "one camera")
+    assert kept._unfilled is not None
+    seen = dict.fromkeys(("n_behind_camera", "n_empty_field", "n_out_of_image"), 0)
+    all_in_front = 0
+    previous = None
+    for i, ext in enumerate(_moves(_random_poses(1, seed=12)[0], seed=13)):
+        fresh = CostEvaluator(pairs, classes)
+        if i % 4 == 3:  # evaluate between the kernel calls, on the full projection
+            got, want = kept.evaluate(ext), fresh.evaluate(ext)
+            assert got == want
+            for name in seen:
+                seen[name] += getattr(got, name)
+            previous = None
+            continue
+        axes = list(kept._axes)
+        got, want, flat = kept._kernel(ext), fresh._kernel(ext), flat_kernel(kept, ext)
+        for got_part, want_part, flat_part in zip(got, want, flat):
+            assert got_part.dtype == want_part.dtype == flat_part.dtype
+            assert np.array_equal(got_part, want_part) and np.array_equal(got_part, flat_part)
+        all_in_front += bool(got[1].all())
+        assert kept.evaluate_total(ext) == fresh.evaluate_total(ext)
+        if previous is not None and previous.rotation == ext.rotation:
+            a, b = previous.translation, ext.translation
+            # a move of t_x alone keeps the v axis, of t_y alone the u axis
+            if (a.t_y, a.t_z) == (b.t_y, b.t_z):
+                assert kept._axes[1] is axes[1]
+            if (a.t_x, a.t_z) == (b.t_x, b.t_z):
+                assert kept._axes[0] is axes[0]
+        previous = ext
+    # behind the camera, an empty field and off the image all occur
+    assert all(seen.values()), seen
+    assert all_in_front or scene == "two cameras"
 
 
 def test_lean_kernel_rounds_half_pixel_ties_like_the_flat_kernel():

@@ -118,9 +118,12 @@ def test_pgm_rejects_bad_magic_and_size(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n\x01\x02\x03")
     with pytest.raises(FormatError, match="pixel bytes"):
         read_label_image(path)
-    # -2 x -3 passes a byte-count check of 6 but is no image size
-    path.write_bytes(b"P5\n-2 -3\n255\n" + bytes(6))
+    path.write_bytes(b"P5\n0 3\n255\n")
     with pytest.raises(FormatError, match="size"):
+        read_label_image(path)
+    # the header ends at the end of the file, with no byte after maxval
+    path.write_bytes(b"P5\n2 2\n255")
+    with pytest.raises(FormatError, match="expected 4 pixel bytes, found 0$"):
         read_label_image(path)
     # a comment runs to the end of the file, so the header never ends
     path.write_bytes(b"P5\n2 2\n# 255")
@@ -130,9 +133,12 @@ def test_pgm_rejects_bad_magic_and_size(tmp_path):
     path.write_bytes(b"P5#c 2 2\n255\n" + bytes(4))
     with pytest.raises(FormatError, match="magic b'P5#c'"):
         read_label_image(path)
-    path.write_bytes(b"P5\n2#3 2\n255\n" + bytes(4))
-    with pytest.raises(FormatError, match="non-numeric PGM header field"):
-        read_label_image(path)
+    # header numbers are ASCII digits: no '#', '_' or sign, although int() takes the last two
+    for header in (b"P5\n2#3 5\n255\n", b"P5\n1_0 1\n255\n", b"P5\n+5 2\n255\n",
+                   b"P5\n5 2\n0_255\n", b"P5\n-2 -5\n255\n"):
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(FormatError, match="non-numeric PGM header field"):
+            read_label_image(path)
 
 
 def test_pgm_rejects_labels_over_255(tmp_path):

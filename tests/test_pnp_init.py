@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import semcal.pnp_init as pnp_init
 from helpers import make_planar_pairs, ransac_plane_loop
 from semcal.costfield import CostEvaluator
 from semcal.errors import Degenerate, InsufficientPairs, NonPlanar
@@ -159,6 +160,25 @@ def test_ransac_plane_matches_the_one_at_a_time_loop(name, iterations):
     points = _ransac_point_sets()[name]
     for seed in (0, 3):
         assert outcome(ransac_plane, seed) == outcome(ransac_plane_loop, seed)
+
+
+def test_ransac_plane_rescores_each_ordered_triple_once(monkeypatch):
+    # 6 coplanar points: every triple ties at 6 inliers, and 500 draws from
+    # the 120 ordered triples repeat most of them
+    rng = np.random.default_rng(2)
+    points = np.column_stack([rng.uniform(-3, 3, size=(6, 2)), np.full(6, 4.0)])
+    rescored, hypothesis = [], pnp_init._hypothesis
+
+    def counted(points, idx, *args):
+        rescored.append(tuple(idx))
+        return hypothesis(points, idx, *args)
+
+    monkeypatch.setattr(pnp_init, "_hypothesis", counted)
+    plane = ransac_plane(points, 0.2, 500, 0)
+    assert len(set(rescored)) == len(rescored) <= 120
+    want = ransac_plane_loop(points, 0.2, 500, 0)
+    assert (plane.inliers.tolist(), plane.normal.tolist(), plane.offset, plane.rms) == (
+        want.inliers.tolist(), want.normal.tolist(), want.offset, want.rms)
 
 
 def test_ransac_plane_counts_points_at_the_threshold_like_the_loop():
