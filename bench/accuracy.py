@@ -66,7 +66,9 @@ between the two generators and writers; this adds about 20 seconds on a
 - ``watch``: the full records of the scenes in ``WATCH``, which earlier
   measurements flagged as likely to move;
 - ``source_lines``: the non-blank lines of the side's ``src/semcal/*.py``,
-  so code size is measured next to speed and accuracy.
+  so code size is measured next to speed and accuracy, and
+  ``source_lines_by_module`` the same per module, keyed by file name, so a
+  change's JSON shows where its lines went.
 
 The timings run in one more process that loads both sides' packages side by
 side.  Each of ``ROUNDS`` rounds times every task once per side, the sides in
@@ -534,10 +536,10 @@ def _run(*task: str, out: Path, src: Path):
     return json.loads(out.read_text())
 
 
-def _source_lines(src: Path) -> int:
-    """Non-blank lines of the Python files of ``src/semcal``."""
-    return sum(bool(line.strip()) for path in sorted((src / "semcal").glob("*.py"))
-               for line in path.read_text().splitlines())
+def _source_lines(src: Path) -> dict[str, int]:
+    """Non-blank lines of each Python file of ``src/semcal``, by file name."""
+    return {path.name: sum(bool(line.strip()) for line in path.read_text().splitlines())
+            for path in sorted((src / "semcal").glob("*.py"))}
 
 
 def _git(*args: str) -> str:
@@ -593,7 +595,8 @@ def main() -> int:
     identical, identical_scenes = (
         {"scenes": len(a), "identical": sum(x == y for x, y in zip(a, b))}
         for a, b in (digests, scene_digests))
-    summary = {side: {**summarize(sets), "source_lines": lines[side]}
+    summary = {side: {**summarize(sets), "source_lines": sum(lines[side].values()),
+                      "source_lines_by_module": lines[side]}
                for side, sets in accuracy.items()}
     result = {
         "what": "criterion-6-style calibrate on 10-frame scenes (seeds 0-23 dev, 24-47 "

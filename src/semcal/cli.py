@@ -25,6 +25,7 @@ from . import __version__
 from .errors import CalibrationError
 from .geometry import Extrinsics, wrap_angle
 from .io_formats import (
+    POSE_FIELDS,
     RunConfig,
     config_report_fields,
     extrinsics_report_fields,
@@ -47,7 +48,7 @@ from .pnp_init import initialize
 from .costfield import CostEvaluator
 from .synth import SceneSpec, generate
 
-_AXES = ("theta_x", "theta_y", "theta_z", "t_x", "t_y", "t_z")
+_AXES = tuple(key.rsplit("_", 1)[0] for key in POSE_FIELDS)  # theta_x ... t_z
 _MAX_SWEEP_ROWS = 10_000_001  # a sweep of 5,000,000 steps each way
 
 
@@ -267,8 +268,7 @@ def cmd_calibrate(args) -> tuple[str, dict, dict]:
     write_extrinsics(out / "estimated_extrinsics.txt", estimate)
     write_csv(
         out / "trace.csv",
-        ("iteration", "theta_x_deg", "theta_y_deg", "theta_z_deg",
-         "t_x_m", "t_y_m", "t_z_m", "cost"),
+        ("iteration", *POSE_FIELDS, "cost"),
         [(str(it), *to_file_units(x), cost) for it, x, cost in trace.points],
     )
     return "calibration_report", {
@@ -308,7 +308,7 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
     reference = read_extrinsics(args.gt)
 
     axis_idx = _AXES.index(args.axis)
-    unit = "deg" if axis_idx < 3 else "m"
+    unit = POSE_FIELDS[axis_idx].rsplit("_", 1)[1]
     displacements = [k * args.interval for k in range(-n_steps, n_steps + 1)]
 
     base, axis = reference.to_vector(), np.eye(6)[axis_idx]
@@ -338,27 +338,21 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
 
 
 def cmd_eval(args) -> tuple[str, dict, dict]:
-    estimated = read_extrinsics(args.estimated)
-    reference = read_extrinsics(args.gt)
-    est = estimated.to_vector()
-    ref = reference.to_vector()
-    errors = [wrap_angle(est[i] - ref[i]) for i in range(3)] + [
+    est = read_extrinsics(args.estimated).to_vector()
+    ref = read_extrinsics(args.gt).to_vector()
+    deltas = [wrap_angle(est[i] - ref[i]) for i in range(3)] + [
         est[i] - ref[i] for i in range(3, 6)
     ]
-    labels = (
-        ("d_theta_x", "deg"), ("d_theta_y", "deg"), ("d_theta_z", "deg"),
-        ("d_t_x", "m"), ("d_t_y", "m"), ("d_t_z", "m"),
-    )
-    values = to_file_units(errors)
+    errors = {f"d_{key}": sig6(val) for key, val in zip(POSE_FIELDS, to_file_units(deltas))}
 
     print(f"{'parameter':<14}{'error':>14}")
-    for (name, unit), val in zip(labels, values):
-        print(f"{name + '_' + unit:<14}{fmt6(sig6(val)):>14}")
+    for name, val in errors.items():
+        print(f"{name:<14}{fmt6(val):>14}")
 
     return "eval_report", {
         "estimated_file": str(args.estimated),
         "gt_file": str(args.gt),
-        "errors": {f"{name}_{unit}": sig6(val) for (name, unit), val in zip(labels, values)},
+        "errors": errors,
     }, {}
 
 

@@ -33,7 +33,7 @@ class DistanceField(NamedTuple):
     ``u0..u1`` and rows ``v0..v1`` of the image and holds every pixel of the
     class.  The distance from pixel ``(u, v)`` of the box to the nearest
     pixel of the class, zero exactly on such pixels, is ``d[cell[f] + (u -
-    u0) * stride[f] + (v - v0)]``.  Beyond the box, on the image or off it,
+    u0) * stride + (v - v0)]``.  Beyond the box, on the image or off it,
     the distance is that of the nearest box cell plus the axis offsets to
     it: the nearest cell lies between the query and every pixel of the
     class on each axis, so for L1 this is exact.  ``empty[f]`` is set when
@@ -43,7 +43,7 @@ class DistanceField(NamedTuple):
     d: np.ndarray  # (cells,): every box's cells, in one atlas
     box: np.ndarray  # (images * classes, 4) int: u0, v0, u1, v1
     cell: np.ndarray  # (images * classes,) int: index of the box's cell (u0, v0) in d
-    stride: np.ndarray  # (images * classes,) int: cells between neighbouring columns
+    stride: int  # cells between neighbouring columns, the same for every box
     empty: np.ndarray  # (images * classes,) bool
 
 
@@ -85,12 +85,12 @@ def _scan(a: np.ndarray, extents: list[int], sizes: list[int]) -> None:
     ``one`` of ``a``'s type, so numpy converts no Python scalar per call.
     """
     runs, start, n = [], 0, sum(sizes)  # (first row, end row, entries) of each run
+    step = np.empty(n, a.dtype)
     for extent, size in zip(extents[::-1], sizes[::-1]):
         if extent > start:
             runs.append((start, extent, n))
             start = extent
         n -= size
-    step = np.empty(runs[0][2], a.dtype)
     one = np.ones((), a.dtype)
     add, minimum = np.add, np.minimum
 
@@ -111,8 +111,8 @@ def _scan(a: np.ndarray, extents: list[int], sizes: list[int]) -> None:
 
 
 def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
-    """Exact L1 distance transforms of ``classes`` in label images of any
-    sizes, each over its class's bounding box, built together.
+    """Exact L1 distance transforms of ``classes`` in label images, each
+    over its class's bounding box, built together.
 
     The boxes come first, each exactly the bounding box of its class's
     pixels (see :func:`_boxes`); an absent class gets none.
@@ -127,15 +127,16 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     numpy call of the scan covers a row of every box that reaches it.  Each
     box then moves into the atlas in one transposing copy.
 
-    In the atlas the boxes sit side by side as well, widest first, column
-    by column: column ``x`` of every box holding it is one row of the
-    atlas, so one more scan gives the exact Manhattan transform (Rosenfeld
-    & Pfaltz, 1966).  A box whose image is narrower than the widest box
-    before it starts a new atlas block, which the scan runs over
-    separately: so no field takes more cells than its image, and images
-    of one size share one block.  Besides its result, a build holds its
-    buffer and the scans' row views: 3.16 image planes for 4 dense 480 x
-    640 images of 3 classes, by ``tracemalloc``.
+    The atlas is one (widest box width, sum of box heights) array, and
+    each box takes its height in columns of it, widest first: column ``x``
+    of every box holding it is one row of the atlas, so one more scan over
+    the whole atlas gives the exact Manhattan transform (Rosenfeld &
+    Pfaltz, 1966).  Each field thus takes the widest box width times its
+    box height in cells.  Where all images have one size, that is at most
+    one image plane per field; where sizes are mixed, at most (widest /
+    narrowest image width) image planes.  Besides its result, a build
+    holds its buffer and the scans' row views: 3.16 image planes for 4
+    dense 480 x 640 images of 3 classes, by ``tracemalloc``.
     """
     n = len(classes)
     far = max(sum(image.labels.shape) for image in images)
@@ -148,26 +149,11 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
         boxes += _boxes(labels, ids)
     present = [f for f, b in enumerate(boxes) if b]
 
-    blocks = []  # fields that share one column stride, widest first
-    for f in sorted(present, key=lambda f: -boxes[f][2]):
-        if not blocks or boxes[blocks[-1][0]][2] > sources[f][0].shape[1]:
-            blocks.append([])
-        blocks[-1].append(f)
-    cell, stride, size = [0] * len(boxes), [0] * len(boxes), 0
-    for members in blocks:
-        rows = sum(boxes[f][3] for f in members)
-        for f in members:
-            cell[f], stride[f] = size, rows
-            size += boxes[f][3]
-        size += (boxes[members[0]][2] - 1) * rows
-    d = np.empty(size, dtype)
-    columns = {}  # field: its box's cells, as (width, height) of the atlas
-    for members in blocks:
-        start, rows = cell[members[0]], stride[members[0]]
-        block = d[start:start + boxes[members[0]][2] * rows].reshape(-1, rows)
-        for f in members:
-            at = cell[f] - start
-            columns[f] = block[:boxes[f][2], at:at + boxes[f][3]]
+    widest = sorted(present, key=lambda f: -boxes[f][2])  # the atlas's order of the boxes
+    cell, stride = [0] * len(boxes), 0
+    for f in widest:
+        cell[f], stride = stride, stride + boxes[f][3]
+    atlas = np.empty((boxes[widest[0]][2] if widest else 0, stride), dtype)
 
     cap = n * max(image.labels.size for image in images)
     chunks = []  # fields that share one height scan, tallest first, and their width
@@ -191,16 +177,13 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
         chunk *= far  # the cells beyond the boxes are never read
         _scan(chunk, [boxes[f][3] for f in members], sizes)
         for f, place in zip(members, places):
-            np.copyto(columns[f], place.T)
-    for members in blocks:
-        start, rows = cell[members[0]], stride[members[0]]
-        _scan(d[start:start + boxes[members[0]][2] * rows].reshape(-1, rows),
-              [boxes[f][2] for f in members], [boxes[f][3] for f in members])
+            np.copyto(atlas[:boxes[f][2], cell[f]:cell[f] + boxes[f][3]], place.T)
+    _scan(atlas, [boxes[f][2] for f in widest], [boxes[f][3] for f in widest])
     box = np.zeros((len(boxes), 4), np.int64)
     for f in present:
         u0, v0, w, h = boxes[f]
         box[f] = u0, v0, u0 + w - 1, v0 + h - 1
-    return DistanceField(d, box, np.array(cell), np.array(stride),
+    return DistanceField(atlas.reshape(-1), box, np.array(cell), stride,
                          np.array([b is None for b in boxes]))
 
 
@@ -237,15 +220,16 @@ class CostEvaluator:
     """Prepared multi-pair cost function, reusable across many extrinsics.
 
     Construction packs the scene once.  One :func:`build_distance_field`
-    call builds the fields of every pair, whatever its image size, into one
-    atlas; each (pair, class) field covers the bounding box of that class's
-    pixels, and an absent class has none.  The scored points, grouped into
-    (pair, class) blocks, pair by pair in ascending class order, become flat
-    per-point arrays: coordinates as one ``(3, N)`` array, range weight, the
-    frame's intrinsics and penalty, an empty-class flag, the block index,
-    and their field's box, column stride and the atlas index of the box's
-    pixel ``(0, 0)``.  Frame ids must be distinct.  ``center`` is the mean
-    of the scored points, each weighted by its range weight ``|p|^2``.
+    call builds the fields of every pair into one atlas; each (pair, class)
+    field covers the bounding box of that class's pixels, and an absent
+    class has none.  The scored points, grouped into (pair, class) blocks,
+    pair by pair in ascending class order, become flat per-point arrays:
+    coordinates as one ``(3, N)`` array, range weight, the frame's
+    intrinsics and penalty, an empty-class flag, the block index, and their
+    field's box and the atlas index of the box's pixel ``(0, 0)``; the
+    atlas has one column stride for all.  Frame ids must be distinct.
+    ``center`` is the mean of the scored points, each weighted by its range
+    weight ``|p|^2``.
     The same blocks and boxes give the initialization its semantic
     centroids, on request (:meth:`centroids`), with no second scene scan.
 
@@ -305,8 +289,9 @@ class CostEvaluator:
         else:  # taken along axis 1, so each per-point row is contiguous for the kernel
             fx, fy, cx, cy, self._penalty = per_pair.take(self._pair, 1)
         self._camera = ((fx, cx), (fy, cy))  # per image axis, u then v
-        per_field = np.column_stack([fields.box, fields.stride, origin]).astype(float).T
-        umin, vmin, umax, vmax, self._stride, self._cell = per_field.take(self._block, 1)
+        self._stride = fields.stride
+        per_field = np.column_stack([fields.box, origin]).astype(float).T
+        umin, vmin, umax, vmax, self._cell = per_field.take(self._block, 1)
         self._bounds = ((umin, umax), (vmin, vmax))
         self._filled = ~fields.empty[self._block]
         if not self._filled.any():

@@ -136,9 +136,12 @@ def _remap(path, key: str, text: str) -> dict[int, int]:
             raise FormatError(f"{path}: {key} entries must look like src:dst, got {part!r}")
         src, dst = part.split(":", 1)
         try:
-            table[int(src)] = int(dst)
+            src, dst = int(src), int(dst)
         except ValueError:
             raise FormatError(f"{path}: non-integer id in {key} entry {part!r}") from None
+        if src in table:
+            raise FormatError(f"{path}: {key} maps the id {src} twice")
+        table[src] = dst
     return table
 
 
@@ -154,8 +157,9 @@ def _range(path, key: str, text: str) -> tuple[float, float]:
 
 _INTRINSICS = {"fx": _float, "fy": _float, "cx": _float, "cy": _float,
                "width": _int, "height": _int}
-_EXTRINSICS = dict.fromkeys(
-    ("theta_x_deg", "theta_y_deg", "theta_z_deg", "t_x_m", "t_y_m", "t_z_m"), _float)
+# the six pose parameters as files name them, each with its file unit
+POSE_FIELDS = ("theta_x_deg", "theta_y_deg", "theta_z_deg", "t_x_m", "t_y_m", "t_z_m")
+_EXTRINSICS = dict.fromkeys(POSE_FIELDS, _float)
 
 
 # ---------------------------------------------------------------------------

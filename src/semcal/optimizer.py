@@ -82,7 +82,7 @@ class _Objective:
         return value
 
 
-def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[float, float]:
+def _brent(g, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
     """Minimize g on [a, b] given a < x < b with g(x) <= g(a), g(b).
 
     Parabolic steps when the fit is trustworthy, golden section otherwise.
@@ -91,8 +91,8 @@ def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[floa
     pixel-quantized cost, which only spends samples on the same value.  Any
     other value, better or worse, resets the count.  A continuous objective
     almost never returns the same value bit for bit, so it is still refined
-    down to ``tol``; stopping on every non-improving sample would instead
-    cut short the strictly decreasing progress of a curved valley.
+    down to ``_LINE_TOL``; stopping on every non-improving sample would
+    instead cut short the strictly decreasing progress of a curved valley.
     """
     w = v = x
     fw = fv = fx
@@ -100,7 +100,7 @@ def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[floa
     flat = 0
     for _ in range(120):
         m = 0.5 * (a + b)
-        tol1 = tol * abs(x) + _TINY ** 0.5
+        tol1 = _LINE_TOL * abs(x) + _TINY ** 0.5
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             break
@@ -152,7 +152,7 @@ def _brent(g, a: float, b: float, x: float, fx: float, tol: float) -> tuple[floa
 _GRID_POWERS = range(-4, 4)  # probe steps 1/16 .. 8
 
 
-def _line(g, f0: float, tol: float, refine: bool = True) -> tuple[float, float]:
+def _line(g, f0: float, refine: bool = True) -> tuple[float, float]:
     """Minimize the 1-D restriction g(alpha) over the real line, with g(0) = f0.
 
     A geometric probe grid on both sides picks the best coarse step before
@@ -200,7 +200,7 @@ def _line(g, f0: float, tol: float, refine: bool = True) -> tuple[float, float]:
     hi = alphas[i + 1] if i + 1 < len(alphas) else best_a
     if best_a == 0.0 and samples[lo] == f0 and samples[hi] == f0 and len(samples) > 2:
         return 0.0, f0  # flat as far as probed
-    alpha, f_min = _brent(g, lo, hi, best_a, best_f, tol)
+    alpha, f_min = _brent(g, lo, hi, best_a, best_f)
     if f_min >= f0:
         return 0.0, f0
     return float(alpha), float(f_min)
@@ -237,7 +237,7 @@ def powell_minimize(f, x0):
         biggest_idx = 0
         for i in range(n):
             d = directions[i]
-            alpha, f_new = _line(lambda a: fz(z + a * d), current, _LINE_TOL)
+            alpha, f_new = _line(lambda a: fz(z + a * d), current)
             if current - f_new > biggest_drop:
                 biggest_drop = current - f_new
                 biggest_idx = i
@@ -268,9 +268,7 @@ def powell_minimize(f, x0):
                 t *= (f_start - current - biggest_drop) ** 2
                 t -= biggest_drop * (f_start - f_ext) ** 2
                 if t < 0.0:
-                    alpha, f_new = _line(
-                        lambda a: fz(z + a * displacement), current, _LINE_TOL
-                    )
+                    alpha, f_new = _line(lambda a: fz(z + a * displacement), current)
                     if alpha != 0.0:
                         z = z + alpha * displacement
                     current = f_new
@@ -336,17 +334,14 @@ def calibrate(
 
     y = _to_centered(init, center)
     probes = _probe_directions(trial_steps(6))
-    points: list[tuple[int, np.ndarray, float]] = []
+    points: list[tuple[np.ndarray, float]] = []  # (y, cost) of each trace row
     n_evaluations = n_probe = 0
     for _ in range(_MAX_ROUNDS):
         y, current, trace = powell_minimize(objective, y)
         termination = trace.termination
         n_evaluations += trace.n_evaluations
-        offset = points[-1][0] + 1 if points else 0
-        start = 1 if points else 0  # drop duplicated segment-start rows
-        points.extend(
-            (offset + it - start, yv, cv) for it, yv, cv in trace.points[start:]
-        )
+        # a later run starts at the probe stage's row, which is in already
+        points.extend((yv, cv) for _, yv, cv in trace.points[1 if points else 0:])
 
         if current == 0.0:
             break  # the cost is nonnegative, so an exact zero is global
@@ -356,8 +351,7 @@ def calibrate(
         for _ in range(_MAX_PASSES):
             before = current
             for d in probes:
-                alpha, f_new = _line(lambda a: obj(y + a * d), current, _LINE_TOL,
-                                     refine=False)
+                alpha, f_new = _line(lambda a: obj(y + a * d), current, refine=False)
                 if f_new < current:
                     y = y + alpha * d
                     current = f_new
@@ -368,11 +362,12 @@ def calibrate(
         n_probe += obj.n_evaluations
         if current == entry:
             break
-        points.append((points[-1][0] + 1, y.copy(), current))
+        points.append((y.copy(), current))
         if current == 0.0:
             break
 
-    points = [(it, _from_centered(yv, center).to_vector(), cv) for it, yv, cv in points]
+    points = [(it, _from_centered(yv, center).to_vector(), cv)
+              for it, (yv, cv) in enumerate(points)]
     trace = OptimizationTrace(points, termination, n_evaluations,
                               n_evaluations - len(memo), n_probe)
     estimate = _from_centered(y, center)

@@ -56,7 +56,7 @@ def box_distance(field, f, u, v):
     offsets to it."""
     u0, v0, u1, v1 = field.box[f]
     uc, vc = np.clip(u, u0, u1), np.clip(v, v0, v1)
-    cells = field.cell[f] + (uc - u0) * field.stride[f] + (vc - v0)
+    cells = field.cell[f] + (uc - u0) * field.stride + (vc - v0)
     return field.d[cells] + np.abs(u - uc) + np.abs(v - vc)
 
 

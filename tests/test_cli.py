@@ -389,6 +389,9 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(["init", "{cloud_dir}"], id="cloud-is-a-directory"),
     pytest.param(["init", "{scene}", "--config", "cloud_remap = 1:a"],
                  id="config-remap-non-integer"),
+    # a repeated source id used to keep its last entry
+    pytest.param(["init", "{scene}", "--config", "image_remap = 2:1, 2:3"],
+                 id="config-remap-repeated-id"),
     pytest.param(["synth", "--spec", "size_range = 1,inf"], id="spec-size_range-inf"),
     pytest.param(["synth", "--spec", "lateral_range = nan,1"], id="spec-lateral_range-nan"),
     pytest.param(["synth", "--spec", "lateral_range = 2,1"], id="spec-lateral_range-unordered"),

@@ -52,8 +52,9 @@ def grids(field, shapes, n):
 
 def check_boxes(field, stacks, classes):
     """Each box is exactly the bounding box of its class's pixels; an absent
-    class has no box; the atlas holds at most one image plane per field, the
-    cells of a full-image layout."""
+    class has no box; the atlas holds exactly the widest box width times the
+    sum of the box heights, and where every image has one size that is at
+    most one image plane per field, the cells of a full-image layout."""
     n = len(classes)
     for f, (u0, v0, u1, v1) in enumerate(field.box):
         labels = stacks[f // n]
@@ -61,7 +62,12 @@ def check_boxes(field, stacks, classes):
         assert field.empty[f] == (rows.size == 0)
         if rows.size:
             assert (u0, v0, u1, v1) == (cols.min(), rows.min(), cols.max(), rows.max())
-    assert field.d.size <= sum(labels.size for labels in stacks) * n
+    sizes = (field.box[:, 2:] - field.box[:, :2] + 1)[~field.empty]
+    assert field.d.size == sizes[:, 0].max(initial=0) * sizes[:, 1].sum()
+    # the widest image's width times each image's height: where every image
+    # has one size, one image plane per field
+    widest = max(labels.shape[1] for labels in stacks)
+    assert field.d.size <= sum(widest * labels.shape[0] for labels in stacks) * n
     assert field.d.dtype == np.min_scalar_type(max(sum(labels.shape) for labels in stacks) + 1)
 
 
@@ -164,8 +170,9 @@ def mixed_images(draw):
        classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
        queries=hnp.arrays(np.int64, (8, 2), elements=st.integers(-20, 31)))
 # 16-bit fields (height + width >= 255) of one size, with widths 0-3 (mod
-# 4); then two sizes, so the atlas takes a second block for the narrower
-# image; then classes touching one, two, three and four image edges
+# 4); then two sizes, whose atlas of 80,256 cells is above the 67,200 of
+# one image plane per field; then classes touching one, two, three and four
+# image edges
 @example(stacks=sparse_stack(2, 119, 136, 0), classes=[1, 2, 3], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(3, 118, 137, 1), classes=[3, 1, 2], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(4, 117, 138, 2), classes=[2, 3, 1], queries=np.zeros((8, 2), int))

@@ -25,14 +25,14 @@ def test_config_default_steps():
     assert np.array_equal(trial_steps(2), [1.0, 1.0])
 
 
-def line_minimize(f, x, direction, tol=1e-6):
+def line_minimize(f, x, direction):
     """``(step, cost)`` of :func:`_line` along ``x + step * direction``."""
-    return _line(lambda a: f(x + a * direction), f(x), tol)
+    return _line(lambda a: f(x + a * direction), f(x))
 
 
 def test_line_minimize_parabola():
     f = lambda x: (x[0] - 2.0) ** 2 + 1.0
-    step, cost = line_minimize(f, np.zeros(1), np.ones(1), tol=1e-8)
+    step, cost = line_minimize(f, np.zeros(1), np.ones(1))
     assert abs(step - 2.0) < 1e-6
     assert abs(cost - 1.0) < 1e-12
 
@@ -46,7 +46,7 @@ def test_line_minimize_negative_direction():
 def test_line_minimize_along_diagonal():
     # minimum of |x - (1,1)|^2 along the diagonal from the origin
     f = lambda x: float((x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2)
-    step, cost = line_minimize(f, np.zeros(2), np.array([1.0, 1.0]), tol=1e-8)
+    step, cost = line_minimize(f, np.zeros(2), np.array([1.0, 1.0]))
     assert abs(step - 1.0) < 1e-6
     assert cost < 1e-10
 
@@ -67,7 +67,7 @@ def test_line_minimize_staircase_stops_on_plateau(centre):
     """On a pixel-quantized cost the refinement stops once the samples repeat.
 
     Brent's loop alone would keep halving the flat bottom step down to
-    ``tol``, spending every sample on the same value.
+    ``_LINE_TOL``, spending every sample on the same value.
     """
     values = []
 
@@ -75,7 +75,7 @@ def test_line_minimize_staircase_stops_on_plateau(centre):
         values.append(float(np.floor(64.0 * (a - centre) ** 2)))
         return values[-1]
 
-    step, cost = _line(g, g(0.0), 1e-6)
+    step, cost = _line(g, g(0.0))
     assert cost == 0.0 and abs(step - centre) < 1.0 / 8.0  # on the bottom step
     last_change = max(i for i in range(1, len(values)) if values[i] != values[i - 1])
     assert len(values) - 1 - last_change <= _PLATEAU_SAMPLES
@@ -203,6 +203,29 @@ def test_calibrate_counts_probe_samples(monkeypatch):
     monkeypatch.setattr(semcal.optimizer, "powell_minimize", counting)
     _, _, trace = calibrate(CostEvaluator(scene.pairs, spec.classes), start)
     assert 0 < trace.n_probe == trace.n_evaluations - sum(powell_samples)
+
+
+def test_calibrate_numbers_trace_rows_in_order(monkeypatch):
+    """The rows of a run with probe rows are numbered 0..n-1, and their costs
+    are the Powell runs' rows in order: a later run's first row is the probe
+    row before it, so it is not repeated."""
+    spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=2)
+    scene = generate(spec)
+    start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=0)
+    runs = []
+    powell_minimize = semcal.optimizer.powell_minimize
+
+    def recording(*args, **kwargs):
+        result = powell_minimize(*args, **kwargs)
+        runs.append([cost for _, _, cost in result[2].points])
+        return result
+
+    monkeypatch.setattr(semcal.optimizer, "powell_minimize", recording)
+    _, _, trace = calibrate(CostEvaluator(scene.pairs, spec.classes), start)
+    assert len(runs) > 1  # so the run has probe rows
+    assert [it for it, _, _ in trace.points] == list(range(len(trace.points)))
+    costs = [cost for run in runs for cost in run]
+    assert [cost for _, _, cost in trace.points][:len(costs)] == costs
 
 
 def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
