@@ -53,8 +53,9 @@ def grids(field, shapes, n):
 def check_boxes(field, stacks, classes):
     """Each box is exactly the bounding box of its class's pixels; an absent
     class has no box; the atlas holds exactly the widest box width times the
-    sum of the box heights, and where every image has one size that is at
-    most one image plane per field, the cells of a full-image layout."""
+    sum of the box heights, and at most the widest image width times each
+    image's height per field: one image plane per field, the cells of a
+    full-image layout, where every image has one size."""
     n = len(classes)
     for f, (u0, v0, u1, v1) in enumerate(field.box):
         labels = stacks[f // n]
@@ -64,8 +65,6 @@ def check_boxes(field, stacks, classes):
             assert (u0, v0, u1, v1) == (cols.min(), rows.min(), cols.max(), rows.max())
     sizes = (field.box[:, 2:] - field.box[:, :2] + 1)[~field.empty]
     assert field.d.size == sizes[:, 0].max(initial=0) * sizes[:, 1].sum()
-    # the widest image's width times each image's height: where every image
-    # has one size, one image plane per field
     widest = max(labels.shape[1] for labels in stacks)
     assert field.d.size <= sum(widest * labels.shape[0] for labels in stacks) * n
     assert field.d.dtype == np.min_scalar_type(max(sum(labels.shape) for labels in stacks) + 1)
