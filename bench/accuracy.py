@@ -89,7 +89,10 @@ median of those ratios:
   biases its time, so one evaluator per side for all rounds read a median
   ratio of 1.06, with 9 of 10 rounds above 1, one per round still read
   rounds of 0.94-1.04, and 5 in 0.5 s rounds 0.95-1.05.  Unchanged code
-  now reads 0.978-1.025 per round (three runs, 90 rounds);
+  now reads 0.978-1.025 per round (three runs, 90 rounds).  Each side
+  scores the poses as its own ``Extrinsics``, built once before the rounds,
+  so what a pose keeps from its construction, such as its rotation
+  matrix, serves only its own side;
 - ``kernel_t_x``: the same on ``POSES`` poses of the ground-truth rotation
   that step along t_x alone, ``T_X_SPAN`` either side of the truth, as the
   t_x axis of a sweep or a line search along t_x sends them;
@@ -97,7 +100,9 @@ median of those ratios:
   baseline's ``calibrate`` sends it on calib-c6 scene 8, repeats
   included, timed as ``kernel`` is;
 - ``calibrate``: seconds of ``calibrate`` from the initialization on
-  calib-c6 scene 8;
+  calib-c6 scene 8.  A round makes ``BUILDS`` calls per side, alternating
+  sides, and keeps each side's median: with one call per round, the
+  ratios of unchanged code ran from 0.88 to 1.38;
 - ``layers``: on calib-c6 scene 8, init-wide scene 0 and a dense-label
   scene, whose every class's bounding box covers at least 99% of its image
   (``min_box_share``, the smallest such share in the scene), the
@@ -362,8 +367,8 @@ def _load(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {m: importlib.import_module(f"{name}.{m}") for m in ("costfield", "optimizer",
-                                                                   "pnp_init")}
+    return {m: importlib.import_module(f"{name}.{m}") for m in ("costfield", "geometry",
+                                                                   "optimizer", "pnp_init")}
 
 
 def _rounds(run_round) -> dict:
@@ -415,24 +420,26 @@ def _min_box_share(pairs, classes) -> float:
 def time_sides(srcs: dict) -> dict:
     """Interleaved kernel, replay, calibrate and layer timings of both sides."""
     import numpy as np
-    from semcal.geometry import Extrinsics, Translation
     from semcal.synth import generate
 
     mods = {side: _load(src, f"semcal_{side}") for side, src in srcs.items()}
-    truth = _gt()
-    gt = np.asarray(truth.to_vector())
+
+    def own(vectors):
+        """The poses of ``vectors`` built by each side's own ``Extrinsics``, so
+        whatever a pose keeps from its construction stays on its side."""
+        return {side: [mods[side]["geometry"].Extrinsics.from_vector(v) for v in vectors]
+                for side in SIDES}
+
+    gt = np.asarray(_gt().to_vector())
     rng = np.random.default_rng(0)
-    poses = [Extrinsics.from_vector(gt + np.concatenate([rng.normal(scale=0.03, size=3),
-                                                         rng.normal(scale=0.2, size=3)]))
-             for _ in range(POSES)]
-    t = truth.translation
-    steps = [Extrinsics(truth.rotation, Translation(t.t_x + dx, t.t_y, t.t_z))
-             for dx in np.linspace(-T_X_SPAN, T_X_SPAN, POSES)]
+    poses = own([gt + np.concatenate([rng.normal(scale=0.03, size=3),
+                                      rng.normal(scale=0.2, size=3)]) for _ in range(POSES)])
+    steps = own([gt + np.eye(6)[3] * dx for dx in np.linspace(-T_X_SPAN, T_X_SPAN, POSES)])
 
     def per_eval(pairs, classes, seq):
         """A round: BUILDS times, a fresh evaluator per side, built in
-        alternating order, then slices of SLICE poses of ``seq``, each timed
-        on both sides in alternating order, until each side has spent
+        alternating order, then slices of SLICE poses of ``seq[side]``, each
+        timed on both sides in alternating order, until each side has spent
         another ROUND_S / BUILDS seconds."""
         def run_round(i):
             spent, n = dict.fromkeys(SIDES, 0.0), 0
@@ -440,8 +447,8 @@ def time_sides(srcs: dict) -> dict:
                 evaluators = {side: mods[side]["costfield"].CostEvaluator(pairs, classes)
                               for side in (SIDES if (i + b) % 2 == 0 else SIDES[::-1])}
                 while min(spent.values()) < ROUND_S * (b + 1) / BUILDS:
-                    batch = [seq[(n + k) % len(seq)] for k in range(SLICE)]
                     for side in SIDES if (i + n // SLICE) % 2 == 0 else SIDES[::-1]:
+                        batch = [seq[side][(n + k) % len(seq[side])] for k in range(SLICE)]
                         evaluate_total, t0 = evaluators[side].evaluate_total, time.perf_counter()
                         for pose in batch:
                             evaluate_total(pose)
@@ -463,20 +470,22 @@ def time_sides(srcs: dict) -> dict:
     pairs = generate(spec).pairs
     evaluators = {s: m["costfield"].CostEvaluator(pairs, spec.classes) for s, m in mods.items()}
     start = mods["change"]["pnp_init"].initialize(evaluators["change"]).extrinsics
+    start = {side: pose for side, (pose,) in own([start.to_vector()]).items()}
     sent, evaluate_total = [], evaluators["baseline"].evaluate_total
     evaluators["baseline"].evaluate_total = lambda ext: sent.append(ext) or evaluate_total(ext)
-    mods["baseline"]["optimizer"].calibrate(evaluators["baseline"], start)
+    mods["baseline"]["optimizer"].calibrate(evaluators["baseline"], start["baseline"])
     del evaluators["baseline"].evaluate_total
-    result["replay"] = {"poses": len(sent), **_rounds(per_eval(pairs, spec.classes, sent))}
+    result["replay"] = {"poses": len(sent), **_rounds(per_eval(
+        pairs, spec.classes, own([ext.to_vector() for ext in sent])))}
 
     def calibrate(side):
         def run():
             t0 = time.perf_counter()
-            _, _, trace = mods[side]["optimizer"].calibrate(evaluators[side], start)
+            _, _, trace = mods[side]["optimizer"].calibrate(evaluators[side], start[side])
             return {"s": time.perf_counter() - t0, "evaluations": trace.n_evaluations}
         return run
 
-    result["calibrate"] = _interleave({s: calibrate(s) for s in SIDES})
+    result["calibrate"] = _interleave({s: calibrate(s) for s in SIDES}, repeats=BUILDS)
     del evaluators
 
     def layers(side, pairs, classes):

@@ -30,7 +30,6 @@ from .io_formats import (
     config_report_fields,
     extrinsics_report_fields,
     fmt6,
-    from_file_units,
     parse_classes,
     read_config,
     read_extrinsics,
@@ -311,12 +310,14 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
     unit = POSE_FIELDS[axis_idx].rsplit("_", 1)[1]
     displacements = [k * args.interval for k in range(-n_steps, n_steps + 1)]
 
-    base, axis = reference.to_vector(), np.eye(6)[axis_idx]
+    # every row's pose in one (rows, 6) table: the displacement, converted, plus the reference
+    vectors = np.outer(displacements, np.eye(6)[axis_idx])
+    vectors[:, :3] = np.radians(vectors[:, :3])
+    vectors += reference.to_vector()
     rows = []
     best = (np.inf, 0.0)
-    for disp in displacements:
-        pose = Extrinsics.from_vector(base + from_file_units(axis * disp))
-        cost = evaluator.evaluate_total(pose)
+    for disp, vector in zip(displacements, vectors):
+        cost = evaluator.evaluate_total(Extrinsics.from_vector(vector))
         rows.append((disp, cost))
         if cost < best[0]:
             best = (cost, disp)

@@ -33,6 +33,8 @@ def wrap_angle(angle: float) -> float:
         raise CalibrationError(f"angle must be finite, got {angle!r}")
     if not -math.pi < angle <= math.pi:  # on an angle in range the modulo may move the last bit
         angle = math.pi - (math.pi - angle) % _TWO_PI
+        if angle == -math.pi:  # the remainder of an angle just above pi rounded up to 2 pi
+            angle = math.pi
     return float(angle)
 
 
@@ -50,10 +52,9 @@ class RotationAngles:
     theta_y: float
     theta_z: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_x", wrap_angle(float(self.theta_x)))
-        object.__setattr__(self, "theta_y", wrap_angle(float(self.theta_y)))
-        object.__setattr__(self, "theta_z", wrap_angle(float(self.theta_z)))
+    def __init__(self, theta_x: float, theta_y: float, theta_z: float):
+        self.__dict__.update(theta_x=wrap_angle(float(theta_x)), theta_y=wrap_angle(float(theta_y)),
+                             theta_z=wrap_angle(float(theta_z)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta_x, self.theta_y, self.theta_z])
@@ -67,11 +68,9 @@ class Translation:
     t_y: float
     t_z: float
 
-    def __post_init__(self):
-        _require_finite("translation", self.t_x, self.t_y, self.t_z)
-        object.__setattr__(self, "t_x", float(self.t_x))
-        object.__setattr__(self, "t_y", float(self.t_y))
-        object.__setattr__(self, "t_z", float(self.t_z))
+    def __init__(self, t_x: float, t_y: float, t_z: float):
+        _require_finite("translation", t_x, t_y, t_z)
+        self.__dict__.update(t_x=float(t_x), t_y=float(t_y), t_z=float(t_z))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t_x, self.t_y, self.t_z])
@@ -82,10 +81,20 @@ class Extrinsics:
     """The six calibration parameters: three rotation angles plus a translation.
 
     Maps sensor-frame points into the camera frame via ``R(theta) @ p + t``.
+    Keeps ``R``, built once from the wrapped angles (``r``, if given, must be
+    ``rotation_matrix(rotation)``), and ``t`` as read-only arrays that ``==``,
+    ``hash`` and ``repr`` ignore.
     """
 
     rotation: RotationAngles
     translation: Translation
+
+    def __init__(self, rotation, translation, r: np.ndarray | None = None):
+        r = rotation_matrix(rotation) if r is None else r
+        t = translation.as_array()
+        r.setflags(write=False)
+        t.setflags(write=False)
+        self.__dict__.update(rotation=rotation, translation=translation, _r=r, _t=t)
 
     @classmethod
     def identity(cls) -> "Extrinsics":
@@ -97,14 +106,14 @@ class Extrinsics:
         v = np.asarray(v, dtype=float)
         if v.shape != (6,):
             raise CalibrationError(f"expected a 6-vector, got shape {v.shape}")
-        return cls(RotationAngles(v[0], v[1], v[2]), Translation(v[3], v[4], v[5]))
+        return cls(RotationAngles(*v[:3].tolist()), Translation(*v[3:].tolist()))
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.rotation.as_array(), self.translation.as_array()])
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(R, t)`` with R the 3x3 rotation and t the 3-vector."""
-        return rotation_matrix(self.rotation), self.translation.as_array()
+        """Return ``(R, t)`` with R the 3x3 rotation and t the 3-vector, read-only."""
+        return self._r, self._t
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ written by hand and outputs diffed byte-for-byte:
 * reports: an indentation-structured key/value document that parses back
   to the dictionary it was written from
 
-Angles are degrees in every file and radians in memory; the conversion
-happens only in :func:`to_file_units` and :func:`from_file_units`.
+Angles are degrees in every file and radians in memory; files convert
+through :func:`to_file_units` and :func:`from_file_units`.
 Report fields are rounded to 6 significant digits before writing so a
 parsed report compares equal to the in-memory one; machine-oriented
 extrinsics files keep full precision because downstream commands re-read
@@ -97,9 +97,16 @@ def _read_fields(path, kind: str, schema: dict, required: bool) -> dict:
     return values
 
 
+def _number(convert, text: str):
+    """``convert(text)`` of an ASCII literal without '_', unlike float('1_0') or int('５')."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return convert(text)
+
+
 def _float(path, key: str, text: str) -> float:
     try:
-        return float(text)
+        return _number(float, text)
     except ValueError:
         raise FormatError(f"{path}: field {key!r} is not a number: {text!r}") from None
 
@@ -114,7 +121,7 @@ def _int(path, key: str, text: str) -> int:
 def parse_classes(path, text: str) -> tuple[int, ...]:
     """Parse a comma-separated class-id list; ``path`` names its source."""
     try:
-        ids = tuple(int(p) for p in text.split(",") if p.strip())
+        ids = tuple(_number(int, p) for p in text.split(",") if p.strip())
     except ValueError:
         raise FormatError(f"{path}: bad class list {text!r}") from None
     if not ids:
@@ -136,7 +143,7 @@ def _remap(path, key: str, text: str) -> dict[int, int]:
             raise FormatError(f"{path}: {key} entries must look like src:dst, got {part!r}")
         src, dst = part.split(":", 1)
         try:
-            src, dst = int(src), int(dst)
+            src, dst = _number(int, src), _number(int, dst)
         except ValueError:
             raise FormatError(f"{path}: non-integer id in {key} entry {part!r}") from None
         if src in table:
@@ -150,7 +157,7 @@ def _range(path, key: str, text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise FormatError(f"{path}: {key} must be 'low,high'")
     try:
-        return float(parts[0]), float(parts[1])
+        return _number(float, parts[0]), _number(float, parts[1])
     except ValueError:
         raise FormatError(f"{path}: non-numeric bound in {key}") from None
 

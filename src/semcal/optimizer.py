@@ -298,9 +298,10 @@ def _to_centered(ext: Extrinsics, center: np.ndarray) -> np.ndarray:
 
 
 def _from_centered(y: np.ndarray, center: np.ndarray) -> Extrinsics:
-    """Inverse of :func:`_to_centered`: the extrinsics (θ, c - R(θ)·center)."""
-    rotation = RotationAngles(*y[:3])
-    return Extrinsics(rotation, Translation(*(y[3:] - rotation_matrix(rotation) @ center)))
+    """Inverse of :func:`_to_centered`: the extrinsics (θ, c - R(θ)·center), with that R(θ)."""
+    rotation = RotationAngles(*y[:3].tolist())  # floats unpack faster than numpy scalars
+    r = rotation_matrix(rotation)
+    return Extrinsics(rotation, Translation(*(y[3:] - r @ center).tolist()), r)
 
 
 def calibrate(

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from semcal.cli import main
-from semcal.geometry import Extrinsics, RotationAngles, Translation
+from semcal.costfield import CostEvaluator
+from semcal.geometry import Extrinsics, RotationAngles, Translation, rotation_matrix
 from semcal.io_formats import (
+    from_file_units,
     read_extrinsics,
     read_label_image,
     read_point_cloud,
     read_report,
+    read_scene_dir,
+    write_csv,
     write_extrinsics,
     write_label_image,
     write_scene_dir,
@@ -227,6 +231,49 @@ def test_sweep_translation(scene_dir, tmp_path):
     assert min(costs) == costs[2]
 
 
+@pytest.mark.parametrize("axis, span, interval", [
+    # theta_z sits at 4 degrees, so +-200 degrees wraps past -180 and +180
+    ("theta_x", "200", "12.5"), ("theta_y", "200", "12.5"), ("theta_z", "200", "12.5"),
+    ("t_x", "1.5", "0.125"), ("t_y", "1.5", "0.125"), ("t_z", "0.1", "0.0125"),
+])
+def test_sweep_matches_the_per_row_reference(axis, span, interval, scene_dir, tmp_path,
+                                             monkeypatch):
+    """The sweep's pose table gives each row the pose, bits and all, of
+    ``from_vector(reference + from_file_units(axis * displacement))``, whose
+    other five entries are -0.0 below zero; so its CSV is byte-identical to
+    that per-row reference's."""
+    sent = []
+    evaluate_total = CostEvaluator.evaluate_total
+    monkeypatch.setattr(CostEvaluator, "evaluate_total",
+                        lambda self, ext: sent.append(ext) or evaluate_total(self, ext))
+    out = tmp_path / "sw"
+    assert main(["sweep", str(scene_dir), "--gt", str(scene_dir / "gt_extrinsics.txt"),
+                 "--axis", axis, "--range", span, "--interval", interval,
+                 "--output", str(out)]) == 0
+    monkeypatch.undo()
+
+    n = round(float(span) / float(interval))
+    displacements = [k * float(interval) for k in range(-n, n + 1)]
+    base = read_extrinsics(scene_dir / "gt_extrinsics.txt").to_vector()
+    i = ["theta_x", "theta_y", "theta_z", "t_x", "t_y", "t_z"].index(axis)
+    unit = np.eye(6)[i]
+    poses = [Extrinsics.from_vector(base + from_file_units(unit * d)) for d in displacements]
+    assert len(sent) == len(poses)
+    for pose, ref in zip(sent, poses):
+        assert pose.to_vector().tobytes() == ref.to_vector().tobytes()
+        r, t = pose.matrix()
+        assert r.tobytes() == rotation_matrix(ref.rotation).tobytes() and not r.flags.writeable
+    if i < 3:  # the swept angle wraps at both ends
+        assert base[i] + np.radians(displacements[0]) < -np.pi < np.pi < base[i] + np.radians(
+            displacements[-1])
+    pairs, _, classes = read_scene_dir(scene_dir)
+    evaluator = CostEvaluator(pairs, classes)
+    unit_name = "deg" if axis.startswith("theta") else "m"
+    write_csv(tmp_path / "ref.csv", (f"displacement_{unit_name}", "cost"),
+              [(d, evaluator.evaluate_total(p)) for d, p in zip(displacements, poses)])
+    assert (out / f"sweep_{axis}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_eval_table_and_report(tmp_path, capsys):
     est_f = tmp_path / "est.txt"
     gt_f = tmp_path / "gt.txt"
@@ -396,6 +443,16 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(["synth", "--spec", "lateral_range = nan,1"], id="spec-lateral_range-nan"),
     pytest.param(["synth", "--spec", "lateral_range = 2,1"], id="spec-lateral_range-unordered"),
     pytest.param(["synth", "--spec", "depth_range = 1,2,3"], id="spec-depth_range-three-parts"),
+    # numbers are ASCII literals without '_', although float() and int() read these
+    pytest.param(["synth", "--spec", "seed = 1_0"], id="spec-seed-underscore"),
+    pytest.param(["synth", "--spec", "fx = \uff15\uff10\uff10"], id="spec-fx-fullwidth-digits"),
+    pytest.param(["synth", "--spec", "depth_range = 2_0,30"], id="spec-depth_range-underscore"),
+    pytest.param(["synth", "--classes", "\u0661,2"], id="synth-classes-arabic-indic-digit"),
+    pytest.param(["synth", "--classes", "1,2_0"], id="synth-classes-underscore"),
+    pytest.param(["init", "{scene}", "--config", "cloud_remap = 1_0:1"],
+                 id="config-remap-underscore"),
+    pytest.param(["init", "{scene}", "--config", "image_remap = 9:\uff11"],
+                 id="config-remap-fullwidth-digit"),
     pytest.param(["synth", "--spec", "depth_range = 1,far"], id="spec-depth_range-non-numeric"),
     pytest.param(["synth", "--spec", "ground_y = nan"], id="spec-ground_y-nan"),
     # the densified copies per cloud point are a constant of the generator

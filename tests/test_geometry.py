@@ -1,7 +1,11 @@
 """Tests for angles, rigid transforms, and the pinhole projection."""
 
+from dataclasses import replace
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from semcal.errors import CalibrationError
 from semcal.geometry import (
@@ -13,6 +17,7 @@ from semcal.geometry import (
     rotation_matrix,
     wrap_angle,
 )
+from semcal.optimizer import _from_centered
 
 
 def test_wrap_angle_basic():
@@ -26,6 +31,14 @@ def test_wrap_angle_basic():
     assert wrap_angle(np.deg2rad(-179) - np.deg2rad(179)) == pytest.approx(np.deg2rad(2))
     with pytest.raises(CalibrationError, match="finite"):
         wrap_angle(np.nan)
+
+
+def test_wrap_angle_stays_in_range_just_above_pi():
+    """The remainder of an angle one ulp above pi rounds up to 2 pi; the
+    result is then pi, not -pi, which lies outside (-pi, pi]."""
+    above = np.nextafter(np.pi, 4.0)
+    assert wrap_angle(above) == np.pi
+    assert RotationAngles(above, 0.0, 0.0) == RotationAngles(np.pi, 0.0, 0.0)
 
 
 def test_wrap_angle_keeps_canonical_angles():
@@ -101,3 +114,69 @@ def test_intrinsics_validation():
 def test_translation_rejects_non_finite():
     with pytest.raises(CalibrationError):
         Translation(np.nan, 0.0, 0.0)
+
+
+def assert_keeps_its_matrix(ext):
+    """``matrix()`` is the kept, read-only ``(R, t)`` of the pose's own
+    wrapped angles and translation, bit for bit."""
+    r, t = ext.matrix()
+    assert r.tobytes() == rotation_matrix(ext.rotation).tobytes()
+    assert t.tobytes() == ext.translation.as_array().tobytes()
+    assert ext.matrix()[0] is r  # kept, not built again
+    for array in (r, t):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def assert_fields_only(ext, angles, t):
+    """``==``, ``hash`` and ``repr`` see the wrapped ``angles`` and ``t`` alone,
+    as they did before a pose kept its matrix."""
+    wrapped = tuple(wrap_angle(float(a)) for a in angles)
+    t = tuple(float(x) for x in t)
+    assert ext == Extrinsics(RotationAngles(*wrapped), Translation(*t))
+    assert hash(ext) == hash((wrapped, t))  # a dataclass hashes the tuple of its fields
+    assert repr(ext) == (
+        "Extrinsics(rotation=RotationAngles(theta_x={!r}, theta_y={!r}, theta_z={!r}), "
+        "translation=Translation(t_x={!r}, t_y={!r}, t_z={!r}))".format(*wrapped, *t))
+
+
+_ANGLE = st.floats(-4 * np.pi, 4 * np.pi)  # wraps past +-pi both ways
+_METERS = st.floats(-50.0, 50.0)
+
+
+@given(st.tuples(_ANGLE, _ANGLE, _ANGLE), st.tuples(_METERS, _METERS, _METERS),
+       st.tuples(_METERS, _METERS, _METERS))
+@example((np.pi, -np.pi, 3 * np.pi), (0.0, -0.0, 1.0), (0.0, 0.0, 0.0))
+@example((np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 4.0), -7.0), (1.5, 2.5, -3.5),
+         (0.3, -0.2, 8.0))
+@settings(max_examples=200, deadline=None)
+def test_every_constructor_keeps_the_matrix_of_its_wrapped_angles(angles, t, center):
+    v = np.array([*angles, *t])
+    for ext in (Extrinsics(RotationAngles(*angles), Translation(*t)), Extrinsics.from_vector(v)):
+        assert_keeps_its_matrix(ext)
+        assert_fields_only(ext, angles, t)
+    # the optimizer's pose from (theta, c), against the translation it had
+    # when the kernel built the rotation once more
+    center = np.array(center)
+    y = np.array([*angles, *(np.array(t) + center)])
+    ext = _from_centered(y, center)
+    old_t = y[3:] - rotation_matrix(RotationAngles(*y[:3])) @ center
+    assert_keeps_its_matrix(ext)
+    assert_fields_only(ext, angles, old_t)
+    # a replaced field builds the matrix of the new pose
+    moved = replace(ext, rotation=RotationAngles(0.1, 0.2, 0.3))
+    assert_keeps_its_matrix(moved)
+    assert moved.translation == ext.translation
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pose_is_an_error(bad):
+    for i in range(6):
+        v = np.zeros(6)
+        v[i] = bad
+        for build in (lambda: Extrinsics(RotationAngles(*v[:3]), Translation(*v[3:])),
+                      lambda: Extrinsics.from_vector(v),
+                      lambda: _from_centered(v, np.ones(3))):
+            with pytest.raises(CalibrationError, match="finite"):
+                build()

@@ -6,6 +6,7 @@ import pytest
 from semcal.costfield import CostEvaluator
 from semcal.errors import NonFiniteCost
 from semcal.geometry import Extrinsics, RotationAngles, Translation
+import semcal.geometry
 import semcal.optimizer
 from semcal.optimizer import (
     _PLATEAU_SAMPLES,
@@ -258,3 +259,27 @@ def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
     memo_free = CostEvaluator(scene.pairs, spec.classes)
     assert all(value == memo_free.evaluate_total(_from_centered(y, memo_free.center))
                for y, value in samples)
+
+
+def test_calibrate_builds_one_rotation_per_kernel_call(monkeypatch):
+    """Each pose sent to the kernel builds its rotation once, in
+    ``_from_centered``, and the kernel builds none; beyond those, each trace
+    row and the estimate build one."""
+    spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=4)
+    scene = generate(spec)
+    start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=2)
+    evaluator = CostEvaluator(scene.pairs, spec.classes)
+    built = []
+    rotation_matrix = semcal.geometry.rotation_matrix
+
+    def counting(angles):
+        built.append(angles)
+        return rotation_matrix(angles)
+
+    # the optimizer calls it by its own name, Extrinsics by the module's
+    monkeypatch.setattr(semcal.geometry, "rotation_matrix", counting)
+    monkeypatch.setattr(semcal.optimizer, "rotation_matrix", counting)
+    _, _, trace = calibrate(evaluator, start)
+    kernel_calls = trace.n_evaluations - trace.n_repeated
+    assert kernel_calls > 100
+    assert len(built) == kernel_calls + len(trace.points) + 1
