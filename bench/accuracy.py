@@ -117,6 +117,14 @@ median of those ratios:
   memory sits next to set-up time; it includes the fields the evaluator
   keeps.
 
+After every round of every task and one untimed warm-up run, each side, in
+alternating order, times one run of perfbench's host-speed reference kernel
+(``perfbench/speed.py``'s ``sample()``), kept per task as ``reference_ms``
+next to that task's timings; ``timing["reference_ms"]`` is the median of the
+tasks' medians.  The host's speed changes from run to run, so absolute
+times compare across JSONs only in units of this kernel: the same kernel
+code read 86.1 us per evaluation in one JSON and 48.4 us in another.
+
 Every process pins BLAS and OpenMP to one thread.  The timing scenes live in
 memory as float64 clouds, so their evaluation counts differ from those of the
 same scenes read back from disk as float32.  ``host`` records the numpy
@@ -127,6 +135,7 @@ them every estimate, follow numpy's ``Generator`` streams.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib
 import importlib.metadata
@@ -371,11 +380,32 @@ def _load(src: Path, name: str):
                                                                    "optimizer", "pnp_init")}
 
 
+@functools.cache
+def _speed():
+    """perfbench's ``speed`` module, loaded from its file: its ``sample()``
+    returns the seconds of one run of the host-speed reference kernel."""
+    spec = importlib.util.spec_from_file_location("perfbench_speed",
+                                                  ROOT / "perfbench" / "speed.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _rounds(run_round) -> dict:
     """Each side's medians over ROUNDS rounds of ``run_round(i)``, which
     returns a dict of timings per side, plus the change / baseline ratio of
-    every round and their median."""
-    rounds = [run_round(i) for i in range(ROUNDS)]
+    every round and their median.  After each round and one untimed warm-up
+    run, each side times the host-speed reference kernel once
+    (``reference_ms``): the first run after a round's work took 1.6 times
+    as long as the next."""
+    def with_reference(i):
+        timings = run_round(i)
+        _speed().sample()
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            timings[side]["reference_ms"] = _speed().sample() * 1e3
+        return timings
+
+    rounds = [with_reference(i) for i in range(ROUNDS)]
     keys = rounds[0]["baseline"]
     ratios = {k: [r["change"][k] / r["baseline"][k] for r in rounds] for k in keys}
     return {
@@ -534,6 +564,10 @@ def time_sides(srcs: dict) -> dict:
         memory["ratio"] = {"evaluator_peak_mb": memory["change"]["evaluator_peak_mb"]
                            / memory["baseline"]["evaluator_peak_mb"]}
         result["layers"][name]["memory"] = memory
+    tasks = [*result["kernel"].values(), *result["kernel_t_x"].values(), result["replay"],
+             result["calibrate"], *result["layers"].values()]
+    result["reference_ms"] = {side: median(t[side]["reference_ms"] for t in tasks)
+                              for side in SIDES}
     return result
 
 
@@ -615,7 +649,7 @@ def main() -> int:
                 "dev warm starts 0.1 deg / 0.01 m and 0.5 deg / 0.05 m off the truth; "
                 "interleaved timings of evaluate_total (a new rotation per pose, and steps "
                 "along t_x alone), calibrate, field build, evaluator construction and "
-                "initialize",
+                "initialize, each next to perfbench's host-speed reference kernel",
         "baseline_rev": baseline,
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
@@ -646,6 +680,8 @@ def main() -> int:
             print(f"{side}: watch {label}: {'in band' if r['in_band'] else 'out of band'}, "
                   f"{r['rot_err_deg']:.3f} deg, {r['trans_err_m']:.3f} m, "
                   f"gap {r['gap_to_gt']:+.4f}")
+    print("host-speed reference kernel: " + ", ".join(
+        f"{side} {timing['reference_ms'][side]:.3f} ms" for side in SIDES))
     print(f"byte-identical scene files: {identical_scenes['identical']}/"
           f"{identical_scenes['scenes']} scenes")
     print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")

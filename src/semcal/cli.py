@@ -27,6 +27,8 @@ from .geometry import Extrinsics, wrap_angle
 from .io_formats import (
     POSE_FIELDS,
     RunConfig,
+    ascii_float,
+    ascii_int,
     config_report_fields,
     extrinsics_report_fields,
     fmt6,
@@ -35,7 +37,6 @@ from .io_formats import (
     read_extrinsics,
     read_scene_dir,
     read_scene_spec,
-    sig6,
     to_file_units,
     write_csv,
     write_extrinsics,
@@ -72,14 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
     scene.add_argument("data_dir", help="scene directory")
     scene.add_argument("--config", help="key = value config file; flags win")
     scene.add_argument(
-        "--threads", type=int,
+        "--threads", type=ascii_int,
         help="ignored: accepted for compatibility; the cost kernel runs on one thread",
     )
 
     p = sub.add_parser("synth", parents=[selection, report],
                        help="generate a synthetic scene with known ground truth")
     p.add_argument("--spec", help="scene-spec file; omitted fields use defaults")
-    p.add_argument("--seed", type=int, help="random seed override")
+    p.add_argument("--seed", type=ascii_int, help="random seed override")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("init", parents=[scene, selection, report],
@@ -96,11 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="reference extrinsics file")
     p.add_argument("--axis", required=True, choices=_AXES)
     p.add_argument(
-        "--range", dest="span", required=True, type=float,
+        "--range", dest="span", required=True, type=ascii_float,
         help="half-width of the sweep (degrees for theta axes, meters for t axes)",
     )
     p.add_argument(
-        "--interval", required=True, type=float,
+        "--interval", required=True, type=ascii_float,
         help="grid step (degrees for theta axes, meters for t axes)",
     )
     p.set_defaults(func=cmd_sweep)
@@ -169,7 +170,7 @@ def cmd_synth(args) -> tuple[str, dict, dict]:
         "n_frames": spec.n_frames,
         "objects_per_frame": spec.objects_per_frame,
         "classes": ",".join(str(c) for c in spec.classes),
-        "noise_rate": sig6(spec.noise_rate),
+        "noise_rate": spec.noise_rate,
         "n_label_flips": int(sum(scene.noise_flips)),
         "gt_extrinsics": extrinsics_report_fields(scene.extrinsics),
         "frames": {
@@ -185,18 +186,18 @@ def _init_report_block(result) -> dict:
     return {
         "n_centroid_pairs": len(ps),
         "plane": {
-            "normal_x": sig6(plane.normal[0]),
-            "normal_y": sig6(plane.normal[1]),
-            "normal_z": sig6(plane.normal[2]),
-            "offset": sig6(plane.offset),
+            "normal_x": plane.normal[0],
+            "normal_y": plane.normal[1],
+            "normal_z": plane.normal[2],
+            "offset": plane.offset,
             "n_inliers": int(plane.inliers.size),
-            "rms_m": sig6(plane.rms),
+            "rms_m": plane.rms,
         },
         "candidates": {
             "candidate_0": {
-                "cost": sig6(result.cost),
+                "cost": result.cost,
                 "cheirality": result.cheirality,
-                "reprojection_rms_px": sig6(result.rms),
+                "reprojection_rms_px": result.rms,
             },
         },
         "estimate": extrinsics_report_fields(result.extrinsics),
@@ -204,11 +205,11 @@ def _init_report_block(result) -> dict:
             f"row_{i}": {
                 "frame": frame_id,
                 "class": int(class_id),
-                "centroid_u": sig6(u),
-                "centroid_v": sig6(v),
-                "projected_u": sig6(pu) if np.isfinite(pu) else "none",
-                "projected_v": sig6(pv) if np.isfinite(pv) else "none",
-                "residual_px": sig6(residual) if np.isfinite(residual) else "inf",
+                "centroid_u": u,
+                "centroid_v": v,
+                "projected_u": pu if np.isfinite(pu) else "none",
+                "projected_v": pv if np.isfinite(pv) else "none",
+                "residual_px": residual if np.isfinite(residual) else "inf",
             }
             for i, (frame_id, class_id, (u, v), (pu, pv), residual) in enumerate(rows)
         },
@@ -228,11 +229,11 @@ def cmd_init(args) -> tuple[str, dict, dict]:
 
 def _breakdown_block(breakdown) -> dict:
     return {
-        "total": sig6(breakdown.total),
-        "numerator": sig6(breakdown.numerator),
-        "denominator": sig6(breakdown.denominator),
+        "total": breakdown.total,
+        "numerator": breakdown.numerator,
+        "denominator": float(breakdown.denominator),  # a count, printed to 6 digits as a float
         "per_class": {
-            f"class_{cid}": sig6(num / den if den else 0.0)
+            f"class_{cid}": num / den if den else 0.0
             for cid, (num, den) in breakdown.per_class.items()
         },
         "counts": {
@@ -282,12 +283,12 @@ def cmd_calibrate(args) -> tuple[str, dict, dict]:
             "n_repeated": int(trace.n_repeated),
             "n_probe_evaluations": int(trace.n_probe),
             "n_points": len(trace.points),
-            "initial_cost": sig6(trace.points[0][2]),
-            "final_cost": sig6(trace.points[-1][2]),
+            "initial_cost": trace.points[0][2],
+            "final_cost": trace.points[-1][2],
         },
         "pairs": {
             frame_id: {
-                "cost": sig6(pb.total),
+                "cost": pb.total,
                 "n_inconsistent": int(pb.n_inconsistent),
                 "n_behind_camera": int(pb.n_behind_camera),
             }
@@ -328,13 +329,13 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
         "config": config_report_fields(cfg),
         "axis": args.axis,
         "unit": unit,
-        "range": sig6(args.span),
-        "interval": sig6(args.interval),
+        "range": args.span,
+        "interval": args.interval,
         "n_rows": len(rows),
         "csv": csv_name,
-        "min_cost": sig6(best[0]),
-        "argmin_displacement": sig6(best[1]),
-        "cost_at_zero": sig6(rows[n_steps][1]),
+        "min_cost": best[0],
+        "argmin_displacement": best[1],
+        "cost_at_zero": rows[n_steps][1],
     }, {}
 
 
@@ -344,7 +345,7 @@ def cmd_eval(args) -> tuple[str, dict, dict]:
     deltas = [wrap_angle(est[i] - ref[i]) for i in range(3)] + [
         est[i] - ref[i] for i in range(3, 6)
     ]
-    errors = {f"d_{key}": sig6(val) for key, val in zip(POSE_FIELDS, to_file_units(deltas))}
+    errors = {f"d_{key}": val for key, val in zip(POSE_FIELDS, to_file_units(deltas))}
 
     print(f"{'parameter':<14}{'error':>14}")
     for name, val in errors.items():
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
         name, body, timings = args.func(args)
         timings["total_s"] = time.perf_counter() - t0
         if args.with_timings:
-            body["timings"] = {stage: sig6(dt) for stage, dt in timings.items()}
+            body["timings"] = timings
         write_report(_out_dir(args) / "report.txt", {name: {"version": __version__, **body}})
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -154,6 +154,7 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     for f in widest:
         cell[f], stride = stride, stride + boxes[f][3]
     atlas = np.empty((boxes[widest[0]][2] if widest else 0, stride), dtype)
+    atlas.fill(0)  # the padding is never read, but every build must give the same bytes
 
     cap = n * max(image.labels.size for image in images)
     chunks = []  # fields that share one height scan, tallest first, and their width

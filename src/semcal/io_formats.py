@@ -6,17 +6,14 @@ written by hand and outputs diffed byte-for-byte:
 * point clouds: packed little-endian float32 records ``x, y, z, label``
   (``.bin``), or one ``x,y,z,label`` line per point (``.csv``)
 * label images: binary 8-bit single-channel PGM (``P5``)
-* intrinsics, extrinsics, configs, scene specs: UTF-8 ``key = value`` text,
-  each read against a schema of its keys by one reader
+* intrinsics, extrinsics, configs, scene specs, scene manifests: UTF-8
+  ``key = value`` text, each read against a schema of its keys by one reader
+  and written by one writer, numbers with ``.17g`` so they read back exactly
 * reports: an indentation-structured key/value document that parses back
   to the dictionary it was written from
 
 Angles are degrees in every file and radians in memory; files convert
 through :func:`to_file_units` and :func:`from_file_units`.
-Report fields are rounded to 6 significant digits before writing so a
-parsed report compares equal to the in-memory one; machine-oriented
-extrinsics files keep full precision because downstream commands re-read
-them.
 """
 
 from __future__ import annotations
@@ -97,16 +94,30 @@ def _read_fields(path, kind: str, schema: dict, required: bool) -> dict:
     return values
 
 
-def _number(convert, text: str):
-    """``convert(text)`` of an ASCII literal without '_', unlike float('1_0') or int('５')."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(text)
-    return convert(text)
+def _write_fields(path, mapping: dict) -> None:
+    """Write ``key = value`` lines: strings as they are, numbers with ``.17g``."""
+    Path(path).write_text("".join(
+        f"{key} = {value if isinstance(value, str) else format(value, '.17g')}\n"
+        for key, value in mapping.items()))
+
+
+def _number(convert):
+    """``convert`` for ASCII literals without '_' only, unlike float('1_0') or
+    int('５'), under ``convert``'s name, which argparse's usage errors print."""
+    def number(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return convert(text)
+    number.__name__ = convert.__name__
+    return number
+
+
+ascii_int, ascii_float = _number(int), _number(float)
 
 
 def _float(path, key: str, text: str) -> float:
     try:
-        return _number(float, text)
+        return ascii_float(text)
     except ValueError:
         raise FormatError(f"{path}: field {key!r} is not a number: {text!r}") from None
 
@@ -121,7 +132,7 @@ def _int(path, key: str, text: str) -> int:
 def parse_classes(path, text: str) -> tuple[int, ...]:
     """Parse a comma-separated class-id list; ``path`` names its source."""
     try:
-        ids = tuple(_number(int, p) for p in text.split(",") if p.strip())
+        ids = tuple(ascii_int(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise FormatError(f"{path}: bad class list {text!r}") from None
     if not ids:
@@ -143,7 +154,7 @@ def _remap(path, key: str, text: str) -> dict[int, int]:
             raise FormatError(f"{path}: {key} entries must look like src:dst, got {part!r}")
         src, dst = part.split(":", 1)
         try:
-            src, dst = _number(int, src), _number(int, dst)
+            src, dst = ascii_int(src), ascii_int(dst)
         except ValueError:
             raise FormatError(f"{path}: non-integer id in {key} entry {part!r}") from None
         if src in table:
@@ -157,7 +168,7 @@ def _range(path, key: str, text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise FormatError(f"{path}: {key} must be 'low,high'")
     try:
-        return _number(float, parts[0]), _number(float, parts[1])
+        return ascii_float(parts[0]), ascii_float(parts[1])
     except ValueError:
         raise FormatError(f"{path}: non-numeric bound in {key}") from None
 
@@ -205,7 +216,7 @@ def read_point_cloud(path) -> LabeledPointCloud:
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 comma-separated values")
             try:
-                rows.append([float(p) for p in parts])
+                rows.append([ascii_float(p) for p in parts])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
         data = np.asarray(rows, dtype=float).reshape(len(rows), 4)
@@ -270,8 +281,7 @@ def read_label_image(path) -> LabelImage:
 
 
 def write_intrinsics(path, k: CameraIntrinsics) -> None:
-    lines = [f"{key} = {getattr(k, key):.17g}" for key in _INTRINSICS]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_fields(path, {key: getattr(k, key) for key in _INTRINSICS})
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
@@ -292,9 +302,7 @@ def from_file_units(values) -> np.ndarray:
 
 def write_extrinsics(path, ext: Extrinsics) -> None:
     """Write six named values, angles in degrees, full precision."""
-    values = to_file_units(ext.to_vector())
-    lines = [f"{key} = {val:.17g}" for key, val in zip(_EXTRINSICS, values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_fields(path, dict(zip(_EXTRINSICS, to_file_units(ext.to_vector()))))
 
 
 def read_extrinsics(path) -> Extrinsics:
@@ -303,8 +311,8 @@ def read_extrinsics(path) -> Extrinsics:
 
 
 def extrinsics_report_fields(ext: Extrinsics) -> dict[str, float]:
-    """The six parameters as report fields (degrees, 6 significant digits)."""
-    return {key: sig6(val) for key, val in zip(_EXTRINSICS, to_file_units(ext.to_vector()))}
+    """The six parameters as report fields, angles in degrees."""
+    return dict(zip(_EXTRINSICS, to_file_units(ext.to_vector())))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +391,9 @@ def read_scene_spec(path) -> SceneSpec:
 # scene directories
 
 
+_MANIFEST = {"n_frames": _int, "classes": _classes}
+
+
 def write_scene_dir(path, pairs, intrinsics: CameraIntrinsics, classes,
                     gt: Extrinsics | None = None) -> None:
     """Write frames plus intrinsics, manifest, and optional GT extrinsics."""
@@ -392,11 +403,8 @@ def write_scene_dir(path, pairs, intrinsics: CameraIntrinsics, classes,
         write_point_cloud(root / f"{pair.frame_id}.bin", pair.cloud)
         write_label_image(root / f"{pair.frame_id}.pgm", pair.image)
     write_intrinsics(root / "intrinsics.txt", intrinsics)
-    manifest = [
-        f"n_frames = {len(pairs)}",
-        "classes = " + ",".join(str(c) for c in classes),
-    ]
-    (root / "scene.txt").write_text("\n".join(manifest) + "\n")
+    _write_fields(root / "scene.txt",
+                  {"n_frames": len(pairs), "classes": ",".join(str(c) for c in classes)})
     if gt is not None:
         write_extrinsics(root / "gt_extrinsics.txt", gt)
 
@@ -415,8 +423,8 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
 
     Returns the pairs, the shared intrinsics, and the manifest's class list
     (``None`` when there is no manifest).  Each frame is a ``<stem>.bin`` or
-    ``<stem>.csv`` cloud next to a ``<stem>.pgm`` label image; a manifest's
-    ``n_frames`` must count them.
+    ``<stem>.csv`` cloud next to a ``<stem>.pgm`` label image.  A manifest
+    may hold ``n_frames``, which must count them, and ``classes``, no other key.
     """
     root = Path(path)
     if not root.is_dir():
@@ -447,17 +455,13 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
         )
     if not pairs:
         raise FormatError(f"{root}: no frame files (*.bin or *.csv)")
-    classes = None
     manifest_path = root / "scene.txt"
-    if manifest_path.exists():
-        manifest = _parse_keyvalues(manifest_path, _read_text(manifest_path))
-        if "classes" in manifest:
-            classes = parse_classes(manifest_path, manifest["classes"])
-        n_frames = _int(manifest_path, "n_frames", manifest.get("n_frames", str(len(pairs))))
-        if n_frames != len(pairs):
-            raise FormatError(f"{manifest_path}: n_frames = {n_frames}, but the scene has "
-                              f"{len(pairs)} frames")
-    return pairs, intrinsics, classes
+    manifest = (_read_fields(manifest_path, "manifest", _MANIFEST, required=False)
+                if manifest_path.exists() else {})
+    if manifest.get("n_frames", len(pairs)) != len(pairs):
+        raise FormatError(f"{manifest_path}: n_frames = {manifest['n_frames']}, but the scene "
+                          f"has {len(pairs)} frames")
+    return pairs, intrinsics, manifest.get("classes")
 
 
 # ---------------------------------------------------------------------------

@@ -396,11 +396,11 @@ class ReferenceEvaluator:
         return breakdown
 
 
-def load_perfbench(name: str):
-    """The module ``perfbench/<name>.py``, loaded from its file: perfbench is
-    a directory of scripts, not a package."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+def load_script(directory: str, name: str):
+    """The module ``<directory>/<name>.py``, loaded from its file: ``perfbench``
+    and ``bench`` are directories of scripts, not packages."""
+    path = Path(__file__).resolve().parent.parent / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -2,12 +2,14 @@
 
 Criteria, in test order:
 
-1. zero cost at ground truth on a clean generated scene, under 5 seconds
+1. zero cost at ground truth on a clean generated scene, under 5 seconds,
+   and on rigs far from identity
 2. distance fields and out-of-range queries exactly equal brute force
 3. single-axis cost sweeps bottom out at zero displacement and rise outward
 4. plane-based initialization recovers random exact-correspondence poses
 5. the minimizer solves standard reference problems to tight tolerance
-6. end-to-end CLI calibration under label noise hits the accuracy band
+6. end-to-end CLI calibration under label noise hits the accuracy band,
+   also on rigs drawn uniformly over SO(3)
 7. refinement from pipeline output matches refinement from near ground truth
 8. every subcommand is byte-for-byte deterministic
 """
@@ -21,6 +23,7 @@ from helpers import (
     brute_distance_grid,
     brute_min_l1,
     class_field,
+    load_script,
     make_planar_pairs,
     query_distance,
 )
@@ -33,7 +36,7 @@ from semcal.geometry import (
     Translation,
     wrap_angle,
 )
-from semcal.io_formats import read_extrinsics, write_scene_dir
+from semcal.io_formats import from_file_units, read_extrinsics, write_scene_dir
 from semcal.optimizer import calibrate, powell_minimize
 from semcal.pnp_init import initialize
 from semcal.scene import LabelImage
@@ -60,6 +63,35 @@ def test_criterion_1_cost_zero_oracle(capsys):
         capsys, 1, ok,
         f"cost {breakdown.total!r} at ground truth over 20 frames in {elapsed:.2f}s",
     )
+
+
+# the bench's scene recipe: its random_rig set draws a rotation uniform over
+# SO(3) per seed, as a normalized Gaussian quaternion
+accuracy = load_script("bench", "accuracy")
+
+
+def rig(degrees, meters=accuracy.GT[1]) -> Extrinsics:
+    return Extrinsics.from_vector(from_file_units([*degrees, *meters]))
+
+
+def rotation_angle_deg(a: Extrinsics, b: Extrinsics) -> float:
+    """The angle of the rotation that takes ``b``'s rotation to ``a``'s."""
+    turn = a.matrix()[0] @ b.matrix()[0].T
+    return float(np.degrees(np.arccos(np.clip((np.trace(turn) - 1.0) / 2.0, -1.0, 1.0))))
+
+
+def test_criterion_1_cost_zero_on_other_rigs(capsys):
+    # the KITTI-like rig next to the Euler singularity, an axis-permuted rig
+    # and four rotations uniform over SO(3)
+    rigs = {"kitti-like": rig(*accuracy.KITTI_NEAR), "axis-permuted": rig((-90.0, 0.0, -90.0)),
+            **{f"random {seed}": rig(*accuracy._random_gt(seed)) for seed in range(4)}}
+    costs = {}
+    for name, gt in rigs.items():
+        scene = generate(SceneSpec(n_frames=10, objects_per_frame=5, extrinsics=gt, seed=0))
+        costs[name] = CostEvaluator(scene.pairs, scene.spec.classes).evaluate(gt).total
+    ok = all(cost == 0.0 for cost in costs.values())
+    announce(capsys, 1, ok, f"cost 0.0 at ground truth on {len(rigs)} rigs far from identity"
+             if ok else f"costs at ground truth {costs}")
 
 
 def test_criterion_2_distance_field_exactness(capsys):
@@ -225,6 +257,25 @@ def test_criterion_6_end_to_end_accuracy(capsys, tmp_path):
         f"{results[10]}/10 at 10 frames, {results[20]}/10 at 20 frames "
         f"in {elapsed:.0f}s (budget 600s)",
     )
+
+
+def test_criterion_6_random_rigs(capsys, tmp_path):
+    # the first three scenes of the bench's random_rig set, written to disk
+    # and calibrated through the CLI; a rotation far from identity is judged
+    # by its angle, as Euler angles near a singularity trade off
+    errors = []
+    for seed in range(3):
+        spec = accuracy._spec(accuracy._random_gt(seed), **accuracy.SCENE_DEFAULTS, seed=seed)
+        sd = tmp_path / f"scene_{seed}"
+        write_scene_dir(sd, generate(spec).pairs, spec.intrinsics, spec.classes,
+                        gt=spec.extrinsics)
+        assert main(["calibrate", str(sd), "--output", str(sd / "out")]) == 0
+        est = read_extrinsics(sd / "out" / "estimated_extrinsics.txt")
+        trans = np.abs(np.subtract(est.to_vector()[3:], spec.extrinsics.to_vector()[3:]))
+        errors.append((rotation_angle_deg(est, spec.extrinsics), float(trans.max())))
+    ok = all(angle <= 1.0 and trans <= 0.1 for angle, trans in errors)
+    announce(capsys, 6, ok, "3 random rigs, worst rotation angle "
+             f"{max(e[0] for e in errors):.3f} deg, translation {max(e[1] for e in errors):.3f} m")
 
 
 def test_criterion_7_initialization_suffices(capsys):

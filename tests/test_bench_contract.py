@@ -9,14 +9,14 @@ operations in a benchmark run.
 
 import pytest
 
-from helpers import load_perfbench
+from helpers import load_script
 from semcal.cli import main
 from semcal.costfield import CostEvaluator
 from semcal.geometry import Extrinsics
 from semcal.io_formats import read_scene_dir, sig6, write_scene_dir
 from semcal.synth import SceneSpec, generate
 
-workloads = load_perfbench("workloads")
+workloads = load_script("perfbench", "workloads")
 
 
 @pytest.fixture(scope="module")

@@ -486,6 +486,30 @@ def test_bad_input_is_an_error(argv, scene_dir, broken_scene_dirs, tmp_path, cap
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["synth", "--seed", "1_0"], "argument --seed: invalid int value: '1_0'",
+                 id="seed-underscore"),
+    pytest.param(["synth", "--seed", "\uff15"], "argument --seed: invalid int value: '\uff15'",
+                 id="seed-fullwidth-digit"),
+    pytest.param(["init", "{scene}", "--threads", "\uff15"],
+                 "argument --threads: invalid int value: '\uff15'", id="threads-fullwidth-digit"),
+    pytest.param(_SWEEP + ["--range", "\uff11", "--interval", "0.1"],
+                 "argument --range: invalid float value: '\uff11'", id="range-fullwidth-digit"),
+    pytest.param(_SWEEP + ["--range", "1", "--interval", "0_5"],
+                 "argument --interval: invalid float value: '0_5'", id="interval-underscore"),
+])
+def test_command_line_numbers_are_ascii_literals_without_underscores(argv, message, scene_dir,
+                                                                     tmp_path, capsys):
+    """Numbers on the command line follow the files' rule; int() and float()
+    read these as 10, 5, 5, 1.0 and 5.0.  argparse ends in its usage error."""
+    args = [a.format(scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["synth"], id="synth"),
     pytest.param(["init", "{scene}"], id="init"),

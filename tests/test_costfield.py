@@ -314,6 +314,25 @@ def test_distance_field_of_sparse_images_is_small():
             assert np.array_equal(grid, brute_distance_grid(labels, cid))
 
 
+def test_distance_field_bytes_are_the_same_on_every_build():
+    # the atlas cells under the narrower boxes are never read, but they are
+    # part of d: builds of the same images, each after freeing an array of
+    # the atlas's size filled with another value, must give one d
+    k = CameraIntrinsics(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120)
+    spec = SceneSpec(n_frames=6, objects_per_frame=6, seed=4, intrinsics=k)
+    images = [p.image for p in generate(spec).pairs]
+    field = build_distance_field(images, spec.classes)
+    box_cells = sum(int(np.prod(b[2:] - b[:2] + 1)) for b, e in zip(field.box, field.empty)
+                    if not e)
+    assert field.d.size > box_cells  # the atlas has padding
+    builds = set()
+    for fill in range(1, 9):
+        junk = np.full(field.d.size, fill, field.d.dtype)
+        del junk  # its memory goes back to the allocator, holding fill
+        builds.add(build_distance_field(images, spec.classes).d.tobytes())
+    assert builds == {field.d.tobytes()}
+
+
 def test_distance_field_empty_class():
     field = build_distance_field([LabelImage(labels=np.zeros((4, 4), dtype=int))], (3,))
     assert field.empty[0]

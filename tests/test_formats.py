@@ -59,6 +59,14 @@ def test_sig6_and_fmt6():
     assert float(fmt6(val)) == val
 
 
+@settings(max_examples=2000, deadline=None)
+@given(value=st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]))
+def test_fmt6_of_sig6_prints_as_fmt6(value):
+    # so a report value needs no rounding before format_report prints it
+    assert fmt6(sig6(value)) == fmt6(value)
+
+
 def test_cloud_bin_round_trip(tmp_path, cloud):
     path = tmp_path / "c.bin"
     write_point_cloud(path, cloud)
@@ -89,6 +97,16 @@ def test_cloud_csv_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3\n")
     with pytest.raises(FormatError, match="bad.csv:1"):
+        read_point_cloud(path)
+
+
+@pytest.mark.parametrize("line", ["1_0,2,3,1", "1,2,\uff13,1", "1,2,3,\u0661",
+                                  "1_0,2,\uff13,1"])
+def test_cloud_csv_numbers_are_ascii_literals_without_underscores(tmp_path, line):
+    # float() reads '1_0' as 10 and full-width or Arabic-Indic digits as digits
+    path = tmp_path / "c.csv"
+    path.write_text(f"0,0,1,1\n{line}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="c.csv:2: non-numeric field"):
         read_point_cloud(path)
 
 
@@ -362,6 +380,32 @@ def test_scene_dir_checks_the_manifest_frame_count(tmp_path):
             read_scene_dir(root)
     (root / "scene.txt").write_text("n_frames = 2.0\nclasses = 1,2\n")
     assert len(read_scene_dir(root)[0]) == 2
+
+
+@pytest.mark.parametrize("text", ["n_frame = 3", "classes = 1,2\nframes = 3", "seed = 1"])
+def test_scene_dir_manifest_rejects_unknown_keys(tmp_path, text):
+    # a misspelt n_frames used to be ignored, and the frame count unchecked
+    scene = generate(SceneSpec(n_frames=3, objects_per_frame=2, seed=1))
+    root = tmp_path / "scene"
+    write_scene_dir(root, scene.pairs, scene.spec.intrinsics, scene.spec.classes)
+    (root / "scene.txt").write_text(text + "\n")
+    with pytest.raises(FormatError, match=r"scene.txt: unknown manifest field"):
+        read_scene_dir(root)
+
+
+def test_key_value_files_are_written_as_before(tmp_path):
+    # strings as they are, numbers with .17g, which prints an int as str() does
+    scene = generate(SceneSpec(n_frames=2, objects_per_frame=2, seed=1))
+    root = tmp_path / "scene"
+    write_scene_dir(root, scene.pairs, scene.spec.intrinsics, (3, 1, 2), gt=Extrinsics(
+        RotationAngles(0.1, 0.0, -0.2), Translation(0.2, -0.1, 1e-20)))
+    assert (root / "scene.txt").read_text() == "n_frames = 2\nclasses = 3,1,2\n"
+    assert (root / "intrinsics.txt").read_text() == (
+        "fx = 400\nfy = 400\ncx = 320\ncy = 240\nwidth = 640\nheight = 480\n")
+    assert (root / "gt_extrinsics.txt").read_text() == (
+        "theta_x_deg = 5.729577951308233\ntheta_y_deg = 0\ntheta_z_deg = -11.459155902616466\n"
+        "t_x_m = 0.20000000000000001\nt_y_m = -0.10000000000000001\n"
+        "t_z_m = 9.9999999999999995e-21\n")
 
 
 def test_scene_dir_frame_with_two_clouds(tmp_path):

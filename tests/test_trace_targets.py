@@ -7,28 +7,28 @@ of a traced benchmark run.
 
 import importlib
 
-from helpers import load_perfbench
+from helpers import load_script
 from semcal.cli import main
 from semcal.costfield import CostEvaluator
 from semcal.io_formats import read_report
 
 
 def test_traced_functions_resolve():
-    tracing = load_perfbench("tracing")
+    tracing = load_script("perfbench", "tracing")
     missing = [(module, attr) for module, attr, _ in tracing._FUNCTIONS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing
 
 
 def test_traced_methods_resolve():
-    tracing = load_perfbench("tracing")
+    tracing = load_script("perfbench", "tracing")
     missing = [attr for attr, _ in tracing._METHODS
                if not callable(getattr(CostEvaluator, attr, None))]
     assert not missing
 
 
 def test_tracer_installs_and_restores():
-    tracing = load_perfbench("tracing")
+    tracing = load_script("perfbench", "tracing")
     before = CostEvaluator.evaluate_total
     tracer = tracing.Tracer()
     tracer.install()
@@ -44,7 +44,7 @@ def test_tracer_records_every_kernel_call_and_its_pose(tmp_path):
     ``costfield.evaluate_total`` span per kernel call, and the sampled poses,
     read through ``args[1].to_vector()``, are six floats: the contract that
     keeps ``evaluate_total(ext)`` taking the pose itself."""
-    tracing = load_perfbench("tracing")
+    tracing = load_script("perfbench", "tracing")
     scene, gt = tmp_path / "scene", str(tmp_path / "scene" / "gt_extrinsics.txt")
     assert main(["synth", "--spec", str(_small_spec(tmp_path)), "--output", str(scene)]) == 0
     ops = {"calibrate": ["calibrate", str(scene)],
