@@ -41,7 +41,10 @@ the cost at the ground truth, the relative gap between the two (null where
 the cost at the truth is 0, as in some sparse scenes), the wall time and a
 SHA-256 digest of the scene's output files (names and bytes).
 ``identical_outputs`` counts the scenes whose digests agree between the two
-sides.
+sides.  ``final_cost_vs_baseline`` shows the cost moves that in-band counts
+hide: per set, the scenes whose final cost, at report precision, is lower,
+equal or higher on the working tree than on REV, and the largest relative
+rise among scenes whose cost on REV is above 0.
 
 Both sides calibrate the scenes that the working tree writes.  One more
 process writes every scene again with REV's package, so that
@@ -365,6 +368,21 @@ def summarize(sets: dict) -> dict:
     }
 
 
+def final_cost_vs_baseline(accuracy: dict) -> dict:
+    """Per set, how the change side's final costs compare with the
+    baseline's; see the module docstring."""
+    result = {}
+    for name, s in accuracy["baseline"].items():
+        costs = [(b["final_cost"], c["final_cost"])
+                 for b, c in zip(s["scenes"], accuracy["change"][name]["scenes"], strict=True)]
+        rises = [(c - b) / b for b, c in costs if c > b > 0]
+        result[name] = {"lower": sum(c < b for b, c in costs),
+                        "equal": sum(c == b for b, c in costs),
+                        "higher": sum(c > b for b, c in costs),
+                        "max_rise": max(rises, default=0.0)}
+    return result
+
+
 def _seed(run: dict) -> int:
     return int(run["scene"].split("_")[1])
 
@@ -660,6 +678,7 @@ def main() -> int:
         "accuracy": accuracy,
         "identical_outputs": identical,
         "identical_scenes": identical_scenes,
+        "final_cost_vs_baseline": final_cost_vs_baseline(accuracy),
         "timing": timing,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
@@ -685,6 +704,9 @@ def main() -> int:
     print(f"byte-identical scene files: {identical_scenes['identical']}/"
           f"{identical_scenes['scenes']} scenes")
     print(f"byte-identical calibrate outputs: {identical['identical']}/{identical['scenes']} scenes")
+    print("final cost against the baseline, lower/equal/higher, largest rise: " + ", ".join(
+        f"{name} {m['lower']}/{m['equal']}/{m['higher']} {m['max_rise']:+.2%}"
+        for name, m in result["final_cost_vs_baseline"].items()))
     print("non-blank source lines: " + ", ".join(
         f"{side} {summary[side]['source_lines']}" for side in SIDES))
     ratios = [(f"{task} {name}", t) for task in ("kernel", "kernel_t_x")

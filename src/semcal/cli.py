@@ -231,7 +231,7 @@ def _breakdown_block(breakdown) -> dict:
     return {
         "total": breakdown.total,
         "numerator": breakdown.numerator,
-        "denominator": float(breakdown.denominator),  # a count, printed to 6 digits as a float
+        "denominator": breakdown.denominator,
         "per_class": {
             f"class_{cid}": num / den if den else 0.0
             for cid, (num, den) in breakdown.per_class.items()

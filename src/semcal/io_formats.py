@@ -208,6 +208,7 @@ def read_point_cloud(path) -> LabeledPointCloud:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         rows = []
+        limit = float(np.finfo(np.float32).max)  # what a .bin record holds; squares overflow beyond
         for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
             line = raw.strip()
             if not line:
@@ -216,9 +217,12 @@ def read_point_cloud(path) -> LabeledPointCloud:
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 comma-separated values")
             try:
-                rows.append([ascii_float(p) for p in parts])
+                row = [ascii_float(p) for p in parts]
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+            if any(abs(v) > limit for v in row):
+                raise FormatError(f"{path}:{lineno}: field beyond float32's range in {raw!r}")
+            rows.append(row)
         data = np.asarray(rows, dtype=float).reshape(len(rows), 4)
     else:
         blob = _read_bytes(path)

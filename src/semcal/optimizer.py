@@ -212,8 +212,8 @@ def powell_minimize(f, x0):
     Returns ``(x_min, f_min, trace)``.  The direction set starts as the
     coordinate basis; after each sweep the direction of largest decrease is
     replaced by the net displacement when the quadratic-extrapolation test
-    accepts it.  A sweep with zero decrease resets the direction set to the
-    basis once; a second zero-decrease sweep terminates as ``stalled``.
+    accepts it.  The first sweep that cuts the cost by a relative ``_FTOL``
+    or less ends the run: ``converged`` if it cut any, ``stalled`` if not.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -227,7 +227,6 @@ def powell_minimize(f, x0):
     current = fz(z)
     trace_points: list[tuple[int, np.ndarray, float]] = [(0, z * sigma, current)]
     directions = np.eye(n)
-    reset_used = False
     termination = "max_iterations"
 
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -248,14 +247,8 @@ def powell_minimize(f, x0):
         decrease = f_start - current
         trace_points.append((iteration, z * sigma, current))
         if 2.0 * decrease <= _FTOL * (abs(f_start) + abs(current)) + _TINY:
-            if decrease > 0.0 or reset_used or iteration == _MAX_ITERATIONS:
-                termination = "converged" if decrease > 0.0 else "stalled"
-                break
-            # Zero decrease: give the coordinate basis one fresh chance in
-            # case the conjugate set collapsed onto a flat subspace.
-            directions = np.eye(n)
-            reset_used = True
-            continue
+            termination = "converged" if decrease > 0.0 else "stalled"
+            break
 
         # Direction replacement, guarded by Powell's acceptance test on the
         # extrapolated point 2*z - z_start.
@@ -323,7 +316,7 @@ def calibrate(
     there and runs Powell again.  Trace rows and estimate are in (θ, t).
     """
     center = evaluator.center
-    # Basis resets, extrapolation and grid points back on the start resend poses.
+    # Restarts, extrapolation and grid points back on the start resend poses.
     memo: dict[bytes, float] = {}
 
     def objective(y: np.ndarray) -> float:

@@ -6,11 +6,13 @@ import shutil
 import numpy as np
 import pytest
 
-from semcal.cli import main
-from semcal.costfield import CostEvaluator
+from semcal.cli import _breakdown_block, main
+from semcal.costfield import CostBreakdown, CostEvaluator
 from semcal.geometry import Extrinsics, RotationAngles, Translation, rotation_matrix
 from semcal.io_formats import (
+    format_report,
     from_file_units,
+    parse_report,
     read_extrinsics,
     read_label_image,
     read_point_cloud,
@@ -19,6 +21,7 @@ from semcal.io_formats import (
     write_csv,
     write_extrinsics,
     write_label_image,
+    write_point_cloud_csv,
     write_scene_dir,
 )
 from semcal.scene import LabelImage
@@ -52,15 +55,21 @@ def scene_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def broken_scene_dirs(scene_dir, tmp_path_factory):
     """Copies of the scene, each with one unreadable part: an intrinsics file
-    that is not UTF-8 text, a cloud that is a directory, no intrinsics file."""
+    that is not UTF-8 text, a cloud that is a directory, no intrinsics file,
+    a ``.csv`` cloud with a point beyond float32's range."""
     dirs = {}
-    for name in ("garbled", "cloud_dir", "no_intrinsics"):
+    for name in ("garbled", "cloud_dir", "no_intrinsics", "huge_csv"):
         dirs[name] = tmp_path_factory.mktemp(name) / "scene"
         shutil.copytree(scene_dir, dirs[name])
     (dirs["garbled"] / "intrinsics.txt").write_bytes(b"\xff\xfe")
     (dirs["cloud_dir"] / "frame_0000.bin").unlink()
     (dirs["cloud_dir"] / "frame_0000.bin").mkdir()
     (dirs["no_intrinsics"] / "intrinsics.txt").unlink()
+    cloud = dirs["huge_csv"] / "frame_0001.bin"
+    write_point_cloud_csv(cloud.with_suffix(".csv"), read_point_cloud(cloud))
+    cloud.unlink()
+    with open(cloud.with_suffix(".csv"), "a") as f:
+        f.write("1e200,0,1e200,1\n")
     return dirs
 
 
@@ -434,6 +443,12 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
     pytest.param(["init", "{garbled}"], id="intrinsics-not-utf8"),
     pytest.param(["init", "{no_intrinsics}"], id="intrinsics-missing"),
     pytest.param(["init", "{cloud_dir}"], id="cloud-is-a-directory"),
+    # squared ranges overflowed: init and calibrate ended in a collinearity
+    # error after overflow warnings, sweep in exit 0 with inf in every row
+    pytest.param(["init", "{huge_csv}"], id="csv-cloud-beyond-float32"),
+    pytest.param(["calibrate", "{huge_csv}"], id="calibrate-csv-cloud-beyond-float32"),
+    pytest.param(["sweep", "{huge_csv}", "--gt", "{gt}", "--axis", "t_x", "--range", "0.5",
+                  "--interval", "0.1"], id="sweep-csv-cloud-beyond-float32"),
     pytest.param(["init", "{scene}", "--config", "cloud_remap = 1:a"],
                  id="config-remap-non-integer"),
     # a repeated source id used to keep its last entry
@@ -483,7 +498,8 @@ def test_bad_input_is_an_error(argv, scene_dir, broken_scene_dirs, tmp_path, cap
         args.append(arg.format(scene=scene_dir, gt=scene_dir / "gt_extrinsics.txt",
                                **broken_scene_dirs))
     assert main(args + ["--output", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -716,3 +732,12 @@ def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):
     evaluator = CostEvaluator(pairs, classes)
     calibrate(evaluator, initialize(evaluator).extrinsics)
     assert calls == [(3, (1, 2, 3))]
+
+
+def test_cost_denominator_prints_as_an_integer():
+    """The cost's denominator is a point count, so it prints and reads back
+    as the integer, even past the 6 significant digits of a float."""
+    breakdown = CostBreakdown(0.5, 617283.5, 1234567, {1: (617283.5, 1234567)}, {})
+    text = format_report({"cost": _breakdown_block(breakdown)})
+    assert "  denominator: 1234567\n" in text
+    assert parse_report(text)["cost"]["denominator"] == 1234567

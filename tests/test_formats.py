@@ -110,6 +110,18 @@ def test_cloud_csv_numbers_are_ascii_literals_without_underscores(tmp_path, line
         read_point_cloud(path)
 
 
+@pytest.mark.parametrize("line", ["1e200,0,1e200,1", "1e308,1e308,1e308,1", "0,0,1,3.5e38",
+                                  "-3.5e38,0,1,1"])
+def test_cloud_csv_fields_fit_in_float32(tmp_path, line):
+    # a .bin record holds no more; beyond it the cost's squared ranges overflow
+    path = tmp_path / "c.csv"
+    path.write_text(f"0,0,1,1\n{line}\n")
+    with pytest.raises(FormatError, match="c.csv:2: field beyond float32's range"):
+        read_point_cloud(path)
+    path.write_text("3.4e38,-3.4e38,3.4e38,1\n")
+    assert read_point_cloud(path).points.tolist() == [[3.4e38, -3.4e38, 3.4e38]]
+
+
 def test_pgm_round_trip(tmp_path):
     labels = (np.arange(35).reshape(5, 7) * 7) % 256
     path = tmp_path / "img.pgm"

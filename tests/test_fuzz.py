@@ -3,8 +3,9 @@
 Each seeded scene has a small camera (1-59 pixels a side, focal lengths
 from 1e-3 to 1e6), one to four frames of up to 39 float32 points at scales
 from 1e-6 to 1e4, some behind the camera, and PGM label images of random
-class patches.  ``init`` and ``calibrate`` must each end in exit code 0 or
-1, the latter with one ``error:`` line, never in a traceback or a numpy
+class patches.  ``init``, ``calibrate`` and a ``sweep`` about the identity
+pose, along one axis per seed in turn, must each end in exit code 0 or 1,
+the latter with one ``error:`` line, never in a traceback or a numpy
 floating-point error; a written report holds no NaN and no infinity, except
 the documented ``inf`` residuals of centroids behind the initial pose's
 camera.
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from semcal.cli import main
-from semcal.io_formats import read_report
+from semcal.io_formats import POSE_FIELDS, read_report
 
 N_SCENES = 100
 # inf for a centroid behind the initial pose's camera, and the rms when all are
@@ -67,10 +68,14 @@ def non_finite(report: dict, path=()):
 def test_fuzzed_scene_ends_in_a_report_or_an_error(seed, tmp_path, capsys):
     scene = tmp_path / "scene"
     write_fuzz_scene(scene, seed)
-    for command in ("init", "calibrate"):
+    identity = tmp_path / "identity.txt"
+    identity.write_bytes("".join(f"{key} = 0\n" for key in POSE_FIELDS).encode())
+    axis = POSE_FIELDS[seed % 6].rsplit("_", 1)[0]
+    sweep = ["--gt", str(identity), "--axis", axis, "--range", "10", "--interval", "1"]
+    for command, extra in (("init", []), ("calibrate", []), ("sweep", sweep)):
         out = tmp_path / command
         with np.errstate(all="raise"):
-            rc = main([command, str(scene), "--output", str(out)])
+            rc = main([command, str(scene), *extra, "--output", str(out)])
         err = capsys.readouterr().err
         assert rc in (0, 1)
         if rc == 1:

@@ -126,9 +126,15 @@ def test_powell_max_iterations(monkeypatch):
 
 
 def test_powell_stalls_on_constant():
+    """The first sweep that finds nothing lower ends the run, with no second
+    sweep from a fresh basis: the start row and one sweep row, and 13
+    evaluations, the start and then 3 grid samples per direction and side
+    before that side counts as turned uphill."""
     _, fx, trace = powell_minimize(lambda x: 7.0, np.zeros(2))
     assert fx == 7.0
     assert trace.termination == "stalled"
+    assert [it for it, _, _ in trace.points] == [0, 1]
+    assert trace.n_evaluations == 13
 
 
 def test_non_finite_cost_raises():
