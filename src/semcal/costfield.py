@@ -225,10 +225,10 @@ class CostEvaluator:
     field covers the bounding box of that class's pixels, and an absent
     class has none.  The scored points, grouped into (pair, class) blocks,
     pair by pair in ascending class order, become flat per-point arrays:
-    coordinates as one ``(3, N)`` array, range weight, the frame's
-    intrinsics and penalty, an empty-class flag, the block index, and their
-    field's box and the atlas index of the box's pixel ``(0, 0)``; the
-    atlas has one column stride for all.  Frame ids must be distinct.
+    coordinates as one ``(3, N)`` array, range weight, an empty-class flag,
+    the block index, and their field's box and the atlas index of the box's
+    pixel ``(0, 0)``; the atlas has one column stride for all.  Frame ids
+    must be distinct, and all pairs must have one camera's intrinsics.
     ``center`` is the mean of the scored points, each weighted by its range
     weight ``|p|^2``.
     The same blocks and boxes give the initialization its semantic
@@ -254,6 +254,10 @@ class CostEvaluator:
         if len(set(ids)) < len(ids):  # the per-pair breakdown is keyed by frame id
             dup = next(f for i, f in enumerate(ids) if f in ids[:i])
             raise CalibrationError(f"two frame pairs share the frame id {dup!r}")
+        k = self.pairs[0].intrinsics
+        for p in self.pairs:  # one pose maps the clouds into one camera
+            if p.intrinsics != k:
+                raise CalibrationError(f"frame {p.frame_id!r} has other intrinsics than the first")
         self.classes = _validated_classes(classes)
 
         fields = build_distance_field([pair.image for pair in self.pairs], self.classes)
@@ -283,13 +287,8 @@ class CostEvaluator:
         self.center = self._points @ weights / max(weights.sum(), np.finfo(float).tiny)
         self._block = blocks[order]
         self._pair = self._block // n
-        per_pair = np.array([(k.fx, k.fy, k.cx, k.cy, k.width + k.height)
-                             for k in (pair.intrinsics for pair in self.pairs)], float).T
-        if (per_pair == per_pair[:, :1]).all():  # one camera: scalars, one array less per pass
-            fx, fy, cx, cy, self._penalty = per_pair[:, 0].tolist()
-        else:  # taken along axis 1, so each per-point row is contiguous for the kernel
-            fx, fy, cx, cy, self._penalty = per_pair.take(self._pair, 1)
-        self._camera = ((fx, cx), (fy, cy))  # per image axis, u then v
+        self._camera = ((float(k.fx), float(k.cx)), (float(k.fy), float(k.cy)))  # u, then v
+        self._penalty = float(k.width + k.height)
         self._stride = fields.stride
         per_field = np.column_stack([fields.box, origin]).astype(float).T
         umin, vmin, umax, vmax, self._cell = per_field.take(self._block, 1)
@@ -306,8 +305,6 @@ class CostEvaluator:
         self._rotation = self._rotated = self._t = None
         self._axes = [None, None]
         self._counts = counts[1:].reshape(len(self.pairs), n)
-        self._last_pixel = np.array([(p.intrinsics.width - 1, p.intrinsics.height - 1)
-                                     for p in self.pairs], float)
 
     def centroids(self) -> list[tuple[int, int, np.ndarray, tuple]]:
         """``(pair index, class id, mean point, mean pixel (u, v))`` of each
@@ -424,8 +421,8 @@ class CostEvaluator:
         """Aggregate cost with per-class / per-pair subtotals and counts."""
         self._t = None  # the full projection, whatever the pose before
         cost, front, scored, u, v, off, d = self._kernel(ext)
-        last = self._last_pixel[self._pair].T
-        on_image = (u >= 0.0) & (u <= last[0]) & (v >= 0.0) & (v <= last[1])
+        k = self.pairs[0].intrinsics
+        on_image = (u >= 0.0) & (u <= k.width - 1) & (v >= 0.0) & (v <= k.height - 1)
         inside, hit = scored & on_image, (off == 0.0) & (d == 0)
         masks = (inside & hit, inside & ~hit, ~front, scored & ~on_image, front & ~scored)
         sums = np.bincount(self._block, weights=cost, minlength=self._counts.size)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import CalibrationError, FormatError
 from .geometry import CameraIntrinsics, Extrinsics
 from .scene import FramePair, LabelImage, LabeledPointCloud
 from .synth import SceneSpec
@@ -400,7 +400,10 @@ _MANIFEST = {"n_frames": _int, "classes": _classes}
 
 def write_scene_dir(path, pairs, intrinsics: CameraIntrinsics, classes,
                     gt: Extrinsics | None = None) -> None:
-    """Write frames plus intrinsics, manifest, and optional GT extrinsics."""
+    """Write frames plus their one camera's intrinsics, manifest, and optional GT extrinsics."""
+    for pair in pairs:  # intrinsics.txt is every frame's camera
+        if pair.intrinsics != intrinsics:
+            raise CalibrationError(f"frame {pair.frame_id!r} has other intrinsics than the scene")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     for pair in pairs:

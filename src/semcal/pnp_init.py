@@ -12,8 +12,8 @@ calibration*, TPAMI 2000), so it has one pose: the other sign would put the
 chart behind the camera.
 
 The correspondences form one table (:class:`CentroidPairSet`): per row the
-frame, the class, the 3D centroid, the pixel centroid and that frame's
-camera, so frames with different intrinsics mix freely.  The plane fit
+frame, the class, the 3D centroid and the pixel centroid, with the one
+camera of the scene.  The plane fit
 runs with :func:`ransac_plane`'s defaults and the planarity gate with
 ``_PLANARITY_RATIO`` of the centroids' bounding-box diagonal.  The fit's
 random triples come from one ``Generator.integers`` call that reproduces
@@ -42,16 +42,13 @@ _PLANARITY_RATIO = 0.05  # max plane rms as a fraction of the bounding-box diago
 
 @dataclass(frozen=True)
 class CentroidPairSet:
-    """Matched 3D/2D centroid correspondences, one row per usable (frame, class).
-
-    ``camera`` holds each row's own ``fx, fy, cx, cy``.
-    """
+    """Matched 3D/2D centroid correspondences, one row per usable (frame, class)."""
 
     frame_ids: tuple[str, ...]
     class_ids: np.ndarray  # (n,) int
     points_3d: np.ndarray  # (n, 3) sensor frame, meters
     pixels_2d: np.ndarray  # (n, 2) pixel (u, v)
-    camera: np.ndarray  # (n, 4)
+    camera: np.ndarray  # (4,) fx, fy, cx, cy of the one camera
 
     def __len__(self) -> int:
         return len(self.frame_ids)
@@ -59,13 +56,13 @@ class CentroidPairSet:
     def project(self, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pixels of the 3D centroids under rotation ``r`` and translation ``t``.
 
-        Returns ``(pixels, front)``: the ``(n, 2)`` projections through each
-        row's camera, NaN for rows behind the camera, and the in-front mask.
+        Returns ``(pixels, front)``: the ``(n, 2)`` projections through the
+        camera, NaN for rows behind it, and the in-front mask.
         """
         cam = self.points_3d @ r.T + t
         front = cam[:, 2] > EPS_DEPTH
         z = np.where(front, cam[:, 2], np.nan)[:, None]
-        return self.camera[:, :2] * cam[:, :2] / z + self.camera[:, 2:], front
+        return self.camera[:2] * cam[:, :2] / z + self.camera[2:], front
 
 
 @dataclass(frozen=True)
@@ -102,10 +99,10 @@ def collect_centroid_pairs(evaluator: CostEvaluator) -> CentroidPairSet:
     if len(rows) < MIN_PAIRS:
         raise InsufficientPairs(f"{len(rows)} centroid pairs found, need at least {MIN_PAIRS}")
     index, class_ids, points, pixels = zip(*rows)
-    pairs = [evaluator.pairs[i] for i in index]
-    camera = [(p.intrinsics.fx, p.intrinsics.fy, p.intrinsics.cx, p.intrinsics.cy) for p in pairs]
-    return CentroidPairSet(tuple(p.frame_id for p in pairs), np.array(class_ids),
-                           np.array(points), np.array(pixels), np.array(camera, dtype=float))
+    k = evaluator.pairs[0].intrinsics  # the evaluator's one camera
+    return CentroidPairSet(tuple(evaluator.pairs[i].frame_id for i in index),
+                           np.array(class_ids), np.array(points), np.array(pixels),
+                           np.array([k.fx, k.fy, k.cx, k.cy], dtype=float))
 
 
 def _hypothesis(points, idx, threshold: float, cross_tol: float):
@@ -328,12 +325,18 @@ def initialize(evaluator: CostEvaluator) -> InitResult:
     exceeds ``_PLANARITY_RATIO`` of the centroids' bounding-box diagonal,
     too far off any plane for the planar decomposition to be trustworthy
     (more frames usually fix this), and propagates InsufficientPairs /
-    Degenerate from the stages.
+    Degenerate from the stages, the plane fit's naming the farthest centroid.
     """
     pair_set = collect_centroid_pairs(evaluator)
     pts3d = pair_set.points_3d
 
-    plane = ransac_plane(pts3d)
+    try:
+        plane = ransac_plane(pts3d)
+    except Degenerate as e:  # one far centroid makes every triple look collinear
+        far = np.linalg.norm(pts3d - np.median(pts3d, axis=0), axis=1)
+        i = int(np.argmax(far))
+        raise Degenerate(f"{e}; farthest from the centroids' median: class {pair_set.class_ids[i]}"
+                         f" of frame {pair_set.frame_ids[i]!r}, {far[i]:.3g} m off") from None
     spread = float(np.linalg.norm(np.ptp(pts3d, axis=0)))
     if plane.rms > _PLANARITY_RATIO * spread:
         raise NonPlanar(
@@ -343,7 +346,7 @@ def initialize(evaluator: CostEvaluator) -> InitResult:
         )
 
     coords, origin, basis = plane_coordinates(plane, pts3d)
-    normalized = (pair_set.pixels_2d - pair_set.camera[:, 2:]) / pair_set.camera[:, :2]
+    normalized = (pair_set.pixels_2d - pair_set.camera[2:]) / pair_set.camera[:2]
     h = estimate_homography(coords, normalized)
     extrinsics = decompose_planar_pose(h, origin, basis)
 

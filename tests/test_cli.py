@@ -420,6 +420,10 @@ _SWEEP = ["sweep", "{scene}", "--gt", "{gt}", "--axis", "t_x"]
 _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
 
 
+# the message a case of test_bad_input_is_an_error must give, by case id
+_BAD_INPUT_MESSAGES = {"config-remap-no-colon": "image_remap entries must look like src:dst"}
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["init", "{scene}", "--classes", "a,b"], id="init-classes"),
     pytest.param(["synth", "--classes", "a,b"], id="synth-classes"),
@@ -451,6 +455,7 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
                   "--interval", "0.1"], id="sweep-csv-cloud-beyond-float32"),
     pytest.param(["init", "{scene}", "--config", "cloud_remap = 1:a"],
                  id="config-remap-non-integer"),
+    pytest.param(["init", "{scene}", "--config", "image_remap = 1"], id="config-remap-no-colon"),
     # a repeated source id used to keep its last entry
     pytest.param(["init", "{scene}", "--config", "image_remap = 2:1, 2:3"],
                  id="config-remap-repeated-id"),
@@ -487,8 +492,9 @@ _CALIBRATE = ["calibrate", "{scene}", "--init", "{gt}"]
                            "image_remap = 1:0,2:0,3:0"], id="sweep-no-class-pixels"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_bad_input_is_an_error(argv, scene_dir, broken_scene_dirs, tmp_path, capsys):
-    """Each bad flag or file value ends in one ``error:`` line, not a traceback."""
+def test_bad_input_is_an_error(argv, scene_dir, broken_scene_dirs, tmp_path, capsys, request):
+    """Each bad flag or file value ends in one ``error:`` line, not a traceback,
+    with the message of ``_BAD_INPUT_MESSAGES`` where a case has one."""
     args = []
     for prev, arg in zip([None] + argv, argv):
         if prev in ("--config", "--spec"):
@@ -500,6 +506,7 @@ def test_bad_input_is_an_error(argv, scene_dir, broken_scene_dirs, tmp_path, cap
     assert main(args + ["--output", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert _BAD_INPUT_MESSAGES.get(request.node.callspec.id, "") in err, err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -658,6 +665,25 @@ def test_frame_behind_the_camera(scene_dir, tmp_path, capsys):
     assert report["pairs"]["frame_0001"]["n_behind_camera"] == n_points
 
 
+@pytest.mark.parametrize("line", [pytest.param("1e20,0,1e20,1", id="1e20"),
+                                  pytest.param("3.4e38,0,3.4e38,1", id="3.4e38")])
+def test_far_point_that_breaks_the_plane_fit_is_named(scene_dir, tmp_path, capsys, line):
+    """A point far out, but within float32's range, drags its class centroid
+    so far that every plane triple looks collinear; the error names that
+    centroid's class and frame."""
+    scene = tmp_path / "far"
+    shutil.copytree(scene_dir, scene)
+    cloud = scene / "frame_0001.bin"
+    write_point_cloud_csv(cloud.with_suffix(".csv"), read_point_cloud(cloud))
+    cloud.unlink()
+    with open(cloud.with_suffix(".csv"), "a") as f:
+        f.write(line + "\n")
+    assert main(["init", str(scene), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "collinear" in err and "class 1 of frame 'frame_0001'" in err, err
+
+
 def test_frame_of_another_size_is_an_error(scene_dir, tmp_path, capsys):
     """The frames share one intrinsics file, so a label image of another
     size ends in an ``error:`` line that names its frame."""
@@ -702,12 +728,6 @@ def test_zero_padded_frame_ids_read_back_as_written(scene_dir, tmp_path):
 
 def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):
     import semcal.costfield
-    from semcal.costfield import CostEvaluator
-    from semcal.geometry import CameraIntrinsics
-    from semcal.io_formats import read_scene_dir
-    from semcal.optimizer import calibrate
-    from semcal.pnp_init import initialize
-    from semcal.scene import FramePair
 
     calls = []
     build = semcal.costfield.build_distance_field
@@ -721,16 +741,6 @@ def test_calibrate_builds_each_field_once(scene_dir, tmp_path, monkeypatch):
     assert main(["calibrate", str(scene_dir), "--output", str(tmp_path / "cal")]) == 0
     # one build covers the 3 frames and all 3 classes; initialization and
     # refinement share it
-    assert calls == [(3, (1, 2, 3))]
-    # frames of two image sizes share one build too.  The CLI reads one
-    # intrinsics file per scene, so this scene goes through the library
-    pairs, k, classes = read_scene_dir(scene_dir)
-    small = CameraIntrinsics(k.fx, k.fy, k.cx, k.cy, width=k.width - 30, height=k.height - 20)
-    pairs[1] = FramePair(pairs[1].cloud, LabelImage(pairs[1].image.labels[:-20, :-30]), small,
-                         pairs[1].frame_id)
-    calls.clear()
-    evaluator = CostEvaluator(pairs, classes)
-    calibrate(evaluator, initialize(evaluator).extrinsics)
     assert calls == [(3, (1, 2, 3))]
 
 

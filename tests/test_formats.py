@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -38,7 +38,7 @@ from semcal.io_formats import (
     write_report,
     write_scene_dir,
 )
-from semcal.scene import LabelImage, LabeledPointCloud
+from semcal.scene import FramePair, LabelImage, LabeledPointCloud
 from semcal.synth import SceneSpec, generate
 
 
@@ -254,6 +254,12 @@ def test_config_parsing(tmp_path):
     assert cfg.image_remap is RunConfig().image_remap is None
 
 
+def test_config_remap_skips_empty_entries(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("cloud_remap = 1:2,,3:4,\n")
+    assert read_config(path).cloud_remap == {1: 2, 3: 4}
+
+
 def test_config_unknown_key(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("not_a_setting = 1\n")
@@ -316,6 +322,19 @@ def test_scene_dir_round_trip(tmp_path):
         assert np.array_equal(a.image.labels, b.image.labels)
     gt = read_extrinsics(root / "gt_extrinsics.txt")
     assert np.allclose(gt.to_vector(), np.asarray(scene.extrinsics.to_vector()))
+
+
+def test_scene_dir_holds_one_camera(tmp_path):
+    """A frame with a camera of its own cannot be written: the scene's one
+    intrinsics file would give it the scene's camera when read back."""
+    scene = generate(SceneSpec(n_frames=3, objects_per_frame=2, seed=7))
+    pairs = list(scene.pairs)
+    own = replace(pairs[1].intrinsics, fx=300.0)
+    pairs[1] = FramePair(pairs[1].cloud, pairs[1].image, own, pairs[1].frame_id)
+    root = tmp_path / "scene"
+    with pytest.raises(CalibrationError, match="'frame_0001' has other intrinsics"):
+        write_scene_dir(root, pairs, scene.spec.intrinsics, scene.spec.classes)
+    assert not root.exists()
 
 
 def test_scene_dir_remaps_labels(tmp_path):

@@ -110,33 +110,34 @@ def test_labels_must_be_non_negative_integers(bad):
 def test_centroid_2d_matches_nonzero_means():
     # the count-and-dot centroid over the class's box equals the mean of the
     # nonzero coordinates bit for bit, and the mean point the mean of the
-    # cloud's own points of the class; images of many sizes share one evaluator
+    # cloud's own points of the class; each evaluator has images of one size
     rng = np.random.default_rng(4)
-    clouds, images = [], []
-    for _ in range(20):
+    for _ in range(5):
         h, w = (int(n) for n in rng.integers(1, 300, size=2))
-        labels = np.zeros((h, w), dtype=int)  # classes only in a window, often empty
-        v0, v1 = np.sort(rng.integers(0, h + 1, size=2))
-        u0, u1 = np.sort(rng.integers(0, w + 1, size=2))
-        labels[v0:v1, u0:u1] = rng.integers(0, 4, size=(v1 - v0, u1 - u0))
-        images.append(LabelImage(labels=labels))
-        n = int(rng.integers(0, 500))
-        clouds.append(LabeledPointCloud(points=rng.normal(size=(n, 3)) * 40 + [0, 1.6, 10],
-                                        labels=rng.integers(0, 4, size=n)))
-    found = centroids(clouds, images, (3, 1, 2))
-    expected = 0
-    for i, (cloud, img) in enumerate(zip(clouds, images)):
-        for cid in (1, 2, 3):
-            rows, cols = np.nonzero(img.labels == cid)
-            points = cloud.points[cloud.labels == cid]
-            if rows.size == 0 or len(points) == 0:
-                assert (i, cid) not in found
-                continue
-            expected += 1
-            point, pixel = found[i, cid]
-            assert point.tolist() == points.mean(axis=0).tolist()
-            assert pixel == (cols.mean(), rows.mean())
-    assert len(found) == expected > 0
+        clouds, images = [], []
+        for _ in range(4):
+            labels = np.zeros((h, w), dtype=int)  # classes only in a window, often empty
+            v0, v1 = np.sort(rng.integers(0, h + 1, size=2))
+            u0, u1 = np.sort(rng.integers(0, w + 1, size=2))
+            labels[v0:v1, u0:u1] = rng.integers(0, 4, size=(v1 - v0, u1 - u0))
+            images.append(LabelImage(labels=labels))
+            n = int(rng.integers(0, 500))
+            clouds.append(LabeledPointCloud(points=rng.normal(size=(n, 3)) * 40 + [0, 1.6, 10],
+                                            labels=rng.integers(0, 4, size=n)))
+        found = centroids(clouds, images, (3, 1, 2))
+        expected = 0
+        for i, (cloud, img) in enumerate(zip(clouds, images)):
+            for cid in (1, 2, 3):
+                rows, cols = np.nonzero(img.labels == cid)
+                points = cloud.points[cloud.labels == cid]
+                if rows.size == 0 or len(points) == 0:
+                    assert (i, cid) not in found
+                    continue
+                expected += 1
+                point, pixel = found[i, cid]
+                assert point.tolist() == points.mean(axis=0).tolist()
+                assert pixel == (cols.mean(), rows.mean())
+        assert len(found) == expected > 0
 
 
 @pytest.mark.parametrize("shape", [(300, 300), (1, 70000), (70000, 1)])
