@@ -315,27 +315,22 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
     vectors = np.outer(displacements, np.eye(6)[axis_idx])
     vectors[:, :3] = np.radians(vectors[:, :3])
     vectors += reference.to_vector()
-    rows = []
-    best = (np.inf, 0.0)
-    for disp, vector in zip(displacements, vectors):
-        cost = evaluator.evaluate_total(Extrinsics.from_vector(vector))
-        rows.append((disp, cost))
-        if cost < best[0]:
-            best = (cost, disp)
+    costs = [evaluator.evaluate_total(Extrinsics.from_vector(vector)) for vector in vectors]
+    best = int(np.argmin(costs))  # the first of equal minima
 
     csv_name = f"sweep_{args.axis}.csv"
-    write_csv(_out_dir(args) / csv_name, (f"displacement_{unit}", "cost"), rows)
+    write_csv(_out_dir(args) / csv_name, (f"displacement_{unit}", "cost"), zip(displacements, costs))
     return "sweep_report", {
         "config": config_report_fields(cfg),
         "axis": args.axis,
         "unit": unit,
         "range": args.span,
         "interval": args.interval,
-        "n_rows": len(rows),
+        "n_rows": len(costs),
         "csv": csv_name,
-        "min_cost": best[0],
-        "argmin_displacement": best[1],
-        "cost_at_zero": rows[n_steps][1],
+        "min_cost": costs[best],
+        "argmin_displacement": displacements[best],
+        "cost_at_zero": costs[n_steps],
     }, {}
 
 

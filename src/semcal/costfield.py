@@ -153,8 +153,8 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     cell, stride = [0] * len(boxes), 0
     for f in widest:
         cell[f], stride = stride, stride + boxes[f][3]
-    atlas = np.empty((boxes[widest[0]][2] if widest else 0, stride), dtype)
-    atlas.fill(0)  # the padding is never read, but every build must give the same bytes
+    # the padding is never read, but every build must give the same bytes
+    atlas = np.zeros((boxes[widest[0]][2] if widest else 0, stride), dtype)
 
     cap = n * max(image.labels.size for image in images)
     chunks = []  # fields that share one height scan, tallest first, and their width
@@ -419,7 +419,6 @@ class CostEvaluator:
 
     def evaluate(self, ext: Extrinsics) -> CostBreakdown:
         """Aggregate cost with per-class / per-pair subtotals and counts."""
-        self._t = None  # the full projection, whatever the pose before
         cost, front, scored, u, v, off, d = self._kernel(ext)
         k = self.pairs[0].intrinsics
         on_image = (u >= 0.0) & (u <= k.width - 1) & (v >= 0.0) & (v <= k.height - 1)

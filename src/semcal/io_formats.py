@@ -447,6 +447,10 @@ def read_scene_dir(path, cloud_remap: dict[int, int] | None = None,
     for cloud_path in cloud_paths:
         if pairs and pairs[-1].frame_id == cloud_path.stem:
             raise FormatError(f"{root}: frame {cloud_path.stem} has both a .bin and a .csv cloud")
+        try:  # the frame id is a key and a value in the reports
+            format_report({cloud_path.stem: cloud_path.stem})
+        except FormatError as exc:
+            raise FormatError(f"{cloud_path}: the file name cannot be a frame id: {exc}") from None
         image_path = cloud_path.with_suffix(".pgm")
         if not image_path.exists():
             raise FormatError(f"{cloud_path}: no matching label image {image_path.name}")

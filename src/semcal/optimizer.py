@@ -251,22 +251,20 @@ def powell_minimize(f, x0):
             break
 
         # Direction replacement, guarded by Powell's acceptance test on the
-        # extrapolated point 2*z - z_start.
+        # extrapolated point 2*z - z_start; the sweep cut the cost, so z moved.
         displacement = z - z_start
-        if np.any(displacement != 0.0):
-            z_ext = z + displacement
-            f_ext = fz(z_ext)
-            if f_ext < f_start:
-                t = 2.0 * (f_start - 2.0 * current + f_ext)
-                t *= (f_start - current - biggest_drop) ** 2
-                t -= biggest_drop * (f_start - f_ext) ** 2
-                if t < 0.0:
-                    alpha, f_new = _line(lambda a: fz(z + a * displacement), current)
-                    if alpha != 0.0:
-                        z = z + alpha * displacement
-                    current = f_new
-                    directions[biggest_idx] = directions[n - 1]
-                    directions[n - 1] = displacement
+        f_ext = fz(z + displacement)
+        if f_ext < f_start:
+            t = 2.0 * (f_start - 2.0 * current + f_ext)
+            t *= (f_start - current - biggest_drop) ** 2
+            t -= biggest_drop * (f_start - f_ext) ** 2
+            if t < 0.0:
+                alpha, f_new = _line(lambda a: fz(z + a * displacement), current)
+                if alpha != 0.0:
+                    z = z + alpha * displacement
+                current = f_new
+                directions[biggest_idx] = directions[n - 1]
+                directions[n - 1] = displacement
 
     trace = OptimizationTrace(trace_points, termination, obj.n_evaluations)
     return z * sigma, current, trace

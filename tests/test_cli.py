@@ -244,13 +244,15 @@ def test_sweep_translation(scene_dir, tmp_path):
     # theta_z sits at 4 degrees, so +-200 degrees wraps past -180 and +180
     ("theta_x", "200", "12.5"), ("theta_y", "200", "12.5"), ("theta_z", "200", "12.5"),
     ("t_x", "1.5", "0.125"), ("t_y", "1.5", "0.125"), ("t_z", "0.1", "0.0125"),
+    ("t_z", "0.002", "0.0005"),  # 9 rows of cost 0 about the truth: equal minima
 ])
 def test_sweep_matches_the_per_row_reference(axis, span, interval, scene_dir, tmp_path,
                                              monkeypatch):
     """The sweep's pose table gives each row the pose, bits and all, of
     ``from_vector(reference + from_file_units(axis * displacement))``, whose
     other five entries are -0.0 below zero; so its CSV is byte-identical to
-    that per-row reference's."""
+    that per-row reference's, and its report gives that reference's minimum,
+    the first row at it and the cost at zero displacement."""
     sent = []
     evaluate_total = CostEvaluator.evaluate_total
     monkeypatch.setattr(CostEvaluator, "evaluate_total",
@@ -278,9 +280,17 @@ def test_sweep_matches_the_per_row_reference(axis, span, interval, scene_dir, tm
     pairs, _, classes = read_scene_dir(scene_dir)
     evaluator = CostEvaluator(pairs, classes)
     unit_name = "deg" if axis.startswith("theta") else "m"
+    costs = [evaluator.evaluate_total(p) for p in poses]
     write_csv(tmp_path / "ref.csv", (f"displacement_{unit_name}", "cost"),
-              [(d, evaluator.evaluate_total(p)) for d, p in zip(displacements, poses)])
+              zip(displacements, costs))
     assert (out / f"sweep_{axis}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    first = costs.index(min(costs))
+    want = {"min_cost": costs[first], "argmin_displacement": displacements[first],
+            "cost_at_zero": costs[n]}
+    report = read_report(out / "report.txt")["sweep_report"]
+    assert {key: report[key] for key in want} == parse_report(format_report(want))
+    if interval == "0.0005":
+        assert costs.count(min(costs)) > 1
 
 
 def test_eval_table_and_report(tmp_path, capsys):
@@ -712,6 +722,24 @@ def test_frame_id_that_cannot_be_a_report_key_is_an_error(scene_dir, tmp_path, c
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert "'a: b'" in err
+
+
+def test_frame_id_that_cannot_be_a_report_value_fails_before_any_output(scene_dir, tmp_path,
+                                                                       capsys):
+    """A frame id is a value in the init report's centroid rows, which
+    cannot hold ``true``; the scene is refused as it is read, in an
+    ``error:`` line that names the file, before any output is written."""
+    scene = tmp_path / "true"
+    shutil.copytree(scene_dir, scene)
+    for suffix in (".bin", ".pgm"):
+        (scene / f"frame_0001{suffix}").rename(scene / f"true{suffix}")
+    for cmd in ("init", "calibrate"):
+        out = tmp_path / cmd
+        assert main([cmd, str(scene), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "true.bin" in err, err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_zero_padded_frame_ids_read_back_as_written(scene_dir, tmp_path):
