@@ -32,6 +32,7 @@ from .io_formats import (
     config_report_fields,
     extrinsics_report_fields,
     fmt6,
+    from_file_units,
     parse_classes,
     read_config,
     read_extrinsics,
@@ -115,11 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(args) -> tuple[RunConfig, CostEvaluator]:
-    """The run's config and its one prepared cost kernel, shared by init and refinement.
+def _prepare(args) -> tuple[dict, CostEvaluator]:
+    """The report's config fields and the run's one prepared cost kernel.
 
     The config file comes first and ``--classes`` overrides it.  A class
-    list left unset is taken from the scene manifest.
+    list left unset is taken from the scene manifest.  A requested class
+    with cloud points but no pixel in any image adds ``classes_without_pixels``.
     """
     cfg = read_config(args.config) if args.config else RunConfig()
     if args.classes is not None:
@@ -134,7 +136,11 @@ def _prepare(args) -> tuple[RunConfig, CostEvaluator]:
                 "scene.txt manifest"
             )
         cfg = replace(cfg, classes=manifest_classes)
-    return cfg, CostEvaluator(pairs, cfg.classes)
+    evaluator = CostEvaluator(pairs, cfg.classes)
+    fields = {"config": config_report_fields(cfg)}
+    if evaluator.classes_without_pixels:
+        fields["classes_without_pixels"] = ",".join(map(str, evaluator.classes_without_pixels))
+    return fields, evaluator
 
 
 def _check_output(out: Path) -> None:
@@ -217,11 +223,11 @@ def _init_report_block(result) -> dict:
 
 
 def cmd_init(args) -> tuple[str, dict, dict]:
-    cfg, evaluator = _prepare(args)
+    scene_fields, evaluator = _prepare(args)
     result = initialize(evaluator)
     write_extrinsics(_out_dir(args) / "init_extrinsics.txt", result.extrinsics)
     return "init_report", {
-        "config": config_report_fields(cfg),
+        **scene_fields,
         "n_pairs": len(evaluator.pairs),
         **_init_report_block(result),
     }, {}
@@ -247,7 +253,7 @@ def _breakdown_block(breakdown) -> dict:
 
 
 def cmd_calibrate(args) -> tuple[str, dict, dict]:
-    cfg, evaluator = _prepare(args)
+    scene_fields, evaluator = _prepare(args)
     timings: dict[str, float] = {}
 
     if args.init_file:
@@ -272,7 +278,7 @@ def cmd_calibrate(args) -> tuple[str, dict, dict]:
         [(str(it), *to_file_units(x), cost) for it, x, cost in trace.points],
     )
     return "calibration_report", {
-        "config": config_report_fields(cfg),
+        **scene_fields,
         "n_pairs": len(evaluator.pairs),
         "initialization": init_block,
         "estimate": extrinsics_report_fields(estimate),
@@ -304,7 +310,7 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
     if not 0.5 < ratio < _MAX_SWEEP_ROWS / 2:  # so 1 <= n_steps and 2 * n_steps + 1 rows fit
         raise CalibrationError(f"--range / --interval must give 3 to {_MAX_SWEEP_ROWS:,} rows")
     n_steps = round(ratio)
-    cfg, evaluator = _prepare(args)
+    scene_fields, evaluator = _prepare(args)
     reference = read_extrinsics(args.gt)
 
     axis_idx = _AXES.index(args.axis)
@@ -312,8 +318,7 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
     displacements = [k * args.interval for k in range(-n_steps, n_steps + 1)]
 
     # every row's pose in one (rows, 6) table: the displacement, converted, plus the reference
-    vectors = np.outer(displacements, np.eye(6)[axis_idx])
-    vectors[:, :3] = np.radians(vectors[:, :3])
+    vectors = from_file_units(np.outer(displacements, np.eye(6)[axis_idx]))
     vectors += reference.to_vector()
     costs = [evaluator.evaluate_total(Extrinsics.from_vector(vector)) for vector in vectors]
     best = int(np.argmin(costs))  # the first of equal minima
@@ -321,7 +326,7 @@ def cmd_sweep(args) -> tuple[str, dict, dict]:
     csv_name = f"sweep_{args.axis}.csv"
     write_csv(_out_dir(args) / csv_name, (f"displacement_{unit}", "cost"), zip(displacements, costs))
     return "sweep_report", {
-        "config": config_report_fields(cfg),
+        **scene_fields,
         "axis": args.axis,
         "unit": unit,
         "range": args.span,

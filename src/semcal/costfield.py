@@ -230,7 +230,9 @@ class CostEvaluator:
     pixel ``(0, 0)``; the atlas has one column stride for all.  Frame ids
     must be distinct, and all pairs must have one camera's intrinsics.
     ``center`` is the mean of the scored points, each weighted by its range
-    weight ``|p|^2``.
+    weight ``|p|^2``.  ``classes_without_pixels`` lists the requested
+    classes that have scored points but no pixel in any image, in class
+    order; their points cost the empty-field penalty at every pose.
     The same blocks and boxes give the initialization its semantic
     centroids, on request (:meth:`centroids`), with no second scene scan.
 
@@ -305,6 +307,8 @@ class CostEvaluator:
         self._rotation = self._rotated = self._t = None
         self._axes = [None, None]
         self._counts = counts[1:].reshape(len(self.pairs), n)
+        lacking = self._counts.any(axis=0) & fields.empty.reshape(self._counts.shape).all(axis=0)
+        self.classes_without_pixels = tuple(np.compress(lacking, self.classes).tolist())
 
     def centroids(self) -> list[tuple[int, int, np.ndarray, tuple]]:
         """``(pair index, class id, mean point, mean pixel (u, v))`` of each

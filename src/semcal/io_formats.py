@@ -55,10 +55,16 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _parse_keyvalues(path, text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read_fields(path, kind: str, schema: dict, required: bool) -> dict:
+    """Read a ``key = value`` file whose keys all appear in ``schema``.
+
+    '#' starts a comment and blank lines are ignored.  ``schema`` maps each
+    key to a converter ``(path, key, text) -> value``.  Returns the
+    converted values of the keys present, in schema order; with
+    ``required`` every schema key must be present.
+    """
+    mapping: dict[str, str] = {}
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -68,20 +74,9 @@ def _parse_keyvalues(path, text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise FormatError(f"{path}:{lineno}: empty key")
-        if key in out:
+        if key in mapping:
             raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _read_fields(path, kind: str, schema: dict, required: bool) -> dict:
-    """Read a ``key = value`` file whose keys all appear in ``schema``.
-
-    ``schema`` maps each key to a converter ``(path, key, text) -> value``.
-    Returns the converted values of the keys present, in schema order; with
-    ``required`` every schema key must be present.
-    """
-    mapping = _parse_keyvalues(path, _read_text(path))
+        mapping[key] = value.strip()
     unknown = set(mapping) - set(schema)
     if unknown:
         raise FormatError(f"{path}: unknown {kind} field(s) {sorted(unknown)}")
@@ -300,13 +295,14 @@ def to_file_units(vector) -> list[float]:
 
 
 def from_file_units(values) -> np.ndarray:
-    """Inverse of :func:`to_file_units`."""
-    return np.concatenate([np.radians(values[:3]), values[3:]])
+    """Inverse of :func:`to_file_units`, for one pose or a table of them, one per row."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.radians(values[..., :3]), values[..., 3:]], axis=-1)
 
 
 def write_extrinsics(path, ext: Extrinsics) -> None:
     """Write six named values, angles in degrees, full precision."""
-    _write_fields(path, dict(zip(_EXTRINSICS, to_file_units(ext.to_vector()))))
+    _write_fields(path, extrinsics_report_fields(ext))
 
 
 def read_extrinsics(path) -> Extrinsics:
@@ -315,7 +311,7 @@ def read_extrinsics(path) -> Extrinsics:
 
 
 def extrinsics_report_fields(ext: Extrinsics) -> dict[str, float]:
-    """The six parameters as report fields, angles in degrees."""
+    """The six parameters keyed as in extrinsics files and reports, angles in degrees."""
     return dict(zip(_EXTRINSICS, to_file_units(ext.to_vector())))
 
 
@@ -386,7 +382,7 @@ def read_scene_spec(path) -> SceneSpec:
         values["intrinsics"] = replace(spec.intrinsics, **camera)
     pose = {key: values.pop(key) for key in _EXTRINSICS if key in values}
     if pose:
-        pose = {**dict(zip(_EXTRINSICS, to_file_units(spec.extrinsics.to_vector()))), **pose}
+        pose = {**extrinsics_report_fields(spec.extrinsics), **pose}
         values["extrinsics"] = Extrinsics.from_vector(from_file_units(list(pose.values())))
     return replace(spec, **values)
 

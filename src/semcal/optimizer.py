@@ -17,8 +17,9 @@ bit for bit, so on it the loop runs as before, while stopping on any
 sample that fails to improve would also cut short the slow, strictly
 decreasing descents of a curved valley such as Rosenbrock's.
 
-Parameters are internally rescaled by per-parameter step sizes so one unit
-of search space means one "typical" move for that parameter, which matters
+Powell searches the coordinates it is given, with unit trial steps.
+:func:`calibrate` hands it the extrinsics in trial-step units, so one unit
+of search space is one "typical" move for that parameter, which matters
 because angles and translations live on very different scales.
 """
 
@@ -41,17 +42,6 @@ _PLATEAU_SAMPLES = 4  # samples in a row equal to the best value end a refinemen
 _MAX_ITERATIONS = 200  # Powell sweeps per run
 _FTOL = 1e-8  # a sweep that cuts the cost by less, relatively, ends the run
 _LINE_TOL = 1e-6  # relative step at which a line refinement stops
-
-
-def trial_steps(n: int) -> np.ndarray:
-    """Per-parameter scale of the first trial move.
-
-    0.05 rad for the three angles and 0.1 m for the three translations
-    of a 6-parameter extrinsics vector, unit steps otherwise.
-    """
-    if n == 6:
-        return np.array([0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
-    return np.ones(n)
 
 
 @dataclass
@@ -206,6 +196,24 @@ def _line(g, f0: float, refine: bool = True) -> tuple[float, float]:
     return float(alpha), float(f_min)
 
 
+def _sweep(f, x, current: float, directions, refine: bool = True):
+    """Line-minimize along each direction in turn, from ``x`` where f(x) = ``current``.
+
+    Moves only on a strict decrease.  Returns the point reached, its cost,
+    and the size and index of the largest single drop (0 and 0 if none);
+    ``refine`` is passed to :func:`_line`.
+    """
+    biggest_drop, biggest_idx = 0.0, 0
+    for i, d in enumerate(directions):
+        alpha, f_new = _line(lambda a: f(x + a * d), current, refine)
+        if f_new < current:
+            if current - f_new > biggest_drop:
+                biggest_drop, biggest_idx = current - f_new, i
+            x = x + alpha * d
+            current = f_new
+    return x, current, biggest_drop, biggest_idx
+
+
 def powell_minimize(f, x0):
     """Powell's conjugate-direction minimization.
 
@@ -215,71 +223,50 @@ def powell_minimize(f, x0):
     accepts it.  The first sweep that cuts the cost by a relative ``_FTOL``
     or less ends the run: ``converged`` if it cut any, ``stalled`` if not.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    sigma = trial_steps(n)
+    x = np.array(x0, dtype=float)
     obj = _Objective(f)
-
-    def fz(z: np.ndarray) -> float:
-        return obj(z * sigma)
-
-    z = x0 / sigma
-    current = fz(z)
-    trace_points: list[tuple[int, np.ndarray, float]] = [(0, z * sigma, current)]
-    directions = np.eye(n)
+    current = obj(x)
+    trace_points: list[tuple[int, np.ndarray, float]] = [(0, x, current)]
+    directions = np.eye(x.size)
     termination = "max_iterations"
 
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        f_start = current
-        z_start = z.copy()
-        biggest_drop = 0.0
-        biggest_idx = 0
-        for i in range(n):
-            d = directions[i]
-            alpha, f_new = _line(lambda a: fz(z + a * d), current)
-            if current - f_new > biggest_drop:
-                biggest_drop = current - f_new
-                biggest_idx = i
-            if alpha != 0.0:
-                z = z + alpha * d
-            current = f_new
-
+        f_start, x_start = current, x
+        x, current, biggest_drop, biggest_idx = _sweep(obj, x, current, directions)
         decrease = f_start - current
-        trace_points.append((iteration, z * sigma, current))
+        trace_points.append((iteration, x, current))
         if 2.0 * decrease <= _FTOL * (abs(f_start) + abs(current)) + _TINY:
             termination = "converged" if decrease > 0.0 else "stalled"
             break
 
         # Direction replacement, guarded by Powell's acceptance test on the
-        # extrapolated point 2*z - z_start; the sweep cut the cost, so z moved.
-        displacement = z - z_start
-        f_ext = fz(z + displacement)
+        # extrapolated point 2*x - x_start; the sweep cut the cost, so x moved.
+        displacement = x - x_start
+        f_ext = obj(x + displacement)
         if f_ext < f_start:
             t = 2.0 * (f_start - 2.0 * current + f_ext)
             t *= (f_start - current - biggest_drop) ** 2
             t -= biggest_drop * (f_start - f_ext) ** 2
             if t < 0.0:
-                alpha, f_new = _line(lambda a: fz(z + a * displacement), current)
-                if alpha != 0.0:
-                    z = z + alpha * displacement
-                current = f_new
-                directions[biggest_idx] = directions[n - 1]
-                directions[n - 1] = displacement
+                x, current, _, _ = _sweep(obj, x, current, [displacement])
+                directions[biggest_idx] = directions[-1]
+                directions[-1] = displacement
 
     trace = OptimizationTrace(trace_points, termination, obj.n_evaluations)
-    return z * sigma, current, trace
+    return x, current, trace
 
 
 _MAX_ROUNDS = 8
 _MAX_PASSES = 16
 _PASS_GAIN_REL = 1e-3  # a pass must shave this fraction off to keep walking
+_TRIAL_STEPS = np.array([0.05, 0.05, 0.05, 0.1, 0.1, 0.1])  # first trial move: rad, then m
 
 
-def _probe_directions(sigma: np.ndarray) -> list[np.ndarray]:
-    """Every two-parameter diagonal, with both relative signs, scaled by sigma."""
-    axes = np.diag(sigma)
+def _probe_directions(steps: np.ndarray) -> list[np.ndarray]:
+    """Every two-parameter diagonal, with both relative signs, scaled by ``steps``."""
+    axes = np.diag(steps)
     return [axes[i] + sign * axes[j]
-            for i, j in itertools.combinations(range(sigma.size), 2) for sign in (1.0, -1.0)]
+            for i, j in itertools.combinations(range(steps.size), 2) for sign in (1.0, -1.0)]
 
 
 def _to_centered(ext: Extrinsics, center: np.ndarray) -> np.ndarray:
@@ -311,7 +298,8 @@ def calibrate(
     rotation leaves c in place (Triggs et al., *Bundle Adjustment -- A
     Modern Synthesis*, 2000).  After each Powell run the driver probes the
     30 pairwise two-parameter diagonals and, if any still descends, walks
-    there and runs Powell again.  Trace rows and estimate are in (θ, t).
+    there and runs Powell again; both search in units of ``_TRIAL_STEPS``.
+    Trace rows and estimate are in (θ, t).
     """
     center = evaluator.center
     # Restarts, extrapolation and grid points back on the start resend poses.
@@ -324,16 +312,20 @@ def calibrate(
             cost = memo[key] = evaluator.evaluate_total(_from_centered(y, center))
         return cost
 
+    def scaled(z: np.ndarray) -> float:
+        return objective(z * _TRIAL_STEPS)
+
     y = _to_centered(init, center)
-    probes = _probe_directions(trial_steps(6))
+    probes = _probe_directions(_TRIAL_STEPS)
     points: list[tuple[np.ndarray, float]] = []  # (y, cost) of each trace row
     n_evaluations = n_probe = 0
     for _ in range(_MAX_ROUNDS):
-        y, current, trace = powell_minimize(objective, y)
+        z, current, trace = powell_minimize(scaled, y / _TRIAL_STEPS)
+        y = z * _TRIAL_STEPS
         termination = trace.termination
         n_evaluations += trace.n_evaluations
         # a later run starts at the probe stage's row, which is in already
-        points.extend((yv, cv) for _, yv, cv in trace.points[1 if points else 0:])
+        points.extend((zv * _TRIAL_STEPS, cv) for _, zv, cv in trace.points[1 if points else 0:])
 
         if current == 0.0:
             break  # the cost is nonnegative, so an exact zero is global
@@ -342,11 +334,7 @@ def calibrate(
         entry = current
         for _ in range(_MAX_PASSES):
             before = current
-            for d in probes:
-                alpha, f_new = _line(lambda a: obj(y + a * d), current, refine=False)
-                if f_new < current:
-                    y = y + alpha * d
-                    current = f_new
+            y, current, _, _ = _sweep(obj, y, current, probes, refine=False)
             # Keep walking only while passes still make visible headway.
             if before - current <= _PASS_GAIN_REL * max(abs(before), _TINY):
                 break

@@ -607,6 +607,7 @@ def test_class_absent_from_every_image(scene_dir, tmp_path, capsys):
                     for frame in scene_dir.glob("frame_*.bin"))
     assert n_class_3 > 0
     assert report["cost"]["counts"]["empty_field"] == n_class_3
+    assert report["classes_without_pixels"] == 3
 
 
 # The criterion-6 set-up of tests/test_acceptance.py.
@@ -617,6 +618,27 @@ def write_c6_scene(path, seed):
     spec = SceneSpec(n_frames=10, objects_per_frame=4, points_per_object=100,
                      extrinsics=C6_GT, seed=seed, depth_range=(2.5, 16.0), noise_rate=0.02)
     write_scene_dir(path, generate(spec).pairs, spec.intrinsics, spec.classes, gt=C6_GT)
+
+
+def test_classes_without_pixels_are_flagged(tmp_path):
+    """With every image's classes 2 and 3 relabelled 1, a criterion-6 scene
+    ends far off with exit 0; init, calibrate and sweep name the two classes,
+    and a run with pixels for every class writes no such field."""
+    scene = tmp_path / "scene"
+    write_c6_scene(scene, 0)
+    config = tmp_path / "remap.txt"
+    config.write_text("image_remap = 2:1,3:1\n")
+    sweep = ["--gt", str(scene / "gt_extrinsics.txt"), "--axis", "t_z",
+             "--range", "0.1", "--interval", "0.1"]
+    for command, extra in (("init", []), ("calibrate", []), ("sweep", sweep)):
+        out = tmp_path / command
+        assert main([command, str(scene), "--config", str(config), "--output", str(out),
+                     *extra]) == 0
+        (report,) = read_report(out / "report.txt").values()
+        assert report["classes_without_pixels"] == "2,3"
+    assert main(["init", str(scene), "--output", str(tmp_path / "plain")]) == 0
+    (report,) = read_report(tmp_path / "plain" / "report.txt").values()
+    assert "classes_without_pixels" not in report
 
 
 @pytest.mark.parametrize("seed", [8, 18, 40])

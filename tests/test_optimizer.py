@@ -16,14 +16,8 @@ from semcal.optimizer import (
     _to_centered,
     calibrate,
     powell_minimize,
-    trial_steps,
 )
 from semcal.synth import SceneSpec, generate, perturb
-
-
-def test_config_default_steps():
-    assert np.array_equal(trial_steps(6), [0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
-    assert np.array_equal(trial_steps(2), [1.0, 1.0])
 
 
 def line_minimize(f, x, direction):
@@ -125,6 +119,22 @@ def test_powell_max_iterations(monkeypatch):
     assert trace.points[-1][0] == 2
 
 
+def test_powell_takes_unit_steps_in_six_dimensions():
+    """A 6-parameter objective gets the unit grid of any other: the first
+    line search samples x0 + 2^k e0 for k = -4.. on each side until it
+    turns uphill, here three samples a side."""
+    samples = []
+
+    def f(x):
+        samples.append(x.copy())
+        return float(np.sum(np.arange(1.0, 7.0) * (x + 3.0) ** 2))
+
+    powell_minimize(f, np.zeros(6))
+    grid = [sign * 2.0**k for sign in (1.0, -1.0) for k in (-4, -3, -2)]
+    assert np.array_equal(samples[0], np.zeros(6))
+    assert np.array_equal(np.array(samples[1:7]), np.outer(grid, np.eye(6)[0]))
+
+
 def test_powell_stalls_on_constant():
     """The first sweep that finds nothing lower ends the run, with no second
     sweep from a fresh basis: the start row and one sweep row, and 13
@@ -173,6 +183,22 @@ def test_centered_map_round_trips(seed):
         assert np.allclose(y[3:], r @ center + t, rtol=0.0, atol=1e-12)
         back = _from_centered(y, center)
         assert np.allclose(back.to_vector(), ext.to_vector(), rtol=0.0, atol=1e-12)
+
+
+def test_calibrate_steps_the_angles_by_a_twentieth_radian(monkeypatch):
+    """The first line search of ``calibrate`` samples the centered theta_x at
+    0.05 * 2^k rad, k = -4 up, and leaves the other coordinates in place."""
+    spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=4)
+    scene = generate(spec)
+    start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=2)
+    sent = []
+    from_centered = semcal.optimizer._from_centered
+    monkeypatch.setattr(semcal.optimizer, "_from_centered",
+                        lambda y, center: sent.append(y.copy()) or from_centered(y, center))
+    calibrate(CostEvaluator(scene.pairs, spec.classes), start)
+    moves = np.array(sent[1:4]) - sent[0]
+    assert np.allclose(moves[:, 0], 0.05 * 2.0 ** np.arange(-4, -1), rtol=1e-12, atol=0.0)
+    assert np.allclose(moves[:, 1:], 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_calibrate_recovers_clean_scene():
@@ -249,11 +275,15 @@ def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
     samples = []
 
     class Recording(semcal.optimizer._Objective):
+        """Records each sample as a centered pose: Powell's objective,
+        ``calibrate``'s ``scaled``, takes it in trial-step units."""
+
         __slots__ = ()
 
         def __call__(self, x):
             value = super().__call__(x)
-            samples.append((x.copy(), value))
+            scale = semcal.optimizer._TRIAL_STEPS if self.f.__name__ == "scaled" else 1.0
+            samples.append((x * scale, value))
             return value
 
     monkeypatch.setattr(semcal.optimizer, "_Objective", Recording)
