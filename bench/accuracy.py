@@ -1,6 +1,7 @@
 """Accuracy and per-layer speed of a baseline revision against the working tree.
 
     python3 bench/accuracy.py --baseline REV [--out BENCH_eval_loop.json]
+    python3 bench/accuracy.py --check BENCH_packed_atlas.json
 
 Run it from the repository root.  It writes these sets of criterion-6-style
 scenes (4 objects of 100 points, 2% label noise, depths 2.5-16 m, the
@@ -118,7 +119,9 @@ median of those ratios:
   to 1.12, and with 10 they still run from 0.92 to 1.09.  ``memory`` holds each side's ``tracemalloc`` peak, in MB, over
   one more evaluator construction outside the timed rounds, so set-up
   memory sits next to set-up time; it includes the fields the evaluator
-  keeps.
+  keeps.  Next to it, ``atlas_cells`` counts the cells of the side's
+  distance-field atlas and ``box_cells`` those of the class boxes in it,
+  so the atlas's padding shows.
 
 After every round of every task and one untimed warm-up run, each side, in
 alternating order, times one run of perfbench's host-speed reference kernel
@@ -127,6 +130,15 @@ next to that task's timings; ``timing["reference_ms"]`` is the median of the
 tasks' medians.  The host's speed changes from run to run, so absolute
 times compare across JSONs only in units of this kernel: the same kernel
 code read 86.1 us per evaluation in one JSON and 48.4 us in another.
+
+``--check FILE`` is the accuracy gate.  It writes the scenes and calibrates
+them with the working tree only, with no baseline and no timings (about 25
+seconds on a 2-core x86-64 host), and exits 1 when a count falls below the
+record, the ``summary`` of FILE's change side: ``criterion_6``, or any set's
+scenes in band by Euler angle or by rotation angle; or when the evaluations
+over all scenes exceed the record's by more than ``CHECK_EVALUATIONS``.  A
+change that moves estimates on purpose commits its own ``BENCH_*.json`` and
+checks against that.
 
 Every process pins BLAS and OpenMP to one thread.  The timing scenes live in
 memory as float64 clouds, so their evaluation counts differ from those of the
@@ -207,6 +219,7 @@ LAYER_SCENES = {
 }
 POSES, ROUNDS, BUILDS, ROUND_S, SLICE = 300, 10, 10, 1.0, 10
 T_X_SPAN = 0.3  # meters either side of the truth, in the POSES steps of kernel_t_x
+CHECK_EVALUATIONS = 1.15  # --check's ceiling on all evaluations, over the record's
 SIDES = ("baseline", "change")
 
 
@@ -571,6 +584,11 @@ def time_sides(srcs: dict) -> dict:
         finally:
             tracemalloc.stop()
 
+    def cells(side, pairs, classes):
+        field = mods[side]["costfield"].build_distance_field([p.image for p in pairs], classes)
+        sizes = (field.box[:, 2:] - field.box[:, :2] + 1)[~field.empty]
+        return {"atlas_cells": int(field.d.size), "box_cells": int(sizes.prod(axis=1).sum())}
+
     for name, kwargs in LAYER_SCENES.items():
         spec = _spec(**kwargs)
         pairs = generate(spec).pairs
@@ -578,9 +596,10 @@ def time_sides(srcs: dict) -> dict:
             "fields": len(pairs) * len(spec.classes),
             "min_box_share": _min_box_share(pairs, spec.classes),
             **_interleave({s: layers(s, pairs, spec.classes) for s in SIDES}, repeats=BUILDS)}
-        memory = {s: {"evaluator_peak_mb": peak_mb(s, pairs, spec.classes)} for s in SIDES}
-        memory["ratio"] = {"evaluator_peak_mb": memory["change"]["evaluator_peak_mb"]
-                           / memory["baseline"]["evaluator_peak_mb"]}
+        memory = {s: {"evaluator_peak_mb": peak_mb(s, pairs, spec.classes),
+                      **cells(s, pairs, spec.classes)} for s in SIDES}
+        memory["ratio"] = {k: memory["change"][k] / memory["baseline"][k]
+                           for k in memory["change"]}
         result["layers"][name]["memory"] = memory
     tasks = [*result["kernel"].values(), *result["kernel_t_x"].values(), result["replay"],
              result["calibrate"], *result["layers"].values()]
@@ -608,9 +627,38 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def check(record: Path) -> int:
+    """The accuracy gate of ``--check``: see the module docstring."""
+    want = json.loads(record.read_text())["summary"]["change"]
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        scenes = Path(tmp) / "scenes"
+        write_scenes(scenes)
+        got = summarize(_run("--calibrate", str(scenes), out=Path(tmp) / "side.json",
+                             src=ROOT / "src"))
+    failures = [f"{key} {name}: {got[key].get(name)} in band, below {count}"
+                for key in ("criterion_6", "in_band", "in_band_by_angle")
+                for name, count in want[key].items() if got[key].get(name, -1) < count]
+    total = sum(got["evaluations"].values())
+    ceiling = sum(want["evaluations"].values()) * CHECK_EVALUATIONS
+    if total > ceiling:
+        failures.append(f"evaluations: {total} above {ceiling:.0f}")
+    print(f"criterion 6 {got['criterion_6']['dev']}/10 and {got['criterion_6']['frames20']}/10; "
+          "in band by Euler angle " + ", ".join(f"{k} {v}" for k, v in got["in_band"].items())
+          + "; by rotation angle " + ", ".join(
+              f"{k} {v}" for k, v in got["in_band_by_angle"].items())
+          + f"; {total} evaluations, ceiling {ceiling:.0f}")
+    for failure in failures:
+        print(f"accuracy check failed against {record}: {failure}")
+    return 1 if failures else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="git revision to compare against")
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="run the working tree only and fail when its accuracy falls "
+                             "below the change side of this BENCH_*.json")
     parser.add_argument("--out", default="BENCH_eval_loop.json", help="JSON file to write")
     parser.add_argument("--calibrate", nargs=2, metavar=("SCENES", "OUT"),
                         help=argparse.SUPPRESS)
@@ -631,8 +679,10 @@ def main() -> int:
         *srcs, out = map(Path, args.timing)
         out.write_text(json.dumps(time_sides(dict(zip(SIDES, srcs)))))
         return 0
+    if args.check:
+        return check(args.check)
     if not args.baseline:
-        parser.error("--baseline is required")
+        parser.error("--baseline or --check is required")
 
     sys.path.insert(0, str(ROOT / "src"))
     baseline = _git("rev-parse", args.baseline)
@@ -716,6 +766,10 @@ def main() -> int:
     ratios += [(f"memory {name}", t["memory"]) for name, t in timing["layers"].items()]
     for label, t in ratios:
         print(f"{label}: " + ", ".join(f"{k} x{v:.3f}" for k, v in t["ratio"].items()))
+    for name, t in timing["layers"].items():
+        print(f"atlas over box cells, {name}: " + ", ".join(
+            f"{side} x{t['memory'][side]['atlas_cells'] / t['memory'][side]['box_cells']:.3f}"
+            for side in SIDES))
     return 0
 
 

@@ -73,24 +73,29 @@ def _boxes(labels: np.ndarray, ids: np.ndarray) -> list:
     return boxes
 
 
-def _scan(a: np.ndarray, extents: list[int], sizes: list[int]) -> None:
-    """In place down the rows of 2-D ``a``, over the boxes each row holds,
-    forward then backward: ``a[i] = min(a[i], a[i-1] + 1)``.
-
-    The boxes sit side by side along the rows, ``sizes[k]`` entries each, in
-    order of non-increasing ``extents``: row ``i`` holds box ``k`` while
-    ``i < extents[k]``, so the boxes a row holds are a prefix of it, and
-    rows that hold the same boxes form a run.  Each step is two numpy calls
-    over a row of a run, with one preallocated ``step`` row and a 0-d
-    ``one`` of ``a``'s type, so numpy converts no Python scalar per call.
-    """
-    runs, start, n = [], 0, sum(sizes)  # (first row, end row, entries) of each run
-    step = np.empty(n, a.dtype)
-    for extent, size in zip(extents[::-1], sizes[::-1]):
+def _runs(boxes: list, row: int = 0, column: int = 0) -> list:
+    """``(first row, end row, end column)`` of each run of rows that hold the
+    same boxes, where ``boxes`` of ``(rows, columns)`` sit side by side from
+    ``(row, column)``, in order of non-increasing rows."""
+    runs, start, n = [], 0, sum(size for _, size in boxes)
+    for extent, size in boxes[::-1]:
         if extent > start:
-            runs.append((start, extent, n))
+            runs.append((row + start, row + extent, column + n))
             start = extent
         n -= size
+    return runs
+
+
+def _scan(a: np.ndarray, runs: list) -> None:
+    """In place down the rows of 2-D ``a``, forward then backward, each up to
+    its run's end (see :func:`_runs`): ``a[i] = min(a[i], a[i-1] + 1)``.  A
+    step into a run reads the row above up to the run's end, where it must
+    add nothing beyond its own; a step back up covers the shorter row.  Each
+    step is two numpy calls over a row of a run, with one preallocated
+    ``step`` row and a 0-d ``one`` of ``a``'s type, so numpy converts no
+    Python scalar per call.
+    """
+    step = np.empty(a.shape[1], a.dtype)
     one = np.ones((), a.dtype)
     add, minimum = np.add, np.minimum
 
@@ -104,8 +109,8 @@ def _scan(a: np.ndarray, extents: list[int], sizes: list[int]) -> None:
         down(list(a[max(start - 1, 0):stop, :n]), n)
     for k in range(len(runs) - 1, -1, -1):
         start, stop, n = runs[k]
-        if k + 1 < len(runs):  # from the first row of the run after, which is shorter
-            m = runs[k + 1][2]
+        if k + 1 < len(runs):  # from the first row of the run after
+            m = min(n, runs[k + 1][2])
             down((a[stop, :m], a[stop - 1, :m]), m)
         down(list(a[start:stop, :n][::-1]), n)
 
@@ -127,16 +132,17 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     numpy call of the scan covers a row of every box that reaches it.  Each
     box then moves into the atlas in one transposing copy.
 
-    The atlas is one (widest box width, sum of box heights) array, and
-    each box takes its height in columns of it, widest first: column ``x``
-    of every box holding it is one row of the atlas, so one more scan over
-    the whole atlas gives the exact Manhattan transform (Rosenfeld &
-    Pfaltz, 1966).  Each field thus takes the widest box width times its
-    box height in cells.  Where all images have one size, that is at most
-    one image plane per field; where sizes are mixed, at most (widest /
-    narrowest image width) image planes.  Besides its result, a build
-    holds its buffer and the scans' row views: 3.16 image planes for 4
-    dense 480 x 640 images of 3 classes, by ``tracemalloc``.
+    The atlas, filled with ``far``, has as many rows as the widest box is
+    wide; a box takes its height in columns and its width in rows.  The
+    boxes sit side by side from row 0, widest first, and those that fit sit
+    from row ``low`` on under the tail of boxes narrower than ``low``, which
+    an estimate from the box sizes picks to fit the most height there.  A
+    row of ``far`` above them stays unscanned, so one more scan over the
+    whole atlas gives the exact Manhattan transform (Rosenfeld & Pfaltz,
+    1966).  The atlas takes at most one image plane per field where all
+    images have one size.  Besides its result, a build holds its buffer and
+    the scans' row views: 3.16 image planes for 4 dense 480 x 640 images of
+    3 classes, by ``tracemalloc``.
     """
     n = len(classes)
     far = max(sum(image.labels.shape) for image in images)
@@ -150,11 +156,27 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
     present = [f for f, b in enumerate(boxes) if b]
 
     widest = sorted(present, key=lambda f: -boxes[f][2])  # the atlas's order of the boxes
-    cell, stride = [0] * len(boxes), 0
-    for f in widest:
-        cell[f], stride = stride, stride + boxes[f][3]
-    # the padding is never read, but every build must give the same bytes
-    atlas = np.zeros((boxes[widest[0]][2] if widest else 0, stride), dtype)
+    wide, high = ([boxes[f][k] for f in widest] for k in (2, 3))
+    size = wide[0] if widest else 1  # the atlas's rows
+    # per row: the height of the boxes narrower than it, and of those that fit under it
+    rows, below, narrow = np.arange(1, size + 1), np.cumsum([0, *high[::-1]]), np.array(wide[::-1])
+    tail, fit = below[narrow.searchsorted(rows)], below[narrow.searchsorted(size + 1 - rows)]
+    low = int(np.argmax(np.minimum(np.minimum(tail, fit), np.maximum(tail, fit) // 2))) + 1
+    room, top, stacked, cell, stride = int(tail[low - 1]), [], [], [0] * len(boxes), 0
+    for f, w, h in zip(widest, wide, high):
+        if w <= size - low and h <= room - h * (w < low):  # room: the tail's height left free
+            stacked.append(f)
+            room -= h + h * (w < low)
+        else:
+            top.append((w, h))
+            cell[f], stride = stride, stride + h
+    low = size - max((boxes[f][2] for f in stacked), default=0)  # so they reach the last row
+    column = sum(h for w, h in top if w >= low)  # the tail's first box
+    runs = [(i, min(j, low), e) for i, j, e in _runs(top) if i < low]
+    runs += _runs([boxes[f][2:] for f in stacked], low, column)
+    for f in stacked:
+        cell[f], column = low * stride + column, column + boxes[f][3]
+    atlas = np.full((size, stride), far, dtype)
 
     cap = n * max(image.labels.size for image in images)
     chunks = []  # fields that share one height scan, tallest first, and their width
@@ -176,14 +198,13 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
             labels, cid = sources[f]
             np.not_equal(labels[v0:v0 + h, u0:u0 + w], cid, out=place, casting="unsafe")
         chunk *= far  # the cells beyond the boxes are never read
-        _scan(chunk, [boxes[f][3] for f in members], sizes)
+        _scan(chunk, _runs([(boxes[f][3], w) for f, w in zip(members, sizes)]))
         for f, place in zip(members, places):
-            np.copyto(atlas[:boxes[f][2], cell[f]:cell[f] + boxes[f][3]], place.T)
-    _scan(atlas, [boxes[f][2] for f in widest], [boxes[f][3] for f in widest])
-    box = np.zeros((len(boxes), 4), np.int64)
-    for f in present:
-        u0, v0, w, h = boxes[f]
-        box[f] = u0, v0, u0 + w - 1, v0 + h - 1
+            r, c = divmod(cell[f], stride)
+            np.copyto(atlas[r:r + boxes[f][2], c:c + boxes[f][3]], place.T)
+    _scan(atlas, runs)
+    box = np.array([b or (0, 0, 1, 1) for b in boxes], np.int64).reshape(-1, 4)
+    box[:, 2:] += box[:, :2] - 1  # u1, v1 from the widths and heights
     return DistanceField(atlas.reshape(-1), box, np.array(cell), stride,
                          np.array([b is None for b in boxes]))
 

@@ -52,10 +52,12 @@ def grids(field, shapes, n):
 
 def check_boxes(field, stacks, classes):
     """Each box is exactly the bounding box of its class's pixels; an absent
-    class has no box; the atlas holds exactly the widest box width times the
-    sum of the box heights, and at most the widest image width times each
-    image's height per field: one image plane per field, the cells of a
-    full-image layout, where every image has one size."""
+    class has no box; the boxes' cells are disjoint rows of ``stride`` cells
+    of an atlas of the widest box width times ``stride`` cells, which is no
+    more than the widest box width times the sum of the box heights, and at
+    most the widest image width times each image's height per field: one
+    image plane per field, the cells of a full-image layout, where every
+    image has one size."""
     n = len(classes)
     for f, (u0, v0, u1, v1) in enumerate(field.box):
         labels = stacks[f // n]
@@ -64,7 +66,14 @@ def check_boxes(field, stacks, classes):
         if rows.size:
             assert (u0, v0, u1, v1) == (cols.min(), rows.min(), cols.max(), rows.max())
     sizes = (field.box[:, 2:] - field.box[:, :2] + 1)[~field.empty]
-    assert field.d.size == sizes[:, 0].max(initial=0) * sizes[:, 1].sum()
+    widest = sizes[:, 0].max(initial=0)
+    assert field.d.size == widest * field.stride <= widest * sizes[:, 1].sum()
+    taken = np.zeros(field.d.size, int)
+    for (w, h), cell in zip(sizes, field.cell[~field.empty]):
+        row, column = divmod(cell, field.stride)
+        assert row + w <= widest and column + h <= field.stride
+        taken.reshape(widest, -1)[row:row + w, column:column + h] += 1
+    assert taken.max(initial=0) <= 1
     widest = max(labels.shape[1] for labels in stacks)
     assert field.d.size <= sum(widest * labels.shape[0] for labels in stacks) * n
     assert field.d.dtype == np.min_scalar_type(max(sum(labels.shape) for labels in stacks) + 1)
@@ -169,9 +178,9 @@ def mixed_images(draw):
        classes=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
        queries=hnp.arrays(np.int64, (8, 2), elements=st.integers(-20, 31)))
 # 16-bit fields (height + width >= 255) of one size, with widths 0-3 (mod
-# 4); then two sizes, whose atlas of 80,256 cells is above the 67,200 of
-# one image plane per field; then classes touching one, two, three and four
-# image edges
+# 4); then two sizes, whose atlas stacks three boxes under others, 48,708
+# cells against 80,256 side by side and 67,200 for one image plane per
+# field; then classes touching one, two, three and four image edges
 @example(stacks=sparse_stack(2, 119, 136, 0), classes=[1, 2, 3], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(3, 118, 137, 1), classes=[3, 1, 2], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(4, 117, 138, 2), classes=[2, 3, 1], queries=np.zeros((8, 2), int))
@@ -182,9 +191,13 @@ def mixed_images(draw):
          queries=np.array([[-3, 5], [40, 7], [20, -9], [9, 40], [-1, -1], [40, 40], [0, 0],
                            [0, 0]]))
 def test_distance_field_of_several_images_property(stacks, classes, queries):
-    # one build over images of mixed sizes, with its shared scans, equals
-    # one-image builds, the brute-force grids on every cell and the brute-
-    # force distances at pixels off the image
+    check_one_build(stacks, classes, queries)
+
+
+def check_one_build(stacks, classes, queries):
+    """One build over images of mixed sizes, with its shared scans, equals
+    one-image builds, the brute-force grids on every cell and the brute-
+    force distances at pixels off the image."""
     images = [LabelImage(labels=labels) for labels in stacks]
     field = build_distance_field(images, classes)
     n = len(classes)
@@ -204,6 +217,28 @@ def test_distance_field_of_several_images_property(stacks, classes, queries):
                       | (queries[:, 1] < 0) | (queries[:, 1] >= h)]
         assert np.array_equal(box_distance(field, f, off[:, 0], off[:, 1]),
                               brute_min_l1(labels, cid, off))
+    return field
+
+
+def test_distance_field_stacks_narrow_boxes_under_the_tail():
+    # class 1's box is 48 of 50 pixels wide, and classes 2-4 sit in boxes 3-8
+    # wide and 26-30 high: narrow boxes go under the tail of narrow boxes,
+    # and their fields still match the brute force on and off the image
+    rng = np.random.default_rng(7)
+    stacks = []
+    for i in range(3):
+        labels = np.zeros((30, 50), np.uint8)
+        labels[rng.integers(30, size=60), rng.integers(1, 49, size=60)] = 1
+        labels[0, 1] = labels[29, 48] = 1
+        for cid, u0, w in ((2, 2 + i, 3 + i), (3, 20, 6), (4, 40 - i, 4 + 2 * i)):
+            patch = labels[i:30 - i, u0:u0 + w]
+            patch[rng.random(patch.shape) < 0.3] = cid
+        stacks.append(labels)
+    queries = np.array([[-3, 5], [60, 7], [20, -9], [9, 40], [-1, -1], [55, 35], [0, 0]])
+    field = check_one_build(stacks, [1, 2, 3, 4], queries)
+    assert (field.cell[~field.empty] // field.stride).max() > 0  # a box sits below another
+    sizes = (field.box[:, 2:] - field.box[:, :2] + 1)[~field.empty]
+    assert field.d.size < 0.7 * sizes[:, 0].max() * sizes[:, 1].sum()  # a third is saved
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,8 +327,9 @@ def test_distance_field_build_memory():
 
 def test_distance_field_of_sparse_images_is_small():
     # on the class boxes of a scene whose objects fill a few percent of each
-    # image, the atlas is a small part of a full-image layout and the build
-    # holds no more beside it than on dense labels
+    # image, the atlas is a small part of a full-image layout, little more
+    # than the box cells (1.44 of them; 2.50 with no box stacked under
+    # another), and the build holds no more beside it than on dense labels
     k = CameraIntrinsics(fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120)
     spec = SceneSpec(n_frames=6, objects_per_frame=6, seed=4, intrinsics=k)
     pairs = generate(spec).pairs
@@ -306,6 +342,8 @@ def test_distance_field_of_sparse_images_is_small():
         tracemalloc.stop()
     plane = h * w * field.d.itemsize
     assert field.d.size < 0.4 * w * len(pairs) * len(spec.classes) * h
+    sizes = (field.box[:, 2:] - field.box[:, :2] + 1)[~field.empty]
+    assert field.d.size <= 1.5 * (sizes[:, 0] * sizes[:, 1]).sum()
     assert peak - field.d.nbytes <= (len(spec.classes) + 1) * plane + plane // 4
     for f, grid in enumerate(grids(field, [(h, w)] * len(pairs), len(spec.classes))):
         if not field.empty[f]:

@@ -261,6 +261,28 @@ def test_calibrate_numbers_trace_rows_in_order(monkeypatch):
     assert [cost for _, _, cost in trace.points][:len(costs)] == costs
 
 
+def test_calibrate_trace_rows_replay_their_costs(monkeypatch):
+    """Each trace row's vector, read back through ``Extrinsics.from_vector``,
+    gives the row's cost bit for bit on a fresh evaluator, and the last row
+    is the estimate: on a run with probe rows, so rows of both stages and of
+    a restarted Powell run are replayed, in (theta, t) and in radians and
+    meters."""
+    spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=2)
+    scene = generate(spec)
+    start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=0)
+    runs = []
+    powell_minimize = semcal.optimizer.powell_minimize
+    monkeypatch.setattr(semcal.optimizer, "powell_minimize",
+                        lambda *args: runs.append(args) or powell_minimize(*args))
+    est, breakdown, trace = calibrate(CostEvaluator(scene.pairs, spec.classes), start)
+    assert len(runs) > 1  # so the run has probe rows
+    replay = CostEvaluator(scene.pairs, spec.classes)
+    assert [replay.evaluate_total(Extrinsics.from_vector(vector))
+            for _, vector, _ in trace.points] == [cost for _, _, cost in trace.points]
+    assert np.array_equal(trace.points[-1][1], est.to_vector())
+    assert trace.points[-1][2] == breakdown.total
+
+
 def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
     """The memo serves exactly the repeated samples, and every sample gets
     the value a memo-free objective would compute, so the path is unchanged."""
