@@ -106,7 +106,11 @@ median of those ratios:
 - ``calibrate``: seconds of ``calibrate`` from the initialization on
   calib-c6 scene 8.  A round makes ``BUILDS`` calls per side, alternating
   sides, and keeps each side's median: with one call per round, the
-  ratios of unchanged code ran from 0.88 to 1.38;
+  ratios of unchanged code ran from 0.88 to 1.38.  Next to them,
+  ``kernel_calls`` counts the samples that reached ``evaluate_total``,
+  and ``outside_kernel_ms`` is each side's time outside the kernel: its
+  ``calibrate`` milliseconds less its kernel calls at its ``replay``
+  microseconds per evaluation;
 - ``layers``: on calib-c6 scene 8, init-wide scene 0 and a dense-label
   scene, whose every class's bounding box covers at least 99% of its image
   (``min_box_share``, the smallest such share in the scene), the
@@ -543,10 +547,14 @@ def time_sides(srcs: dict) -> dict:
         def run():
             t0 = time.perf_counter()
             _, _, trace = mods[side]["optimizer"].calibrate(evaluators[side], start[side])
-            return {"s": time.perf_counter() - t0, "evaluations": trace.n_evaluations}
+            return {"s": time.perf_counter() - t0, "evaluations": trace.n_evaluations,
+                    "kernel_calls": trace.n_evaluations - trace.n_repeated}
         return run
 
-    result["calibrate"] = _interleave({s: calibrate(s) for s in SIDES}, repeats=BUILDS)
+    result["calibrate"] = timed = _interleave({s: calibrate(s) for s in SIDES}, repeats=BUILDS)
+    outside = {side: timed[side]["s"] * 1e3 - timed[side]["kernel_calls"]
+               * result["replay"][side]["us_per_eval"] / 1e3 for side in SIDES}
+    timed["outside_kernel_ms"] = {**outside, "ratio": outside["change"] / outside["baseline"]}
     del evaluators
 
     def layers(side, pairs, classes):
@@ -716,8 +724,9 @@ def main() -> int:
                 "(seeds 0-5), dev clouds cut to 10% and 5%, random rigs (seeds 0-23) and "
                 "dev warm starts 0.1 deg / 0.01 m and 0.5 deg / 0.05 m off the truth; "
                 "interleaved timings of evaluate_total (a new rotation per pose, and steps "
-                "along t_x alone), calibrate, field build, evaluator construction and "
-                "initialize, each next to perfbench's host-speed reference kernel",
+                "along t_x alone), calibrate and its time outside the kernel, field build, "
+                "evaluator construction and initialize, each next to perfbench's "
+                "host-speed reference kernel",
         "baseline_rev": baseline,
         "change_rev": _git("rev-parse", "HEAD")
         + ("+dirty" if _git("status", "--porcelain", "src") else ""),
@@ -766,6 +775,9 @@ def main() -> int:
     ratios += [(f"memory {name}", t["memory"]) for name, t in timing["layers"].items()]
     for label, t in ratios:
         print(f"{label}: " + ", ".join(f"{k} x{v:.3f}" for k, v in t["ratio"].items()))
+    outside = timing["calibrate"]["outside_kernel_ms"]
+    print("calibrate outside the kernel: " + ", ".join(
+        f"{side} {outside[side]:.2f} ms" for side in SIDES) + f", x{outside['ratio']:.3f}")
     for name, t in timing["layers"].items():
         print(f"atlas over box cells, {name}: " + ", ".join(
             f"{side} x{t['memory'][side]['atlas_cells'] / t['memory'][side]['box_cells']:.3f}"

@@ -336,14 +336,12 @@ class CostEvaluator:
         (pair, class) block with points and pixels, pair then ascending class.
         The pixels are counted per column and per row of the class's box, so
         each mean is an exact integer sum over the count, bit for bit the mean
-        of the pixels' coordinates."""
-        n, counts = len(self.classes), self._counts.ravel().tolist()
-        ends, rows = np.cumsum(counts).tolist(), []
-        for f in range(len(counts)):
-            if not counts[f] or self._empty[f]:
-                continue
-            # in C order, as the cloud's own points, so the mean sums in the same order
-            points = np.ascontiguousarray(self._points[:, ends[f] - counts[f]:ends[f]].T)
+        of the pixels' coordinates.  One ``np.bincount`` per axis sums the
+        points of every block in cloud order, as the block's own mean would."""
+        n, counts, rows = len(self.classes), self._counts.ravel(), []
+        full = np.flatnonzero(counts * ~self._empty)  # the blocks with points and pixels
+        sums = np.array([np.bincount(self._block, w, counts.size) for w in self._points])
+        for f, mean in zip(full.tolist(), sums.T[full] / counts[full, None]):
             u0, v0, u1, v1 = self._box[f]
             labels = self.pairs[f // n].image.labels[v0:v1 + 1, u0:u1 + 1]
             mask = (labels == self.classes[f % n]).view(np.uint8)
@@ -351,7 +349,7 @@ class CostEvaluator:
             per_col, per_row = mask.sum(axis=0, dtype=acc), mask.sum(axis=1, dtype=acc)
             u, v = per_col @ np.arange(u0, u1 + 1), per_row @ np.arange(v0, v1 + 1)
             size = int(per_col.sum())
-            rows.append((f // n, self.classes[f % n], points.mean(axis=0), (u / size, v / size)))
+            rows.append((f // n, self.classes[f % n], mean, (u / size, v / size)))
         return rows
 
     def _kernel(self, ext: Extrinsics):

@@ -56,6 +56,9 @@ class RotationAngles:
         self.__dict__.update(theta_x=wrap_angle(float(theta_x)), theta_y=wrap_angle(float(theta_y)),
                              theta_z=wrap_angle(float(theta_z)))
 
+    def __iter__(self):
+        return iter((self.theta_x, self.theta_y, self.theta_z))
+
     def as_array(self) -> np.ndarray:
         return np.array([self.theta_x, self.theta_y, self.theta_z])
 
@@ -137,18 +140,15 @@ class CameraIntrinsics:
         object.__setattr__(self, "height", int(self.height))
 
 
-def rotation_matrix(angles: RotationAngles) -> np.ndarray:
-    """3x3 rotation for the given Euler angles (``Rz @ Ry @ Rx`` order)."""
-    cx, sx = math.cos(angles.theta_x), math.sin(angles.theta_x)
-    cy, sy = math.cos(angles.theta_y), math.sin(angles.theta_y)
-    cz, sz = math.cos(angles.theta_z), math.sin(angles.theta_z)
-    return np.array(
-        [
-            [cy * cz, sx * sy * cz - cx * sz, cx * sy * cz + sx * sz],
-            [cy * sz, sx * sy * sz + cx * cz, cx * sy * sz - sx * cz],
-            [-sy, sx * cy, cx * cy],
-        ]
-    )
+def rotation_matrix(angles) -> np.ndarray:
+    """3x3 rotation (``Rz @ Ry @ Rx``) of a :class:`RotationAngles` or of three angles as given."""
+    theta_x, theta_y, theta_z = angles
+    cx, sx = math.cos(theta_x), math.sin(theta_x)
+    cy, sy = math.cos(theta_y), math.sin(theta_y)
+    cz, sz = math.cos(theta_z), math.sin(theta_z)
+    return np.array([cy * cz, sx * sy * cz - cx * sz, cx * sy * cz + sx * sz,
+                     cy * sz, sx * sy * sz + cx * cz, cx * sy * sz - sx * cz,
+                     -sy, sx * cy, cx * cy]).reshape(3, 3)
 
 
 def euler_from_matrix(r: np.ndarray) -> RotationAngles:

@@ -32,8 +32,8 @@ import math
 import numpy as np
 
 from .costfield import CostBreakdown, CostEvaluator
-from .errors import NonFiniteCost
-from .geometry import Extrinsics, RotationAngles, Translation, rotation_matrix
+from .errors import CalibrationError, NonFiniteCost
+from .geometry import Extrinsics, RotationAngles, Translation, rotation_matrix, wrap_angle
 
 _GOLDEN = 0.3819660112501051  # 2 - golden ratio
 _MAX_EXPANSIONS = 40
@@ -276,10 +276,20 @@ def _to_centered(ext: Extrinsics, center: np.ndarray) -> np.ndarray:
 
 
 def _from_centered(y: np.ndarray, center: np.ndarray) -> Extrinsics:
-    """Inverse of :func:`_to_centered`: the extrinsics (θ, c - R(θ)·center), with that R(θ)."""
+    """Inverse of :func:`_to_centered`: validated (θ, c - R(θ)·center), with that R(θ)."""
     rotation = RotationAngles(*y[:3].tolist())  # floats unpack faster than numpy scalars
     r = rotation_matrix(rotation)
-    return Extrinsics(rotation, Translation(*(y[3:] - r @ center).tolist()), r)
+    return Extrinsics(rotation, Translation(*(y[3:] - r.dot(center)).tolist()), r)
+
+
+class _Sample(tuple):
+    """``(wrapped angles, R, t)``: as much of a pose as ``evaluate_total`` reads."""
+
+    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        return self[1:]
+
+    def to_vector(self) -> np.ndarray:
+        return np.concatenate([self[0], self[2]])
 
 
 def calibrate(
@@ -299,17 +309,29 @@ def calibrate(
     Modern Synthesis*, 2000).  After each Powell run the driver probes the
     30 pairwise two-parameter diagonals and, if any still descends, walks
     there and runs Powell again; both search in units of ``_TRIAL_STEPS``.
-    Trace rows and estimate are in (θ, t).
+    Trace rows and estimate are in (θ, t).  Samples go to the kernel as bare
+    :class:`_Sample` poses, their read-only R built only as the angles change.
     """
-    center = evaluator.center
+    center, pi, isfinite = evaluator.center, math.pi, math.isfinite
     # Restarts, extrapolation and grid points back on the start resend poses.
     memo: dict[bytes, float] = {}
+    held = angles = r = rc = None  # the last sample's angle bytes, angles, R and R·center
 
     def objective(y: np.ndarray) -> float:
+        nonlocal held, angles, r, rc
         key = y.tobytes()
         cost = memo.get(key)
         if cost is None:
-            cost = memo[key] = evaluator.evaluate_total(_from_centered(y, center))
+            if key[:24] != held:  # new angles; wrap_angle raises on a non-finite one
+                angles = [a if -pi < a <= pi else wrap_angle(a) for a in y[:3].tolist()]
+                r = rotation_matrix(angles)
+                r.setflags(write=False)
+                held, rc = key[:24], r.dot(center)  # the bits of r @ center, in half the time
+            t = y[3:] - rc
+            a, b, c = t.tolist()
+            if not (isfinite(a) and isfinite(b) and isfinite(c)):
+                raise CalibrationError(f"translation must be finite, got {t!r}")
+            cost = memo[key] = evaluator.evaluate_total(_Sample((angles, r, t)))
         return cost
 
     def scaled(z: np.ndarray) -> float:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from semcal.costfield import CostEvaluator
-from semcal.errors import NonFiniteCost
+from semcal.errors import CalibrationError, NonFiniteCost
 from semcal.geometry import Extrinsics, RotationAngles, Translation
 import semcal.geometry
 import semcal.optimizer
 from semcal.optimizer import (
     _PLATEAU_SAMPLES,
+    _TRIAL_STEPS,
     _from_centered,
     _line,
     _probe_directions,
@@ -185,17 +186,26 @@ def test_centered_map_round_trips(seed):
         assert np.allclose(back.to_vector(), ext.to_vector(), rtol=0.0, atol=1e-12)
 
 
+def recording_kernel(monkeypatch, evaluator) -> list:
+    """The poses ``evaluator.evaluate_total`` is sent from now on, in order."""
+    sent, evaluate_total = [], evaluator.evaluate_total
+    monkeypatch.setattr(evaluator, "evaluate_total",
+                        lambda pose: sent.append(pose) or evaluate_total(pose))
+    return sent
+
+
 def test_calibrate_steps_the_angles_by_a_twentieth_radian(monkeypatch):
     """The first line search of ``calibrate`` samples the centered theta_x at
     0.05 * 2^k rad, k = -4 up, and leaves the other coordinates in place."""
     spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=4)
     scene = generate(spec)
     start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=2)
-    sent = []
-    from_centered = semcal.optimizer._from_centered
-    monkeypatch.setattr(semcal.optimizer, "_from_centered",
-                        lambda y, center: sent.append(y.copy()) or from_centered(y, center))
-    calibrate(CostEvaluator(scene.pairs, spec.classes), start)
+    evaluator = CostEvaluator(scene.pairs, spec.classes)
+    sent = recording_kernel(monkeypatch, evaluator)
+    calibrate(evaluator, start)
+    # each pose back in (theta, c), where c = R @ center + t
+    sent = [np.concatenate([pose.to_vector()[:3], pose.matrix()[0] @ evaluator.center
+                            + pose.matrix()[1]]) for pose in sent[:4]]
     moves = np.array(sent[1:4]) - sent[0]
     assert np.allclose(moves[:, 0], 0.05 * 2.0 ** np.arange(-4, -1), rtol=1e-12, atol=0.0)
     assert np.allclose(moves[:, 1:], 0.0, rtol=0.0, atol=1e-12)
@@ -319,14 +329,16 @@ def test_calibrate_runs_the_kernel_once_per_distinct_pose(monkeypatch):
                for y, value in samples)
 
 
-def test_calibrate_builds_one_rotation_per_kernel_call(monkeypatch):
-    """Each pose sent to the kernel builds its rotation once, in
-    ``_from_centered``, and the kernel builds none; beyond those, each trace
-    row and the estimate build one."""
+def test_calibrate_builds_one_rotation_per_angle_change(monkeypatch):
+    """A pose sent to the kernel builds a rotation only when its angles
+    differ from those of the pose sent before it, and shares the read-only
+    R of that pose otherwise; the kernel builds none; beyond those, each
+    trace row and the estimate build one."""
     spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=4)
     scene = generate(spec)
     start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=2)
     evaluator = CostEvaluator(scene.pairs, spec.classes)
+    sent = recording_kernel(monkeypatch, evaluator)
     built = []
     rotation_matrix = semcal.geometry.rotation_matrix
 
@@ -338,6 +350,76 @@ def test_calibrate_builds_one_rotation_per_kernel_call(monkeypatch):
     monkeypatch.setattr(semcal.geometry, "rotation_matrix", counting)
     monkeypatch.setattr(semcal.optimizer, "rotation_matrix", counting)
     _, _, trace = calibrate(evaluator, start)
-    kernel_calls = trace.n_evaluations - trace.n_repeated
-    assert kernel_calls > 100
-    assert len(built) == kernel_calls + len(trace.points) + 1
+    assert len(sent) == trace.n_evaluations - trace.n_repeated > 100
+    angles = [pose.to_vector()[:3].tobytes() for pose in sent]
+    changes = [i for i in range(len(sent)) if i == 0 or angles[i] != angles[i - 1]]
+    assert len(sent) > len(changes) > 100
+    assert len(built) == len(changes) + len(trace.points) + 1
+    for i in range(1, len(sent)):
+        assert (sent[i].matrix()[0] is sent[i - 1].matrix()[0]) == (i not in changes)
+    assert not any(pose.matrix()[0].flags.writeable for pose in sent)
+
+
+class _Stop(Exception):
+    pass
+
+
+class Sampled:
+    """An evaluator that records the poses it is sent and prices each at 1."""
+
+    def __init__(self, center):
+        self.center, self.sent = np.asarray(center, dtype=float), []
+
+    def evaluate_total(self, pose):
+        self.sent.append(pose)
+        return 1.0
+
+
+def sampler(monkeypatch, evaluator):
+    """The objective ``calibrate`` hands Powell on ``evaluator``: it takes a
+    centered pose in trial-step units."""
+    def capture(f, x0):
+        raise _Stop(f)
+
+    monkeypatch.setattr(semcal.optimizer, "powell_minimize", capture)
+    with pytest.raises(_Stop) as stop:
+        calibrate(evaluator, Extrinsics.identity())
+    return stop.value.args[0]
+
+
+@pytest.mark.parametrize("angles", [(3.5, -0.2, 0.1), (0.1, -4.0, 7.0),
+                                    (np.pi, -np.pi, 3 * np.pi), (-7.0, 9.5, np.pi + 1e-12)])
+def test_a_sample_beyond_pi_is_the_pose_from_vector_builds(monkeypatch, angles):
+    """A sample of (theta, c) is ``Extrinsics.from_vector`` of (theta, c - R @
+    center), R of the wrapped angles: the same R bytes, t bytes and
+    ``to_vector()`` bytes, as floats; moving c alone keeps the read-only R."""
+    evaluator = Sampled(np.array([0.7, -1.3, 9.1]))
+    sample = sampler(monkeypatch, evaluator)
+    z = np.array([*angles, 0.5, -1.5, 8.0]) / _TRIAL_STEPS
+    sample(z)
+    sample(z + np.eye(6)[3])
+    for pose, y in zip(evaluator.sent, (z * _TRIAL_STEPS, (z + np.eye(6)[3]) * _TRIAL_STEPS)):
+        r = semcal.geometry.rotation_matrix(RotationAngles(*y[:3]))
+        ext = Extrinsics.from_vector(np.concatenate([y[:3], y[3:] - r @ evaluator.center]))
+        assert pose.matrix()[0].tobytes() == ext.matrix()[0].tobytes()
+        assert pose.matrix()[1].tobytes() == ext.matrix()[1].tobytes()
+        assert pose.to_vector().tobytes() == ext.to_vector().tobytes()
+        assert all(type(x) is float for x in pose.to_vector().tolist())
+        assert not pose.matrix()[0].flags.writeable
+    assert evaluator.sent[0].matrix()[0] is evaluator.sent[1].matrix()[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", range(6))
+def test_a_non_finite_sample_is_a_calibration_error(monkeypatch, axis, bad):
+    """A non-finite angle or translation ends the search in a
+    CalibrationError before the kernel sees it, also when it follows a
+    finite sample of the same angles."""
+    evaluator = Sampled(np.array([0.3, -0.2, 9.0]))
+    sample = sampler(monkeypatch, evaluator)
+    z = np.array([0.1, -0.2, 0.3, 1.0, 2.0, 3.0])
+    sample(z)
+    z[axis] = bad
+    with pytest.raises(CalibrationError, match="finite"):
+        sample(z)
+    assert len(evaluator.sent) == 1
