@@ -74,6 +74,11 @@ between the two generators and writers; this adds about 20 seconds on a
   ``source_lines_by_module`` the same per module, keyed by file name, so a
   change's JSON shows where its lines went.
 
+The JSON names the baseline by its commit (``baseline_rev``) and the change
+side as the ``working tree`` (``change_rev``), with the SHA-256 of the names
+and bytes of its ``src/semcal/*.py`` files (``change_src_sha256``), so a
+record written before its change is committed still says what it measured.
+
 The timings run in one more process that loads both sides' packages side by
 side.  Each of ``ROUNDS`` rounds times every task once per side, the sides in
 alternating order, so the host's speed steps hit both alike.  Per task the
@@ -108,9 +113,12 @@ median of those ratios:
   sides, and keeps each side's median: with one call per round, the
   ratios of unchanged code ran from 0.88 to 1.38.  Next to them,
   ``kernel_calls`` counts the samples that reached ``evaluate_total``,
-  and ``outside_kernel_ms`` is each side's time outside the kernel: its
-  ``calibrate`` milliseconds less its kernel calls at its ``replay``
-  microseconds per evaluation;
+  and ``outside_kernel_ms`` is each side's time outside the kernel: the
+  milliseconds of ``calibrate`` against a stand-in evaluator that returns
+  the costs and the final breakdown that the side's evaluator gave it,
+  in the order it gave them, with no kernel run.  Each call is timed
+  right after the call it replays, so both meet the host's same speed;
+  the stand-in's own Python call is in it;
 - ``layers``: on calib-c6 scene 8, init-wide scene 0 and a dense-label
   scene, whose every class's bounding box covers at least 99% of its image
   (``min_box_share``, the smallest such share in the scene), the
@@ -167,6 +175,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from pathlib import Path
 from statistics import median
 from typing import NamedTuple
@@ -544,17 +553,27 @@ def time_sides(srcs: dict) -> dict:
         pairs, spec.classes, own([ext.to_vector() for ext in sent])))}
 
     def calibrate(side):
+        optimizer, evaluator = mods[side]["optimizer"], evaluators[side]
+        costs, evaluate_total = [], evaluator.evaluate_total
+        evaluator.evaluate_total = lambda ext: costs.append(evaluate_total(ext)) or costs[-1]
+        _, breakdown, _ = optimizer.calibrate(evaluator, start[side])
+        del evaluator.evaluate_total
+        # calibrate reads an evaluator's center, evaluate_total and evaluate
+        stand_in = types.SimpleNamespace(center=evaluator.center, evaluate=lambda ext: breakdown)
+
         def run():
             t0 = time.perf_counter()
-            _, _, trace = mods[side]["optimizer"].calibrate(evaluators[side], start[side])
-            return {"s": time.perf_counter() - t0, "evaluations": trace.n_evaluations,
-                    "kernel_calls": trace.n_evaluations - trace.n_repeated}
+            _, _, trace = optimizer.calibrate(evaluator, start[side])
+            t1 = time.perf_counter()
+            replayed = iter(costs).__next__
+            stand_in.evaluate_total = lambda ext: replayed()
+            optimizer.calibrate(stand_in, start[side])
+            return {"s": t1 - t0, "evaluations": trace.n_evaluations,
+                    "kernel_calls": trace.n_evaluations - trace.n_repeated,
+                    "outside_kernel_ms": (time.perf_counter() - t1) * 1e3}
         return run
 
-    result["calibrate"] = timed = _interleave({s: calibrate(s) for s in SIDES}, repeats=BUILDS)
-    outside = {side: timed[side]["s"] * 1e3 - timed[side]["kernel_calls"]
-               * result["replay"][side]["us_per_eval"] / 1e3 for side in SIDES}
-    timed["outside_kernel_ms"] = {**outside, "ratio": outside["change"] / outside["baseline"]}
+    result["calibrate"] = _interleave({s: calibrate(s) for s in SIDES}, repeats=BUILDS)
     del evaluators
 
     def layers(side, pairs, classes):
@@ -728,8 +747,10 @@ def main() -> int:
                 "evaluator construction and initialize, each next to perfbench's "
                 "host-speed reference kernel",
         "baseline_rev": baseline,
-        "change_rev": _git("rev-parse", "HEAD")
-        + ("+dirty" if _git("status", "--porcelain", "src") else ""),
+        "change_rev": "working tree",
+        "change_src_sha256": hashlib.sha256(b"".join(
+            path.name.encode() + b"\0" + path.read_bytes()
+            for path in sorted((ROOT / "src" / "semcal").glob("*.py")))).hexdigest(),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(),
                  "numpy": importlib.metadata.version("numpy")},
@@ -775,9 +796,9 @@ def main() -> int:
     ratios += [(f"memory {name}", t["memory"]) for name, t in timing["layers"].items()]
     for label, t in ratios:
         print(f"{label}: " + ", ".join(f"{k} x{v:.3f}" for k, v in t["ratio"].items()))
-    outside = timing["calibrate"]["outside_kernel_ms"]
     print("calibrate outside the kernel: " + ", ".join(
-        f"{side} {outside[side]:.2f} ms" for side in SIDES) + f", x{outside['ratio']:.3f}")
+        f"{side} {timing['calibrate'][side]['outside_kernel_ms']:.2f} ms" for side in SIDES)
+        + f", x{timing['calibrate']['ratio']['outside_kernel_ms']:.3f}")
     for name, t in timing["layers"].items():
         print(f"atlas over box cells, {name}: " + ", ".join(
             f"{side} x{t['memory'][side]['atlas_cells'] / t['memory'][side]['box_cells']:.3f}"

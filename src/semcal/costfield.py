@@ -187,7 +187,6 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
         else:
             chunks.append([[f], boxes[f][2]])
     buf = np.empty(max((boxes[m[0]][3] * w for m, w in chunks), default=0), dtype)
-    far = dtype.type(far)
     for members, width in chunks:
         chunk = buf[:boxes[members[0]][3] * width].reshape(-1, width)
         sizes = [boxes[f][2] for f in members]
@@ -203,7 +202,7 @@ def build_distance_field(images: list[LabelImage], classes) -> DistanceField:
             r, c = divmod(cell[f], stride)
             np.copyto(atlas[r:r + boxes[f][2], c:c + boxes[f][3]], place.T)
     _scan(atlas, runs)
-    box = np.array([b or (0, 0, 1, 1) for b in boxes], np.int64).reshape(-1, 4)
+    box = np.array([b or (0, 0, 1, 1) for b in boxes], np.int64)
     box[:, 2:] += box[:, :2] - 1  # u1, v1 from the widths and heights
     return DistanceField(atlas.reshape(-1), box, np.array(cell), stride,
                          np.array([b is None for b in boxes]))

@@ -84,16 +84,15 @@ class Extrinsics:
     """The six calibration parameters: three rotation angles plus a translation.
 
     Maps sensor-frame points into the camera frame via ``R(theta) @ p + t``.
-    Keeps ``R``, built once from the wrapped angles (``r``, if given, must be
-    ``rotation_matrix(rotation)``), and ``t`` as read-only arrays that ``==``,
-    ``hash`` and ``repr`` ignore.
+    Keeps ``R``, built once from the wrapped angles, and ``t`` as read-only
+    arrays that ``==``, ``hash`` and ``repr`` ignore.
     """
 
     rotation: RotationAngles
     translation: Translation
 
-    def __init__(self, rotation, translation, r: np.ndarray | None = None):
-        r = rotation_matrix(rotation) if r is None else r
+    def __init__(self, rotation, translation):
+        r = rotation_matrix(rotation)
         t = translation.as_array()
         r.setflags(write=False)
         t.setflags(write=False)

@@ -148,11 +148,12 @@ def _line(g, f0: float, refine: bool = True) -> tuple[float, float]:
     A geometric probe grid on both sides picks the best coarse step before
     the bracket is refined; purely local bracketing is not enough here
     because the pixel-quantized cost is riddled with micro-plateaus that
-    trap it far from the best point on the line.  Returns (0, f0) whenever
-    no strict improvement is found, so the caller's cost can never increase.
-    ``refine=False`` skips the bracket refinement and returns the best grid
-    point; escape probes use it because they only need a cheap yes/no on
-    whether a direction descends at all.
+    trap it far from the best point on the line.  Returns its best sample,
+    ``(0, f0)`` when it is flat as far as probed; that sample may tie
+    ``f0`` away from 0, so a caller moves only on a strict decrease, as
+    :func:`_sweep` does.  ``refine=False`` skips the bracket refinement and
+    returns the best grid point; escape probes use it because they only
+    need a cheap yes/no on whether a direction descends at all.
     """
     samples: dict[float, float] = {0.0: f0}
     best_a, best_f = 0.0, f0
@@ -183,16 +184,14 @@ def _line(g, f0: float, refine: bool = True) -> tuple[float, float]:
             b, fb = c, fc
         best_a, best_f = b, fb
     if not refine:
-        return (float(best_a), float(best_f)) if best_f < f0 else (0.0, f0)
+        return best_a, best_f
     alphas = sorted(samples)
     i = alphas.index(best_a)
     lo = alphas[i - 1] if i > 0 else best_a
     hi = alphas[i + 1] if i + 1 < len(alphas) else best_a
-    if best_a == 0.0 and samples[lo] == f0 and samples[hi] == f0 and len(samples) > 2:
+    if best_a == 0.0 and samples[lo] == f0 and samples[hi] == f0:
         return 0.0, f0  # flat as far as probed
     alpha, f_min = _brent(g, lo, hi, best_a, best_f)
-    if f_min >= f0:
-        return 0.0, f0
     return float(alpha), float(f_min)
 
 
@@ -276,10 +275,10 @@ def _to_centered(ext: Extrinsics, center: np.ndarray) -> np.ndarray:
 
 
 def _from_centered(y: np.ndarray, center: np.ndarray) -> Extrinsics:
-    """Inverse of :func:`_to_centered`: validated (θ, c - R(θ)·center), with that R(θ)."""
+    """Inverse of :func:`_to_centered`: validated (θ, c - R(θ)·center)."""
     rotation = RotationAngles(*y[:3].tolist())  # floats unpack faster than numpy scalars
-    r = rotation_matrix(rotation)
-    return Extrinsics(rotation, Translation(*(y[3:] - r.dot(center)).tolist()), r)
+    t = y[3:] - rotation_matrix(rotation).dot(center)
+    return Extrinsics(rotation, Translation(*t.tolist()))
 
 
 class _Sample(tuple):

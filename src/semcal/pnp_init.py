@@ -274,7 +274,7 @@ def estimate_homography(plane_pts, image_pts) -> np.ndarray:
     a[1::2, 6:] = dh[:, 1:] * sh
 
     _, s, vt = np.linalg.svd(a, full_matrices=len(a) < 9)  # vt must be 9 x 9
-    if s[-2] <= 1e-10 * s[0]:
+    if s[7] <= 1e-10 * s[0]:  # rank below 8; s holds 8 values for 4 pairs, 9 for more
         raise Degenerate("correspondences are rank-deficient (collinear or repeated)")
     h = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t_dst) @ h @ t_src

@@ -21,7 +21,13 @@ from helpers import (
 )
 from semcal.costfield import CostEvaluator, _boxes, build_distance_field
 from semcal.errors import CalibrationError, ZeroDenominator
-from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
+from semcal.geometry import (
+    EPS_DEPTH,
+    CameraIntrinsics,
+    Extrinsics,
+    RotationAngles,
+    Translation,
+)
 from semcal.scene import IGNORE_CLASS, FramePair, LabelImage, LabeledPointCloud
 from semcal.synth import SceneSpec, generate
 
@@ -180,7 +186,8 @@ def mixed_images(draw):
 # 16-bit fields (height + width >= 255) of one size, with widths 0-3 (mod
 # 4); then two sizes, whose atlas stacks three boxes under others, 48,708
 # cells against 80,256 side by side and 67,200 for one image plane per
-# field; then classes touching one, two, three and four image edges
+# field; then classes touching one, two, three and four image edges; then
+# a box stacked under the tail, whose run's scan must start one row above it
 @example(stacks=sparse_stack(2, 119, 136, 0), classes=[1, 2, 3], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(3, 118, 137, 1), classes=[3, 1, 2], queries=np.zeros((8, 2), int))
 @example(stacks=sparse_stack(4, 117, 138, 2), classes=[2, 3, 1], queries=np.zeros((8, 2), int))
@@ -190,6 +197,10 @@ def mixed_images(draw):
 @example(stacks=edge_stack(), classes=[1, 2, 3, 4],
          queries=np.array([[-3, 5], [40, 7], [20, -9], [9, 40], [-1, -1], [40, 40], [0, 0],
                            [0, 0]]))
+@example(stacks=[np.array([[1, 2, 2, 2, 2, 2]] + [[2] * 6] * 3 + [[1, 2, 2, 2, 2, 2]], np.uint8),
+                 np.array([[1, 2, 0, 0, 0, 0, 0]] + [[0] * 7] * 4 + [[0, 0, 0, 1, 0, 0, 0]],
+                          np.uint8)],
+         classes=[1, 2], queries=np.zeros((8, 2), int))
 def test_distance_field_of_several_images_property(stacks, classes, queries):
     check_one_build(stacks, classes, queries)
 
@@ -239,6 +250,22 @@ def test_distance_field_stacks_narrow_boxes_under_the_tail():
     assert (field.cell[~field.empty] // field.stride).max() > 0  # a box sits below another
     sizes = (field.box[:, 2:] - field.box[:, :2] + 1)[~field.empty]
     assert field.d.size < 0.7 * sizes[:, 0].max() * sizes[:, 1].sum()  # a third is saved
+
+
+@pytest.mark.parametrize("boxes, cells", [
+    # (u0, v0, width, height) of classes 1-4 in a 12 x 12 image
+    (((4, 8, 8, 1), (5, 0, 3, 7), (0, 0, 11, 8), (1, 2, 2, 9)), 187),
+    (((9, 0, 2, 1), (2, 5, 6, 1), (0, 0, 5, 5), (7, 6, 2, 1)), 42),
+])
+def test_distance_field_stacks_a_box_that_just_fits(boxes, cells):
+    """A box as wide as the atlas rows from ``low`` on (the first case), or as
+    high as the room left under the tail (the second), is stacked there: the
+    atlas keeps to ``cells``, and its fields still match the brute force."""
+    labels = np.zeros((12, 12), np.uint8)
+    for cid, (u0, v0, w, h) in enumerate(boxes, 1):
+        labels[v0, u0] = labels[v0 + h - 1, u0 + w - 1] = cid
+    field = check_one_build([labels], [1, 2, 3, 4], np.array([[-2, 3], [14, 13]]))
+    assert field.d.size == cells
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,6 +405,24 @@ def test_distance_field_empty_class():
     assert (expand_field(field, 0, (4, 4)) == 4 + 4).all()
 
 
+def test_an_absent_class_beside_one_pixel_costs_the_penalty(k):
+    """An absent class's points read a placeholder box of one cell and cost
+    the flat penalty wherever they project, also where the whole atlas is
+    that one cell: the fields of one pixel of one class."""
+    labels = np.zeros((12, 16), dtype=int)
+    labels[3, 5] = 1
+    points = np.array([[0.0, 0.0, 1.0], [0.5, 0.3, 1.0], [-0.5, 0.4, 2.0]])
+    pair = FramePair(LabeledPointCloud(points=points, labels=np.array([1, 2, 2])),
+                     LabelImage(labels=labels), k, "f0")
+    evaluator = CostEvaluator([pair], (1, 2))
+    assert evaluator._fields.size == 1
+    breakdown = evaluator.evaluate(Extrinsics.identity())
+    # (8, 6) is 3 + 3 pixels from (5, 3); the class-2 points land far off the image
+    assert breakdown.numerator == pytest.approx(6.0 + (16 + 12) * (1.34 + 4.41))
+    assert breakdown.n_empty_field == 2
+    assert evaluator.evaluate_total(Extrinsics.identity()) == breakdown.total
+
+
 def test_query_distance_out_of_range_matches_brute_force():
     rng = np.random.default_rng(3)
     labels = rng.integers(0, 3, size=(10, 14))
@@ -421,6 +466,17 @@ def test_behind_camera_penalty(k):
     breakdown = CostEvaluator([pair], (1,)).evaluate(Extrinsics.identity())
     assert breakdown.n_behind_camera == 1
     assert breakdown.numerator == (16 + 12) * 5.0
+
+
+def test_a_point_at_eps_depth_is_behind_the_camera(k):
+    """A point counts as in front only beyond ``EPS_DEPTH``: at exactly that
+    depth it pays the behind-camera penalty, also where the nearest depth
+    decides that every point is in front."""
+    points = np.array([[0.0, 0.0, EPS_DEPTH], [0.0, 0.0, 2.0]])
+    pair = FramePair(cloud=LabeledPointCloud(points=points, labels=np.array([1, 1])),
+                     image=make_pair(k).image, intrinsics=k, frame_id="f0")
+    breakdown = CostEvaluator([pair], (1,)).evaluate(Extrinsics.identity())
+    assert breakdown.n_behind_camera == 1
 
 
 def test_point_cost_branches(k):

@@ -84,11 +84,20 @@ def test_euler_round_trip():
         assert np.allclose(rotation_matrix(back), rotation_matrix(angles), atol=1e-12)
 
 
+def test_euler_from_matrix_takes_nested_lists():
+    r = rotation_matrix(RotationAngles(0.3, -1.1, 2.0))
+    assert euler_from_matrix(r.tolist()) == euler_from_matrix(r)
+
+
 def test_euler_gimbal_branch():
     # cos(theta_y) = 0 exactly; the matrix must still reproduce
     angles = RotationAngles(0.3, np.pi / 2, 0.7)
     back = euler_from_matrix(rotation_matrix(angles))
     assert np.allclose(rotation_matrix(back), rotation_matrix(angles), atol=1e-9)
+    # only cos(theta_y) <= 1e-9 pins theta_x; at 1.5e-9 the angles come back
+    near = RotationAngles(0.3, np.pi / 2 - 1.5e-9, 0.7)
+    assert np.allclose(euler_from_matrix(rotation_matrix(near)).as_array(), near.as_array(),
+                       rtol=0.0, atol=1e-6)
 
 
 def test_extrinsics_vector_round_trip():
@@ -97,6 +106,10 @@ def test_extrinsics_vector_round_trip():
     assert np.allclose(Extrinsics.from_vector(vec).to_vector(), vec)
     with pytest.raises(CalibrationError, match="6-vector"):
         Extrinsics.from_vector(vec[:5])
+    # any sequence of six numbers will do
+    assert Extrinsics.from_vector(vec.tolist()) == ext
+    with pytest.raises(CalibrationError, match="6-vector"):
+        Extrinsics.from_vector(vec[:5].tolist())
 
 
 def test_extrinsics_identity():
@@ -109,6 +122,16 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=0.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
     with pytest.raises(CalibrationError):
         CameraIntrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=0, height=480)
+    # a NaN focal length is not <= 0, and an infinite one is positive
+    for bad in ({"fx": np.nan}, {"fy": np.inf}, {"cx": np.nan}, {"cy": -np.inf}):
+        with pytest.raises(CalibrationError, match="finite"):
+            CameraIntrinsics(**{"fx": 400.0, "fy": 400.0, "cx": 320.0, "cy": 240.0,
+                                "width": 640, "height": 480, **bad})
+
+
+def test_intrinsics_keep_the_image_size_as_ints():
+    k = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, np.int64(640), np.int32(480))
+    assert (type(k.width), type(k.height)) == (int, int)
 
 
 def test_translation_rejects_non_finite():

@@ -9,7 +9,6 @@ from semcal.geometry import Extrinsics, RotationAngles, Translation
 import semcal.geometry
 import semcal.optimizer
 from semcal.optimizer import (
-    _PLATEAU_SAMPLES,
     _TRIAL_STEPS,
     _from_centered,
     _line,
@@ -74,7 +73,67 @@ def test_line_minimize_staircase_stops_on_plateau(centre):
     step, cost = _line(g, g(0.0))
     assert cost == 0.0 and abs(step - centre) < 1.0 / 8.0  # on the bottom step
     last_change = max(i for i in range(1, len(values)) if values[i] != values[i - 1])
-    assert len(values) - 1 - last_change <= _PLATEAU_SAMPLES
+    assert len(values) - 1 - last_change <= 4  # _PLATEAU_SAMPLES, by its value
+
+
+def test_line_gives_up_a_side_three_samples_after_it_turns_uphill():
+    """Each side steps out on the grid 2^k, k = -4 up, until three samples in
+    a row rise from the sample before them and are no better than the best:
+    the positive side passes its minimum at 1/2 and stops at 4, and the
+    negative side, rising from its first sample on, stops at -1/2."""
+    sampled = []
+
+    def g(a):
+        sampled.append(a)
+        return 100.0 if a == 0.0 else abs(a - 0.5)
+
+    assert _line(g, 100.0, refine=False) == (0.5, 0.0)
+    assert sampled == [2.0**k for k in range(-4, 3)] + [-(2.0**k) for k in range(-4, 0)]
+
+
+def test_line_doubles_past_the_grid_edge_while_the_cost_falls():
+    """A side still falling at the grid's last step, 8, doubles it while the
+    cost keeps falling: on |a - 20| to 16, then 32 ends it."""
+    sampled = []
+
+    def g(a):
+        sampled.append(a)
+        return abs(a - 20.0)
+
+    assert _line(g, 20.0, refine=False) == (16.0, 4.0)
+    grid = [2.0**k for k in range(-4, 4)] + [-(2.0**k) for k in range(-4, -1)]
+    assert sampled == grid + [16.0, 32.0]  # both sides of the grid, then the doubling
+
+
+def test_line_without_refinement_returns_the_best_grid_point():
+    """``refine=False`` returns the best grid sample as it is, with no sample
+    off the grid; a flat line returns (0, f0)."""
+    sampled = []
+
+    def g(a):
+        sampled.append(a)
+        return (a - 0.3) ** 2
+
+    assert _line(g, g(0.0), refine=False) == (0.25, (0.25 - 0.3) ** 2)
+    grid = {sign * 2.0**k for sign in (1.0, -1.0) for k in range(-4, 4)}
+    assert set(sampled[1:]) <= grid
+    assert _line(lambda a: 5.0, 5.0, refine=False) == (0.0, 5.0)
+
+
+def test_line_refinement_takes_brents_steps():
+    """Brent's golden and parabolic steps, each at least ``tol1`` long and in
+    the direction it was proposed, on a quartic that no parabola fits, with
+    its minimum at -1.9875: a pinned path of 26 samples and its end point,
+    so that a change to any step rule of ``_brent`` shows here."""
+    samples = []
+
+    def g(a):
+        samples.append(a)
+        d = a + 1.8
+        return d * d * d * d + 0.25 * d * d * d
+
+    assert _line(g, g(0.0)) == (-1.9874994325350586, -0.0004119873046648584)
+    assert len(samples) == 26
 
 
 def test_powell_quadratic_identity():
@@ -120,6 +179,38 @@ def test_powell_max_iterations(monkeypatch):
     assert trace.points[-1][0] == 2
 
 
+def test_powell_replaces_a_direction_when_the_textbook_test_accepts(monkeypatch):
+    """After each sweep that does not end the run, the displacement x1 - x0
+    replaces a direction, with a line search along it, exactly when Powell's
+    test as Numerical Recipes' ``powell`` writes it accepts: f(2 x1 - x0) < f0
+    and 2 (f0 - 2 f1 + fe) (f0 - f1 - D)^2 < D (f0 - fe)^2, with D the
+    largest drop along one direction of the sweep; on 100 random 2-D and
+    3-D quadratics, with both outcomes taken."""
+    calls, sweep = [], semcal.optimizer._sweep
+
+    def recording(f, x, current, directions, refine=True):
+        calls.append((x, current, len(directions), sweep(f, x, current, directions, refine)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(semcal.optimizer, "_sweep", recording)
+    rng = np.random.default_rng(0)
+    outcomes = []
+    for _ in range(100):
+        n = int(rng.integers(2, 4))
+        q, c = rng.normal(size=(n, n)), rng.normal(scale=3.0, size=n)
+        a = q @ q.T + 0.3 * np.eye(n)
+        f = lambda x: float((x - c) @ a @ (x - c))
+        calls.clear()
+        powell_minimize(f, np.round(rng.normal(scale=3.0, size=n), 1))
+        for (x0, f0, size, (x1, f1, drop, _)), after in zip(calls, calls[1:]):
+            if size == n:  # a sweep over the direction set, not along a displacement
+                fe = f(x1 + (x1 - x0))
+                t = 2.0 * (f0 - 2.0 * f1 + fe) * (f0 - f1 - drop) ** 2 - drop * (f0 - fe) ** 2
+                outcomes.append(fe < f0 and t < 0.0)
+                assert (after[2] == 1) == outcomes[-1]
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 def test_powell_takes_unit_steps_in_six_dimensions():
     """A 6-parameter objective gets the unit grid of any other: the first
     line search samples x0 + 2^k e0 for k = -4.. on each side until it
@@ -138,14 +229,26 @@ def test_powell_takes_unit_steps_in_six_dimensions():
 
 def test_powell_stalls_on_constant():
     """The first sweep that finds nothing lower ends the run, with no second
-    sweep from a fresh basis: the start row and one sweep row, and 13
-    evaluations, the start and then 3 grid samples per direction and side
-    before that side counts as turned uphill."""
-    _, fx, trace = powell_minimize(lambda x: 7.0, np.zeros(2))
-    assert fx == 7.0
-    assert trace.termination == "stalled"
+    sweep from a fresh basis, also at a cost of exactly 0: the start row and
+    one sweep row, and 13 evaluations, the start and then 3 grid samples per
+    direction and side before that side counts as turned uphill."""
+    for value in (7.0, 0.0):
+        _, fx, trace = powell_minimize(lambda x: value, np.zeros(2))
+        assert fx == value
+        assert trace.termination == "stalled"
+        assert [it for it, _, _ in trace.points] == [0, 1]
+        assert trace.n_evaluations == 13
+        assert (trace.n_repeated, trace.n_probe) == (0, 0)  # a plain Powell run has neither
+
+
+def test_powell_ends_on_a_sweep_that_cuts_less_than_ftol():
+    """A sweep whose cut is at most ``_FTOL`` of the mean of its end costs
+    ends the run as converged, however far it moved: here one step down of
+    8e-9 from a cost of 1, so 2 x 8e-9 against 1e-8 x (2 - 8e-9)."""
+    _, fx, trace = powell_minimize(lambda x: 1.0 - 8e-9 * (x[0] >= 0.05), np.zeros(1))
+    assert fx == 1.0 - 8e-9
+    assert trace.termination == "converged"
     assert [it for it, _, _ in trace.points] == [0, 1]
-    assert trace.n_evaluations == 13
 
 
 def test_non_finite_cost_raises():
@@ -333,7 +436,8 @@ def test_calibrate_builds_one_rotation_per_angle_change(monkeypatch):
     """A pose sent to the kernel builds a rotation only when its angles
     differ from those of the pose sent before it, and shares the read-only
     R of that pose otherwise; the kernel builds none; beyond those, each
-    trace row and the estimate build one."""
+    trace row and the estimate build two: one to move the translation back
+    from c, one that ``Extrinsics`` keeps."""
     spec = SceneSpec(n_frames=3, objects_per_frame=2, noise_rate=0.02, seed=4)
     scene = generate(spec)
     start = perturb(scene.extrinsics, np.deg2rad(1.0), 0.1, seed=2)
@@ -354,7 +458,7 @@ def test_calibrate_builds_one_rotation_per_angle_change(monkeypatch):
     angles = [pose.to_vector()[:3].tobytes() for pose in sent]
     changes = [i for i in range(len(sent)) if i == 0 or angles[i] != angles[i - 1]]
     assert len(sent) > len(changes) > 100
-    assert len(built) == len(changes) + len(trace.points) + 1
+    assert len(built) == len(changes) + 2 * (len(trace.points) + 1)
     for i in range(1, len(sent)):
         assert (sent[i].matrix()[0] is sent[i - 1].matrix()[0]) == (i not in changes)
     assert not any(pose.matrix()[0].flags.writeable for pose in sent)
@@ -409,6 +513,18 @@ def test_a_sample_beyond_pi_is_the_pose_from_vector_builds(monkeypatch, angles):
     assert evaluator.sent[0].matrix()[0] is evaluator.sent[1].matrix()[0]
 
 
+def test_a_unit_of_the_search_is_a_twentieth_radian_or_a_tenth_meter(monkeypatch):
+    """Powell's unit step along each coordinate moves the pose by 0.05 rad
+    along an angle and by 0.1 m along the translation (c = t here, as the
+    center is the origin)."""
+    evaluator = Sampled(np.zeros(3))
+    sample = sampler(monkeypatch, evaluator)
+    for step in np.eye(6):
+        sample(step)
+    assert np.array_equal([pose.to_vector() for pose in evaluator.sent],
+                          np.diag([0.05, 0.05, 0.05, 0.1, 0.1, 0.1]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("axis", range(6))
 def test_a_non_finite_sample_is_a_calibration_error(monkeypatch, axis, bad):
@@ -423,3 +539,78 @@ def test_a_non_finite_sample_is_a_calibration_error(monkeypatch, axis, bad):
     with pytest.raises(CalibrationError, match="finite"):
         sample(z)
     assert len(evaluator.sent) == 1
+
+
+class Priced(Sampled):
+    """A ``Sampled`` that prices each pose at ``price`` of its (theta, t)."""
+
+    def __init__(self, center, price):
+        super().__init__(center)
+        self.price = price
+
+    def evaluate_total(self, pose):
+        super().evaluate_total(pose)
+        return self.price(pose.to_vector())
+
+    def evaluate(self, ext):
+        return self.price(ext.to_vector())
+
+
+def test_calibrate_stops_when_the_probe_stage_finds_no_descent():
+    """On a constant cost, Powell's first sweep stalls; one probe pass then
+    samples each of the 30 diagonals three times a side, finds nothing
+    lower, and that ends the run: no second pass, no probe row and no
+    second Powell run."""
+    est, cost, trace = calibrate(Priced(np.zeros(3), lambda v: 1.0), Extrinsics.identity())
+    assert [(it, c) for it, _, c in trace.points] == [(0, 1.0), (1, 1.0)]
+    assert trace.termination == "stalled"
+    assert trace.n_probe == 30 * 6
+    assert trace.n_evaluations == 1 + 6 * 6 + 30 * 6
+    assert np.array_equal(est.to_vector(), np.zeros(6)) and cost == 1.0
+
+
+def test_calibrate_stops_walking_at_a_pass_that_gains_the_least_share():
+    """A probe pass that cuts the cost by exactly ``_PASS_GAIN_REL`` of it,
+    1000 to 999, is the stage's last: the walk takes one pass of 181
+    samples, then Powell stalls at 999 and one more pass finds nothing."""
+    goal = np.concatenate([_TRIAL_STEPS[:2] / 16.0, np.zeros(4)])
+    evaluator = Priced(np.zeros(3), lambda v: 999.0 if np.array_equal(v, goal) else 1000.0)
+    _, _, trace = calibrate(evaluator, Extrinsics.identity())
+    assert [c for _, _, c in trace.points] == [1000.0, 1000.0, 999.0, 999.0]
+    assert trace.n_probe == (7 + 29 * 6) + 30 * 6
+
+
+def test_calibrate_walks_at_most_16_probe_passes_a_stage():
+    """Stairs down by 1 from a cost of 1000 every 1/16 trial step, along the
+    first and the third probe diagonal in turn, theta_x + theta_y and
+    theta_x + theta_z: a pass climbs down two, so the first stage ends after
+    its 16th pass at 968, and Powell, which steps along single coordinates,
+    stalls before and after each stage.  Stair m sits at (m, ceil(m/2),
+    floor(m/2)) sixteenths of a trial step, matched to rounding, as a
+    Powell run starts from the probe row divided by the trial steps."""
+    stairs = {(m, (m + 1) // 2, m // 2): m for m in range(1, 41)}
+
+    def price(v):
+        u = v[:3] / (0.05 / 16)
+        key = tuple(np.round(u).astype(int).tolist())
+        on_grid = np.allclose(u, key, rtol=0.0, atol=1e-6) and not v[3:].any()
+        return 1000.0 - stairs.get(key, 0) if on_grid else 1000.0
+
+    _, _, trace = calibrate(Priced(np.zeros(3), price), Extrinsics.identity())
+    assert [c for _, _, c in trace.points] == [1000.0, 1000.0, 968.0, 968.0, 960.0, 960.0]
+
+
+def test_calibrate_stops_at_an_exact_zero_that_the_probe_stage_finds():
+    """A zero that only a diagonal reaches: Powell's sweep along each axis
+    stalls, the first probe pass steps onto the zero along theta_x + theta_y,
+    a second pass finds nothing lower, and the zero ends the run with its
+    probe row, with no Powell run after it."""
+    goal = np.concatenate([_TRIAL_STEPS[:2] / 16.0, np.zeros(4)])  # a 1/16 step along (0, 1)
+    evaluator = Priced(np.zeros(3), lambda v: 0.0 if np.array_equal(v, goal) else 1.0)
+    est, cost, trace = calibrate(evaluator, Extrinsics.identity())
+    assert [(it, c) for it, _, c in trace.points] == [(0, 1.0), (1, 1.0), (2, 0.0)]
+    assert np.array_equal(trace.points[-1][1], goal)
+    # the first diagonal takes 4 samples out and 3 back, every other one 3 a side
+    assert trace.n_probe == (7 + 29 * 6) + 30 * 6
+    assert trace.n_evaluations == 1 + 6 * 6 + trace.n_probe
+    assert np.array_equal(est.to_vector(), goal) and cost == 0.0

@@ -1,5 +1,7 @@
 """Tests for the centroid / plane / homography initialization pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from semcal.costfield import CostEvaluator
 from semcal.errors import Degenerate, InsufficientPairs, NonPlanar
 from semcal.geometry import CameraIntrinsics, Extrinsics, RotationAngles, Translation
 from semcal.pnp_init import (
+    _hypothesis,
     _nearest_rotation,
+    _normalization,
     _triples,
     collect_centroid_pairs,
     decompose_planar_pose,
@@ -34,6 +38,10 @@ def test_collect_pairs_matches_frames_and_classes():
     assert list(ps.class_ids) == list(classes) * 4
     # pixel centroids are the exact integer pixels the fixture picked
     assert np.allclose(ps.pixels_2d, np.round(ps.pixels_2d))
+    # one frame of four classes is enough, with the scene's one camera
+    one, _, classes = make_planar_pairs(seed=1, n_frames=1, n_classes=4)
+    ps = collect_centroid_pairs(CostEvaluator(one, classes))
+    assert len(ps) == 4 and ps.camera.tolist() == [k.fx, k.fy, k.cx, k.cy]
 
 
 def test_collect_pairs_skips_one_sided_classes():
@@ -111,6 +119,19 @@ def test_ransac_plane_deterministic():
     assert np.array_equal(a.inliers, b.inliers)
 
 
+def test_hypothesis_needs_a_triple_off_a_line_and_three_inliers():
+    """A triple whose cross product is within ``cross_tol`` is collinear, and
+    a plane with fewer than 3 points within the threshold is none: both
+    give None, which ``ransac_plane``'s bounds alone do not ensure within
+    their slack."""
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [5.0, 5.0, 0.1]])
+    count, rms, normal, offset, inliers = _hypothesis(points, [0, 1, 2], 0.2, 1e-12)
+    assert count == 4 and np.array_equal(inliers, np.arange(4)) and offset == 0.0
+    assert rms == pytest.approx(0.05) and np.array_equal(np.abs(normal), [0.0, 0.0, 1.0])
+    assert _hypothesis(points, [0, 1, 2], 0.2, 1.0) is None  # |cross| = 1
+    assert _hypothesis(points, [0, 1, 2], -1.0, 1e-12) is None  # no point within
+
+
 @pytest.mark.parametrize("n", [4, 5, 7, 40, 120, 10_001, 100_000])
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_ransac_triples_are_the_choice_draws(n, seed):
@@ -148,6 +169,39 @@ def _ransac_point_sets():
     }
 
 
+def _ransac_edge_sets():
+    """Point sets at the edges of the array pass's bounds."""
+    # a triple whose cross product is within the slack of the collinearity
+    # tolerance, 1e-12 of the squared spread, on its either side
+    off_line = [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1e-12 * (1 + s * 4e-10), 0.0]]
+                for s in (1, -1)]
+    # z = 0 holds 3 points and 2 more just beyond the threshold, within the
+    # slack; x = 100 holds 4 points: the 4 win, as no bound that prunes may
+    # count the 2 as inliers
+    band = 0.2 + 5e-8
+    slack_band = [[0, 0, 0], [40, 0, 0], [0, 40, 0], [10, 10, band], [20, 10, -band],
+                  [100, 5, 20], [100, 30, 25], [100, 5, 50], [100, 35, 45]]
+    return {
+        "slack band": np.array(slack_band, dtype=float),
+        "just off a line": np.array(off_line[0]),
+        "just on a line": np.array(off_line[1]),
+        # a spread of 1e-7 m, where the tolerance's floor of 1e-24 holds
+        "tiny, off a line": np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [0.0, 1.5e-17, 0.0]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_ransac_edge_sets()))
+def test_ransac_plane_matches_the_loop_at_the_edges_of_its_bounds(name):
+    outcomes = []
+    for fit in (ransac_plane, ransac_plane_loop):
+        try:
+            plane = fit(_ransac_edge_sets()[name], 0.2, 500, 0)
+            outcomes.append((plane.inliers.tolist(), plane.normal.tolist(), plane.offset, plane.rms))
+        except Degenerate as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("name", list(_ransac_point_sets()))
 @pytest.mark.parametrize("iterations", [1, 7, 500, 1100])
 def test_ransac_plane_matches_the_one_at_a_time_loop(name, iterations):
@@ -161,6 +215,70 @@ def test_ransac_plane_matches_the_one_at_a_time_loop(name, iterations):
     points = _ransac_point_sets()[name]
     for seed in (0, 3):
         assert outcome(ransac_plane, seed) == outcome(ransac_plane_loop, seed)
+
+
+def test_ransac_plane_bounds_counts_by_triples_surely_off_a_line():
+    """A first draw within the slack of the collinearity tolerance, whose
+    plane holds 4 points, sets no lower bound on the count: the genuine
+    plane of 3 points drawn second is still rescored and wins, as in the
+    loop, where the first draw counts as collinear."""
+    # a seed whose second draw shares at most one point with the first
+    seed = next(s for s in range(100) if len(set(_triples(6, 2, s).ravel())) > 4)
+    first, _ = _triples(6, 2, seed)
+    rest = [i for i in range(6) if i not in first]
+    points = np.zeros((6, 3))
+    points[first[1:]] = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]  # then moved just off the x axis
+    points[rest] = [[3.0, 4.0, 0.0], [0.0, 0.0, 7.0], [0.0, 9.0, 9.0]]  # one on z = 0
+    scale = float(np.linalg.norm(np.ptp(points, axis=0)))
+    points[first[2], 1] = scale * scale * 1e-12 * (1 - 4e-10)  # |cross| just within
+    plane = ransac_plane(points, 0.2, 2, seed)
+    want = ransac_plane_loop(points, 0.2, 2, seed)
+    assert plane.inliers.size == 3
+    assert (plane.inliers.tolist(), plane.normal.tolist(), plane.offset, plane.rms) == (
+        want.inliers.tolist(), want.normal.tolist(), want.offset, want.rms)
+
+
+def test_ransac_plane_takes_a_larger_count_drawn_later():
+    """In the "slack band" set, the plane z = 0 holds 3 points but bounds 5,
+    so it is rescored; at seed 10 it is drawn before the plane x = 100,
+    which holds 4, and gives way to it, as in the loop."""
+    points = _ransac_edge_sets()["slack band"]
+    triples = [set(t) for t in _triples(len(points), 500, 10).tolist()]
+    assert triples.index({0, 1, 2}) < min(i for i, t in enumerate(triples) if t <= {5, 6, 7, 8})
+    plane, want = ransac_plane(points, 0.2, 500, 10), ransac_plane_loop(points, 0.2, 500, 10)
+    assert plane.inliers.tolist() == want.inliers.tolist() == [5, 6, 7, 8]
+
+
+def test_ransac_plane_defaults_are_500_draws_at_seed_0_within_0_2_m():
+    """Every estimate follows these defaults, so the points tell each apart:
+    a 4-point plane first drawn at draw 501, and a point 0.3 m off the plane
+    of the first draw, change the fit under 501 draws, another seed or a
+    wider threshold."""
+    n = 30
+    triples = _triples(n, 501, 0)
+    late = triples[500]
+    first = next(t for t in triples.tolist() if not set(t) & set(late.tolist()))
+    points = np.random.default_rng(2).uniform(-1e5, 1e5, size=(n, 3))
+    (i, j, k), (a, b, c) = late, first
+    p, q = [x for x in range(n) if x not in {i, j, k, a, b, c}][:2]
+    points[p] = points[i] + 0.3 * (points[j] - points[i]) + 0.4 * (points[k] - points[i])
+    normal = np.cross(points[b] - points[a], points[c] - points[a])
+    points[q] = (points[a] + 0.2 * (points[b] - points[a]) + 0.3 * (points[c] - points[a])
+                 + 0.3 * normal / np.linalg.norm(normal))
+    fit = ransac_plane(points).inliers.tolist()
+    assert fit == ransac_plane_loop(points, 0.2, 500, 0).inliers.tolist() == sorted(first)
+    for args in ((0.2, 501, 0), (0.2, 500, 1), (0.4, 500, 0)):
+        assert ransac_plane(points, *args).inliers.tolist() != fit
+
+
+def test_ransac_plane_of_repeated_points_divides_by_no_zero():
+    """Triples of a repeated point have a zero cross product, which the array
+    pass leaves undivided: no NaN and no RuntimeWarning."""
+    points = _ransac_point_sets()["duplicates"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plane = ransac_plane(points, 0.2, 500, 0)
+    assert np.isfinite(plane.normal).all()
 
 
 def test_ransac_plane_rescores_each_ordered_triple_once(monkeypatch):
@@ -226,6 +344,19 @@ def test_plane_coordinates_reconstruct():
     assert np.allclose(rebuilt, points, atol=1e-12)
 
 
+def test_normalization_is_hartleys_similarity():
+    """The DLT's conditioning maps a point set to centroid 0 and mean distance
+    sqrt(2) by one scale and shift, with the homogeneous row left as it is
+    (Hartley, *In defense of the eight-point algorithm*, 1997)."""
+    points = np.random.default_rng(4).uniform(-3.0, 5.0, size=(9, 2))
+    t = _normalization(points)
+    moved = np.column_stack([points, np.ones(9)]) @ t.T
+    assert np.array_equal(moved[:, 2], np.ones(9))
+    assert np.allclose(moved[:, :2].mean(axis=0), 0.0, atol=1e-12)
+    assert np.linalg.norm(moved[:, :2], axis=1).mean() == pytest.approx(np.sqrt(2.0))
+    assert t[0, 0] == t[1, 1] and t[0, 1] == t[1, 0] == 0.0
+
+
 def test_homography_exact_recovery():
     rng = np.random.default_rng(7)
     h_true = np.eye(3) + rng.uniform(-0.2, 0.2, size=(3, 3))
@@ -249,15 +380,30 @@ def test_homography_from_the_fewest_correspondences(n):
 
 
 def test_homography_degenerate_cases():
+    """Each check names its own fault: the inputs are otherwise generic, so
+    no later stage could raise in its place."""
     line = np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)])
-    with pytest.raises(Degenerate):
+    with pytest.raises(Degenerate, match="rank-deficient"):
         estimate_homography(line, line + 1.0)
-    with pytest.raises(Degenerate):
-        estimate_homography(np.zeros((3, 2)), np.zeros((3, 2)))
-    with pytest.raises(Degenerate):
-        estimate_homography(np.zeros((5, 3)), np.zeros((5, 3)))
+    # four pairs, three of them on a line or within 1e-9 of it: 8 equations
+    # of rank 7, to a tolerance of 1e-10 of the largest singular value;
+    # 1e-8 off the line is a homography
+    for off in (0.0, 1e-9, 1e-8):
+        four = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, off], [0.3, 1.7]])
+        if off < 1e-8:
+            with pytest.raises(Degenerate, match="rank-deficient"):
+                estimate_homography(four, four * [1.5, 0.8] + [0.2, -0.1])
+        else:
+            estimate_homography(four, four * [1.5, 0.8] + [0.2, -0.1])
+    rng = np.random.default_rng(3)
+    src = rng.uniform(-2, 2, size=(6, 2))
+    with pytest.raises(Degenerate, match="at least 4 correspondences, got 3"):
+        estimate_homography(src[:3], src[:3] + 1.0)
+    for a, b in ((rng.uniform(size=(5, 3)), rng.uniform(size=(5, 3))), (src[:5], src)):
+        with pytest.raises(Degenerate, match=r"both be \(n, 2\)"):
+            estimate_homography(a, b)
     same = np.tile([[1.0, 2.0]], (5, 1))
-    with pytest.raises(Degenerate):
+    with pytest.raises(Degenerate, match="coincide"):
         estimate_homography(same, same)
 
 
@@ -295,6 +441,14 @@ def test_decompose_returns_the_pose_in_front():
     assert not mirror_front.any()
     with pytest.raises(Degenerate, match="column collapsed"):
         decompose_planar_pose(h * [1.0, 0.0, 1.0], origin, basis)
+    # a column collapses below a norm of 1e-12, not at 1.5e-12
+    for column, norm in ((0, 0.5e-12), (0, 1.5e-12), (1, 0.5e-12), (1, 1.5e-12)):
+        thin = h * np.where(np.arange(3) == column, norm / np.linalg.norm(h[:, column]), 1.0)
+        if norm < 1e-12:
+            with pytest.raises(Degenerate, match="column collapsed"):
+                decompose_planar_pose(thin, origin, basis)
+        else:
+            decompose_planar_pose(thin, origin, basis)
 
 
 def test_nearest_rotation_of_a_reflection():
@@ -322,6 +476,29 @@ def test_initialize_exact_on_planar_fixture():
         assert result.projected.shape == (len(result.pair_set), 2)
         assert result.residual_px.shape == (len(result.pair_set),)
         assert result.residual_px.max() < 1e-6
+
+
+def test_initialize_residual_is_inf_behind_the_camera():
+    """A class centroid that the estimate puts behind the camera has an
+    infinite residual, not NaN, and counts in neither ``cheirality`` nor
+    ``rms``."""
+    pairs, gt, classes = make_planar_pairs(seed=0, n_frames=6)
+    r, t = gt.matrix()
+    fp = pairs[2]
+    points = fp.cloud.points.copy()
+    points[1] = r.T @ (np.array([0.0, 0.0, -20.0]) - t)  # class 2, 20 m behind the camera
+    pairs[2] = FramePair(LabeledPointCloud(points=points, labels=fp.cloud.labels), fp.image,
+                         fp.intrinsics, fp.frame_id)
+    result = initialize(CostEvaluator(pairs, classes))
+    ps = result.pair_set
+    behind = np.array([f == fp.frame_id and c == classes[1]
+                       for f, c in zip(ps.frame_ids, ps.class_ids)])
+    assert behind.sum() == 1 and result.cheirality == len(ps) - 1
+    assert np.all(np.isposinf(result.residual_px[behind]))
+    assert np.all(np.isnan(result.projected[behind]))
+    front = result.residual_px[~behind]
+    assert np.all(np.isfinite(front))
+    assert result.rms == pytest.approx(np.sqrt(np.mean(front**2)), rel=1e-12)
 
 
 def test_initialize_deterministic():
